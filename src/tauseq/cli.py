@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 from tauseq.errors import TauSeqError
@@ -274,11 +273,7 @@ def cmd_verify(args) -> int:
     from tauseq.wide import all_torsion_classes, all_wide_subcategories
     u = _certified_universe(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda n: SUITES[n](u), names))
-    else:
-        reports = run_suites(u, names)
+    reports = run_suites(u, names)
     ok = all(r.ok for r in reports)
     graph = mutation_graph(u, frozenset())
     counts = {
@@ -311,8 +306,6 @@ def make_parser() -> argparse.ArgumentParser:
         prog="tauseq",
         description="exact computations with torsion classes and "
                     "tau-exceptional sequences over bound quiver algebras")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent verification suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inspect = sub.add_parser("inspect", help="algebra and enumeration summary")

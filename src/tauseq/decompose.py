@@ -1,17 +1,18 @@
 """Direct sum decomposition and isomorphism testing, fully exact.
 
 Strategy: compute End(M), its radical (trace form of the regular
-representation in characteristic 0, the iterated p-power trace chain over a
-prime field), then hunt for a nontrivial idempotent in the semisimple
-quotient and lift it.  A module is certified indecomposable when the
-semisimple quotient is one-dimensional, or commutative with a primitive
-element (a field).  Anything the deterministic search cannot decide raises
+representation in characteristic 0, lifted traces over a prime field), then
+hunt for a nontrivial idempotent in the semisimple quotient and lift it.  A
+module is certified indecomposable when the semisimple quotient is
+one-dimensional, or commutative with a primitive element (a field).  Anything the deterministic search cannot decide raises
 IdempotentSplitFailure loudly instead of guessing.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import sympy
@@ -118,15 +119,23 @@ def factor_poly(field: FieldSpec, coeffs: list) -> List[Tuple[list, int]]:
 # structure-constant algebras
 # --------------------------------------------------------------------------
 
-def _mat_power(m: Mat, e: int) -> Mat:
-    out = Mat.identity(m.field, m.rows)
+def _power_trace(m: List[list], e: int, modulus: int) -> int:
+    """tr(m^e) mod modulus for an integer matrix m."""
+    n = len(m)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
     base = m
     while e:
         if e & 1:
-            out = out.mul(base)
-        base = base.mul(base)
+            out = _int_mat_mul(out, base, modulus)
         e >>= 1
-    return out
+        if e:
+            base = _int_mat_mul(base, base, modulus)
+    return sum(out[i][i] for i in range(n)) % modulus
+
+
+def _int_mat_mul(a: List[list], b: List[list], modulus: int) -> List[list]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) % modulus for col in cols] for row in a]
 
 
 class AlgebraCore:
@@ -146,33 +155,43 @@ class AlgebraCore:
         return [[f.one if i == j else f.zero for j in range(self.dim)]
                 for i in range(self.dim)]
 
-    def mul(self, a: list, b: list) -> list:
+    @cached_property
+    def _flat_left(self) -> Mat:
+        # row i is L_i flattened row-major, so x^T times it is L_x flattened
+        k = self.dim
+        return Mat.trusted(self.field, k, k * k,
+                           [[x for row in li.data for x in row] for li in self.left_mult])
+
+    def left_mult_matrices(self, xs: List[list]) -> List[Mat]:
+        """L_x = sum_i x_i L_i for every x, from one product."""
         f = self.field
-        out = [f.zero] * self.dim
-        bcol = Mat.column(f, b)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            prod = self.left_mult[i].mul(bcol)
-            for t in range(self.dim):
-                v = prod.data[t][0]
-                if v != 0:
-                    out[t] = f.add(out[t], f.mul(ai, v))
-        return out
+        k = self.dim
+        flat = Mat.trusted(f, len(xs), k, xs).mul(self._flat_left)
+        return [Mat.trusted(f, k, k, [row[r * k:(r + 1) * k] for r in range(k)])
+                for row in flat.data]
 
     def left_mult_matrix(self, a: list) -> Mat:
+        return self.left_mult_matrices([a])[0]
+
+    @cached_property
+    def _stacked_left(self) -> Mat:
+        # [L_0; ...; L_(k-1)]: block i of (this Y) holds b_i y for each y
+        return _vstack(self.field, self.dim, self.left_mult)
+
+    def right_mult_matrices(self, ys: List[list]) -> List[Mat]:
+        """R_y with R_y x = x y (column i is b_i y) for every y, from one product."""
         f = self.field
-        m = Mat.zeros(f, self.dim, self.dim)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            li = self.left_mult[i]
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    v = li.data[r][c]
-                    if v != 0:
-                        m.data[r][c] = f.add(m.data[r][c], f.mul(ai, v))
-        return m
+        k = self.dim
+        prod = self._stacked_left.mul(linalg.from_columns(f, k, ys)).data
+        return [Mat.trusted(f, k, k, [[prod[i * k + t][j] for i in range(k)]
+                                      for t in range(k)])
+                for j in range(len(ys))]
+
+    def right_mult_matrix(self, a: list) -> Mat:
+        return self.right_mult_matrices([a])[0]
+
+    def mul(self, a: list, b: list) -> list:
+        return _apply(self.left_mult_matrix(a), b)
 
     def is_scalar(self, a: list) -> bool:
         basis = linalg.from_columns(self.field, self.dim, [self.unit])
@@ -189,10 +208,11 @@ class AlgebraCore:
     def minimal_polynomial(self, a: list) -> list:
         """Monic minimal polynomial, coefficients low degree first."""
         f = self.field
+        ra = self.right_mult_matrix(a)
         powers = [self.unit[:]]
         cur = self.unit[:]
         while True:
-            cur = self.mul(cur, a)
+            cur = _apply(ra, cur)
             stack = linalg.from_columns(f, self.dim, powers)
             sol = linalg.solve(stack, Mat.column(f, cur))
             if sol is not None:
@@ -203,9 +223,10 @@ class AlgebraCore:
 
     def evaluate_poly(self, coeffs: list, a: list) -> list:
         f = self.field
+        ra = self.right_mult_matrix(a)
         out = [f.zero] * self.dim
         for c in reversed(coeffs):
-            out = self.mul(out, a)
+            out = _apply(ra, out)
             if c != 0:
                 for i in range(self.dim):
                     out[i] = f.add(out[i], f.mul(c, self.unit[i]))
@@ -214,81 +235,84 @@ class AlgebraCore:
     # -- radical --
 
     def radical_basis(self) -> List[list]:
-        f = self.field
         k = self.dim
         if k == 0:
             return []
-        if f.characteristic == 0:
-            gram = Mat.zeros(f, k, k)
-            lm = self.left_mult
-            for i in range(k):
-                for j in range(i, k):
-                    t = lm[i].mul(lm[j]).trace()
-                    gram.data[i][j] = t
-                    gram.data[j][i] = t
-            ker = linalg.solve_kernel(gram)
-            basis = [ker.col(c) for c in range(ker.cols)]
+        if self.field.characteristic == 0:
+            basis = self._radical_basis_rational()
         else:
             basis = self._radical_basis_prime_field()
         self._verify_nilpotent_ideal(basis)
         return basis
 
+    def _radical_basis_rational(self) -> List[list]:
+        # the kernel of the trace form (x, y) -> tr(L_x L_y); the whole Gram
+        # matrix is one product of flattened L_i with flattened transposes
+        k = self.dim
+        lm = self.left_mult
+        flat_t = Mat.trusted(self.field, k * k, k, [[lj.data[c][r] for lj in lm]
+                                                    for r in range(k) for c in range(k)])
+        ker = linalg.solve_kernel(self._flat_left.mul(flat_t))
+        return [ker.col(c) for c in range(ker.cols)]
+
     def _radical_basis_prime_field(self) -> List[list]:
-        # iterated p-power trace chain: refine R by the kernels of
-        # x -> tr((L_x L_y)^(p^m)) until p^m exceeds the dimension
+        # Lifted traces (Cohen, Ivanyos and Wales 1997): I_-1 = A and
+        # I_i = {x in I_(i-1) : g_i(x y) = 0 for all y in A}, where
+        # g_i(x) = (tr(Lhat_x^(p^i)) mod p^(i+1)) / p^i on the integer lift
+        # Lhat_x of L_x.  Each I_i is an ideal, g_i is linear on I_(i-1),
+        # and I_i is the radical once p^(i+1) > dim A.  Plain traces cannot
+        # refine: over GF(p), tr(M^p) = tr(M)^p repeats the first round.
         f = self.field
         p = f.characteristic
         k = self.dim
         current = self.std_basis()
+        lxs = self.left_mult
         q = 1
-        while True:
-            if not current:
-                return []
-            lms = [self.left_mult_matrix(x) for x in current]
-            rows = []
-            for ly in lms:
-                row = []
-                for lx in lms:
-                    row.append(_mat_power(lx.mul(ly), q).trace())
-                rows.append(row)
-            ker = linalg.solve_kernel(Mat(f, len(rows), len(current), rows))
-            new_basis = []
-            for c in range(ker.cols):
-                vec = [f.zero] * k
-                for i in range(len(current)):
-                    ci = ker.data[i][c]
-                    if ci != 0:
-                        for t in range(k):
-                            vec[t] = f.add(vec[t], f.mul(ci, current[i][t]))
-                new_basis.append(vec)
-            current = new_basis
-            if q > k:
-                return current
+        while current:
+            n = len(current)
+            g = [_power_trace(lx.data, q, q * p) for lx in lxs]
+            if any(t % q for t in g):
+                raise IdempotentSplitFailure("lifted trace is not divisible by p^i")
+            # by linearity, g_i(x_s b_t) from the coordinates of x_s b_t,
+            # which is column t of L_(x_s); on I_-1 = A (the standard
+            # basis) those coordinates are the products themselves
+            span = linalg.from_columns(f, k, current)
+            coords = _hstack(f, k, lxs)
+            if q > 1:
+                coords = linalg.ColumnBasis(span).coords(coords)
+                if coords is None:
+                    raise IdempotentSplitFailure("radical candidate is not an ideal")
+            gxy = Mat.trusted(f, 1, n, [[t // q for t in g]]).mul(coords).data[0]
+            form = Mat.trusted(f, k, n, [[gxy[s * k + t] for s in range(n)]
+                                         for t in range(k)])
+            current = span.mul(linalg.solve_kernel(form)).columns()
             q *= p
+            if q > k:
+                break
+            lxs = self.left_mult_matrices(current)
+        return current
 
     def _verify_nilpotent_ideal(self, basis: List[list]):
         if not basis:
             return
         f = self.field
-        std = self.std_basis()
-        span = linalg.from_columns(f, self.dim, basis)
-        for b in std:
-            for n in basis:
-                for prod in (self.mul(b, n), self.mul(n, b)):
-                    if linalg.solve(span, Mat.column(f, prod)) is None:
-                        raise IdempotentSplitFailure("radical candidate is not an ideal")
-        current = [v[:] for v in basis]
-        for _ in range(self.dim + 1):
-            nxt = []
-            for x in current:
-                for y in basis:
-                    prod = self.mul(x, y)
-                    if any(c != 0 for c in prod):
-                        nxt.append(prod)
-            if not nxt:
+        k = self.dim
+        span = linalg.from_columns(f, k, basis)
+        # column i of R_n is b_i n, column i of L_n is n b_i
+        rights = self.right_mult_matrices(basis)
+        products = _hstack(f, k, rights + self.left_mult_matrices(basis))
+        if linalg.solve(span, products) is None:
+            raise IdempotentSplitFailure("radical candidate is not an ideal")
+        right_by = _vstack(f, k, rights)
+        current = span
+        for _ in range(k + 1):
+            # block j of the product holds x n_j for every x spanning current
+            prod = right_by.mul(current).data
+            nxt = _hstack(f, k, [Mat.trusted(f, k, current.cols, prod[j * k:(j + 1) * k])
+                                 for j in range(len(basis))])
+            if nxt.is_zero():
                 return
-            cb = linalg.column_space_basis(linalg.from_columns(f, self.dim, nxt))
-            current = [cb.col(c) for c in range(cb.cols)]
+            current = linalg.column_space_basis(nxt)
         raise IdempotentSplitFailure("radical candidate is not nilpotent")
 
     def quotient_by(self, ideal_basis: List[list]) -> Tuple["AlgebraCore", List[list]]:
@@ -303,30 +327,33 @@ class AlgebraCore:
             return self, self.std_basis()
         base = linalg.column_space_basis(linalg.from_columns(f, k, ideal_basis))
         _, pivots = linalg.rref(base.transpose())
-        comp = []
-        for i in range(k):
-            if i not in pivots:
-                v = [f.zero] * k
-                v[i] = f.one
-                comp.append(v)
-        full = linalg.from_columns(
-            f, k, [base.col(c) for c in range(base.cols)] + comp)
-        full_inv = linalg.inverse(full)
-        qdim = len(comp)
+        pivot_set = set(pivots)
+        comp_idx = [i for i in range(k) if i not in pivot_set]
+        comp = [[f.one if j == i else f.zero for j in range(k)] for i in comp_idx]
+        full = linalg.from_columns(f, k, base.columns() + comp)
+        # the last rows of full^-1 read off quotient coordinates
+        project = Mat.trusted(f, len(comp), k, linalg.inverse(full).data[base.cols:])
+        # comp_r comp_c is column c of L_(comp_r) restricted to the complement
+        left = [project.mul(Mat.trusted(f, k, len(comp),
+                                        [[row[j] for j in comp_idx]
+                                         for row in self.left_mult[i].data]))
+                for i in comp_idx]
+        unit = [row[0] for row in project.mul(Mat.column(f, self.unit)).data]
+        return AlgebraCore(f, left, unit), comp
 
-        def project(vec: list) -> list:
-            col = full_inv.mul(Mat.column(f, vec))
-            return [col.data[base.cols + i][0] for i in range(qdim)]
 
-        left = []
-        for r in range(qdim):
-            m = Mat.zeros(f, qdim, qdim)
-            for c in range(qdim):
-                pv = project(self.mul(comp[r], comp[c]))
-                for t in range(qdim):
-                    m.data[t][c] = pv[t]
-            left.append(m)
-        return AlgebraCore(f, left, project(self.unit)), comp
+def _apply(m: Mat, vec: list) -> list:
+    return [row[0] for row in m.mul(Mat.column(m.field, vec)).data]
+
+
+def _vstack(field: FieldSpec, cols: int, blocks: List[Mat]) -> Mat:
+    return Mat.trusted(field, sum(b.rows for b in blocks), cols,
+                       [row for b in blocks for row in b.data])
+
+
+def _hstack(field: FieldSpec, rows: int, blocks: List[Mat]) -> Mat:
+    return Mat.trusted(field, rows, sum(b.cols for b in blocks),
+                       [[x for b in blocks for x in b.data[r]] for r in range(rows)])
 
 
 # --------------------------------------------------------------------------
@@ -471,22 +498,32 @@ def _flatten(morphism: RepMorphism) -> list:
 
 
 class EndAlgebra:
-    """End(M) with structure constants, built from a hom basis."""
+    """End(M) with structure constants, built from a hom basis.
+
+    The flattened basis is factored once (``linalg.ColumnBasis``), so the
+    coordinates of any batch of endomorphisms cost two matrix products.
+    """
 
     def __init__(self, m: Rep):
         self.module = m
         self.field = m.algebra.field
         self.basis = hom_basis(m, m)
         self.dim = len(self.basis)
+
+    @cached_property
+    def _span(self) -> linalg.ColumnBasis:
         flat = [_flatten(b) for b in self.basis]
-        veclen = len(flat[0]) if flat else 0
-        self._basis_mat = linalg.from_columns(self.field, veclen, flat) if flat else None
+        return linalg.ColumnBasis(linalg.from_columns(self.field, len(flat[0]), flat))
+
+    def _coords(self, vecs: Mat) -> Mat:
+        c = self._span.coords(vecs)
+        if c is None:
+            raise ValueError("morphism does not lie in End(M)")
+        return c
 
     def coords_of(self, morphism: RepMorphism) -> list:
-        sol = linalg.solve(self._basis_mat, Mat.column(self.field, _flatten(morphism)))
-        if sol is None:
-            raise ValueError("morphism does not lie in End(M)")
-        return [sol.data[i][0] for i in range(self.dim)]
+        c = self._coords(Mat.column(self.field, _flatten(morphism)))
+        return [row[0] for row in c.data]
 
     def morphism_of(self, coords: list) -> RepMorphism:
         out = None
@@ -502,15 +539,29 @@ class EndAlgebra:
         return out
 
     def core(self) -> AlgebraCore:
+        """Structure constants: column i k + j of one batch holds the
+        flattened product b_i b_j, and a last column the identity."""
         f = self.field
-        left = []
-        for bi in self.basis:
-            cols = [self.coords_of(bi.compose(bj)) for bj in self.basis]
-            left.append(linalg.from_columns(f, self.dim, cols))
-        ident = RepMorphism(self.module, self.module,
-                            [Mat.identity(f, d) for d in self.module.dims],
-                            validate=False)
-        return AlgebraCore(f, left, self.coords_of(ident))
+        k = self.dim
+        rows = []
+        for v, d in enumerate(self.module.dims):
+            if d == 0:
+                continue
+            blocks = [b.maps[v].data for b in self.basis]
+            stacked = Mat.trusted(f, k * d, d, [r for blk in blocks for r in blk])
+            side = Mat.trusted(f, d, k * d, [[x for blk in blocks for x in blk[r]]
+                                             for r in range(d)])
+            prod = stacked.mul(side).data  # block (i, j) is b_i b_j at v
+            for r in range(d):
+                for c in range(d):
+                    row = [prod[i * d + r][j * d + c]
+                           for i in range(k) for j in range(k)]
+                    row.append(f.one if r == c else f.zero)
+                    rows.append(row)
+        coords = self._coords(Mat.trusted(f, len(rows), k * k + 1, rows)).data
+        left = [Mat.trusted(f, k, k, [row[i * k:(i + 1) * k] for row in coords])
+                for i in range(k)]
+        return AlgebraCore(f, left, [row[k * k] for row in coords])
 
 
 def _split_by_idempotent(m: Rep, e: RepMorphism) -> Tuple[Rep, Rep]:

@@ -24,26 +24,21 @@ def _is_prime(p: int) -> bool:
 class FieldSpec:
     """Ground field: characteristic 0 means the rationals, p a prime field."""
 
-    __slots__ = ("characteristic",)
+    __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int = 0):
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError("characteristic must be 0 or a prime, got %r" % (characteristic,))
         self.characteristic = characteristic
+        # scalars are immutable, so one shared zero and one serve every matrix
+        self.zero = Fraction(0) if characteristic == 0 else 0
+        self.one = Fraction(1) if characteristic == 0 else 1
 
     # -- element constructors --
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
-
     def coerce(self, x):
         if self.characteristic == 0:
-            return Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         return int(x) % self.characteristic
 
     # -- arithmetic --

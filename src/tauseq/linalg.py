@@ -1,15 +1,53 @@
 """Dense exact matrices and the handful of solvers the rest of the package needs.
 
 Pivoting is fixed (first nonzero entry in column order), so every basis
-returned here is reproducible run to run.  Nothing is asymptotically clever;
-matrices stay small at the scales this package targets.
+returned here is reproducible run to run.  Elimination and products have one
+path per characteristic and never dispatch through FieldSpec per scalar:
+over GF(p) they run on plain ints reduced mod p; over the rationals each row
+is scaled to a primitive integer row, elimination stays fraction-free, and
+every entry is divided once at the end.  The reduced echelon form is unique,
+so R and the pivots are exactly those of textbook Gauss-Jordan.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import List, Optional, Tuple
 
 from tauseq.fields import FieldSpec
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+# shared values for the small integers that elimination mostly produces
+_SMALL = {n: Fraction(n) for n in range(-16, 17)}
+_ZERO = _SMALL[0]
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """The rational n / d, reusing the shared small values."""
+    if d != 1:
+        if n % d:
+            return Fraction(n, d)
+        n //= d
+    return _SMALL[n] if -17 < n < 17 else Fraction(n)
+
+
+def _fractions(ints: list, d: int) -> list:
+    """[n / d for n in ints], with the common d == 1 case inlined."""
+    if d == 1:
+        return [_SMALL[n] if -17 < n < 17 else Fraction(n) for n in ints]
+    return [_ratio(n, d) for n in ints]
+
+
+def _scaled_rows(rows: List[list]) -> Tuple[List[list], int]:
+    """Rational rows as (integer rows, d), with one common denominator d."""
+    d = lcm(*map(_denominator, chain.from_iterable(rows)))
+    if d == 1:
+        return [list(map(_numerator, row)) for row in rows], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 class Mat:
@@ -25,12 +63,22 @@ class Mat:
         self.cols = cols
         self.data = data
 
+    @classmethod
+    def trusted(cls, field: FieldSpec, rows: int, cols: int, data: List[list]) -> "Mat":
+        """A matrix whose shape its caller guarantees: no shape check."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
     # -- constructors --
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Mat":
         z = field.zero
-        return Mat(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return Mat.trusted(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
@@ -48,10 +96,10 @@ class Mat:
 
     @staticmethod
     def column(field: FieldSpec, entries: list) -> "Mat":
-        return Mat(field, len(entries), 1, [[field.coerce(x)] for x in entries])
+        return Mat.trusted(field, len(entries), 1, [[field.coerce(x)] for x in entries])
 
     def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, [row[:] for row in self.data])
+        return Mat.trusted(self.field, self.rows, self.cols, [row[:] for row in self.data])
 
     # -- algebra --
 
@@ -59,21 +107,18 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError("cannot multiply %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        f = self.field
-        out = Mat.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b != 0:
-                        orow[j] = f.add(orow[j], f.mul(a, b))
-        return out
+        p = self.field.characteristic
+        if p:
+            cols = list(zip(*other.data)) if other.rows else [()] * other.cols
+            data = [[sum(map(mul, arow, col)) % p for col in cols]
+                    for arow in self.data]
+        else:
+            a, da = _scaled_rows(self.data)
+            b, db = _scaled_rows(other.data)
+            cols = list(zip(*b)) if other.rows else [()] * other.cols
+            data = [_fractions([sum(map(mul, arow, col)) for col in cols], da * db)
+                    for arow in a]
+        return Mat.trusted(self.field, self.rows, other.cols, data)
 
     def add(self, other: "Mat") -> "Mat":
         f = self.field
@@ -90,28 +135,31 @@ class Mat:
     def scale(self, c) -> "Mat":
         f = self.field
         c = f.coerce(c)
-        return Mat(f, self.rows, self.cols,
-                   [[f.mul(c, a) for a in r] for r in self.data])
+        return Mat.trusted(f, self.rows, self.cols,
+                           [[f.mul(c, a) for a in r] for r in self.data])
 
     def neg(self) -> "Mat":
         f = self.field
-        return Mat(f, self.rows, self.cols, [[f.neg(a) for a in r] for r in self.data])
+        return Mat.trusted(f, self.rows, self.cols,
+                           [[f.neg(a) for a in r] for r in self.data])
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        if not self.rows:
+            return Mat.zeros(self.field, self.cols, 0)
+        return Mat.trusted(self.field, self.cols, self.rows,
+                           [list(c) for c in zip(*self.data)])
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
-        return Mat(self.field, self.rows, self.cols + other.cols,
-                   [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Mat.trusted(self.field, self.rows, self.cols + other.cols,
+                           [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ValueError("vstack col mismatch")
-        return Mat(self.field, self.rows + other.rows, self.cols,
-                   [r[:] for r in self.data] + [r[:] for r in other.data])
+        return Mat.trusted(self.field, self.rows + other.rows, self.cols,
+                           [r[:] for r in self.data] + [r[:] for r in other.data])
 
     def col(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
@@ -153,37 +201,104 @@ def block_diag(field: FieldSpec, blocks: List[Mat]) -> Mat:
     return out
 
 
+def _eliminate_mod(m: List[list], ncols: int, p: int) -> List[int]:
+    """Gauss-Jordan in place on canonical ints mod p; returns the pivots."""
+    nrows = len(m)
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        row = m[i]
+        m[i], m[r] = m[r], row
+        if row[c] != 1:
+            # columns left of a pivot are already clear in its row
+            inv = pow(row[c], -1, p)
+            row[c:] = [x * inv % p for x in row[c:]]
+        support = [j for j in range(c + 1, ncols) if row[j]]
+        for other in m:
+            a = other[c]
+            if a and other is not row:
+                other[c] = 0
+                for j in support:
+                    other[j] = (other[j] - a * row[j]) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _eliminate_int(m: List[list], ncols: int) -> List[int]:
+    """Fraction-free Gauss-Jordan in place on primitive integer rows.
+
+    Each row stays a nonzero multiple of the row exact elimination would
+    hold, so zero patterns and pivots agree; row i is R[i] times its pivot.
+    """
+    nrows = len(m)
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        row = m[i]
+        m[i], m[r] = m[r], row
+        piv = row[c]
+        support = [j for j in range(c + 1, ncols) if row[j]]
+        for other in m:
+            a = other[c]
+            if a and other is not row:
+                # other <- s * other - t * row, with s > 0
+                g = gcd(a, piv)
+                s, t = piv // g, a // g
+                if s < 0:
+                    s, t = -s, -t
+                if s != 1:
+                    other[:] = [x * s for x in other]
+                other[c] = 0
+                for j in support:
+                    other[j] -= t * row[j]
+                g = gcd(*other)
+                if g > 1:
+                    other[:] = [x // g for x in other]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rref(a: Mat) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form with the fixed first-nonzero pivot rule.
 
     Returns (R, pivot_columns).
     """
-    f = a.field
-    m = [row[:] for row in a.data]
-    nrows, ncols = a.rows, a.cols
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        if inv != f.one:
-            m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return Mat(f, nrows, ncols, m), pivots
+    p = a.field.characteristic
+    ncols = a.cols
+    if p:
+        m = [row[:] for row in a.data]
+        pivots = _eliminate_mod(m, ncols, p)
+    else:
+        m, _ = _scaled_rows(a.data)
+        for i, row in enumerate(m):
+            g = gcd(*row)
+            if g > 1:
+                m[i] = [x // g for x in row]
+        pivots = _eliminate_int(m, ncols)
+        zero_row = [_ZERO] * ncols
+        for i in range(a.rows):
+            if i < len(pivots):
+                piv = m[i][pivots[i]]
+                m[i] = [_ratio(x, piv) for x in m[i]]
+            else:
+                m[i] = zero_row[:]
+    return Mat.trusted(a.field, a.rows, ncols, m), pivots
 
 
 def rank(a: Mat) -> int:
@@ -198,7 +313,8 @@ def solve_kernel(a: Mat) -> Mat:
     """
     f = a.field
     r, pivots = rref(a)
-    free = [j for j in range(a.cols) if j not in pivots]
+    pivot_set = set(pivots)
+    free = [j for j in range(a.cols) if j not in pivot_set]
     out = Mat.zeros(f, a.cols, len(free))
     for k, j in enumerate(free):
         out.data[j][k] = f.one
@@ -234,16 +350,12 @@ def rank_image_cokernel(a: Mat) -> Tuple[int, Mat, Mat]:
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
     """Solve a X = b columnwise; None if any column is inconsistent."""
-    f = a.field
-    aug = a.hstack(b)
-    rr, pivots = rref(aug)
-    for piv_row, pc in enumerate(pivots):
-        if pc >= a.cols:
-            return None
-    x = Mat.zeros(f, a.cols, b.cols)
+    rr, pivots = rref(a.hstack(b))
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = Mat.zeros(a.field, a.cols, b.cols)
     for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x.data[pc][j] = rr.data[i][a.cols + j]
+        x.data[pc] = rr.data[i][a.cols:]
     return x
 
 
@@ -254,17 +366,48 @@ def is_invertible(a: Mat) -> bool:
 def inverse(a: Mat) -> Mat:
     if a.rows != a.cols:
         raise ValueError("inverse of non-square matrix")
+    # a singular a leaves a pivot in the identity block, so solve says None
     x = solve(a, Mat.identity(a.field, a.rows))
-    if x is None or rank(a) != a.rows:
+    if x is None:
         raise ValueError("matrix is singular")
     return x
 
 
+class ColumnBasis:
+    """Coordinates with respect to the linearly independent columns of B.
+
+    B is factored once: its pivot rows (the pivot columns of B^T) carry an
+    invertible k x k minor M.  A vector v in the column span has the
+    coordinates c = M^-1 v[pivot rows], and the exact residual B c == v on
+    the remaining rows decides whether v lies in the span at all.
+    """
+
+    __slots__ = ("pivot_rows", "other_rows", "minor_inverse", "others")
+
+    def __init__(self, basis: Mat):
+        _, self.pivot_rows = rref(basis.transpose())
+        if len(self.pivot_rows) != basis.cols:
+            raise ValueError("basis columns are linearly dependent")
+        pivot_set = set(self.pivot_rows)
+        self.other_rows = [r for r in range(basis.rows) if r not in pivot_set]
+        self.minor_inverse = inverse(_pick_rows(basis, self.pivot_rows))
+        self.others = _pick_rows(basis, self.other_rows)
+
+    def coords(self, vecs: Mat) -> Optional[Mat]:
+        """The coordinates of every column of vecs, or None when one of
+        them lies outside the span."""
+        c = self.minor_inverse.mul(_pick_rows(vecs, self.pivot_rows))
+        return c if self.others.mul(c) == _pick_rows(vecs, self.other_rows) else None
+
+
+def _pick_rows(m: Mat, which: List[int]) -> Mat:
+    return Mat.trusted(m.field, len(which), m.cols, [m.data[r] for r in which])
+
+
 def from_columns(field: FieldSpec, rows: int, cols: List[list]) -> Mat:
-    out = Mat.zeros(field, rows, len(cols))
-    for j, c in enumerate(cols):
-        if len(c) != rows:
-            raise ValueError("column length mismatch")
-        for i in range(rows):
-            out.data[i][j] = field.coerce(c[i])
-    return out
+    if any(len(c) != rows for c in cols):
+        raise ValueError("column length mismatch")
+    if not cols:
+        return Mat.zeros(field, rows, 0)
+    coerce = field.coerce
+    return Mat.trusted(field, rows, len(cols), [[coerce(x) for x in r] for r in zip(*cols)])

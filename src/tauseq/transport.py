@@ -120,19 +120,18 @@ def functor_image(u: ModuleUniverse, ctx: Context, ids: Tuple[int, ...],
                 out.extend(row)
         return out
 
+    if not basis:
+        return AbstractModule(gamma, 0, [Mat.zeros(f, 0, 0) for _ in end.basis])
     flat = [flatten(b) for b in basis]
-    veclen = len(flat[0]) if flat else 0
-    basis_mat = linalg.from_columns(f, veclen, flat) if flat else None
+    span = linalg.ColumnBasis(linalg.from_columns(f, len(flat[0]), flat))
     action = []
     for g in end.basis:
-        cols = []
-        for h in basis:
-            comp = h.compose(g)  # precomposition: the op-action
-            sol = linalg.solve(basis_mat, Mat.column(f, flatten(comp)))
-            if sol is None:
-                raise Mismatch("hom functor image is not closed under the action")
-            cols.append([sol.data[t][0] for t in range(len(basis))])
-        action.append(linalg.from_columns(f, len(basis), cols))
+        # precomposition is the op-action
+        comps = [flatten(h.compose(g)) for h in basis]
+        coords = span.coords(linalg.from_columns(f, len(flat[0]), comps))
+        if coords is None:
+            raise Mismatch("hom functor image is not closed under the action")
+        action.append(coords)
     return AbstractModule(gamma, len(basis), action)
 
 

@@ -120,12 +120,6 @@ def test_verify_json_deterministic(capsys):
     assert doc["passed"] is True
 
 
-def test_verify_with_jobs(capsys):
-    code, out, _ = run(capsys, "--jobs", "2", "verify", path("a3rad2.json"),
-                       "--suite", "all")
-    assert code == 0
-
-
 def test_malformed_algebra_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": {"characteristic": 0}, "vertices": ["1"]}')
