@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import List, Optional, Tuple
-
-import sympy
 
 from tauseq import linalg
 from tauseq.errors import IdempotentSplitFailure, InconclusiveTest
@@ -91,8 +91,103 @@ def _poly_gcdex(field: FieldSpec, a: list, b: list) -> Tuple[list, list, list]:
     return r0, s0, t0
 
 
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The exact square root of q when it is a rational square, else None."""
+    if q < 0:
+        return None
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    if n * n != q.numerator or d * d != q.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def _sqrt_mod(a: int, p: int) -> Optional[int]:
+    """A square root of a modulo an odd prime p (Tonelli-Shanks), or None
+    when a is a non-residue by the Euler criterion."""
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _roots_low_degree(field: FieldSpec, cs: list) -> Optional[list]:
+    """The roots, with repetition, of c0 + c1 x (+ c2 x^2) with a nonzero
+    top coefficient, or None for a quadratic irreducible over the field."""
+    p = field.characteristic
+    if p:
+        inv = pow(cs[-1], p - 2, p)
+        if len(cs) == 2:
+            return [-cs[0] * inv % p]
+        c, b = cs[0] * inv % p, cs[1] * inv % p  # x^2 + b x + c
+        if p == 2:  # 2 is not invertible: try both elements
+            roots = [r for r in (0, 1) if (r * r + b * r + c) % 2 == 0]
+            if len(roots) == 1:
+                roots *= 2  # a single root of a quadratic is a double root
+            return roots or None
+        s = _sqrt_mod((b * b - 4 * c) % p, p)
+        if s is None:
+            return None
+        half = (p + 1) // 2
+        return [(s - b) * half % p, (-s - b) * half % p]
+    if len(cs) == 2:
+        return [-cs[0] / cs[1]]
+    c, b, a = cs
+    s = _rational_sqrt(b * b - 4 * a * c)
+    if s is None:
+        return None
+    return [(s - b) / (2 * a), (-s - b) / (2 * a)]
+
+
+def _factor_low_degree(field: FieldSpec, cs: list) -> List[Tuple[list, int]]:
+    if len(cs) <= 1:
+        return []
+    roots = _roots_low_degree(field, cs)
+    if roots is None:
+        lead = field.inv(cs[-1])
+        return [([field.mul(lead, c) for c in cs], 1)]
+    if len(roots) == 2 and roots[0] == roots[1]:
+        return [([field.neg(roots[0]), field.one], 2)]
+    p = field.characteristic
+    if p:
+        key = lambda r: -r % p  # the constant of x - r
+    else:
+        key = lambda r: (r.denominator, -r.numerator)  # x - r as d x + n
+    return [([field.neg(r), field.one], 1) for r in sorted(roots, key=key)]
+
+
 def factor_poly(field: FieldSpec, coeffs: list) -> List[Tuple[list, int]]:
-    """Irreducible factorization via sympy; monic factors, coefficients low first."""
+    """Irreducible factorization; monic factors, coefficients low first.
+
+    The factors and their order are sympy's ``factor_list``: sorted by
+    (degree, multiplicity, dense coefficients high first), where over the
+    rationals a linear factor is compared in its primitive integer form
+    d x + n with d > 0.  Degree at most 2 is split natively (rational
+    discriminant, or Euler criterion and Tonelli-Shanks over GF(p)); sympy
+    is imported only for degree 3 and up.
+    """
+    cs = [field.coerce(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) <= 3:
+        return _factor_low_degree(field, cs)
+    import sympy
+
     x = sympy.Symbol("x")
     if field.characteristic == 0:
         sympy_coeffs = [sympy.Rational(c.numerator, c.denominator)

@@ -224,41 +224,48 @@ def hom_basis(m: Rep, n: Rep) -> List[RepMorphism]:
     if total == 0:
         return []
 
-    def var(v: int, i: int, j: int) -> int:
-        return offsets[v] + i * m.dims[v] + j
-
+    # (n_a f_s - f_t m_a)[i][j] = 0 for all i < n.dims[t], j < m.dims[s]: the
+    # n_a term puts n_a[i][k] on f_s[k][j], the m_a term -m_a[k][j] on f_t[i][k]
+    p = f.characteristic
     rows: List[list] = []
     zero_row = [f.zero] * total
     for ai, a in enumerate(q.arrows):
         s, t = a.source, a.target
-        na, ma = n.mats[ai], m.mats[ai]
-        # (n_a f_s - f_t m_a)[i][j] = 0 for all i < n.dims[t], j < m.dims[s]
-        for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
+        ms, mt = m.dims[s], m.dims[t]
+        if not ms or not n.dims[t]:
+            continue  # no equations at this arrow
+        off_s, off_t = offsets[s], offsets[t]
+        lefts = [[(off_s + k * ms, c) for k, c in enumerate(nrow) if c != 0]
+                 for nrow in n.mats[ai].data]
+        mcols = zip(*m.mats[ai].data) if mt else [()] * ms
+        rights = [[(k, -c % p if p else -c) for k, c in enumerate(mcol) if c != 0]
+                  for mcol in mcols]
+        for i, left in enumerate(lefts):
+            base = off_t + i * mt
+            for j, right in enumerate(rights):
+                if not left and not right:
+                    continue
                 row = zero_row[:]
-                for k in range(n.dims[s]):
-                    c = na.data[i][k]
-                    if c != 0:
-                        row[var(s, k, j)] = f.add(row[var(s, k, j)], c)
-                for k in range(m.dims[t]):
-                    c = ma.data[k][j]
-                    if c != 0:
-                        row[var(t, i, k)] = f.sub(row[var(t, i, k)], c)
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                for col, c in left:
+                    row[col + j] = c
+                for k, c in right:
+                    if s == t:  # a loop: both terms may land on one unknown
+                        c = (row[base + k] + c) % p if p else row[base + k] + c
+                    row[base + k] = c
+                if s == t and not any(row):
+                    continue
+                rows.append(row)
     if rows:
-        ker = linalg.solve_kernel(Mat(f, len(rows), total, rows))
+        ker = linalg.solve_kernel(Mat.trusted(f, len(rows), total, rows))
     else:
         ker = Mat.identity(f, total)
     out = []
-    for c in range(ker.cols):
+    for vec in zip(*ker.data):
         maps = []
         for v in range(nv):
-            mv = Mat.zeros(f, n.dims[v], m.dims[v])
-            for i in range(n.dims[v]):
-                for j in range(m.dims[v]):
-                    mv.data[i][j] = ker.data[var(v, i, j)][c]
-            maps.append(mv)
+            o, w = offsets[v], m.dims[v]
+            maps.append(Mat.trusted(f, n.dims[v], w, [list(vec[o + i * w:o + (i + 1) * w])
+                                                      for i in range(n.dims[v])]))
         out.append(RepMorphism(m, n, maps, validate=False))
     return out
 

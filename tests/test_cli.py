@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 from tauseq.cli import main
 
@@ -129,3 +132,23 @@ def test_malformed_algebra_file(tmp_path, capsys):
     bad.write_text('{"field": {"characteristic": 4}, "vertices": ["1"], "arrows": []}')
     code, out, err = run(capsys, "inspect", str(bad))
     assert code == 2
+
+
+def test_cli_commands_run_without_importing_sympy():
+    # sympy is only the factorization fallback for minimal polynomials of
+    # degree 3 and up, which no corpus algebra needs; a fresh interpreter
+    # keeps it out of sys.modules through whole commands
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from tauseq.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["inspect", %r, "--json"]) == 0
+            assert main(["verify", %r, "--suite", "all", "--json"]) == 0
+        assert "sympy" not in sys.modules, "sympy was imported"
+        """ % (path("a3.json"), path("a2.json")))
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
