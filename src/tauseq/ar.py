@@ -16,7 +16,7 @@ from tauseq import linalg
 from tauseq.linalg import Mat
 from tauseq.modules import (
     Presentation, Rep, cokernel, dualize, hom_dim, kernel, min_presentation,
-    morphism_from_generator_images, projective_sum,
+    morphism_from_generator_images, projective_cover, projective_sum,
 )
 from tauseq.quiver import Path, opposite
 
@@ -102,14 +102,9 @@ def tau_minus(m: Rep) -> Rep:
 
 
 def is_projective_rep(m: Rep) -> bool:
-    _, cover, _ = _cover_cached(m)
+    _, cover, _ = projective_cover(m)
     k, _ = kernel(cover)
     return k.total_dim == 0
-
-
-def _cover_cached(m: Rep):
-    from tauseq.modules import projective_cover
-    return projective_cover(m)
 
 
 def is_injective_rep(m: Rep) -> bool:

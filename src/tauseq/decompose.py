@@ -4,8 +4,14 @@ Strategy: compute End(M), its radical (trace form of the regular
 representation in characteristic 0, lifted traces over a prime field), then
 hunt for a nontrivial idempotent in the semisimple quotient and lift it.  A
 module is certified indecomposable when the semisimple quotient is
-one-dimensional, or commutative with a primitive element (a field).  Anything the deterministic search cannot decide raises
+one-dimensional, or commutative with a primitive element (a field).
+Anything the deterministic search cannot decide raises
 IdempotentSplitFailure loudly instead of guessing.
+
+Isomorphism needs no search: an indecomposable M is isomorphic to N exactly
+when some element of a basis of Hom(M, N) is invertible, because End(M) is
+local; direct sums are compared summand by summand.  The test is exact over
+every field, prime fields of any size included.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from math import isqrt
 from typing import List, Optional, Tuple
 
 from tauseq import linalg
-from tauseq.errors import IdempotentSplitFailure, InconclusiveTest
+from tauseq.errors import IdempotentSplitFailure
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, RepMorphism, hom_basis, submodule_from_spans
@@ -621,17 +627,11 @@ class EndAlgebra:
         return [row[0] for row in c.data]
 
     def morphism_of(self, coords: list) -> RepMorphism:
-        out = None
-        for c, b in zip(coords, self.basis):
-            if c == 0:
-                continue
-            term = b.scale(c)
-            out = term if out is None else out.add(term)
-        if out is None:
-            m = self.module
-            z = [Mat.zeros(self.field, d, d) for d in m.dims]
-            return RepMorphism(m, m, z, validate=False)
-        return out
+        m = self.module
+        maps = linalg.combine(coords, [b.maps for b in self.basis])
+        if maps is None:
+            maps = [Mat.zeros(self.field, d, d) for d in m.dims]
+        return RepMorphism(m, m, maps, validate=False)
 
     def core(self) -> AlgebraCore:
         """Structure constants: column i k + j of one batch holds the
@@ -722,52 +722,35 @@ def delta(m: Rep) -> int:
     return len(indecomposable_parts(m))
 
 
-def is_isomorphic(m: Rep, n: Rep) -> bool:
-    """Exact isomorphism test.
+def _basis_has_iso(m: Rep, n: Rep) -> bool:
+    return m.dims == n.dims and any(f.is_iso() for f in hom_basis(m, n))
 
-    Sweeps 0/1 coefficient combinations of the hom basis, then a full grid
-    whose size certifies a negative answer: over the rationals, a nonzero
-    product of vertex determinants has degree at most the total dimension,
-    so it cannot vanish on the whole (degree+1)-point grid.
+
+def is_isomorphic(m: Rep, n: Rep) -> bool:
+    """Exact isomorphism test over any field.
+
+    For m indecomposable End(m) is local, so given an isomorphism phi the
+    non-isomorphisms m -> n form the proper subspace phi o rad End(m), which
+    cannot contain a basis of Hom(m, n) (Fitting's lemma): m and n are
+    isomorphic exactly when some basis element is.  A decomposable m is
+    matched summand by summand (Krull-Schmidt).
     """
     if m.algebra is not n.algebra or m.dims != n.dims:
         return False
     if m.total_dim == 0:
         return True
     basis = hom_basis(m, n)
+    if any(f.is_iso() for f in basis):
+        return True
     if not basis:
         return False
-    k = len(basis)
-
-    def invertible(coeffs) -> bool:
-        f = None
-        for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
-            term = b.scale(c)
-            f = term if f is None else f.add(term)
-        if f is None:
+    parts = indecomposable_parts(m)
+    if len(parts) == 1:
+        return False
+    rest = indecomposable_parts(n)
+    for p in parts:
+        i = next((i for i, q in enumerate(rest) if _basis_has_iso(p, q)), None)
+        if i is None:
             return False
-        return all(linalg.is_invertible(mm) for mm in f.maps)
-
-    if k <= 12:
-        for mask in range(1, 2 ** k):
-            if invertible([1 if mask >> i & 1 else 0 for i in range(k)]):
-                return True
-    degree = sum(m.dims)
-    field = m.algebra.field
-    if field.characteristic and field.characteristic <= degree:
-        grid = list(range(field.characteristic))
-        certifies = False  # a small prime field grid may be too coarse
-    else:
-        grid = list(range(degree + 1))
-        certifies = True
-    if len(grid) ** k > 300000:
-        raise InconclusiveTest("isomorphism grid of size %d exceeds the guard"
-                               % len(grid) ** k)
-    for coeffs in itertools.product(grid, repeat=k):
-        if any(coeffs) and invertible(coeffs):
-            return True
-    if not certifies:
-        raise InconclusiveTest("prime field too small to certify non-isomorphism")
-    return False
+        del rest[i]
+    return not rest

@@ -117,4 +117,4 @@ class Mismatch(TauSeqError):
 
 
 class InconclusiveTest(TauSeqError):
-    """A deterministic sweep hit its size guard before deciding."""
+    """An oracle cannot decide because its hypothesis fails on the input."""

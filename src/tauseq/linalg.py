@@ -12,10 +12,10 @@ so R and the pivots are exactly those of textbook Gauss-Jordan.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from tauseq.fields import FieldSpec
 
@@ -411,3 +411,23 @@ def from_columns(field: FieldSpec, rows: int, cols: List[list]) -> Mat:
         return Mat.zeros(field, rows, 0)
     coerce = field.coerce
     return Mat.trusted(field, rows, len(cols), [[coerce(x) for x in r] for r in zip(*cols)])
+
+
+def combine(coeffs, basis: List[List[Mat]]) -> Optional[List[Mat]]:
+    """sum c_i b_i over block lists b_i (one matrix per block, added
+    blockwise), or None when every coefficient is zero."""
+    out = None
+    for c, blocks in zip(coeffs, basis):
+        if c == 0:
+            continue
+        term = [m.scale(c) for m in blocks]
+        out = term if out is None else [x.add(y) for x, y in zip(out, term)]
+    return out
+
+
+def nonzero_combinations(basis: List[List[Mat]], coeff_range) -> Iterator[List[Mat]]:
+    """combine(coeffs, basis) for every nonzero tuple of coefficients drawn
+    from coeff_range, in itertools.product order."""
+    for coeffs in product(coeff_range, repeat=len(basis)):
+        if any(coeffs):
+            yield combine(coeffs, basis)

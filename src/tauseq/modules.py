@@ -48,9 +48,6 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
-
     def path_action_arrows(self, arrows: Tuple[int, ...]) -> Mat:
         q = self.algebra.quiver
         src = q.arrows[arrows[0]].source
@@ -114,9 +111,6 @@ class RepMorphism:
     def scale(self, c) -> "RepMorphism":
         return RepMorphism(self.source, self.target,
                            [m.scale(c) for m in self.maps], validate=False)
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.maps)
 
     def is_iso(self) -> bool:
         return (self.source.dims == self.target.dims
@@ -379,11 +373,6 @@ def radical_spans(m: Rep) -> List[Mat]:
     for ai, a in enumerate(q.arrows):
         spans[a.target] = spans[a.target].hstack(m.mats[ai])
     return spans
-
-
-def top_dims(m: Rep) -> List[int]:
-    spans = radical_spans(m)
-    return [m.dims[v] - linalg.rank(spans[v]) for v in range(len(m.dims))]
 
 
 class Presentation:

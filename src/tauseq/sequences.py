@@ -27,7 +27,7 @@ from tauseq.errors import (
 )
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, all_torsion_classes, ambient_context, context_of, gen_in,
+    Context, ambient_context, context_of, gen_in,
     is_gen_minimal_summandwise, j_in_context, rel_ext_projectives, rel_perp_tau,
     rel_str_indecs, rel_tau_rigid, torsion_handle,
 )
@@ -88,28 +88,14 @@ def omega_inverse(u: ModuleUniverse, seq: Seq,
     return tuple(ys)
 
 
-def context_chain(u: ModuleUniverse, seq: Seq,
-                  ctx: Optional[Context] = None) -> List[Context]:
-    """chain[i] is the wide subcategory in which seq[i] must be rigid."""
-    ctx = ctx or ambient_context(u)
-    chain: List[Optional[Context]] = [None] * len(seq)
-    c = ctx
-    for i in range(len(seq) - 1, -1, -1):
-        chain[i] = c
-        if i > 0:
-            c = context_of(u, c, StrObj.make([seq[i]]))
-    return chain  # type: ignore[return-value]
-
-
-def is_tau_es(u: ModuleUniverse, seq: Seq, ctx: Optional[Context] = None) -> bool:
-    ctx = ctx or ambient_context(u)
-    c = ctx
-    try:
-        for i in range(len(seq) - 1, -1, -1):
-            c = context_of(u, c, StrObj.make([seq[i]]))
-    except (NotTauRigid, Mismatch):
-        return False
-    return True
+def tail_context(u: ModuleUniverse, tail: Seq,
+                 ctx: Optional[Context] = None) -> Context:
+    """The wide subcategory left by a sequence: J of each entry in turn,
+    from the right."""
+    c = ctx or ambient_context(u)
+    for x in reversed(tail):
+        c = context_of(u, c, StrObj.make([x]))
+    return c
 
 
 def j_of_sequence(u: ModuleUniverse, seq: Seq,
@@ -117,9 +103,7 @@ def j_of_sequence(u: ModuleUniverse, seq: Seq,
     """The perpendicular subcategory of the whole sequence, computed
     recursively and cross-checked against the unordered preimage sum."""
     ctx = ctx or ambient_context(u)
-    c = ctx
-    for i in range(len(seq) - 1, -1, -1):
-        c = context_of(u, c, StrObj.make([seq[i]]))
+    c = tail_context(u, seq, ctx)
     tf = omega_inverse(u, seq, ctx)
     direct = j_in_context(u, ctx, StrObj.make(tf))
     if direct != c.members:
@@ -313,11 +297,8 @@ def mutate(u: ModuleUniverse, seq: Seq, op: str, index: int) -> Seq:
         raise IndexOutOfRange("position %d not mutable in a sequence at "
                               "positions %d..%d" % (index, k, u.n))
     tail = seq[offset + 2:]
-    ctx = ambient_context(u)
-    for i in range(len(tail) - 1, -1, -1):
-        ctx = context_of(u, ctx, StrObj.make([tail[i]]))
     pair = (seq[offset], seq[offset + 1])
-    new_pair = mutation_table(u, ctx).apply(op, pair)
+    new_pair = mutation_table(u, tail_context(u, tail)).apply(op, pair)
     out = seq[:offset] + new_pair + tail
     return out
 
@@ -399,10 +380,7 @@ def transposition_word(u: ModuleUniverse, seq: Seq, index: int,
         return MutationWord(u, (), seq, target)
     k = first_position(u, seq)
     offset = index - k
-    tail = seq[offset + 2:]
-    ctx = ambient_context(u)
-    for i in range(len(tail) - 1, -1, -1):
-        ctx = context_of(u, ctx, StrObj.make([tail[i]]))
+    ctx = tail_context(u, seq[offset + 2:])
     bound = mutation_table(u, ctx).cell_size((seq[offset], seq[offset + 1])) + 1
     forward = backward = seq
     for power in range(1, bound + 1):
@@ -432,14 +410,15 @@ def normalize(u: ModuleUniverse, seq: Seq,
     single-position transpositions to the last slot where inserting it
     breaks the ordering, and apply one left mutation there.  Each round
     strictly enlarges the torsion class of the sequence, which bounds the
-    number of rounds by the number of torsion classes.
+    number of rounds by the number of torsion classes, counted from the
+    tables as support tau-tilting objects.
 
     When a list is passed as ``trace`` it receives the indecomposable member
     set of the torsion class after every round.
     """
     steps: List[Tuple[str, int, int]] = []
     cur = seq
-    rounds = len(all_torsion_classes(u)) + 1
+    rounds = u.support_tilting_count() + 1
     for _ in range(rounds):
         tf = omega_inverse(u, cur)
         if trace is not None:
@@ -569,21 +548,7 @@ class MutationGraph:
         self.edges = edges
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: Dict[int, List[int]] = {i: [] for i in range(len(self.vertices))}
-        for a, b, _, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return not self.vertices or len(self.bfs_distances(0)) == len(self.vertices)
 
     def bfs_distances(self, start: int) -> Dict[int, int]:
         dist = {start: 0}

@@ -37,9 +37,6 @@ class StructAlgebra(AlgebraCore):
             left.append(linalg.from_columns(f, self.dim, cols))
         return StructAlgebra(f, left, self.unit, self.idempotents)
 
-    def coords_mat(self, a: list) -> Mat:
-        return Mat.column(self.field, a)
-
 
 def gamma_algebra(u: ModuleUniverse, ctx: Context) -> Tuple[StructAlgebra, object, list]:
     """End(P)^op for P the sum of the relative projectives of the context.

@@ -1,12 +1,13 @@
 """Enumeration of indecomposables and the cached tables built on them.
 
 The enumeration builds every indecomposable as the middle of an extension of
-a simple by a smaller module, sweeping small integer combinations of an
-extension cocycle basis, and is certified afterwards: the count must be
-stable one layer above the dimension cap, no indecomposable may touch the
-cap, and the found set must be closed under tau, tau-minus, radicals of
-projectives and socle quotients of injectives.  Counts pinned downstream all
-sit on top of this certificate.
+a simple by a smaller module, sweeping the cocycle combinations with
+coefficients in {0, 1, -1} (``linalg.nonzero_combinations``), and is
+certified afterwards: the count must be stable one layer above the dimension
+cap, no indecomposable may touch the cap, and the found set must be closed
+under tau, tau-minus, radicals of projectives and socle quotients of
+injectives.  New modules are told apart by the exact isomorphism test of
+``decompose``.  Counts pinned downstream all sit on top of this certificate.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -46,9 +47,6 @@ class StrObj(NamedTuple):
     @staticmethod
     def make(mods: Sequence[int] = (), shifts: Sequence[int] = ()) -> "StrObj":
         return StrObj(tuple(sorted(mods)), tuple(sorted(shifts)))
-
-    def combine(self, other: "StrObj") -> "StrObj":
-        return StrObj.make(self.mods + other.mods, self.shifts + other.shifts)
 
     def with_indec(self, x: StrIndec) -> "StrObj":
         if x.shift:
@@ -212,16 +210,7 @@ class ModuleUniverse:
                             abort_reason[0] = ("extension space of dimension %d "
                                                "exceeds the sweep guard" % e)
                             raise _Abort
-                        for coeffs in itertools.product((0, 1, -1), repeat=e):
-                            if not any(coeffs):
-                                continue
-                            blocks = None
-                            for c, z in zip(coeffs, cocycles):
-                                if c == 0:
-                                    continue
-                                term = [m.scale(c) for m in z]
-                                blocks = term if blocks is None else \
-                                    [x.add(y) for x, y in zip(blocks, term)]
+                        for blocks in linalg.nonzero_combinations(cocycles, (0, 1, -1)):
                             middle = extension_middle(s, u, blocks)
                             for part in indecomposable_parts(middle):
                                 if part.total_dim == t and _dims_leq(part.dims, cap):
@@ -487,27 +476,6 @@ class ModuleUniverse:
             return self.hom[y.mod][x.mod] == 0
         return self.tau_hom_vanishes(x.mod, y.mod) and self.tau_hom_vanishes(y.mod, x.mod)
 
-    def valid_str_obj(self, t: StrObj) -> bool:
-        xs = t.indecs()
-        for x in xs:
-            if x.shift and not self.is_proj[x.mod]:
-                return False
-            if not x.shift and not self.tau_rigid[x.mod]:
-                return False
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                if not self.indec_compatible(xs[i], xs[j]):
-                    return False
-        return True
-
-    def summand_rep(self, ids: Sequence[int]) -> Rep:
-        if not ids:
-            from tauseq.modules import zero_rep
-            return zero_rep(self.algebra)
-        if len(ids) == 1:
-            return self.modules[ids[0]]
-        return direct_sum([self.modules[i] for i in ids])[0]
-
     def all_tau_rigid_subsets(self) -> List[Tuple[int, ...]]:
         """All basic tau-rigid modules, as sorted id tuples (including ())."""
         key = "tau_rigid_subsets"
@@ -548,3 +516,12 @@ class ModuleUniverse:
         out.sort()
         self.cache[key] = out
         return out
+
+    def support_tilting_count(self) -> int:
+        """The number of support tau-tilting objects, which is the number of
+        torsion classes (Adachi-Iyama-Reiten)."""
+        key = "support_tilting_count"
+        if key not in self.cache:
+            self.cache[key] = sum(1 for t in self.all_support_objects()
+                                  if t.delta == self.n)
+        return self.cache[key]

@@ -17,13 +17,14 @@ from tauseq.errors import TauSeqError
 from tauseq.sequences import (
     apply_steps, enumerate_tau_es, enumerate_tau_es_recursive, first_position,
     is_gen_minimal, is_tf_ordered, mutate, mutation_graph, mutation_table,
-    normalize, omega, omega_inverse, transposition_word, transitivity_path,
+    normalize, omega, omega_inverse, tail_context, transposition_word,
+    transitivity_path,
 )
-from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.universe import ZERO_OBJ, ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context,
-    compatible_in_context, context_of, j_in_context, rel_str_indecs,
-    rel_tau_rigid, torsion_handle,
+    compatible_in_context, context_of, j_in_context, perp_tau_members,
+    rel_str_indecs, rel_tau_rigid, torsion_handle,
 )
 
 
@@ -82,10 +83,6 @@ def _labels(u: ModuleUniverse, ids) -> List[str]:
     return [u.labels[i] for i in sorted(ids)]
 
 
-def _obj_label(u: ModuleUniverse, t: StrObj) -> str:
-    return u.label_of_obj(t)
-
-
 # --------------------------------------------------------------------------
 # enumeration suite
 # --------------------------------------------------------------------------
@@ -124,9 +121,8 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
                             {"m": u.labels[m], "n": u.labels[n]})
 
     counts = Check("tilting-size support objects match torsion classes")
-    support_tilting = [t for t in u.all_support_objects() if t.delta == u.n]
-    counts.count(len(support_tilting) == len(all_torsion_classes(u)),
-                 {"support_tilting": len(support_tilting),
+    counts.count(u.support_tilting_count() == len(all_torsion_classes(u)),
+                 {"support_tilting": u.support_tilting_count(),
                   "torsion_classes": len(all_torsion_classes(u))})
 
     return SuiteReport("enumeration", [cert, translate, bridge, surrogate, counts])
@@ -208,13 +204,7 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     for a in rigid_sets:
         for b in rigid_sets:
             gen_eq = u.gen_set(a) == u.gen_set(b)
-            perp_a = frozenset(x for x in range(len(u.modules))
-                               if all(u.tau_of[m] is None or u.hom[x][u.tau_of[m]] == 0
-                                      for m in a))
-            perp_b = frozenset(x for x in range(len(u.modules))
-                               if all(u.tau_of[m] is None or u.hom[x][u.tau_of[m]] == 0
-                                      for m in b))
-            perp_eq = perp_a == perp_b
+            perp_eq = perp_tau_members(u, a) == perp_tau_members(u, b)
             j_eq = j_in_context(u, amb, StrObj.make(a)) == \
                 j_in_context(u, amb, StrObj.make(b))
             votes = [gen_eq, perp_eq, j_eq]
@@ -229,9 +219,7 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     for ids in rigid_sets:
         if not ids:
             continue
-        perp = frozenset(x for x in range(len(u.modules))
-                         if all(u.tau_of[m] is None or u.hom[x][u.tau_of[m]] == 0
-                                for m in ids))
+        perp = perp_tau_members(u, ids)
         jm = j_in_context(u, amb, StrObj.make(ids))
         gens = [u.modules[i] for i in ids]
         for x in sorted(perp):
@@ -267,12 +255,11 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
             image = [e.e_map(amb, t, x) for x in domain]
             return (len(set(image)) == len(image)
                     and sorted(image) == sorted(rel_str_indecs(u, target)))
-        bijective.guard(_run, {"T": _obj_label(u, t)})
+        bijective.guard(_run, {"T": u.label_of_obj(t)})
 
     composition = Check("reduction composes across sums")
     for z in xs:
-        tz = StrObj.make([z.mod] if not z.shift else [],
-                         [z.mod] if z.shift else [])
+        tz = ZERO_OBJ.with_indec(z)
         for y in xs:
             if not compatible_in_context(u, amb, tz, y):
                 continue
@@ -286,9 +273,7 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
                     sub = context_of(u, amb, tz)
                     ey = e.e_map(amb, tz, y)
                     ex = e.e_map(amb, tz, x)
-                    t2 = StrObj.make([ey.mod] if not ey.shift else [],
-                                     [ey.mod] if ey.shift else [])
-                    rhs = e.e_map(sub, t2, ex)
+                    rhs = e.e_map(sub, ZERO_OBJ.with_indec(ey), ex)
                     return lhs == rhs
                 composition.guard(_run, {"X": u.label_of_indec(x),
                                          "Y": u.label_of_indec(y),
@@ -296,7 +281,7 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
 
     jsum = Check("perpendicular category of a sum by reduction")
     for y in xs:
-        ty = StrObj.make([y.mod] if not y.shift else [], [y.mod] if y.shift else [])
+        ty = ZERO_OBJ.with_indec(y)
         for x in xs:
             if not compatible_in_context(u, amb, ty, x):
                 continue
@@ -305,9 +290,7 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
                 lhs = j_in_context(u, amb, ty.with_indec(x))
                 sub = context_of(u, amb, ty)
                 ex = e.e_map(amb, ty, x)
-                t2 = StrObj.make([ex.mod] if not ex.shift else [],
-                                 [ex.mod] if ex.shift else [])
-                rhs = j_in_context(u, sub, t2)
+                rhs = j_in_context(u, sub, ZERO_OBJ.with_indec(ex))
                 return lhs == rhs
             jsum.guard(_run, {"X": u.label_of_indec(x), "Y": u.label_of_indec(y)})
 
@@ -340,11 +323,8 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
             continue
 
         def _run(ids=ids):
-            perp = frozenset(x for x in range(len(u.modules))
-                             if all(u.tau_of[m] is None or u.hom[x][u.tau_of[m]] == 0
-                                    for m in ids))
-            sources = [q for q in torsion_handle(u, perp).ext_proj
-                       if q not in ids]
+            perp = perp_tau_members(u, ids)
+            sources = [q for q in torsion_handle(u, perp).ext_proj if q not in ids]
             sub = context_of(u, amb, StrObj.make(ids))
             images = []
             for q in sources:
@@ -559,10 +539,7 @@ def suite_transitivity(u: ModuleUniverse, pair_budget: int = 40000) -> SuiteRepo
                     s2 = omega(u, swapped)
                     k = first_position(u, s1)
                     word = transposition_word(u, s1, k + pos, s2)
-                    tail = s1[pos + 2:]
-                    ctx = amb
-                    for i in range(len(tail) - 1, -1, -1):
-                        ctx = context_of(u, ctx, StrObj.make([tail[i]]))
+                    ctx = tail_context(u, s1[pos + 2:])
                     cell = mutation_table(u, ctx).cell_size((s1[pos], s1[pos + 1]))
                     return word.length <= cell
                 swaps.guard(_run, {"ordering": _labels(u, perm), "position": pos})

@@ -21,6 +21,7 @@ from tauseq.ar import extension_cocycle_space, extension_middle
 from tauseq.errors import (
     Mismatch, NotInW, NotTauRigid, RankMismatch, TauSeqError,
 )
+from tauseq.linalg import nonzero_combinations
 from tauseq.modules import Rep, RepMorphism, hom_dim, kernel, cokernel, quotient, trace
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 
@@ -73,11 +74,6 @@ def gen_in(u: ModuleUniverse, ctx: Context, ids: Iterable[int]) -> FrozenSet[int
     return u.gen_set(ids) & ctx.members
 
 
-def filtgen_in(u: ModuleUniverse, ctx: Context, ids: Iterable[int]) -> FrozenSet[int]:
-    """Smallest torsion class of the context containing the given modules."""
-    return frozenset(j for j in ctx.members if u.filtgen_contains(ids, j))
-
-
 class TorsionHandle(NamedTuple):
     members: FrozenSet[int]
     ext_proj: Tuple[int, ...]
@@ -126,17 +122,9 @@ def torsion_t_f(u: ModuleUniverse, members: Iterable[int], m: Rep):
 
 def perp_tau_members(u: ModuleUniverse, ids: Sequence[int]) -> FrozenSet[int]:
     """Members of the torsion class of modules with no maps into tau of the sum."""
-    out = []
-    for x in range(len(u.modules)):
-        ok = True
-        for m in ids:
-            tm = u.tau_of[m]
-            if tm is not None and u.hom[x][tm] != 0:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return frozenset(out)
+    taus = [u.tau_of[m] for m in ids if u.tau_of[m] is not None]
+    return frozenset(x for x in range(len(u.modules))
+                     if all(u.hom[x][t] == 0 for t in taus))
 
 
 def bongartz(u: ModuleUniverse, ids: Sequence[int]) -> Tuple[int, ...]:
@@ -251,21 +239,8 @@ def context_of(u: ModuleUniverse, ctx: Context, t: StrObj,
 def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:
     """Ambient J(M, P) straight from the hom and translate tables; used to
     cross-check the relative route."""
-    out = []
-    for x in range(len(u.modules)):
-        if any(u.hom[m][x] != 0 for m in t.mods):
-            continue
-        if any(u.hom[p][x] != 0 for p in t.shifts):
-            continue
-        ok = True
-        for m in t.mods:
-            tm = u.tau_of[m]
-            if tm is not None and u.hom[x][tm] != 0:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return frozenset(out)
+    return frozenset(x for x in perp_tau_members(u, t.mods)
+                     if all(u.hom[i][x] == 0 for i in t.mods + t.shifts))
 
 
 def rel_str_indecs(u: ModuleUniverse, ctx: Context) -> List[StrIndec]:
@@ -381,16 +356,7 @@ def _extension_parts_single(u: ModuleUniverse, quot_id: int, sub_id: int) -> Fro
         if e > 6:
             raise TauSeqError("extension sweep guard: cocycle basis of size %d" % e)
         coeff_range = (0, 1, -1) if e <= 3 else (0, 1)
-        for coeffs in itertools.product(coeff_range, repeat=e):
-            if not any(coeffs):
-                continue
-            blocks = None
-            for c, z in zip(coeffs, cocycles):
-                if c == 0:
-                    continue
-                term = [m.scale(c) for m in z]
-                blocks = term if blocks is None else \
-                    [x.add(y) for x, y in zip(blocks, term)]
+        for blocks in nonzero_combinations(cocycles, coeff_range):
             mid = extension_middle(b, a, blocks)
             parts = u.identify_parts(mid)
             if parts is None:
@@ -418,22 +384,15 @@ def _kernel_cokernel_parts(u: ModuleUniverse, src_ids: Tuple[int, ...],
     key = (src_ids, tgt_ids)
     if key in cache:
         return cache[key]
-    _, _, basis = _sum_hom_basis(u, src_ids, tgt_ids)
+    src, tgt, basis = _sum_hom_basis(u, src_ids, tgt_ids)
     e = len(basis)
     seen = set()
     if e:
         if e > 8:
             raise TauSeqError("morphism sweep guard: hom basis of size %d" % e)
         coeff_range = (0, 1, -1) if e <= 3 else (0, 1)
-        for coeffs in itertools.product(coeff_range, repeat=e):
-            if not any(coeffs):
-                continue
-            f = None
-            for c, g in zip(coeffs, basis):
-                if c == 0:
-                    continue
-                term = g.scale(c)
-                f = term if f is None else f.add(term)
+        for maps in nonzero_combinations([g.maps for g in basis], coeff_range):
+            f = RepMorphism(src, tgt, maps, validate=False)
             k, _ = kernel(f)
             parts = u.identify_parts(k)
             if parts is None:

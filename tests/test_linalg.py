@@ -84,3 +84,16 @@ def test_solve_inconsistent_returns_none():
     a = Mat.from_rows(QQ, [[1, 0], [1, 0]])
     b = Mat.from_rows(QQ, [[1], [0]])
     assert linalg.solve(a, b) is None
+
+
+def test_nonzero_combinations_sweep_in_product_order():
+    b1 = [Mat.from_rows(F3, [[1, 0]]), Mat.from_rows(F3, [[1]])]
+    b2 = [Mat.from_rows(F3, [[0, 1]]), Mat.from_rows(F3, [[2]])]
+    sums = list(linalg.nonzero_combinations([b1, b2], (0, 1, -1)))
+    coeffs = [(0, 1), (0, -1), (1, 0), (1, 1), (1, -1), (-1, 0), (-1, 1), (-1, -1)]
+    assert len(sums) == len(coeffs)
+    for (c1, c2), got in zip(coeffs, sums):
+        want = [Mat.from_rows(F3, [[c1, c2]]), Mat.from_rows(F3, [[c1 + 2 * c2]])]
+        assert got == want
+    assert linalg.combine((0, 0), [b1, b2]) is None
+    assert list(linalg.nonzero_combinations([], (0, 1))) == []

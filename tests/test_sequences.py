@@ -5,10 +5,10 @@ from tauseq.sequences import (
     apply_steps, enumerate_tau_es, enumerate_tau_es_recursive, is_gen_minimal,
     is_tf_ordered, j_of_sequence, mutate, mutation_graph, mutation_table,
     normalize, omega, omega_inverse, phi_pair, psi_pair, regularity,
-    transitivity_path, transposition_word,
+    tail_context, transitivity_path, transposition_word,
 )
 from tauseq.universe import ModuleUniverse
-from tauseq.wide import ambient_context
+from tauseq.wide import all_torsion_classes, ambient_context
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +186,23 @@ def test_transitivity_a3rad2(u3r):
     for b in seqs:
         w = transitivity_path(u3r, a, b)
         assert apply_steps(u3r, a, w.steps) == b
+
+
+def test_normalize_bound_comes_from_the_tables(a3rad2):
+    # the round bound counts support tau-tilting objects; the brute-force
+    # torsion classes stay an oracle of the verify suites
+    u = ModuleUniverse(a3rad2)
+    seqs = enumerate_tau_es(u, frozenset())
+    for b in seqs:
+        w = transitivity_path(u, seqs[0], b)
+        assert apply_steps(u, seqs[0], w.steps) == b
+    assert "all_torsion_classes" not in u.cache
+    assert u.support_tilting_count() == len(all_torsion_classes(u)) == 12
+
+
+def test_tail_context_is_the_perpendicular_of_the_tail(u3r):
+    amb = ambient_context(u3r)
+    assert tail_context(u3r, ()) == amb
+    for s in enumerate_tau_es(u3r, frozenset()):
+        assert tail_context(u3r, s).members == frozenset()
+        assert tail_context(u3r, s[1:]) == j_of_sequence(u3r, s[1:])
