@@ -205,18 +205,14 @@ def cmd_tes_mutate(args) -> int:
 
 
 def cmd_tes_path(args) -> int:
-    from tauseq.sequences import (apply_steps, enumerate_tau_es, j_of_sequence,
-                                  mutation_graph, transitivity_path)
+    from tauseq.sequences import apply_steps, mutation_distance, transitivity_path
     u = _certified_universe(args)
     src = parse_sequence(u, getattr(args, "from"))
     dst = parse_sequence(u, args.to)
     try:
         word = transitivity_path(u, src, dst)
         applied = apply_steps(u, src, word.steps) == dst
-        w = j_of_sequence(u, src).members
-        graph = mutation_graph(u, w)
-        index = {v: i for i, v in enumerate(graph.vertices)}
-        dist = graph.bfs_distances(index[src]).get(index[dst])
+        dist = mutation_distance(u, src, dst)
     except TauSeqError as exc:
         raise InputError("%s: %s" % (type(exc).__name__, exc))
     doc = {"schema": SCHEMA, "from": seq_label(u, src), "to": seq_label(u, dst),

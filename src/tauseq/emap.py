@@ -9,11 +9,14 @@ relative projective R of J(T) with R-perp inside J(T) equal to J(T + X).
 
 All values are memoized per (context, T, X); the table is exposed so the
 verification suites can inject a corrupted entry and prove they notice.
+E^-1 reads one inverse table per (context, T), built by a single pass of E
+over the indecomposables compatible with T; injecting or clearing a fault
+drops every inverse table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List
 
 from tauseq.errors import (
     Incompatible, Mismatch, MultiplePreimages, NoPreimage, NoUniqueMatch,
@@ -33,6 +36,8 @@ class EMapEngine:
         self.u = u
         self.memo: Dict[tuple, StrIndec] = {}
         self.faults: Dict[tuple, StrIndec] = {}
+        # (context members, T) -> image -> preimages in scan order
+        self.inverses: Dict[tuple, Dict[StrIndec, List[StrIndec]]] = {}
 
     @staticmethod
     def key(ctx: Context, t: StrObj, x: StrIndec) -> tuple:
@@ -40,20 +45,23 @@ class EMapEngine:
 
     def inject_fault(self, key: tuple, value: StrIndec):
         self.faults[key] = value
+        self.inverses.clear()
 
     def clear_faults(self):
         self.faults.clear()
+        self.inverses.clear()
 
     def e_map(self, ctx: Context, t: StrObj, x: StrIndec) -> StrIndec:
         u = self.u
+        k = self.key(ctx, t, x)
+        # the memo only ever holds keys that passed the compatibility check
+        if k in self.memo and k not in self.faults:
+            return self.memo[k]
         if not compatible_in_context(u, ctx, t, x):
             raise Incompatible("%s + %s is not support tau-rigid in the context"
                                % (u.label_of_obj(t), u.label_of_indec(x)))
-        k = self.key(ctx, t, x)
         if k in self.faults:
             return self.faults[k]
-        if k in self.memo:
-            return self.memo[k]
         target = context_of(u, ctx, t)
         if x.shift == 0 and not (t.mods and x.mod in gen_in(u, ctx, t.mods)):
             result = self._module_case(ctx, t, x, target)
@@ -109,21 +117,28 @@ class EMapEngine:
             if y.mod not in target.members or not rel_tau_rigid(u, target, (y.mod,)):
                 raise NoPreimage("%s is not support tau-rigid in J(T)"
                                  % u.label_of_indec(y))
-        found: Optional[StrIndec] = None
-        for x in rel_str_indecs(u, ctx):
-            if not compatible_in_context(u, ctx, t, x):
-                continue
-            if self.e_map(ctx, t, x) == y:
-                if found is not None:
-                    raise MultiplePreimages(
-                        "both %s and %s reduce to %s" %
-                        (u.label_of_indec(found), u.label_of_indec(x),
-                         u.label_of_indec(y)))
-                found = x
-        if found is None:
+        found = self._inverse_table(ctx, t).get(y, ())
+        if len(found) > 1:
+            raise MultiplePreimages(
+                "both %s and %s reduce to %s" %
+                (u.label_of_indec(found[0]), u.label_of_indec(found[1]),
+                 u.label_of_indec(y)))
+        if not found:
             raise NoPreimage("nothing reduces to %s over %s"
                              % (u.label_of_indec(y), u.label_of_obj(t)))
-        return found
+        return found[0]
+
+    def _inverse_table(self, ctx: Context,
+                       t: StrObj) -> Dict[StrIndec, List[StrIndec]]:
+        k = (ctx.members, t)
+        table = self.inverses.get(k)
+        if table is None:
+            table = {}
+            for x in rel_str_indecs(self.u, ctx):
+                if compatible_in_context(self.u, ctx, t, x):
+                    table.setdefault(self.e_map(ctx, t, x), []).append(x)
+            self.inverses[k] = table
+        return table
 
 
 def engine_for(u: ModuleUniverse) -> EMapEngine:

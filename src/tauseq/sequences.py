@@ -116,6 +116,9 @@ def j_of_sequence(u: ModuleUniverse, seq: Seq,
 # --------------------------------------------------------------------------
 
 def enumerate_pairs(u: ModuleUniverse, ctx: Context) -> List[Pair]:
+    cache = u.cache.setdefault("pairs", {})
+    if ctx.members in cache:
+        return cache[ctx.members]
     out = []
     for c in rel_str_indecs(u, ctx):
         if c.shift:
@@ -124,6 +127,7 @@ def enumerate_pairs(u: ModuleUniverse, ctx: Context) -> List[Pair]:
         for b in rel_str_indecs(u, sub):
             if b.shift == 0:
                 out.append((b.mod, c.mod))
+    cache[ctx.members] = out
     return out
 
 
@@ -135,25 +139,18 @@ def pair_cell(u: ModuleUniverse, ctx: Context, pair: Pair) -> FrozenSet[int]:
 def regularity(u: ModuleUniverse, ctx: Context, pair: Pair) -> Tuple[bool, bool]:
     """(left regular, right regular) for a pair in the given context."""
     b, c = pair
-    if pair not in set(enumerate_pairs(u, ctx)):
+    if pair not in enumerate_pairs(u, ctx):
         raise NotAPair("%s is not a pair in the context"
                        % (tuple(u.labels[i] for i in pair),))
-    e = engine_for(u)
-    # left: second entry relatively projective, or not Ext-projective in the
-    # class of everything perpendicular to the translate of the lifted first
-    if c in ctx.rel_proj:
-        left = True
-    else:
-        lifted = e.e_inverse(ctx, StrObj.make([c]), StrIndec(b, 0))
-        if lifted.shift:
-            raise Mismatch("module should lift to a module")
-        perp = rel_perp_tau(u, ctx, (lifted.mod,))
-        left = c not in rel_ext_projectives(u, perp)
-    # right: the lift of the first entry is Ext-projective against the
-    # translate class of the second, or the second is not generated by it
-    lifted = e.e_inverse(ctx, StrObj.make([c]), StrIndec(b, 0))
+    lifted = engine_for(u).e_inverse(ctx, StrObj.make([c]), StrIndec(b, 0))
     if lifted.shift:
         raise Mismatch("module should lift to a module")
+    # left: second entry relatively projective, or not Ext-projective in the
+    # class of everything perpendicular to the translate of the lifted first
+    left = (c in ctx.rel_proj
+            or c not in rel_ext_projectives(u, rel_perp_tau(u, ctx, (lifted.mod,))))
+    # right: the lift of the first entry is Ext-projective against the
+    # translate class of the second, or the second is not generated by it
     perp_c = rel_perp_tau(u, ctx, (c,))
     right = (lifted.mod in rel_ext_projectives(u, perp_c)
              or c not in gen_in(u, ctx, (lifted.mod,)))
@@ -566,6 +563,32 @@ class MutationGraph:
                         nxt.append(w)
             frontier = nxt
         return dist
+
+
+def mutation_distance(u: ModuleUniverse, src: Seq, dst: Seq) -> Optional[int]:
+    """Fewest single mutations from src to dst, or None if dst is out of
+    reach.  Breadth-first over every phi_i and psi_i: psi_i inverts phi_i, so
+    these are the undirected edges of the mutation graph."""
+    if src == dst:
+        return 0
+    k = first_position(u, src)
+    seen = {src}
+    frontier = [src]
+    steps = 0
+    while frontier:
+        steps += 1
+        nxt = []
+        for v in frontier:
+            for index in range(k, u.n):
+                for op in ("phi", "psi"):
+                    w = mutate(u, v, op, index)
+                    if w == dst:
+                        return steps
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return None
 
 
 def mutation_graph(u: ModuleUniverse, w_members: FrozenSet[int]) -> MutationGraph:

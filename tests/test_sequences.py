@@ -1,11 +1,13 @@
 import pytest
 
 from tauseq.errors import DifferentJ, IndexOutOfRange, NotTFOrdered
+from tauseq.fields import FieldSpec
+from tauseq.quiver import Quiver, build_algebra
 from tauseq.sequences import (
     apply_steps, enumerate_tau_es, enumerate_tau_es_recursive, is_gen_minimal,
-    is_tf_ordered, j_of_sequence, mutate, mutation_graph, mutation_table,
-    normalize, omega, omega_inverse, phi_pair, psi_pair, regularity,
-    tail_context, transitivity_path, transposition_word,
+    is_tf_ordered, j_of_sequence, mutate, mutation_distance, mutation_graph,
+    mutation_table, normalize, omega, omega_inverse, phi_pair, psi_pair,
+    regularity, tail_context, transitivity_path, transposition_word,
 )
 from tauseq.universe import ModuleUniverse
 from tauseq.wide import all_torsion_classes, ambient_context
@@ -206,3 +208,47 @@ def test_tail_context_is_the_perpendicular_of_the_tail(u3r):
     for s in enumerate_tau_es(u3r, frozenset()):
         assert tail_context(u3r, s).members == frozenset()
         assert tail_context(u3r, s[1:]) == j_of_sequence(u3r, s[1:])
+
+
+def _distance_by_graph(u, src, dst):
+    g = mutation_graph(u, j_of_sequence(u, src).members)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return g.bfs_distances(index[src]).get(index[dst])
+
+
+def test_mutation_distance_matches_the_graph_a3(a3):
+    u = ModuleUniverse(a3)
+    seqs = enumerate_tau_es(u, frozenset())
+    assert len(seqs) == 16
+    g = mutation_graph(u, frozenset())
+    for i, src in enumerate(seqs):
+        dist = g.bfs_distances(i)
+        for j, dst in enumerate(seqs):
+            assert mutation_distance(u, src, dst) == dist.get(j)
+
+
+def test_mutation_distance_matches_the_graph_nakayama_cycle():
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    u = ModuleUniverse(build_algebra(q, FieldSpec(0), [["a", "b"], ["b", "a"]]))
+    seqs = enumerate_tau_es(u, frozenset())
+    for src in seqs:
+        for dst in seqs:
+            assert mutation_distance(u, src, dst) == _distance_by_graph(u, src, dst)
+
+
+def test_mutation_distance_matches_the_graph_a4_first_to_last():
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    u = ModuleUniverse(build_algebra(q, FieldSpec(0)))
+    seqs = enumerate_tau_es(u, frozenset())
+    src, dst = seqs[0], seqs[-1]
+    d = mutation_distance(u, src, dst)
+    assert d is not None and d > 1
+    assert d == _distance_by_graph(u, src, dst)
+
+
+def test_mutation_distance_of_a_shorter_sequence_stays_in_its_j(u2):
+    s1, s2, p1 = ids(u2, "S1", "S2", "P1")
+    # (S1) and (S2) have different perpendicular categories: no path
+    assert mutation_distance(u2, (s1,), (s2,)) is None
+    assert mutation_distance(u2, (s1,), (s1,)) == 0
