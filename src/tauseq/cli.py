@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from tauseq.errors import TauSeqError
 from tauseq.fields import FieldSpec
@@ -174,14 +174,19 @@ def _certified_universe(args) -> ModuleUniverse:
         raise InputError("%s: %s" % (type(exc).__name__, exc))
 
 
+def _selected_wide(u: ModuleUniverse, text: Optional[str]) -> FrozenSet[int]:
+    """Members of J of the --j object, or of the zero subcategory without
+    one; an object that is not basic support tau-rigid is refused."""
+    from tauseq.wide import ambient_context, context_of
+    if not text:
+        return frozenset()
+    return context_of(u, ambient_context(u), parse_str_obj(u, text)).members
+
+
 def cmd_tes_enumerate(args) -> int:
     from tauseq.sequences import enumerate_tau_es
-    from tauseq.wide import ambient_context, j_in_context
     u = _certified_universe(args)
-    if args.j:
-        w = j_in_context(u, ambient_context(u), parse_str_obj(u, args.j))
-    else:
-        w = frozenset()
+    w = _selected_wide(u, args.j)
     seqs = enumerate_tau_es(u, w)
     doc = {"schema": SCHEMA, "wide_subcategory": sorted(u.labels[i] for i in w),
            "sequences": [seq_label(u, s) for s in seqs], "count": len(seqs)}
@@ -191,10 +196,11 @@ def cmd_tes_enumerate(args) -> int:
 
 
 def cmd_tes_mutate(args) -> int:
-    from tauseq.sequences import mutate
+    from tauseq.sequences import mutate, tail_context
     u = _certified_universe(args)
     seq = parse_sequence(u, args.seq)
     try:
+        tail_context(u, seq)  # the whole input must be a sequence
         out = mutate(u, seq, args.op, args.index)
     except TauSeqError as exc:
         raise InputError("%s: %s" % (type(exc).__name__, exc))
@@ -244,13 +250,8 @@ def graph_dot(u: ModuleUniverse, graph) -> str:
 
 def cmd_tes_graph(args) -> int:
     from tauseq.sequences import mutation_graph
-    from tauseq.wide import ambient_context, j_in_context
     u = _certified_universe(args)
-    if args.j:
-        w = j_in_context(u, ambient_context(u), parse_str_obj(u, args.j))
-    else:
-        w = frozenset()
-    graph = mutation_graph(u, w)
+    graph = mutation_graph(u, _selected_wide(u, args.j))
     dot = graph_dot(u, graph)
     if args.dot:
         with open(args.dot, "w") as fh:

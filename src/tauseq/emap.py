@@ -24,7 +24,7 @@ from tauseq.errors import (
 from tauseq.modules import quotient, trace
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, compatible_in_context, context_of, gen_in, j_in_context,
+    Context, compatible_in_context, context_of, gen_mask, j_mask, mask_tables,
     rel_str_indecs, rel_tau_rigid,
 )
 
@@ -63,7 +63,7 @@ class EMapEngine:
         if k in self.faults:
             return self.faults[k]
         target = context_of(u, ctx, t)
-        if x.shift == 0 and not (t.mods and x.mod in gen_in(u, ctx, t.mods)):
+        if x.shift == 0 and not (t.mods and gen_mask(u, t.mods) >> x.mod & 1):
             result = self._module_case(ctx, t, x, target)
         else:
             result = self._shifted_case(ctx, t, x, target)
@@ -93,13 +93,10 @@ class EMapEngine:
     def _shifted_case(self, ctx: Context, t: StrObj, x: StrIndec,
                       target: Context) -> StrIndec:
         u = self.u
-        combined = t.with_indec(x)
-        wanted = j_in_context(u, ctx, combined)
-        matches = []
-        for r in target.rel_proj:
-            r_perp = frozenset(z for z in target.members if u.hom[r][z] == 0)
-            if r_perp == wanted:
-                matches.append(r)
+        wanted = j_mask(u, ctx, t.with_indec(x))
+        hom_out = mask_tables(u).hom_out
+        matches = [r for r in target.rel_proj
+                   if target.mask & ~hom_out[r] == wanted]
         if len(matches) != 1:
             raise NoUniqueMatch(
                 "%d relative projectives of J(%s) match J(T + %s)"

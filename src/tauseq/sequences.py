@@ -27,7 +27,7 @@ from tauseq.errors import (
 )
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, ambient_context, context_of, gen_in,
+    Context, ambient_context, context_of, gen_mask,
     is_gen_minimal_summandwise, j_in_context, rel_ext_projectives, rel_perp_tau,
     rel_str_indecs, rel_tau_rigid, torsion_handle,
 )
@@ -153,7 +153,7 @@ def regularity(u: ModuleUniverse, ctx: Context, pair: Pair) -> Tuple[bool, bool]
     # translate class of the second, or the second is not generated by it
     perp_c = rel_perp_tau(u, ctx, (c,))
     right = (lifted.mod in rel_ext_projectives(u, perp_c)
-             or c not in gen_in(u, ctx, (lifted.mod,)))
+             or not gen_mask(u, (lifted.mod,)) & ctx.mask & (1 << c))
     return left, right
 
 

@@ -1,9 +1,16 @@
 """Torsion classes, Ext-projectives, completions, and wide subcategories.
 
 A wide subcategory is carried around as a Context: its indecomposable member
-ids, its relative projectives, and its rank.  Every operation in this module
-takes a context, so the ambient category is just the largest context and the
-relative machinery needs no second code path.
+ids, its relative projectives, its rank, and its members as an int bitmask.
+Every operation in this module takes a context, so the ambient category is
+just the largest context and the relative machinery needs no second code
+path.  Contexts are interned by mask, so equal member sets give the same
+Context object and share one frozenset view.
+
+The relative tests run on bitmask rows of the hom, Ext and Gen tables, built
+once per universe: each is a few AND and OR operations on ints.  J(T), for
+instance, is the mask of the relative perpendicular of the translate of T
+with every module receiving a nonzero map from a summand of T cleared.
 
 Relative tau-rigidity never constructs a relative translate.  A module M in
 a wide subcategory W is tau-rigid there exactly when Ext^1(M, -) vanishes on
@@ -15,7 +22,7 @@ groups, which agree with the relative ones because W is extension closed.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq.ar import extension_cocycle_space, extension_middle
 from tauseq.errors import (
@@ -27,52 +34,107 @@ from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 
 
 class Context(NamedTuple):
-    """A wide subcategory: member ids, relative projective ids, rank."""
+    """A wide subcategory: member ids, relative projective ids, rank, and the
+    member ids as a bitmask (bit i set when module i is a member)."""
     members: FrozenSet[int]
     rel_proj: Tuple[int, ...]
     rank: int
-
-    def key(self) -> FrozenSet[int]:
-        return self.members
+    mask: int
 
 
-def ambient_context(u: ModuleUniverse) -> Context:
-    key = "ambient_context"
-    if key not in u.cache:
-        members = frozenset(range(len(u.modules)))
-        u.cache[key] = Context(members, tuple(sorted(u.proj_of_vertex)), u.n)
-    return u.cache[key]
+class MaskTables(NamedTuple):
+    """Bitmask rows of the universe's tables, built once per universe.
+
+    Bit x of hom_out[i] is set when Hom(i, x) != 0, bit y of ext_out[i] when
+    Ext^1(i, y) != 0, and bit j of gen1[z] when j lies in Gen z.  gens holds
+    the Gen mask of larger generator sets, keyed by their sorted ids.
+    """
+    hom_out: List[int]
+    ext_out: List[int]
+    gen1: List[int]
+    gens: Dict[Tuple[int, ...], int]
 
 
-def rel_ext_projectives(u: ModuleUniverse, members: Iterable[int]) -> Tuple[int, ...]:
-    """Ids in the set whose Ext^1 vanishes against the whole set."""
-    ms = sorted(members)
-    return tuple(q for q in ms if all(u.ext[q][y] == 0 for y in ms))
+def mask_of(ids: Iterable[int]) -> int:
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
-def context_from_members(u: ModuleUniverse, members: Iterable[int],
-                         expected_rank: Optional[int] = None) -> Context:
-    cache = u.cache.setdefault("contexts", {})
-    key = frozenset(members)
-    ctx = cache.get(key)
+def ids_of(mask: int) -> List[int]:
+    """The set bits of a mask, in ascending order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def mask_tables(u: ModuleUniverse) -> MaskTables:
+    tables = u.cache.get("masks")
+    if tables is None:
+        count = len(u.modules)
+        tables = MaskTables(
+            [mask_of(x for x in range(count) if row[x]) for row in u.hom],
+            [mask_of(y for y in range(count) if row[y]) for row in u.ext],
+            [mask_of(u.gen_set((z,))) for z in range(count)], {})
+        u.cache["masks"] = tables
+    return tables
+
+
+def gen_mask(u: ModuleUniverse, ids: Sequence[int]) -> int:
+    """Gen of the sum of the given sorted ids, as a mask."""
+    tables = mask_tables(u)
+    if len(ids) == 1:
+        return tables.gen1[ids[0]]
+    key = tuple(ids)
+    mask = tables.gens.get(key)
+    if mask is None:
+        mask = tables.gens[key] = mask_of(u.gen_set(key))
+    return mask
+
+
+def _context(u: ModuleUniverse, mask: int,
+             expected_rank: Optional[int] = None) -> Context:
+    """The interned context with the given member mask."""
+    cache = u.cache.get("contexts")
+    if cache is None:
+        cache = u.cache["contexts"] = {}
+    ctx = cache.get(mask)
     if ctx is None:
-        rel = rel_ext_projectives(u, key)
-        ctx = Context(key, rel, len(rel))
-        cache[key] = ctx
+        ids = ids_of(mask)
+        if mask == _full(u):
+            # the relative projectives of the whole category are the projectives
+            rel = tuple(sorted(u.proj_of_vertex))
+        else:
+            rel = rel_ext_projectives(u, ids)
+        ctx = cache[mask] = Context(frozenset(ids), rel, len(rel), mask)
     if expected_rank is not None and ctx.rank != expected_rank:
         raise RankMismatch("wide subcategory has %d relative projectives, expected "
                            "rank %d" % (ctx.rank, expected_rank))
     return ctx
 
 
+def _full(u: ModuleUniverse) -> int:
+    return (1 << len(u.modules)) - 1
+
+
+def ambient_context(u: ModuleUniverse) -> Context:
+    return _context(u, _full(u))
+
+
+def rel_ext_projectives(u: ModuleUniverse, members: Iterable[int]) -> Tuple[int, ...]:
+    """Ids in the set whose Ext^1 vanishes against the whole set."""
+    mask = mask_of(members)
+    ext_out = mask_tables(u).ext_out
+    return tuple(q for q in ids_of(mask) if not ext_out[q] & mask)
+
+
+def context_from_members(u: ModuleUniverse, members: Iterable[int],
+                         expected_rank: Optional[int] = None) -> Context:
+    return _context(u, mask_of(members), expected_rank)
+
+
 # --------------------------------------------------------------------------
 # Gen, FiltGen and torsion classes
 # --------------------------------------------------------------------------
-
-def gen_in(u: ModuleUniverse, ctx: Context, ids: Iterable[int]) -> FrozenSet[int]:
-    """Gen of the sum, intersected with the context."""
-    return u.gen_set(ids) & ctx.members
-
 
 class TorsionHandle(NamedTuple):
     members: FrozenSet[int]
@@ -93,8 +155,9 @@ def torsion_handle(u: ModuleUniverse, members: Iterable[int]) -> TorsionHandle:
         others = key - {q}
         generated_by_others = bool(others) and u.gen_contains(others, q)
         (nonsplit if generated_by_others else split).append(q)
-    orth = tuple(p for p in sorted(u.proj_of_vertex)
-                 if all(u.hom[p][y] == 0 for y in sorted(key)))
+    mask = mask_of(key)
+    hom_out = mask_tables(u).hom_out
+    orth = tuple(p for p in sorted(u.proj_of_vertex) if not hom_out[p] & mask)
     handle = TorsionHandle(key, ext_proj, tuple(split), tuple(nonsplit), orth)
     cache[key] = handle
     return handle
@@ -163,8 +226,16 @@ def co_bongartz(u: ModuleUniverse, ids: Sequence[int]):
 
 def require_in_context(u: ModuleUniverse, ctx: Context, ids: Iterable[int]):
     for i in ids:
-        if i not in ctx.members:
+        if not ctx.mask >> i & 1:
             raise NotInW("module %s lies outside the wide subcategory" % u.labels[i])
+
+
+def _ext_mask(tables: MaskTables, ids: Iterable[int]) -> int:
+    """Everything receiving a nonzero Ext^1 from one of the ids."""
+    ext = 0
+    for m in ids:
+        ext |= tables.ext_out[m]
+    return ext
 
 
 def rel_tau_rigid(u: ModuleUniverse, ctx: Context, ids: Sequence[int]) -> bool:
@@ -172,68 +243,96 @@ def rel_tau_rigid(u: ModuleUniverse, ctx: Context, ids: Sequence[int]) -> bool:
     if not ids:
         return True
     require_in_context(u, ctx, ids)
-    cache = u.cache.setdefault("rel_rigid", {})
-    key = (ctx.members, tuple(sorted(ids)))
-    if key in cache:
-        return cache[key]
-    targets = gen_in(u, ctx, ids)
-    ok = all(u.ext[m][y] == 0 for m in ids for y in targets)
-    cache[key] = ok
-    return ok
+    ext = _ext_mask(mask_tables(u), ids)
+    return not ext & ctx.mask & gen_mask(u, sorted(ids))
+
+
+def _perp_tau_mask(tables: MaskTables, ctx: Context, ext: int) -> int:
+    """Members z of the context whose Gen within the context misses the
+    Ext row ``ext``."""
+    hit = ext & ctx.mask
+    perp = ctx.mask
+    if hit:
+        for z in ctx.members:
+            if tables.gen1[z] & hit:
+                perp ^= 1 << z
+    return perp
+
+
+def member_view(u: ModuleUniverse, mask: int) -> FrozenSet[int]:
+    """The frozenset of a mask: the members of the interned context with
+    that mask, so there is one shared object per mask."""
+    return _context(u, mask).members
 
 
 def rel_perp_tau(u: ModuleUniverse, ctx: Context, ids: Sequence[int]) -> FrozenSet[int]:
     """Members z of the context with Hom(z, tau of the sum) = 0 relatively,
     detected as Ext^1(sum, Gen z within the context) = 0."""
-    cache = u.cache.setdefault("rel_perp_tau", {})
-    key = (ctx.members, tuple(sorted(ids)))
-    if key in cache:
-        return cache[key]
-    out = []
-    for z in sorted(ctx.members):
-        targets = gen_in(u, ctx, (z,))
-        if all(u.ext[m][y] == 0 for m in ids for y in targets):
-            out.append(z)
-    result = frozenset(out)
-    cache[key] = result
-    return result
+    tables = mask_tables(u)
+    return member_view(u, _perp_tau_mask(tables, ctx, _ext_mask(tables, ids)))
+
+
+def _support_ext(u: ModuleUniverse, tables: MaskTables, ctx: Context,
+                 t: StrObj) -> int:
+    """The Ext row of the module part of t when t is a basic support object
+    of the context, and -1 when it is not."""
+    mods = ext = 0
+    for m in t.mods:
+        bit = 1 << m
+        if mods & bit:
+            return -1
+        mods |= bit
+        ext |= tables.ext_out[m]
+    if mods & ~ctx.mask:
+        return -1
+    shifts = shifts_hom = 0
+    for p in t.shifts:
+        bit = 1 << p
+        if shifts & bit or p not in ctx.rel_proj:
+            return -1
+        shifts |= bit
+        shifts_hom |= tables.hom_out[p]
+    if shifts_hom & mods:
+        return -1
+    hit = ext & ctx.mask
+    if hit and gen_mask(u, t.mods) & hit:
+        return -1
+    return ext
 
 
 def valid_rel_str_obj(u: ModuleUniverse, ctx: Context, t: StrObj) -> bool:
     """Is t a basic support object of the context?"""
-    if len(set(t.mods)) != len(t.mods) or len(set(t.shifts)) != len(t.shifts):
-        return False
-    if not set(t.mods) <= ctx.members or not set(t.shifts) <= set(ctx.rel_proj):
-        return False
-    if not rel_tau_rigid(u, ctx, t.mods):
-        return False
-    for p in t.shifts:
-        for m in t.mods:
-            if u.hom[p][m] != 0:
-                return False
-    return True
+    return _support_ext(u, mask_tables(u), ctx, t) >= 0
+
+
+def _j_mask(tables: MaskTables, ctx: Context, t: StrObj, ext: int) -> int:
+    perp = _perp_tau_mask(tables, ctx, ext)
+    for i in t.mods + t.shifts:
+        perp &= ~tables.hom_out[i]
+    return perp
+
+
+def j_mask(u: ModuleUniverse, ctx: Context, t: StrObj) -> int:
+    """The perpendicular wide subcategory of t inside the context, as a mask."""
+    tables = mask_tables(u)
+    return _j_mask(tables, ctx, t, _ext_mask(tables, t.mods))
 
 
 def j_in_context(u: ModuleUniverse, ctx: Context, t: StrObj) -> FrozenSet[int]:
     """Members of the perpendicular wide subcategory of t inside the context."""
-    perp = rel_perp_tau(u, ctx, t.mods)
-    out = []
-    for x in perp:
-        if all(u.hom[m][x] == 0 for m in t.mods) and \
-           all(u.hom[p][x] == 0 for p in t.shifts):
-            out.append(x)
-    return frozenset(out)
+    return member_view(u, j_mask(u, ctx, t))
 
 
 def context_of(u: ModuleUniverse, ctx: Context, t: StrObj,
                check_rank: bool = True) -> Context:
     """The wide subcategory J(t) relative to the context, with the rank check."""
-    if not valid_rel_str_obj(u, ctx, t):
+    tables = mask_tables(u)
+    ext = _support_ext(u, tables, ctx, t)
+    if ext < 0:
         raise NotTauRigid("object %s is not support tau-rigid in the context"
                           % u.label_of_obj(t))
-    members = j_in_context(u, ctx, t)
     expected = ctx.rank - t.delta if check_rank else None
-    return context_from_members(u, members, expected)
+    return _context(u, _j_mask(tables, ctx, t, ext), expected)
 
 
 def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:

@@ -152,3 +152,24 @@ def test_cli_commands_run_without_importing_sympy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tes_j_refuses_objects_that_are_not_support_tau_rigid(capsys):
+    # none of these is a basic support tau-rigid object of A3, so there is
+    # no J(T) to enumerate or draw
+    for command in ("enumerate", "graph"):
+        for obj in ("(S1,S2)", "(P1,P1[1])", "(S1,S1)", "(P2[1],S2)"):
+            code, out, err = run(capsys, "tes", path("a3.json"), command,
+                                 "--j", obj)
+            assert (code, out) == (2, ""), (command, obj)
+            assert "NotTauRigid" in err
+
+
+def test_tes_mutate_refuses_an_input_that_is_not_a_sequence(capsys):
+    # 010#1 lies outside J(110#1) within J(100#1), so this is no sequence;
+    # mutation at position 2 alone only sees the valid pair (110#1,100#1)
+    code, out, err = run(capsys, "tes", path("a3.json"), "mutate",
+                         "--seq", "(010#1,110#1,100#1)", "--op", "phi",
+                         "--index", "2")
+    assert (code, out) == (2, "")
+    assert "NotTauRigid" in err

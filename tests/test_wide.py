@@ -1,12 +1,17 @@
+import itertools
+
 import pytest
 
-from tauseq.errors import NotTauRigid
-from tauseq.universe import ModuleUniverse, StrObj
+from tauseq.errors import NotInW, NotTauRigid, RankMismatch, TauSeqError
+from tauseq.fields import FieldSpec
+from tauseq.quiver import Quiver, build_algebra
+from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    all_torsion_classes, all_wide_subcategories, ambient_context, bongartz,
-    co_bongartz, context_of, is_gen_minimal_summandwise, j_in_context,
-    j_set_ambient_direct, rel_str_indecs, rel_tau_rigid, torsion_handle,
-    torsion_t_f,
+    Context, all_torsion_classes, all_wide_subcategories, ambient_context, bongartz,
+    co_bongartz, context_from_members, context_of, is_gen_minimal_summandwise,
+    j_in_context, j_set_ambient_direct, rel_ext_projectives, rel_perp_tau,
+    rel_str_indecs, rel_tau_rigid, torsion_handle, torsion_t_f,
+    valid_rel_str_obj,
 )
 
 
@@ -143,3 +148,156 @@ def test_gen_minimality_summandwise(u2):
     assert not is_gen_minimal_summandwise(u2, (p1, s1))
     assert is_gen_minimal_summandwise(u2, (s1,))
     assert is_gen_minimal_summandwise(u2, ())
+
+
+# --------------------------------------------------------------------------
+# the bitmask layer against reference loops over frozensets
+# --------------------------------------------------------------------------
+
+def ref_gen_in(u, ctx, ids):
+    return u.gen_set(ids) & ctx.members
+
+
+def ref_rel_tau_rigid(u, ctx, ids):
+    if not ids:
+        return True
+    for i in ids:
+        if i not in ctx.members:
+            raise NotInW("module %s lies outside the wide subcategory" % u.labels[i])
+    targets = ref_gen_in(u, ctx, ids)
+    return all(u.ext[m][y] == 0 for m in ids for y in targets)
+
+
+def ref_rel_perp_tau(u, ctx, ids):
+    return frozenset(z for z in sorted(ctx.members)
+                     if all(u.ext[m][y] == 0 for m in ids
+                            for y in ref_gen_in(u, ctx, (z,))))
+
+
+def ref_rel_ext_projectives(u, members):
+    ms = sorted(members)
+    return tuple(q for q in ms if all(u.ext[q][y] == 0 for y in ms))
+
+
+def ref_valid_rel_str_obj(u, ctx, t):
+    if len(set(t.mods)) != len(t.mods) or len(set(t.shifts)) != len(t.shifts):
+        return False
+    if not set(t.mods) <= ctx.members or not set(t.shifts) <= set(ctx.rel_proj):
+        return False
+    if not ref_rel_tau_rigid(u, ctx, t.mods):
+        return False
+    return all(u.hom[p][m] == 0 for p in t.shifts for m in t.mods)
+
+
+def ref_j_in_context(u, ctx, t):
+    perp = ref_rel_perp_tau(u, ctx, t.mods)
+    return frozenset(x for x in perp
+                     if all(u.hom[i][x] == 0 for i in t.mods + t.shifts))
+
+
+def ref_context_of(u, ctx, t):
+    """(members, relative projectives, rank) of J(t), or the exception."""
+    if not ref_valid_rel_str_obj(u, ctx, t):
+        raise NotTauRigid("object %s is not support tau-rigid in the context"
+                          % u.label_of_obj(t))
+    members = ref_j_in_context(u, ctx, t)
+    rel = ref_rel_ext_projectives(u, members)
+    if len(rel) != ctx.rank - t.delta:
+        raise RankMismatch("wide subcategory has %d relative projectives, expected "
+                           "rank %d" % (len(rel), ctx.rank - t.delta))
+    return members, rel, len(rel)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except TauSeqError as exc:
+        return type(exc), str(exc)
+
+
+def _linear(n, characteristic=0, relations=()):
+    names = [str(v + 1) for v in range(n)]
+    arrows = [("a%d" % v, names[v], names[v + 1]) for v in range(n - 1)]
+    return build_algebra(Quiver(names, arrows), FieldSpec(characteristic), relations)
+
+
+def _nakayama2(relations):
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    return build_algebra(q, FieldSpec(0), relations)
+
+
+MASK_ALGEBRAS = {
+    "a2": lambda: _linear(2),
+    "a3": lambda: _linear(3),
+    "a3rad2": lambda: _linear(3, 0, [["a0", "a1"]]),
+    "nakayama2_rad2": lambda: _nakayama2([["a", "b"], ["b", "a"]]),
+    # its two length-two modules are not tau-rigid, but each is in the
+    # J of a simple
+    "nakayama2_rad3": lambda: _nakayama2([["a", "b", "a"], ["b", "a", "b"]]),
+    "a3rad2_gf3": lambda: _linear(3, 3, [["a0", "a1"]]),
+    "a4": lambda: _linear(4),
+}
+
+
+def objects_to_check(u, ctx):
+    """Every support object of the ambient category, every combination of at
+    most rank + 1 indecomposable support objects of the context, and objects
+    that repeat a summand or put a projective on both sides."""
+    indecs = [StrIndec(i, 0) for i in sorted(ctx.members)
+              if ref_rel_tau_rigid(u, ctx, (i,))]
+    indecs += [StrIndec(p, 1) for p in ctx.rel_proj]
+    assert rel_str_indecs(u, ctx) == indecs
+    out = set(u.all_support_objects())
+    for r in range(ctx.rank + 2):
+        for combo in itertools.combinations(indecs, r):
+            t = StrObj((), ())
+            for x in combo:
+                t = t.with_indec(x)
+            out.add(t)
+    for i in sorted(ctx.members):
+        out.add(StrObj((i, i), ()))
+    for p in ctx.rel_proj:
+        out.add(StrObj((), (p, p)))
+        out.add(StrObj((p,), (p,)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", sorted(MASK_ALGEBRAS))
+def test_mask_layer_matches_the_frozenset_loops(name):
+    u = ModuleUniverse(MASK_ALGEBRAS[name]())
+    amb = ambient_context(u)
+    contexts = [amb] + [context_of(u, amb, x_obj)
+                        for x_obj in (StrObj((), ()).with_indec(x)
+                                      for x in rel_str_indecs(u, amb))]
+    valid = 0
+    for ctx in contexts:
+        assert ctx.rel_proj == ref_rel_ext_projectives(u, ctx.members)
+        assert rel_ext_projectives(u, ctx.members) == ctx.rel_proj
+        for t in objects_to_check(u, ctx):
+            where = (name, sorted(ctx.members), t)
+            assert outcome(rel_tau_rigid, u, ctx, t.mods) == \
+                outcome(ref_rel_tau_rigid, u, ctx, t.mods), where
+            assert rel_perp_tau(u, ctx, t.mods) == ref_rel_perp_tau(u, ctx, t.mods), where
+            assert valid_rel_str_obj(u, ctx, t) == ref_valid_rel_str_obj(u, ctx, t), where
+            assert j_in_context(u, ctx, t) == ref_j_in_context(u, ctx, t), where
+            got = outcome(context_of, u, ctx, t)
+            if isinstance(got, Context):
+                got = (got.members, got.rel_proj, got.rank)
+                valid += 1
+            assert got == outcome(ref_context_of, u, ctx, t), where
+    assert valid > len(contexts)
+
+
+@pytest.mark.parametrize("name", ["a3rad2", "nakayama2_rad2"])
+def test_equal_member_sets_give_the_identical_context(name):
+    u = ModuleUniverse(MASK_ALGEBRAS[name]())
+    amb = ambient_context(u)
+    assert context_from_members(u, range(len(u.modules))) is amb
+    for t in u.all_support_objects():
+        ctx = context_of(u, amb, t)
+        assert context_of(u, amb, t) is ctx
+        assert context_from_members(u, sorted(ctx.members, reverse=True)) is ctx
+        assert j_in_context(u, amb, t) is ctx.members
+        for x in rel_str_indecs(u, ctx):
+            sub = context_of(u, ctx, StrObj((), ()).with_indec(x))
+            assert context_from_members(u, set(sub.members)) is sub
