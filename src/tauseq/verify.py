@@ -23,8 +23,8 @@ from tauseq.sequences import (
 from tauseq.universe import ZERO_OBJ, ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context,
-    compatible_in_context, context_of, j_in_context, perp_tau_members,
-    rel_str_indecs, rel_tau_rigid, torsion_handle,
+    compatible_in_context, context_from_members, context_of, j_in_context,
+    perp_tau_members, rel_str_indecs, rel_tau_rigid, torsion_handle,
 )
 
 
@@ -136,6 +136,7 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     amb = ambient_context(u)
     torsion = all_torsion_classes(u)
     wides = all_wide_subcategories(u)
+    wide_set = set(wides)
 
     genmin_check = Check("gen-minimal definition matches characterization")
     genmin: List[Tuple[int, ...]] = []
@@ -181,7 +182,7 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
         w = j_in_context(u, amb, StrObj.make(h.nonsplit,
                                              [p for p in h.orthogonal_proj]))
         wide_of_torsion[t] = w
-        tw.count(w in set(wides), {"torsion": _labels(u, t), "image": _labels(u, w)})
+        tw.count(w in wide_set, {"torsion": _labels(u, t), "image": _labels(u, w)})
     tw.count(len(set(wide_of_torsion.values())) == len(torsion),
              {"issue": "torsion-to-wide map is not injective"})
     back_tw = Check("filtration closure inverts the wide map")
@@ -197,7 +198,7 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
         wide_are_perp.count(w in perp_sets, {"wide": _labels(u, w)})
     perp_are_wide = Check("every perpendicular category is a wide subcategory")
     for w in perp_sets:
-        perp_are_wide.count(w in set(wides), {"members": _labels(u, w)})
+        perp_are_wide.count(w in wide_set, {"members": _labels(u, w)})
 
     rigid_unique = Check("two of Gen, perp-translate, J determine the third and the module")
     rigid_sets = u.all_tau_rigid_subsets()
@@ -494,12 +495,7 @@ def suite_transitivity(u: ModuleUniverse, pair_budget: int = 40000) -> SuiteRepo
     corank2 = Check("rank n-2 subcategories come from a gen-minimal pair")
     serre_chain = Check("right mutation chain descends through the split pair")
     for w in all_wide_subcategories(u):
-        ctx_w = None
-        for t in u.all_support_objects():
-            if j_in_context(u, amb, t) == w:
-                ctx_w = context_of(u, amb, t)
-                break
-        if ctx_w is None or ctx_w.rank != u.n - 2:
+        if context_from_members(u, w).rank != u.n - 2:
             continue
         perp = frozenset(x for x in range(len(u.modules))
                          if all(u.hom[x][m] == 0 for m in w))

@@ -17,11 +17,15 @@ a wide subcategory W is tau-rigid there exactly when Ext^1(M, -) vanishes on
 Gen M intersected with W; vanishing of Hom(Z, tau_W M) is likewise read off
 as Ext^1(M, -) vanishing on Gen Z intersected with W.  Both use honest Ext
 groups, which agree with the relative ones because W is extension closed.
+
+The lists of all torsion classes and of all wide subcategories come from two
+theorems rather than a sweep over subsets: torsion classes are closed under
+joining one indecomposable at a time and taking the filtration closure, and
+wide subcategories correspond to semibricks, which the hom table lists.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq.ar import extension_cocycle_space, extension_middle
@@ -29,7 +33,7 @@ from tauseq.errors import (
     Mismatch, NotInW, NotTauRigid, RankMismatch, TauSeqError,
 )
 from tauseq.linalg import nonzero_combinations
-from tauseq.modules import Rep, RepMorphism, hom_dim, kernel, cokernel, quotient, trace
+from tauseq.modules import Rep, hom_dim, quotient, trace
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 
 
@@ -375,16 +379,17 @@ def is_gen_minimal_summandwise(u: ModuleUniverse, ids: Sequence[int]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# brute-force closure enumeration (torsion classes and wide subcategories)
+# the torsion and wide lattices
 # --------------------------------------------------------------------------
 
 def all_torsion_classes(u: ModuleUniverse) -> List[FrozenSet[int]]:
     """Every torsion class.
 
-    The smallest torsion class containing a subset is its filtration closure,
-    decided exactly by the iterated trace-quotient test; every torsion class
-    is its own closure, so the image of that operator over all subsets is the
-    complete list.
+    The smallest torsion class containing a set is its filtration closure,
+    decided exactly by the iterated trace-quotient test.  The search starts
+    from the zero class and joins one indecomposable at a time; it reaches the
+    closure of every subset because FiltGen(S + x) = FiltGen(FiltGen(S) + x),
+    and every torsion class is the closure of itself.
     """
     key = "all_torsion_classes"
     if key in u.cache:
@@ -392,43 +397,80 @@ def all_torsion_classes(u: ModuleUniverse) -> List[FrozenSet[int]]:
     count = len(u.modules)
     if count > 16:
         raise TauSeqError("torsion-class brute force is guarded at 16 indecomposables")
-    seen = set()
-    for bits in range(2 ** count):
-        members = frozenset(i for i in range(count) if bits >> i & 1)
-        seen.add(u.filtgen_set(members))
+    start = u.filtgen_set(())
+    seen = {start}
+    todo = [start]
+    while todo:
+        t = todo.pop()
+        for x in range(count):
+            if x in t:
+                continue
+            gens = t | {x}
+            joined = gens | {j for j in range(count)
+                             if j not in gens and u.filtgen_contains(gens, j)}
+            if joined not in seen:
+                seen.add(joined)
+                todo.append(joined)
     out = sorted(seen, key=lambda s: (len(s), sorted(s)))
     u.cache[key] = out
     return out
 
 
-def _sum_with_maps(u: ModuleUniverse, ids: Tuple[int, ...]):
-    cache = u.cache.setdefault("sum_with_maps", {})
-    if ids not in cache:
-        from tauseq.modules import direct_sum
-        reps = [u.modules[i] for i in ids]
-        cache[ids] = direct_sum(reps)
-    return cache[ids]
+def all_wide_subcategories(u: ModuleUniverse) -> List[FrozenSet[int]]:
+    """Every wide subcategory, one for each semibrick.
 
+    A wide subcategory is fixed by its simple objects, which form a semibrick:
+    a set of pairwise Hom-orthogonal bricks, and every semibrick S arises
+    (Ringel 1976; Asai, Semibricks).  Its wide subcategory is emitted as
+    T(S) & F(S), with T(S) = the left perpendicular of the right perpendicular
+    of S and F(S) = the right perpendicular of its left perpendicular, read
+    off the bitmask rows of the hom table.  Over a tau-tilting finite algebra
+    the bricks are as many as the tau-rigid indecomposables
+    (Demonet-Iyama-Jasso); a brick count or a repeated subcategory that says
+    otherwise raises Mismatch.
+    """
+    key = "all_wide_subcategories"
+    if key in u.cache:
+        return u.cache[key]
+    hom_out = mask_tables(u).hom_out
+    count = len(u.modules)
+    bricks = [i for i in range(count) if u.hom[i][i] == 1]
+    if len(bricks) != sum(u.tau_rigid):
+        raise Mismatch("%d bricks but %d tau-rigid indecomposables"
+                       % (len(bricks), sum(u.tau_rigid)))
 
-def _sum_hom_basis(u: ModuleUniverse, src_ids: Tuple[int, ...],
-                   tgt_ids: Tuple[int, ...]):
-    """Basis of Hom between two sums, assembled blockwise from the cached
-    pairwise bases (no fresh linear solving)."""
-    cache = u.cache.setdefault("sum_hom_basis", {})
-    key = (src_ids, tgt_ids)
-    if key in cache:
-        return cache[key]
-    src, _, src_projs = _sum_with_maps(u, src_ids)
-    tgt, tgt_embeds, _ = _sum_with_maps(u, tgt_ids)
-    basis = []
-    for i, si in enumerate(src_ids):
-        for j, tj in enumerate(tgt_ids):
-            for g in u._hom_bases[(si, tj)]:
-                basis.append(tgt_embeds[j].compose(
-                    RepMorphism(u.modules[si], u.modules[tj], g.maps, validate=False)
-                ).compose(src_projs[i]))
-    cache[key] = (src, tgt, basis)
-    return cache[key]
+    def left_perp(mask: int) -> int:
+        return mask_of(x for x in range(count) if not hom_out[x] & mask)
+
+    def reach(mask: int) -> int:
+        out = 0
+        for i in ids_of(mask):
+            out |= hom_out[i]
+        return out
+
+    def wide_of(s: int) -> int:
+        return left_perp(_full(u) & ~reach(s)) & ~reach(left_perp(s))
+
+    orthogonal = {i: mask_of(j for j in bricks
+                             if not (hom_out[i] >> j & 1 or hom_out[j] >> i & 1))
+                  for i in bricks}
+    found: Dict[int, int] = {}
+
+    def grow(s: int, candidates: int):
+        w = wide_of(s)
+        if w in found:
+            raise Mismatch("semibricks %s and %s give the same subcategory"
+                           % ([u.labels[i] for i in ids_of(found[w])],
+                              [u.labels[i] for i in ids_of(s)]))
+        found[w] = s
+        for i in ids_of(candidates):
+            grow(s | 1 << i, candidates & orthogonal[i] & ~((2 << i) - 1))
+
+    grow(0, mask_of(bricks))
+    out = sorted((frozenset(ids_of(w)) for w in found),
+                 key=lambda s: (len(s), sorted(s)))
+    u.cache[key] = out
+    return out
 
 
 def _pairwise_cocycles(u: ModuleUniverse, quot_id: int, sub_id: int):
@@ -464,86 +506,3 @@ def _extension_parts_single(u: ModuleUniverse, quot_id: int, sub_id: int) -> Fro
     result = frozenset(seen)
     cache[key] = result
     return result
-
-
-def _is_extension_closed_singles(u: ModuleUniverse, members: FrozenSet[int]) -> bool:
-    for quot in members:
-        for sub in members:
-            if u.ext[quot][sub] == 0:
-                continue
-            if not _extension_parts_single(u, quot, sub) <= members:
-                return False
-    return True
-
-
-def _kernel_cokernel_parts(u: ModuleUniverse, src_ids: Tuple[int, ...],
-                           tgt_ids: Tuple[int, ...]) -> FrozenSet[int]:
-    """Ids among kernels and cokernels of swept morphisms between two sums."""
-    cache = u.cache.setdefault("kernel_cokernel_parts", {})
-    key = (src_ids, tgt_ids)
-    if key in cache:
-        return cache[key]
-    src, tgt, basis = _sum_hom_basis(u, src_ids, tgt_ids)
-    e = len(basis)
-    seen = set()
-    if e:
-        if e > 8:
-            raise TauSeqError("morphism sweep guard: hom basis of size %d" % e)
-        coeff_range = (0, 1, -1) if e <= 3 else (0, 1)
-        for maps in nonzero_combinations([g.maps for g in basis], coeff_range):
-            f = RepMorphism(src, tgt, maps, validate=False)
-            k, _ = kernel(f)
-            parts = u.identify_parts(k)
-            if parts is None:
-                raise Mismatch("kernel fell outside the enumeration")
-            seen.update(parts)
-            c_rep, _ = cokernel(f)
-            parts = u.identify_parts(c_rep)
-            if parts is None:
-                raise Mismatch("cokernel fell outside the enumeration")
-            seen.update(parts)
-    result = frozenset(seen)
-    cache[key] = result
-    return result
-
-
-def _is_kernel_cokernel_closed(u: ModuleUniverse, members: FrozenSet[int]) -> bool:
-    ms = sorted(members)
-    singles = [(x,) for x in ms]
-    pairs = [tuple(sorted(p)) for p in itertools.combinations_with_replacement(ms, 2)]
-    shapes = [(s, t) for s in singles for t in singles] + \
-             [(p, t) for p in pairs for t in singles] + \
-             [(s, p) for s in singles for p in pairs]
-    for src, tgt in shapes:
-        if all(u.hom[a][b] == 0 for a in src for b in tgt):
-            continue
-        if not _kernel_cokernel_parts(u, src, tgt) <= members:
-            return False
-    return True
-
-
-def all_wide_subcategories(u: ModuleUniverse) -> List[FrozenSet[int]]:
-    """Every wide subcategory, by brute-force closure testing over subsets.
-
-    Closure is tested against swept morphisms and extension cocycles with
-    small integer coefficients; true wide subcategories always pass, and any
-    false positive is caught downstream by the comparison against the
-    perpendicular-category list.
-    """
-    key = "all_wide_subcategories"
-    if key in u.cache:
-        return u.cache[key]
-    count = len(u.modules)
-    if count > 14:
-        raise TauSeqError("wide-subcategory brute force is guarded at 14 indecomposables")
-    out = []
-    for bits in range(2 ** count):
-        members = frozenset(i for i in range(count) if bits >> i & 1)
-        if not _is_extension_closed_singles(u, members):
-            continue
-        if not _is_kernel_cokernel_closed(u, members):
-            continue
-        out.append(members)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    u.cache[key] = out
-    return out

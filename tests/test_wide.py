@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from tauseq.errors import NotInW, NotTauRigid, RankMismatch, TauSeqError
+from tauseq.errors import Mismatch, NotInW, NotTauRigid, RankMismatch, TauSeqError
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.verify import suite_bijections
 from tauseq.wide import (
     Context, all_torsion_classes, all_wide_subcategories, ambient_context, bongartz,
     co_bongartz, context_from_members, context_of, is_gen_minimal_summandwise,
@@ -301,3 +302,82 @@ def test_equal_member_sets_give_the_identical_context(name):
         for x in rel_str_indecs(u, ctx):
             sub = context_of(u, ctx, StrObj((), ()).with_indec(x))
             assert context_from_members(u, set(sub.members)) is sub
+
+
+# --------------------------------------------------------------------------
+# the torsion and wide lattices against independent routes
+# --------------------------------------------------------------------------
+
+def _loop_rad2():
+    return build_algebra(Quiver(["1"], [("x", "1", "1")]), FieldSpec(0), [["x", "x"]])
+
+
+def _nakayama3_rad3():
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    return build_algebra(q, FieldSpec(0),
+                         [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]])
+
+
+LATTICE_ALGEBRAS = dict(MASK_ALGEBRAS, loop_rad2=_loop_rad2,
+                        nakayama3_rad3=_nakayama3_rad3)
+
+
+def by_size(sets):
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+def ref_torsion_classes(u):
+    """The filtration closure of every subset."""
+    count = len(u.modules)
+    return by_size({u.filtgen_set(frozenset(i for i in range(count) if bits >> i & 1))
+                    for bits in range(2 ** count)})
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a3rad2", "nakayama2_rad2", "a4"])
+def test_torsion_classes_match_the_subset_loop(name):
+    u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
+    assert all_torsion_classes(u) == ref_torsion_classes(u)
+
+
+# nakayama2_rad3 has two non-brick projectives, loop_rad2 a non-brick one
+@pytest.mark.parametrize("name,count", [
+    ("a2", 5), ("a3", 14), ("a4", 42), ("a3rad2_gf3", 12), ("nakayama2_rad3", 6),
+    ("loop_rad2", 2), ("nakayama3_rad3", 20),
+])
+def test_wide_subcategories_are_the_perpendicular_categories(name, count):
+    u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
+    amb = ambient_context(u)
+    perps = by_size({j_in_context(u, amb, t) for t in u.all_support_objects()})
+    assert all_wide_subcategories(u) == perps
+    assert len(perps) == count == u.support_tilting_count()
+    bricks = [i for i in range(len(u.modules)) if u.hom[i][i] == 1]
+    assert len(bricks) == sum(u.tau_rigid)
+
+
+def test_a5_lattices_have_the_catalan_count():
+    u = ModuleUniverse(_linear(5))
+    assert len(all_torsion_classes(u)) == len(all_wide_subcategories(u)) == 132
+
+
+WIDE_CHECKS = ("torsion classes biject onto wide subcategories",
+               "every wide subcategory is a perpendicular category",
+               "every perpendicular category is a wide subcategory")
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a3rad2"])
+def test_a_lost_map_between_bricks_is_reported(name):
+    clean = ModuleUniverse(LATTICE_ALGEBRAS[name]())
+    bricks = [i for i in range(len(clean.modules)) if clean.hom[i][i] == 1]
+    faults = [(i, j) for i in bricks for j in bricks if i != j and clean.hom[i][j]]
+    assert faults
+    for i, j in faults:
+        u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
+        assert "masks" not in u.cache
+        u.hom[i][j] = 0
+        try:
+            report = suite_bijections(u)
+        except Mismatch:
+            continue
+        failures = [f for c in report.checks if c.name in WIDE_CHECKS
+                    for f in c.failures]
+        assert failures and all(failures), (name, u.labels[i], u.labels[j])
