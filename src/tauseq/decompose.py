@@ -6,7 +6,9 @@ hunt for a nontrivial idempotent in the semisimple quotient and lift it.  A
 module is certified indecomposable when the semisimple quotient is
 one-dimensional, or commutative with a primitive element (a field).
 Anything the deterministic search cannot decide raises
-IdempotentSplitFailure loudly instead of guessing.
+IdempotentSplitFailure loudly instead of guessing.  ``indecomposable_parts``
+splits along the lifted idempotent and recurses; ``is_indecomposable`` runs
+the same search and stops before it builds any summand.
 
 Isomorphism needs no search: an indecomposable M is isomorphic to N exactly
 when some element of a basis of Hom(M, N) is invertible, because End(M) is
@@ -97,14 +99,15 @@ def _poly_gcdex(field: FieldSpec, a: list, b: list) -> Tuple[list, list, list]:
     return r0, s0, t0
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """The exact square root of q when it is a rational square, else None."""
+def _rational_sqrt(q):
+    """The exact square root of the rational q (an int or a Fraction) in
+    canonical form when q is a rational square, else None."""
     if q < 0:
         return None
     n, d = isqrt(q.numerator), isqrt(q.denominator)
     if n * n != q.numerator or d * d != q.denominator:
         return None
-    return Fraction(n, d)
+    return n if d == 1 else Fraction(n, d)
 
 
 def _sqrt_mod(a: int, p: int) -> Optional[int]:
@@ -151,13 +154,14 @@ def _roots_low_degree(field: FieldSpec, cs: list) -> Optional[list]:
             return None
         half = (p + 1) // 2
         return [(s - b) * half % p, (-s - b) * half % p]
+    # field.div, never int / int, which would give a float
     if len(cs) == 2:
-        return [-cs[0] / cs[1]]
+        return [field.div(field.neg(cs[0]), cs[1])]
     c, b, a = cs
     s = _rational_sqrt(b * b - 4 * a * c)
     if s is None:
         return None
-    return [(s - b) / (2 * a), (-s - b) / (2 * a)]
+    return [field.div(s - b, 2 * a), field.div(-s - b, 2 * a)]
 
 
 def _factor_low_degree(field: FieldSpec, cs: list) -> List[Tuple[list, int]]:
@@ -659,31 +663,25 @@ class EndAlgebra:
         return AlgebraCore(f, left, [row[k * k] for row in coords])
 
 
-def _split_by_idempotent(m: Rep, e: RepMorphism) -> Tuple[Rep, Rep]:
-    spans_im = [e.maps[v] for v in range(len(m.dims))]
-    spans_ker = [linalg.solve_kernel(e.maps[v]) for v in range(len(m.dims))]
-    a, _ = submodule_from_spans(m, spans_im)
-    b, _ = submodule_from_spans(m, spans_ker)
-    if a.total_dim + b.total_dim != m.total_dim or a.total_dim == 0 or b.total_dim == 0:
-        raise IdempotentSplitFailure("idempotent did not split the module")
-    return a, b
+def _splitting_idempotent(m: Rep) -> Optional[RepMorphism]:
+    """A nontrivial idempotent endomorphism of a nonzero m, or None when m is
+    certified indecomposable.
 
-
-def indecomposable_parts(m: Rep) -> List[Rep]:
-    """All indecomposable direct summands of m, with repetition."""
-    if m.total_dim == 0:
-        return []
+    The idempotent is found in End(M) modulo its radical and lifted through
+    the nilpotent radical; it is nontrivial when its image is neither 0 nor
+    all of m, that is 0 < sum_v rank(e_v) < dim m.
+    """
     end = EndAlgebra(m)
     if end.dim == 1:
-        return [m]
+        return None
     core = end.core()
     rad = core.radical_basis()
     quot, comp = core.quotient_by(rad)
     if quot.dim == 1:
-        return [m]
+        return None
     ebar = find_idempotent_semisimple(quot)
     if ebar is None:
-        return [m]
+        return None
     f = core.field
     e = [f.zero] * core.dim
     for t, c in enumerate(ebar):
@@ -699,8 +697,28 @@ def indecomposable_parts(m: Rep) -> List[Rep]:
         e = [f.sub(f.mul(f.coerce(3), a), f.mul(f.coerce(2), b)) for a, b in zip(e2, e3)]
     else:
         raise IdempotentSplitFailure("idempotent lifting did not converge")
-    a, b = _split_by_idempotent(m, end.morphism_of(e))
-    return indecomposable_parts(a) + indecomposable_parts(b)
+    idem = end.morphism_of(e)
+    if not 0 < sum(linalg.rank(x) for x in idem.maps) < m.total_dim:
+        raise IdempotentSplitFailure("idempotent did not split the module")
+    return idem
+
+
+def is_indecomposable(m: Rep) -> bool:
+    """Whether m is nonzero and indecomposable, without building summands."""
+    return m.total_dim > 0 and _splitting_idempotent(m) is None
+
+
+def indecomposable_parts(m: Rep) -> List[Rep]:
+    """All indecomposable direct summands of m, with repetition."""
+    if m.total_dim == 0:
+        return []
+    e = _splitting_idempotent(m)
+    if e is None:
+        return [m]
+    # m = im e + ker e, and the rank check makes both summands nonzero
+    image, _ = submodule_from_spans(m, e.maps)
+    kernel, _ = submodule_from_spans(m, [linalg.solve_kernel(x) for x in e.maps])
+    return indecomposable_parts(image) + indecomposable_parts(kernel)
 
 
 def decompose(m: Rep) -> List[Tuple[Rep, int]]:

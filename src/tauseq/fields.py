@@ -1,8 +1,11 @@
 """Exact scalar arithmetic over the rationals or a prime field.
 
-Scalars are plain ``Fraction`` objects in characteristic 0 and canonical
-integers in ``range(p)`` in characteristic p.  No floating point exists
-anywhere in this package.
+Scalars are canonical in every characteristic.  Over the rationals an
+integral scalar is a plain ``int`` and any other scalar is a ``Fraction``
+with denominator > 1, so the kernel reads numerators and denominators at C
+speed and an integral ``Fraction`` never occurs.  In characteristic p a
+scalar is an ``int`` in ``range(p)``.  No floating point exists anywhere in
+this package: ``int / int`` is never applied to scalars.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def rational(q):
+    """The canonical form of a rational q: its int when q is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class FieldSpec:
     """Ground field: characteristic 0 means the rationals, p a prime field."""
 
@@ -31,29 +39,37 @@ class FieldSpec:
             raise ValueError("characteristic must be 0 or a prime, got %r" % (characteristic,))
         self.characteristic = characteristic
         # scalars are immutable, so one shared zero and one serve every matrix
-        self.zero = Fraction(0) if characteristic == 0 else 0
-        self.one = Fraction(1) if characteristic == 0 else 1
+        self.zero = 0
+        self.one = 1
 
     # -- element constructors --
 
     def coerce(self, x):
         if self.characteristic == 0:
-            return x if type(x) is Fraction else Fraction(x)
+            if type(x) is int:
+                return x
+            return rational(x if type(x) is Fraction else Fraction(x))
         return int(x) % self.characteristic
 
     # -- arithmetic --
 
     def add(self, a, b):
         c = a + b
-        return c if self.characteristic == 0 else c % self.characteristic
+        if self.characteristic:
+            return c % self.characteristic
+        return c if type(c) is int else rational(c)
 
     def sub(self, a, b):
         c = a - b
-        return c if self.characteristic == 0 else c % self.characteristic
+        if self.characteristic:
+            return c % self.characteristic
+        return c if type(c) is int else rational(c)
 
     def mul(self, a, b):
         c = a * b
-        return c if self.characteristic == 0 else c % self.characteristic
+        if self.characteristic:
+            return c % self.characteristic
+        return c if type(c) is int else rational(c)
 
     def neg(self, a):
         return -a if self.characteristic == 0 else (-a) % self.characteristic
@@ -62,7 +78,7 @@ class FieldSpec:
         if self.characteristic == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
+            return rational(Fraction(1) / a)
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)

@@ -5,8 +5,11 @@ returned here is reproducible run to run.  Elimination and products have one
 path per characteristic and never dispatch through FieldSpec per scalar:
 over GF(p) they run on plain ints reduced mod p; over the rationals each row
 is scaled to a primitive integer row, elimination stays fraction-free, and
-every entry is divided once at the end.  The reduced echelon form is unique,
-so R and the pivots are exactly those of textbook Gauss-Jordan.
+every entry is divided once at the end.  Results over the rationals are
+canonical scalars (see ``fields``): an int when integral, else a Fraction
+with denominator > 1, so a matrix the kernel just produced is rescaled at C
+speed.  The reduced echelon form is unique, so R and the pivots are exactly
+those of textbook Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -21,29 +24,28 @@ from tauseq.fields import FieldSpec
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
-# shared values for the small integers that elimination mostly produces
-_SMALL = {n: Fraction(n) for n in range(-16, 17)}
-_ZERO = _SMALL[0]
 
 
-def _ratio(n: int, d: int) -> Fraction:
-    """The rational n / d, reusing the shared small values."""
-    if d != 1:
-        if n % d:
-            return Fraction(n, d)
-        n //= d
-    return _SMALL[n] if -17 < n < 17 else Fraction(n)
+def _ratio(n: int, d: int):
+    """The canonical rational n / d: an int when d divides n."""
+    if n % d:
+        return Fraction(n, d)
+    return n // d
 
 
 def _fractions(ints: list, d: int) -> list:
-    """[n / d for n in ints], with the common d == 1 case inlined."""
+    """[n / d for n in ints] in canonical form; ints itself when d == 1."""
     if d == 1:
-        return [_SMALL[n] if -17 < n < 17 else Fraction(n) for n in ints]
+        return ints
     return [_ratio(n, d) for n in ints]
 
 
 def _scaled_rows(rows: List[list]) -> Tuple[List[list], int]:
-    """Rational rows as (integer rows, d), with one common denominator d."""
+    """Rational rows as new (integer rows, d), with one common denominator d.
+
+    On canonical scalars both attributes are read at C speed from ints; an
+    integral Fraction from outside the kernel still comes back as its int.
+    """
     d = lcm(*map(_denominator, chain.from_iterable(rows)))
     if d == 1:
         return [list(map(_numerator, row)) for row in rows], 1
@@ -291,13 +293,13 @@ def rref(a: Mat) -> Tuple[Mat, List[int]]:
             if g > 1:
                 m[i] = [x // g for x in row]
         pivots = _eliminate_int(m, ncols)
-        zero_row = [_ZERO] * ncols
         for i in range(a.rows):
             if i < len(pivots):
                 piv = m[i][pivots[i]]
-                m[i] = [_ratio(x, piv) for x in m[i]]
+                if piv != 1:
+                    m[i] = [_ratio(x, piv) for x in m[i]]
             else:
-                m[i] = zero_row[:]
+                m[i] = [0] * ncols
     return Mat.trusted(a.field, a.rows, ncols, m), pivots
 
 

@@ -24,7 +24,9 @@ from tauseq.ar import (
     ext1_dim, extension_cocycle_space, extension_middle, is_injective_rep,
     is_projective_rep, tau, tau_minus,
 )
-from tauseq.decompose import indecomposable_parts, is_isomorphic
+from tauseq.decompose import (
+    _basis_has_iso, indecomposable_parts, is_indecomposable, is_isomorphic,
+)
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
@@ -46,7 +48,11 @@ class StrObj(NamedTuple):
 
     @staticmethod
     def make(mods: Sequence[int] = (), shifts: Sequence[int] = ()) -> "StrObj":
-        return StrObj(tuple(sorted(mods)), tuple(sorted(shifts)))
+        # most calls pass at most one id, which needs no sort; tuple.__new__
+        # is what NamedTuple._make calls, minus the Python-level wrapper
+        return tuple.__new__(StrObj, (
+            tuple(sorted(mods)) if len(mods) > 1 else tuple(mods),
+            tuple(sorted(shifts)) if len(shifts) > 1 else tuple(shifts)))
 
     def with_indec(self, x: StrIndec) -> "StrObj":
         if x.shift:
@@ -154,9 +160,11 @@ class ModuleUniverse:
         abort_reason = [""]
 
         def add(rep: Rep) -> bool:
+            # every candidate is indecomposable, so by Fitting's lemma it is
+            # isomorphic to another exactly when some Hom basis element is
             key = rep.dims
             for other in buckets.get(key, []):
-                if is_isomorphic(rep, other):
+                if _basis_has_iso(rep, other):
                     return False
             buckets.setdefault(key, []).append(rep)
             found.append(rep)
@@ -210,11 +218,12 @@ class ModuleUniverse:
                             abort_reason[0] = ("extension space of dimension %d "
                                                "exceeds the sweep guard" % e)
                             raise _Abort
+                        # every middle has total dimension t, so a proper
+                        # summand is never new: test it, do not decompose it
                         for blocks in linalg.nonzero_combinations(cocycles, (0, 1, -1)):
                             middle = extension_middle(s, u, blocks)
-                            for part in indecomposable_parts(middle):
-                                if part.total_dim == t and _dims_leq(part.dims, cap):
-                                    add(part)
+                            if is_indecomposable(middle):
+                                add(middle)
         except _Abort:
             return found, False, abort_reason[0]
         return found, True, ""

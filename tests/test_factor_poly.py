@@ -39,8 +39,10 @@ def ref_factor(f, coeffs):
 def assert_matches_sympy(f, coeffs):
     got = factor_poly(f, coeffs)
     assert got == ref_factor(f, coeffs)
-    scalar = Fraction if f.characteristic == 0 else int
-    assert all(type(c) is scalar for fac, _ in got for c in fac)
+    # canonical scalars: over the rationals an int exactly when integral
+    assert all(type(c) is (int if f.characteristic or Fraction(c).denominator == 1
+                           else Fraction)
+               for fac, _ in got for c in fac)
     return got
 
 

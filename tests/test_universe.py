@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from tauseq.errors import BoundTooSmall
 from tauseq.modules import projective, simple
-from tauseq.universe import ModuleUniverse, StrIndec
+from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +110,16 @@ def test_bound_too_small(a3):
 def test_certificate_present(u3):
     assert u3.certificate["stable_under_cap_plus_one"]
     assert u3.certificate["closed_under_translates"]
+
+
+ids_lists = st.lists(st.integers(0, 20), max_size=5)
+
+
+@given(ids_lists, ids_lists, st.booleans())
+def test_str_obj_make_sorts_both_tuples(mods, shifts, as_tuples):
+    if as_tuples:
+        mods, shifts = tuple(mods), tuple(shifts)
+    t = StrObj.make(mods, shifts)
+    assert type(t) is StrObj
+    assert t == (tuple(sorted(mods)), tuple(sorted(shifts)))
+    assert type(t.mods) is tuple and type(t.shifts) is tuple
