@@ -3,16 +3,28 @@
 tau is computed from a minimal projective presentation: read the map as a
 matrix of path coefficients, rebuild it over the opposite algebra with every
 path reversed, take the cokernel there, and dualize back.  Two extension
-counts are provided: ext1_dim (honest Ext^1 via the kernel of the cover) and
-tau_hom_dim (the presentation cokernel, which equals dim Hom(N, tau M) and
-never constructs tau).
+counts are provided: Ext1From / ext1_dim (honest Ext^1 via the syzygy of the
+projective cover) and tau_hom_dim (the presentation cokernel, which equals
+dim Hom(N, tau M) and never constructs tau).
+
+For an indecomposable non-projective X the almost split sequence
+
+    0 -> tau X -> E -> X -> 0
+
+is the non-split extension whose class lies in the socle of Ext^1(X, tau X)
+as an End(X)-module (Auslander-Reiten-Smalo, ch. V): pulling the class back
+along any radical endomorphism of X splits it.  The summands of E are the
+sources of the irreducible maps into X.  almost_split_middle builds E from
+one such cocycle.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from tauseq import linalg
+from tauseq.decompose import EndAlgebra
+from tauseq.errors import Mismatch
 from tauseq.linalg import Mat
 from tauseq.modules import (
     Presentation, Rep, cokernel, dualize, hom_dim, kernel, min_presentation,
@@ -137,13 +149,32 @@ def tau_hom_dim(m: Rep, n: Rep) -> int:
     return rows_dim - linalg.rank(big)
 
 
+class Ext1From:
+    """dim Ext^1(m, -) from one projective cover 0 -> K -> P -> m -> 0.
+
+    Ext^1(m, n) = coker(Hom(P, n) -> Hom(K, n)) and Hom(P_v, n) = n_v, so
+    dim Ext^1(m, n) = dim Hom(K, n) - sum_(v in top m) dim n_v
+    + dim Hom(m, n): one hom solve per target once the syzygy K is built.
+    """
+
+    __slots__ = ("module", "syzygy", "top")
+
+    def __init__(self, m: Rep):
+        _, cover, self.top = projective_cover(m)
+        self.module = m
+        self.syzygy, _ = kernel(cover)
+
+    def dim(self, n: Rep, hom_mn: Optional[int] = None) -> int:
+        """dim Ext^1(m, n); hom_mn is dim Hom(m, n) when already known."""
+        if hom_mn is None:
+            hom_mn = hom_dim(self.module, n)
+        return hom_dim(self.syzygy, n) - sum(n.dims[v] for v in self.top) + hom_mn
+
+
 def ext1_dim(m: Rep, n: Rep) -> int:
     """dim Ext^1(m, n), from 0 -> K -> P0 -> m -> 0:
     Ext^1 = coker(Hom(P0, n) -> Hom(K, n))."""
-    from tauseq.modules import projective_cover
-    p0, cover, _ = projective_cover(m)
-    k, _ = kernel(cover)
-    return hom_dim(k, n) - hom_dim(p0, n) + hom_dim(m, n)
+    return Ext1From(m).dim(n)
 
 
 def is_tau_rigid(m: Rep) -> bool:
@@ -166,16 +197,7 @@ def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], int]:
     algebra = a.algebra
     f = algebra.field
     q = algebra.quiver
-    offsets = []
-    total = 0
-    for ar in q.arrows:
-        offsets.append(total)
-        total += a.dims[ar.target] * b.dims[ar.source]
-
-    def var(ai: int, r: int, c: int) -> int:
-        ar = q.arrows[ai]
-        return offsets[ai] + r * b.dims[ar.source] + c
-
+    total, var = _cocycle_layout(b, a)
     rows: List[list] = []
     for rel in algebra.relations:
         src = q.arrows[rel[0]].source
@@ -226,7 +248,33 @@ def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], int]:
                     blk.data[r][c] = ker.data[var(ai, r, c)][col]
             blocks.append(blk)
         cocycles.append(blocks)
-    # coboundaries: c_ar = h_t B_ar - A_ar h_s over all vertex maps h_v
+    return cocycles, linalg.rank(_coboundary_matrix(b, a))
+
+
+def _cocycle_layout(b: Rep, a: Rep):
+    """(number of cocycle unknowns, var) where var(ai, r, c) is the unknown
+    of entry (r, c) of the block at arrow ai; a flattened cocycle lists its
+    blocks in arrow order, each row-major."""
+    q = a.algebra.quiver
+    offsets = []
+    total = 0
+    for ar in q.arrows:
+        offsets.append(total)
+        total += a.dims[ar.target] * b.dims[ar.source]
+
+    def var(ai: int, r: int, c: int) -> int:
+        return offsets[ai] + r * b.dims[q.arrows[ai].source] + c
+
+    return total, var
+
+
+def _coboundary_matrix(b: Rep, a: Rep) -> Mat:
+    """The flattened coboundaries c_ar = h_t B_ar - A_ar h_s, one column per
+    entry of the vertex maps h_v."""
+    algebra = a.algebra
+    f = algebra.field
+    q = algebra.quiver
+    total, var = _cocycle_layout(b, a)
     hvars = []
     htotal = 0
     for v in range(q.num_vertices):
@@ -255,8 +303,7 @@ def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], int]:
                     if cbv != 0:
                         col_vec[var(ai, hi, c)] = f.add(col_vec[var(ai, hi, c)], cbv)
         cob_cols.append(col_vec)
-    cob_rank = linalg.rank(linalg.from_columns(f, total, cob_cols)) if cob_cols else 0
-    return cocycles, cob_rank
+    return linalg.from_columns(f, total, cob_cols)
 
 
 def ext1_dim_cocycle(b: Rep, a: Rep) -> int:
@@ -287,3 +334,50 @@ def extension_middle(b: Rep, a: Rep, cocycle: List[Mat]) -> Rep:
                 m.data[at + r][asrc + c] = b.mats[ai].data[r][c]
         mats.append(m)
     return Rep(algebra, dims, mats)
+
+
+def _flat_cocycle(cocycle: List[Mat]) -> list:
+    return [x for blk in cocycle for row in blk.data for x in row]
+
+
+def almost_split_cocycle(x: Rep, tau_x: Rep) -> List[Mat]:
+    """A cocycle of the almost split sequence 0 -> tau_x -> E -> x -> 0.
+
+    x must be indecomposable and not projective, and tau_x its translate.
+    The class is taken from the socle of Ext^1(x, tau_x) over End(x): the
+    cocycles c whose pullback c . r (the block at each arrow times r at its
+    source) is a coboundary for every r in a basis of rad End(x).  When
+    End(x) is the field the socle is all of Ext^1.  The first candidate that
+    is not a coboundary is returned.
+    """
+    f = x.algebra.field
+    q = x.algebra.quiver
+    cocycles, _ = extension_cocycle_space(x, tau_x)
+    # the rows of `forms` span the linear forms that vanish on coboundaries
+    forms = linalg.solve_kernel(_coboundary_matrix(x, tau_x).transpose()).transpose()
+    total = forms.cols
+    candidates = cocycles
+    end = EndAlgebra(x)
+    if cocycles and end.dim > 1:
+        conditions = []
+        for coords in end.core().radical_basis():
+            r = end.morphism_of(coords)
+            pulled = [_flat_cocycle([blk.mul(r.maps[ar.source])
+                                     for blk, ar in zip(c, q.arrows)])
+                      for c in cocycles]
+            conditions.extend(forms.mul(linalg.from_columns(f, total, pulled)).data)
+        if conditions:
+            socle = linalg.solve_kernel(Mat.trusted(f, len(conditions), len(cocycles),
+                                                    conditions))
+            candidates = [linalg.combine(socle.col(k), cocycles)
+                          for k in range(socle.cols)]
+    for c in candidates:
+        if not forms.mul(Mat.column(f, _flat_cocycle(c))).is_zero():
+            return c
+    raise Mismatch("no almost split sequence ends at the module with dimension "
+                   "vector %r" % (x.dims,))
+
+
+def almost_split_middle(x: Rep, tau_x: Rep) -> Rep:
+    """The middle term E of the almost split sequence 0 -> tau_x -> E -> x -> 0."""
+    return extension_middle(x, tau_x, almost_split_cocycle(x, tau_x))

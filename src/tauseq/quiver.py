@@ -54,12 +54,6 @@ class Quiver:
     def num_vertices(self) -> int:
         return len(self.vertex_labels)
 
-    def vertex_index(self, label: str) -> int:
-        try:
-            return self._index[str(label)]
-        except KeyError:
-            raise UnknownVertex("unknown vertex %r" % label)
-
     def arrow_index(self, name: str) -> int:
         try:
             return self._arrow_index[str(name)]

@@ -2,12 +2,20 @@
 
 The enumeration builds every indecomposable as the middle of an extension of
 a simple by a smaller module, sweeping the cocycle combinations with
-coefficients in {0, 1, -1} (``linalg.nonzero_combinations``), and is
-certified afterwards: the count must be stable one layer above the dimension
-cap, no indecomposable may touch the cap, and the found set must be closed
-under tau, tau-minus, radicals of projectives and socle quotients of
-injectives.  New modules are told apart by the exact isomorphism test of
-``decompose``.  Counts pinned downstream all sit on top of this certificate.
+coefficients in {0, 1, -1} (``linalg.nonzero_combinations``) one total
+dimension layer at a time.  After a layer that adds no module it asks
+whether the found set is closed in the Auslander-Reiten quiver: closed under
+tau and tau-minus, under the summands of rad P and I / soc I, and under the
+summands of the middle term of the almost split sequence ending at each
+non-projective module (``ARNeighbours``).  The found set holds every simple,
+so once it is closed it is every indecomposable (Auslander's theorem,
+Auslander-Reiten-Smalo ch. VI), and the sweep stops there as completed.  The
+schema-1 certificate keys keep their meaning: the sweep completed, the count
+is stable up to the cap plus one (nothing the sweep could still add), no
+indecomposable touches the cap, and the set is closed under tau, tau-minus,
+radicals of projectives and socle quotients of injectives.  New modules are
+told apart by the exact isomorphism test of ``decompose``.  Counts pinned
+downstream all sit on top of this certificate.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -17,12 +25,12 @@ disambiguating ordinal, for example "11#1".
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq import linalg
 from tauseq.ar import (
-    ext1_dim, extension_cocycle_space, extension_middle, is_injective_rep,
-    is_projective_rep, tau, tau_minus,
+    Ext1From, almost_split_middle, extension_cocycle_space, extension_middle,
+    is_injective_rep, tau, tau_minus,
 )
 from tauseq.decompose import (
     _basis_has_iso, indecomposable_parts, is_indecomposable, is_isomorphic,
@@ -82,6 +90,93 @@ def _label(dims: Sequence[int], ordinal: int) -> str:
     return "%s#%d" % (body, ordinal)
 
 
+def _socle_quotient(m: Rep) -> Rep:
+    """m / soc m, the socle being the common kernel of the outgoing arrows."""
+    q = m.algebra.quiver
+    spans = []
+    for v in range(m.algebra.n):
+        outgoing = q.arrows_from(v)
+        if outgoing:
+            stacked = m.mats[outgoing[0]]
+            for ai in outgoing[1:]:
+                stacked = stacked.vstack(m.mats[ai])
+            spans.append(linalg.solve_kernel(stacked))
+        else:
+            spans.append(Mat.identity(m.algebra.field, m.dims[v]))
+    _, incl = submodule_from_spans(m, spans)
+    return quotient(m, incl)[0]
+
+
+class ARNeighbours:
+    """The neighbours of each module in the Auslander-Reiten quiver, as lists
+    of indecomposable summands, each computed once per module.
+
+    The sweep's stop test, the translate table and the closure certificate
+    all read these lists:
+      "tau", "tau_minus"  the summands of tau X and tau^- X (none exactly
+                          when X is projective, resp. injective);
+      "before"            the sources of the irreducible maps into X: the
+                          summands of the middle of the almost split
+                          sequence ending at X, or of rad X for X projective;
+      "after"             for X injective, the summands of X / soc X, the
+                          targets of the irreducible maps out of X (for any
+                          other X they are the "before" of tau^- X).
+    """
+
+    def __init__(self):
+        self._parts: Dict[Tuple[str, int], Tuple[Rep, List[Rep]]] = {}
+
+    def parts(self, kind: str, m: Rep) -> List[Rep]:
+        key = (kind, id(m))
+        hit = self._parts.get(key)
+        if hit is not None:
+            return hit[1]
+        if kind == "tau":
+            rep = tau(m)
+        elif kind == "tau_minus":
+            rep = tau_minus(m)
+        elif kind == "after":
+            rep = _socle_quotient(m)
+        else:
+            translate = self.parts("tau", m)
+            if not translate:
+                rep, _ = submodule_from_spans(m, radical_spans(m))
+            elif len(translate) == 1:
+                rep = almost_split_middle(m, translate[0])
+            else:
+                raise Mismatch("tau of an indecomposable has %d summands"
+                               % len(translate))
+        parts = indecomposable_parts(rep)
+        # the module is kept with its parts, so its id names no other module
+        self._parts[key] = (m, parts)
+        return parts
+
+    def closed(self, modules: Sequence[Rep]) -> bool:
+        """Whether every neighbour of every module in the list is isomorphic
+        to one in the list; the modules must be indecomposable and pairwise
+        non-isomorphic.
+
+        A list that is closed and holds every simple is a union of finite
+        components of the AR quiver, one per block, so by Auslander's
+        theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
+        """
+        by_dims: Dict[tuple, List[Rep]] = {}
+        for m in modules:
+            by_dims.setdefault(m.dims, []).append(m)
+
+        def known(rep: Rep) -> bool:
+            return any(_basis_has_iso(rep, other) for other in by_dims.get(rep.dims, ()))
+
+        for m in modules:
+            kinds = ["tau", "tau_minus", "before"]
+            if not self.parts("tau_minus", m):
+                kinds.append("after")
+            for kind in kinds:
+                if not all(known(part) for part in self.parts(kind, m)):
+                    return False
+        return True
+
+
 class _Budget:
     # guard rails so a runaway enumeration fails loudly instead of hanging
     MAX_MODULES = 400
@@ -106,6 +201,7 @@ class ModuleUniverse:
             if not _dims_leq(p.dims, self.dim_bound):
                 raise BoundTooSmall("projective with dimension vector %r exceeds the cap %r"
                                     % (p.dims, self.dim_bound))
+        self._neighbours = ARNeighbours()
         found, complete, reason = self._enumerate(tuple(b + 1 for b in self.dim_bound))
         inside = [m for m in found if _dims_leq(m.dims, self.dim_bound)]
         self.certificate: Dict[str, object] = {
@@ -130,6 +226,7 @@ class ModuleUniverse:
             self._by_dims.setdefault(m.dims, []).append(i)
         self._build_tables()
         self._check_closure()
+        del self._neighbours
         self.certified = all(bool(v) for k, v in self.certificate.items()
                              if k not in ("dim_bound", "sweep_aborted_because"))
         if require_certificate and not self.certified:
@@ -146,9 +243,13 @@ class ModuleUniverse:
     def _enumerate(self, cap: Tuple[int, ...]) -> Tuple[List[Rep], bool, str]:
         """Sweep up to the cap; returns (found, sweep completed, abort reason).
 
-        The sweep aborts as soon as an indecomposable enters the shell above
-        dim_bound, since at that point the stability certificate is already
-        forfeit and further work cannot restore it.
+        The sweep completes early, after a dimension layer that adds no
+        module, once the found set is closed in the AR quiver: it holds every
+        simple from the start, so by Auslander's theorem it is then every
+        indecomposable, and the layers up to the cap could add nothing.  It
+        aborts as soon as an indecomposable enters the shell above dim_bound,
+        since at that point the stability certificate is already forfeit and
+        further work cannot restore it.
         """
         algebra = self.algebra
         found: List[Rep] = []
@@ -183,12 +284,13 @@ class ModuleUniverse:
         # indecomposability forces a nonzero class against every summand of
         # U, with multiplicity at most dim Ext^1(S, that summand).
         simples = [simple(algebra, v) for v in range(self.n)]
+        ext_from = [Ext1From(s) for s in simples]
         ext_cache: Dict[Tuple[int, int], int] = {}
 
         def ext_to(sv: int, idx: int) -> int:
             key = (sv, idx)
             if key not in ext_cache:
-                ext_cache[key] = ext1_dim(simples[sv], found[idx])
+                ext_cache[key] = ext_from[sv].dim(found[idx])
             return ext_cache[key]
 
         try:
@@ -201,6 +303,7 @@ class ModuleUniverse:
                         add(part)
             total_cap = sum(cap)
             for t in range(2, total_cap + 1):
+                layer_start = len(found)
                 for sv, s in enumerate(simples):
                     allowed = [(idx, ext_to(sv, idx)) for idx in range(len(found))
                                if found[idx].total_dim <= t - 1]
@@ -224,6 +327,8 @@ class ModuleUniverse:
                             middle = extension_middle(s, u, blocks)
                             if is_indecomposable(middle):
                                 add(middle)
+                if len(found) == layer_start and self._neighbours.closed(found):
+                    break
         except _Abort:
             return found, False, abort_reason[0]
         return found, True, ""
@@ -231,13 +336,13 @@ class ModuleUniverse:
     @staticmethod
     def _bounded_multisets(found: List[Rep], allowed: List[Tuple[int, int]], total: int):
         """Multisets of module indices with prescribed total dimension and
-        per-index multiplicity bounds (deterministic order)."""
-        out: List[Tuple[int, ...]] = []
+        per-index multiplicity bounds, yielded one at a time in a
+        deterministic order."""
 
-        def rec(pos: int, remaining: int, acc: List[int]):
+        def rec(pos: int, remaining: int, acc: List[int]) -> Iterator[Tuple[int, ...]]:
             if remaining == 0:
                 if acc:
-                    out.append(tuple(acc))
+                    yield tuple(acc)
                 return
             for k in range(pos, len(allowed)):
                 idx, bound = allowed[k]
@@ -245,10 +350,9 @@ class ModuleUniverse:
                 for mult in range(1, bound + 1):
                     if mult * d > remaining:
                         break
-                    rec(k + 1, remaining - mult * d, acc + [idx] * mult)
+                    yield from rec(k + 1, remaining - mult * d, acc + [idx] * mult)
 
-        rec(0, total, [])
-        return out
+        return rec(0, total, [])
 
     # ------------------------------------------------------------------
     # tables
@@ -264,7 +368,10 @@ class ModuleUniverse:
                 basis = hom_basis(mods[i], mods[j])
                 self._hom_bases[(i, j)] = basis
                 self.hom[i][j] = len(basis)
-        self.is_proj: List[bool] = [is_projective_rep(m) for m in mods]
+        # one projective cover 0 -> K -> P -> M per module: M is projective
+        # exactly when the syzygy K is zero, and K gives the Ext row
+        ext_from = [Ext1From(m) for m in mods]
+        self.is_proj: List[bool] = [e.syzygy.total_dim == 0 for e in ext_from]
         self.is_inj: List[bool] = [is_injective_rep(m) for m in mods]
         self.proj_of_vertex: List[int] = []
         for v in range(self.n):
@@ -279,8 +386,7 @@ class ModuleUniverse:
                 self.tau_of.append(None)
                 self.tau_unresolved.append(False)
                 continue
-            t = tau(m)
-            parts = self.identify_parts(t)
+            parts = self._identify_all(self._neighbours.parts("tau", m))
             if parts is None or len(parts) != 1:
                 # tolerated only on an uncertified sweep; recorded and the
                 # module is treated as not rigid
@@ -298,8 +404,9 @@ class ModuleUniverse:
             self.tau_rigid.append(ti is None or self.hom[i][ti] == 0)
         if any(self.tau_unresolved):
             self.certificate["translate_table_complete"] = False
-        self.ext: List[List[int]] = [[ext1_dim(mods[i], mods[j]) for j in range(count)]
-                                     for i in range(count)]
+        self.ext: List[List[int]] = [
+            [ext_from[i].dim(mods[j], self.hom[i][j]) for j in range(count)]
+            for i in range(count)]
         # per-vertex column spans of trace(M_i, M_j)
         self._trace_spans: Dict[Tuple[int, int], List[Mat]] = {}
         f = self.field
@@ -317,34 +424,20 @@ class ModuleUniverse:
     def _check_closure(self):
         ok_tau = ok_rad = True
         for i, m in enumerate(self.modules):
+            kinds = []
             if not self.is_proj[i]:
-                if self.identify_parts(tau(m)) is None:
-                    ok_tau = False
+                kinds.append("tau")
             if not self.is_inj[i]:
-                if self.identify_parts(tau_minus(m)) is None:
-                    ok_tau = False
-        for v in range(self.n):
-            p = projective(self.algebra, v)
-            rad, _ = submodule_from_spans(p, radical_spans(p))
-            if self.identify_parts(rad) is None:
+                kinds.append("tau_minus")
+            if any(self._identify_all(self._neighbours.parts(kind, m)) is None
+                   for kind in kinds):
+                ok_tau = False
+            # rad P for every projective, I / soc I for every injective
+            kinds = (["before"] if self.is_proj[i] else []) + \
+                (["after"] if self.is_inj[i] else [])
+            if any(self._identify_all(self._neighbours.parts(kind, m)) is None
+                   for kind in kinds):
                 ok_rad = False
-        for i, m in enumerate(self.modules):
-            if self.is_inj[i]:
-                soc_spans = []
-                q = self.algebra.quiver
-                for v in range(self.n):
-                    outgoing = [ai for ai, a in enumerate(q.arrows) if a.source == v]
-                    if outgoing:
-                        stacked = m.mats[outgoing[0]]
-                        for ai in outgoing[1:]:
-                            stacked = stacked.vstack(m.mats[ai])
-                        soc_spans.append(linalg.solve_kernel(stacked))
-                    else:
-                        soc_spans.append(Mat.identity(self.field, m.dims[v]))
-                soc, incl = submodule_from_spans(m, soc_spans)
-                quo, _ = quotient(m, incl)
-                if self.identify_parts(quo) is None:
-                    ok_rad = False
         self.certificate["closed_under_translates"] = ok_tau
         self.certificate["closed_under_radical_and_socle_quotients"] = ok_rad
 
@@ -359,20 +452,22 @@ class ModuleUniverse:
                 return i
         return None
 
-    def identify_parts(self, rep: Rep) -> Optional[List[int]]:
-        """Sorted canonical ids (with multiplicity) of the summands, or None."""
-        if rep.total_dim == 0:
-            return []
+    def _identify_all(self, parts: List[Rep]) -> Optional[List[int]]:
+        """Sorted canonical ids of indecomposable reps, or None if one is
+        unknown.  Each part is indecomposable, so by Fitting's lemma it is
+        isomorphic to a module exactly when some Hom basis element is."""
         out = []
-        for part in indecomposable_parts(rep):
-            i = self.identify(part)
+        for part in parts:
+            i = next((i for i in self._by_dims.get(part.dims, [])
+                      if _basis_has_iso(part, self.modules[i])), None)
             if i is None:
                 return None
             out.append(i)
         return sorted(out)
 
-    def module_of(self, i: int) -> Rep:
-        return self.modules[i]
+    def identify_parts(self, rep: Rep) -> Optional[List[int]]:
+        """Sorted canonical ids (with multiplicity) of the summands, or None."""
+        return self._identify_all(indecomposable_parts(rep))
 
     def label_of_indec(self, x: StrIndec) -> str:
         return self.labels[x.mod] + ("[1]" if x.shift else "")

@@ -1,0 +1,218 @@
+"""The sweep's stop by Auslander's theorem and the almost split sequences it
+reads.
+
+The sweep ends once the found set is closed in the AR quiver.  Forcing the
+closure test to fail runs the full sweep up to the dimension cap, which is
+the oracle: the early stop must change nothing but the time.
+"""
+
+import itertools
+import os
+
+import pytest
+
+from tauseq.ar import almost_split_cocycle, almost_split_middle, extension_middle, tau
+from tauseq.cli import load_algebra_file
+from tauseq.decompose import EndAlgebra, is_isomorphic
+from tauseq.fields import FieldSpec
+from tauseq.linalg import Mat, inverse
+from tauseq.modules import Rep, direct_sum, projective, simple
+from tauseq.quiver import Quiver, build_algebra
+from tauseq.universe import ARNeighbours, ModuleUniverse
+from test_wide import _linear, _loop_rad2, _nakayama2
+
+BENCH_ALGEBRAS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras")
+# the Kronecker quiver is refused (representation-infinite), the free loop
+# is infinite-dimensional
+UNBUILT = {"kronecker", "loop"}
+
+
+def _bench(name):
+    return lambda: load_algebra_file(os.path.join(BENCH_ALGEBRAS, name + ".json"))
+
+
+def _nakayama3(relations):
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    return build_algebra(q, FieldSpec(0), relations)
+
+
+def _d4():
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4")])
+    return build_algebra(q, FieldSpec(0))
+
+
+def _loop(power, characteristic=0):
+    q = Quiver(["1"], [("x", "1", "1")])
+    return build_algebra(q, FieldSpec(characteristic), [["x"] * power])
+
+
+BENCH_NAMES = sorted(n[:-5] for n in os.listdir(BENCH_ALGEBRAS)
+                     if n.endswith(".json") and n[:-5] not in UNBUILT)
+ORACLE_ALGEBRAS = {name: _bench(name) for name in BENCH_NAMES}
+ORACLE_ALGEBRAS.update({
+    "loop_rad2": _loop_rad2,
+    "nakayama2_rad3": lambda: _nakayama2([["a", "b", "a"], ["b", "a", "b"]]),
+    "nakayama3_rad3": lambda: _nakayama3([["a", "b", "c"], ["b", "c", "a"],
+                                          ["c", "a", "b"]]),
+})
+
+
+def test_the_oracle_covers_the_benchmark_corpus():
+    files = {n[:-5] for n in os.listdir(BENCH_ALGEBRAS) if n.endswith(".json")}
+    assert UNBUILT <= files
+    assert len(BENCH_NAMES) == len(files) - len(UNBUILT) >= 14
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_early_stop_matches_the_full_sweep(name, monkeypatch):
+    algebra = ORACLE_ALGEBRAS[name]()
+    verdicts = []
+    closed = ARNeighbours.closed
+
+    def spy(self, modules):
+        verdicts.append(closed(self, modules))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ARNeighbours, "closed", spy)
+    stopped = ModuleUniverse(algebra)
+    assert verdicts and verdicts[-1] is True
+    monkeypatch.setattr(ARNeighbours, "closed", lambda self, modules: False)
+    full = ModuleUniverse(algebra)
+    assert stopped.modules == full.modules
+    assert stopped.labels == full.labels
+    assert stopped.hom == full.hom
+    assert stopped.ext == full.ext
+    assert stopped.tau_of == full.tau_of
+    assert stopped.certificate == full.certificate
+    assert stopped.certified
+
+
+@pytest.mark.parametrize("build", [lambda: _linear(4), _d4,
+                                   lambda: _nakayama2([["a", "b"], ["b", "a"]]),
+                                   _loop_rad2],
+                         ids=["a4", "d4", "nakayama2_rad2", "loop_rad2"])
+def test_dropping_any_module_breaks_the_closure(build):
+    u = ModuleUniverse(build())
+    neighbours = ARNeighbours()
+    assert neighbours.closed(u.modules)
+    for i in range(len(u.modules)):
+        assert not neighbours.closed(u.modules[:i] + u.modules[i + 1:]), u.labels[i]
+
+
+def _check_almost_split(x, tau_x):
+    e = almost_split_middle(x, tau_x)
+    assert e.dims == tuple(a + b for a, b in zip(x.dims, tau_x.dims))
+    split, _, _ = direct_sum([tau_x, x])
+    assert not is_isomorphic(e, split)
+    return e
+
+
+@pytest.mark.parametrize("build", [lambda: _linear(3), lambda: _linear(4, 2),
+                                   lambda: _nakayama2([["a", "b"], ["b", "a"]]),
+                                   _loop_rad2, lambda: _loop(2, 2),
+                                   lambda: _nakayama3([["a", "b", "c"], ["b", "c", "a"],
+                                                       ["c", "a", "b"]])],
+                         ids=["a3", "a4_gf2", "nakayama2_rad2", "loop_rad2",
+                              "loop_rad2_gf2", "nakayama3_rad3"])
+def test_every_almost_split_sequence_is_non_split(build):
+    u = ModuleUniverse(build())
+    for i, x in enumerate(u.modules):
+        if not u.is_proj[i]:
+            _check_almost_split(x, u.modules[u.tau_of[i]])
+
+
+def test_almost_split_middles_on_linear_a3(a3):
+    s1, s2, p1 = simple(a3, 0), simple(a3, 1), projective(a3, 0)
+    p2 = projective(a3, 1)
+    # 0 -> S2 -> M12 -> S1 -> 0 and 0 -> P2 -> P1 + S2 -> M12 -> 0
+    m12 = _check_almost_split(s1, tau(s1))
+    assert m12.dims == (1, 1, 0)
+    assert is_isomorphic(tau(m12), p2)
+    e = _check_almost_split(m12, tau(m12))
+    assert is_isomorphic(e, direct_sum([p1, s2])[0])
+
+
+def _uniserial(algebra, length, change=None):
+    """k[x]/(x^length) over a loop algebra, in the basis given by change."""
+    f = algebra.field
+    shift = Mat.from_rows(f, [[f.one if c == r - 1 else f.zero for c in range(length)]
+                              for r in range(length)])
+    if change is not None:
+        g = Mat.from_rows(f, change)
+        shift = g.mul(shift).mul(inverse(g))
+    return Rep(algebra, [length], [shift])
+
+
+# changes of basis of k^2, invertible over Q and over GF(2)
+CHANGES = [None, [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]]
+
+
+@pytest.mark.parametrize("characteristic", [0, 2])
+def test_almost_split_class_lies_in_the_socle(characteristic):
+    # over k[x]/(x^4), X = k[x]/(x^2) has End(X) = k[x]/(x^2) and a
+    # two-dimensional Ext^1(X, X) with a one-dimensional socle; a class
+    # outside the socle has the projective k[x]/(x^4) as its middle, the
+    # almost split one the sum of the neighbours k and k[x]/(x^3)
+    algebra = _loop(4, characteristic)
+    neighbours, _, _ = direct_sum([_uniserial(algebra, 1), _uniserial(algebra, 3)])
+    for change_x, change_t in itertools.product(CHANGES, CHANGES):
+        x = _uniserial(algebra, 2, change_x)
+        tau_x = _uniserial(algebra, 2, change_t)
+        assert is_isomorphic(tau(x), tau_x)
+        end = EndAlgebra(x)
+        assert end.dim == 2
+        e = _check_almost_split(x, tau_x)
+        assert is_isomorphic(e, neighbours), (change_x, change_t)
+        # pulled back along a radical endomorphism of X the class splits
+        c = almost_split_cocycle(x, tau_x)
+        split, _, _ = direct_sum([tau_x, x])
+        for coords in end.core().radical_basis():
+            r = end.morphism_of(coords)
+            pulled = [blk.mul(r.maps[a.source]) for blk, a in zip(c, algebra.quiver.arrows)]
+            assert is_isomorphic(extension_middle(x, tau_x, pulled), split)
+
+
+def _old_bounded_multisets(found, allowed, total):
+    """The list the sweep built before it took a generator."""
+    out = []
+
+    def rec(pos, remaining, acc):
+        if remaining == 0:
+            if acc:
+                out.append(tuple(acc))
+            return
+        for k in range(pos, len(allowed)):
+            idx, bound = allowed[k]
+            d = found[idx].total_dim
+            for mult in range(1, bound + 1):
+                if mult * d > remaining:
+                    break
+                rec(k + 1, remaining - mult * d, acc + [idx] * mult)
+
+    rec(0, total, [])
+    return out
+
+
+@pytest.mark.parametrize("build", [lambda: _linear(4), _d4,
+                                   lambda: _nakayama2([["a", "b"], ["b", "a"]]),
+                                   lambda: _nakayama2([["a", "b", "a"], ["b", "a", "b"]])],
+                         ids=["a4", "d4", "nakayama2_rad2", "nakayama2_rad3"])
+def test_bounded_multisets_are_yielded_in_the_old_order(build):
+    u = ModuleUniverse(build())
+    mods = u.modules
+    top = max(m.total_dim for m in mods)
+    compared = 0
+    for v in range(u.n):
+        sv = u.identify(simple(u.algebra, v))
+        # the sweep's bounds, and doubled ones for deeper recursion
+        for scale in (1, 2):
+            for t in range(2, top + 3):
+                allowed = [(idx, scale * u.ext[sv][idx]) for idx in range(len(mods))
+                           if mods[idx].total_dim <= t - 1 and u.ext[sv][idx] > 0]
+                got = ModuleUniverse._bounded_multisets(mods, allowed, t - 1)
+                assert iter(got) is got
+                want = _old_bounded_multisets(mods, allowed, t - 1)
+                assert list(got) == want
+                compared += len(want)
+    assert compared > 0

@@ -28,11 +28,14 @@ def agrees(m):
 
 
 def sweep_middles(algebra, monkeypatch):
-    """Every extension middle the enumeration sweep builds.
+    """Every extension middle the full enumeration sweep builds.
 
     The sweep runs on the reference predicate, so the middles are those of
     a correct sweep even when the predicate under test is wrong (a sweep
-    that keeps direct sums would not terminate in reasonable time).
+    that keeps direct sums would not terminate in reasonable time).  Its
+    stop by AR closure is switched off, so it runs every layer up to the
+    dimension cap and meets the decomposable middles above the largest
+    indecomposable too.
     """
     middles = []
     build = universe_mod.extension_middle
@@ -45,6 +48,7 @@ def sweep_middles(algebra, monkeypatch):
     monkeypatch.setattr(universe_mod, "extension_middle", spy)
     monkeypatch.setattr(universe_mod, "is_indecomposable",
                         lambda m: len(indecomposable_parts(m)) == 1)
+    monkeypatch.setattr(universe_mod.ARNeighbours, "closed", lambda self, modules: False)
     u = ModuleUniverse(algebra)
     monkeypatch.undo()
     assert u.certified

@@ -1,7 +1,3 @@
-import os
-
-import pytest
-
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.sequences import (
@@ -101,8 +97,6 @@ def test_prime_field_full_verification():
         assert r.ok, "%s failed over GF(3)" % r.name
 
 
-@pytest.mark.skipif(not os.environ.get("TAUSEQ_SLOW"),
-                    reason="set TAUSEQ_SLOW=1 to run the rank-4 stress test")
 def test_d4_subspace_quiver_slow():
     q = Quiver(["1", "2", "3", "4"],
                [("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4")])
@@ -113,9 +107,21 @@ def test_d4_subspace_quiver_slow():
     assert len(all_torsion_classes(u)) == 50
     seqs = enumerate_tau_es(u, frozenset())
     assert seqs == enumerate_tau_es_recursive(u, frozenset())
+    # complete exceptional sequences of a Dynkin quiver of type D_n number
+    # 2 (n - 1)^n
+    assert len(seqs) == 2 * 3 ** 4 == 162
     g = mutation_graph(u, frozenset())
     assert g.is_connected()
     # spot-check normalization words across the orbit
     for s2 in seqs[:: max(1, len(seqs) // 12)]:
         w = transitivity_path(u, seqs[0], s2)
         assert apply_steps(u, seqs[0], w.steps) == s2
+
+
+def test_a5_linear_complete_sequences():
+    # complete exceptional sequences of linear A_n number (n + 1)^(n - 1)
+    q = Quiver(["1", "2", "3", "4", "5"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5")])
+    u = ModuleUniverse(build_algebra(q, FieldSpec(0)))
+    assert len(u.modules) == 15
+    assert len(enumerate_tau_es(u, frozenset())) == 6 ** 4 == 1296
