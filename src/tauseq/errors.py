@@ -104,10 +104,6 @@ class NoStrictIncrease(TauSeqError):
     """Internal consistency: a normalization step did not grow the torsion class."""
 
 
-class CharacterizationMismatch(TauSeqError):
-    """Internal consistency: the two gen-minimality tests disagree."""
-
-
 class DifferentJ(TauSeqError):
     """The two sequences do not determine the same wide subcategory."""
 

@@ -12,6 +12,10 @@ matched to the (at most one) remaining value, since mutation restricts to a
 bijection on each group.  The right operation is built the same way from the
 right formula and checked to be the exact inverse.  Any ambiguity or
 formula output landing in the wrong group aborts loudly.
+
+Transitivity is certified by words: ``normalize`` mutates a sequence until
+its preimage sum is gen-minimal, ``bridge`` connects two such normal forms
+by transpositions, and both move preimage entries with one walk.
 """
 
 from __future__ import annotations
@@ -21,15 +25,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from tauseq.emap import engine_for
 from tauseq.errors import (
-    CharacterizationMismatch, DifferentJ, IndexOutOfRange, IrregularAmbiguity,
-    Mismatch, NoStrictIncrease, NotAPair, NotTauRigid, NotTFOrdered,
-    OrbitExhausted,
+    DifferentJ, IndexOutOfRange, IrregularAmbiguity, Mismatch, NoStrictIncrease,
+    NotAPair, NotTauRigid, NotTFOrdered, OrbitExhausted,
 )
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, ambient_context, context_of, gen_mask,
-    is_gen_minimal_summandwise, j_in_context, rel_ext_projectives, rel_perp_tau,
-    rel_str_indecs, rel_tau_rigid, torsion_handle,
+    Context, ambient_context, context_of, gen_mask, j_in_context,
+    rel_ext_projectives, rel_perp_tau, rel_str_indecs, rel_tau_rigid,
+    torsion_handle,
 )
 
 Seq = Tuple[int, ...]
@@ -40,13 +43,11 @@ Pair = Tuple[int, int]
 # orderings and the correspondence with sequences
 # --------------------------------------------------------------------------
 
-def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int],
-                  ctx: Optional[Context] = None) -> bool:
+def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:
     """No entry is generated by the ones after it (and the sum is rigid)."""
-    ctx = ctx or ambient_context(u)
     if len(set(ids)) != len(ids):
         return False
-    if not rel_tau_rigid(u, ctx, tuple(ids)):
+    if not rel_tau_rigid(u, ambient_context(u), tuple(ids)):
         return False
     for i in range(len(ids)):
         tail = frozenset(ids[i + 1:])
@@ -55,13 +56,12 @@ def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int],
     return True
 
 
-def omega(u: ModuleUniverse, tf: Sequence[int],
-          ctx: Optional[Context] = None) -> Seq:
+def omega(u: ModuleUniverse, tf: Sequence[int]) -> Seq:
     """The sequence attached to an ordered rigid module: each entry is the
     reduction of itself against the sum of its successors."""
-    ctx = ctx or ambient_context(u)
-    if not is_tf_ordered(u, tf, ctx):
+    if not is_tf_ordered(u, tf):
         raise NotTFOrdered("%r is not TF-ordered" % (list(tf),))
+    ctx = ambient_context(u)
     e = engine_for(u)
     out = []
     for i in range(len(tf)):
@@ -73,10 +73,9 @@ def omega(u: ModuleUniverse, tf: Sequence[int],
     return tuple(out)
 
 
-def omega_inverse(u: ModuleUniverse, seq: Seq,
-                  ctx: Optional[Context] = None) -> Tuple[int, ...]:
+def omega_inverse(u: ModuleUniverse, seq: Seq) -> Tuple[int, ...]:
     """Right-to-left preimages under the reduction maps."""
-    ctx = ctx or ambient_context(u)
+    ctx = ambient_context(u)
     e = engine_for(u)
     ys: List[int] = []
     for i in range(len(seq) - 1, -1, -1):
@@ -88,24 +87,21 @@ def omega_inverse(u: ModuleUniverse, seq: Seq,
     return tuple(ys)
 
 
-def tail_context(u: ModuleUniverse, tail: Seq,
-                 ctx: Optional[Context] = None) -> Context:
+def tail_context(u: ModuleUniverse, tail: Seq) -> Context:
     """The wide subcategory left by a sequence: J of each entry in turn,
     from the right."""
-    c = ctx or ambient_context(u)
+    c = ambient_context(u)
     for x in reversed(tail):
         c = context_of(u, c, StrObj.make([x]))
     return c
 
 
-def j_of_sequence(u: ModuleUniverse, seq: Seq,
-                  ctx: Optional[Context] = None) -> Context:
+def j_of_sequence(u: ModuleUniverse, seq: Seq) -> Context:
     """The perpendicular subcategory of the whole sequence, computed
     recursively and cross-checked against the unordered preimage sum."""
-    ctx = ctx or ambient_context(u)
-    c = tail_context(u, seq, ctx)
-    tf = omega_inverse(u, seq, ctx)
-    direct = j_in_context(u, ctx, StrObj.make(tf))
+    c = tail_context(u, seq)
+    tf = omega_inverse(u, seq)
+    direct = j_in_context(u, ambient_context(u), StrObj.make(tf))
     if direct != c.members:
         raise Mismatch("recursive and preimage routes to J disagree")
     return c
@@ -304,11 +300,11 @@ class MutationWord:
     """A composition of mutation steps, re-verified against its endpoints."""
 
     def __init__(self, u: ModuleUniverse, steps: Sequence[Tuple[str, int, int]],
-                 source: Seq, target: Seq, verify: bool = True):
+                 source: Seq, target: Seq):
         self.steps = tuple(steps)
         self.source = source
         self.target = target
-        if verify and apply_steps(u, source, self.steps) != target:
+        if apply_steps(u, source, self.steps) != target:
             raise Mismatch("mutation word does not carry its source to its target")
 
     @property
@@ -344,25 +340,20 @@ def apply_steps(u: ModuleUniverse, seq: Seq,
 # --------------------------------------------------------------------------
 
 def is_gen_minimal(u: ModuleUniverse, ids: Sequence[int]) -> bool:
-    """Summand definition, re-derived through the split-projective
-    characterization; any disagreement aborts."""
+    """No summand of the rigid module is generated by the others.  The
+    bijections suite checks this against the split-projective
+    characterization."""
     idset = tuple(sorted(ids))
     for i in idset:
         if not u.tau_rigid[i]:
             raise NotTauRigid("gen-minimality is only defined for rigid modules")
     if not rel_tau_rigid(u, ambient_context(u), idset):
         raise NotTauRigid("the sum is not tau-rigid")
-    by_definition = is_gen_minimal_summandwise(u, idset)
-    j_members = j_in_context(u, ambient_context(u), StrObj.make(idset))
-    perp = frozenset(x for x in range(len(u.modules))
-                     if all(u.hom[x][w] == 0 for w in j_members))
-    by_characterization = set(torsion_handle(u, perp).split) == set(idset)
-    if by_definition != by_characterization:
-        raise CharacterizationMismatch(
-            "summand test %r vs split-projective test %r on %r"
-            % (by_definition, by_characterization,
-               [u.labels[i] for i in idset]))
-    return by_definition
+    for i in idset:
+        others = frozenset(j for j in idset if j != i)
+        if others and u.gen_contains(others, i):
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +389,21 @@ def _insertion(tf: Sequence[int], from_pos: int, to_slot: int) -> Tuple[int, ...
     return tuple(ys)
 
 
+def _walk_left(u: ModuleUniverse, seq: Seq, tf: Tuple[int, ...], p: int,
+               stop: int, steps: List) -> Tuple[Seq, Tuple[int, ...]]:
+    """Move entry p of tf, the preimage ordering of seq, leftward to
+    position stop by adjacent transpositions between valid orderings,
+    appending their words to steps; returns the sequence and ordering."""
+    k = first_position(u, seq)
+    while p > stop:
+        swapped = _insertion(tf, p, p - 1)
+        target = omega(u, swapped)
+        steps.extend(transposition_word(u, seq, k + p - 1, target).steps)
+        seq, tf = target, swapped
+        p -= 1
+    return seq, tf
+
+
 def normalize(u: ModuleUniverse, seq: Seq,
               trace: Optional[list] = None) -> Tuple[Seq, MutationWord]:
     """Mutate a sequence until the preimage sum is gen-minimal.
@@ -415,16 +421,14 @@ def normalize(u: ModuleUniverse, seq: Seq,
     """
     steps: List[Tuple[str, int, int]] = []
     cur = seq
-    rounds = u.support_tilting_count() + 1
-    for _ in range(rounds):
-        tf = omega_inverse(u, cur)
+    tf = omega_inverse(u, cur)
+    members = u.gen_set(tf)
+    for _ in range(u.support_tilting_count() + 1):
         if trace is not None:
-            trace.append(u.gen_set(tf))
+            trace.append(members)
         if is_gen_minimal(u, tf):
             return cur, MutationWord(u, steps, seq, cur)
-        members = u.gen_set(tf)
         handle = torsion_handle(u, members)
-        k = first_position(u, cur)
         candidates = [pos for pos, y in enumerate(tf) if y in handle.nonsplit]
         if not candidates:
             raise Mismatch("no non-split projective entry in a non-minimal sum")
@@ -436,62 +440,47 @@ def normalize(u: ModuleUniverse, seq: Seq,
         s0 = max(bad_slots)
         # every insertion strictly right of s0 keeps the ordering, so each
         # adjacent move is a transposition between two valid orderings
-        work_tf = list(tf)
-        p = r_pos
-        while p > s0 + 1:
-            swapped = _insertion(tuple(work_tf), p, p - 1)
-            target_seq = omega(u, swapped)
-            w = transposition_word(u, cur, k + p - 1, target_seq)
-            steps.extend(w.steps)
-            cur = target_seq
-            work_tf = list(swapped)
-            p -= 1
-        before = u.filtgen_set(frozenset(cur))
-        if before != members:
-            raise Mismatch("torsion class drifted during transpositions")
-        cur2 = mutate(u, cur, "phi", k + s0)
-        steps.append(("phi", k + s0, 1))
-        after = u.gen_set(omega_inverse(u, cur2))
+        cur, _ = _walk_left(u, cur, tf, r_pos, s0 + 1, steps)
+        index = first_position(u, cur) + s0
+        cur = mutate(u, cur, "phi", index)
+        steps.append(("phi", index, 1))
+        tf = omega_inverse(u, cur)
+        after = u.gen_set(tf)
         if not (members < after):
             raise NoStrictIncrease("left mutation failed to enlarge the "
                                    "torsion class")
-        cur = cur2
+        members = after
     raise NoStrictIncrease("normalization exceeded the torsion-class bound")
 
 
-def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
-    """A mutation word carrying seq1 to seq2, built from the two
-    normalizations and a bridge of transpositions between the orderings of
-    the shared gen-minimal preimage sum."""
-    if len(seq1) != len(seq2):
-        raise DifferentJ("sequences of different lengths")
-    j1 = j_of_sequence(u, seq1)
-    j2 = j_of_sequence(u, seq2)
-    if j1.members != j2.members:
-        raise DifferentJ("the sequences determine different wide subcategories")
-    n1, w1 = normalize(u, seq1)
-    n2, w2 = normalize(u, seq2)
+def bridge(u: ModuleUniverse, n1: Seq, n2: Seq) -> List[Tuple[str, int, int]]:
+    """The transpositions carrying one normal form to another.  Both
+    preimages order the same gen-minimal sum; position by position, the
+    entry the second ordering wants there is walked leftward into place."""
     tf1 = omega_inverse(u, n1)
     tf2 = omega_inverse(u, n2)
     if sorted(tf1) != sorted(tf2):
         raise Mismatch("gen-minimal preimage sums differ")
-    steps: List[Tuple[str, int, int]] = list(w1.steps)
-    cur_seq, cur_tf = n1, list(tf1)
-    k = first_position(u, seq1)
-    for pos in range(len(cur_tf)):
-        want = tf2[pos]
-        p = cur_tf.index(want)
-        while p > pos:
-            swapped = _insertion(tuple(cur_tf), p, p - 1)
-            target_seq = omega(u, swapped)
-            w = transposition_word(u, cur_seq, k + p - 1, target_seq)
-            steps.extend(w.steps)
-            cur_seq = target_seq
-            cur_tf = list(swapped)
-            p -= 1
-    if cur_seq != n2:
+    steps: List[Tuple[str, int, int]] = []
+    cur, tf = n1, tf1
+    for pos, want in enumerate(tf2):
+        cur, tf = _walk_left(u, cur, tf, tf.index(want), pos, steps)
+    if cur != n2:
         raise Mismatch("bridge did not reach the second normal form")
-    steps.extend(w2.inverse_steps())
+    return steps
+
+
+def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
+    """A mutation word carrying seq1 to seq2: the normalization word of
+    seq1, the bridge between the two normal forms, and the inverse of the
+    normalization word of seq2."""
+    if len(seq1) != len(seq2):
+        raise DifferentJ("sequences of different lengths")
+    if j_of_sequence(u, seq1).members != j_of_sequence(u, seq2).members:
+        raise DifferentJ("the sequences determine different wide subcategories")
+    n1, w1 = normalize(u, seq1)
+    n2, w2 = normalize(u, seq2)
+    steps = w1.steps + tuple(bridge(u, n1, n2)) + w2.inverse_steps()
     return MutationWord(u, steps, seq1, seq2)
 
 

@@ -327,16 +327,14 @@ def j_in_context(u: ModuleUniverse, ctx: Context, t: StrObj) -> FrozenSet[int]:
     return member_view(u, j_mask(u, ctx, t))
 
 
-def context_of(u: ModuleUniverse, ctx: Context, t: StrObj,
-               check_rank: bool = True) -> Context:
+def context_of(u: ModuleUniverse, ctx: Context, t: StrObj) -> Context:
     """The wide subcategory J(t) relative to the context, with the rank check."""
     tables = mask_tables(u)
     ext = _support_ext(u, tables, ctx, t)
     if ext < 0:
         raise NotTauRigid("object %s is not support tau-rigid in the context"
                           % u.label_of_obj(t))
-    expected = ctx.rank - t.delta if check_rank else None
-    return _context(u, _j_mask(tables, ctx, t, ext), expected)
+    return _context(u, _j_mask(tables, ctx, t, ext), ctx.rank - t.delta)
 
 
 def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:
@@ -362,20 +360,6 @@ def rel_str_indecs(u: ModuleUniverse, ctx: Context) -> List[StrIndec]:
 def compatible_in_context(u: ModuleUniverse, ctx: Context, t: StrObj,
                           x: StrIndec) -> bool:
     return valid_rel_str_obj(u, ctx, t.with_indec(x))
-
-
-# --------------------------------------------------------------------------
-# gen-minimality (summand definition; the characterization lives in sequences)
-# --------------------------------------------------------------------------
-
-def is_gen_minimal_summandwise(u: ModuleUniverse, ids: Sequence[int]) -> bool:
-    """No summand is generated by the others."""
-    idset = tuple(sorted(ids))
-    for i in idset:
-        others = frozenset(j for j in idset if j != i)
-        if others and u.gen_contains(others, i):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

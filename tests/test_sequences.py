@@ -1,10 +1,12 @@
 import pytest
 
-from tauseq.errors import DifferentJ, IndexOutOfRange, NotTFOrdered
+from tauseq.errors import (
+    DifferentJ, IndexOutOfRange, Mismatch, NotTauRigid, NotTFOrdered,
+)
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.sequences import (
-    apply_steps, enumerate_tau_es, enumerate_tau_es_recursive, is_gen_minimal,
+    apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive, is_gen_minimal,
     is_tf_ordered, j_of_sequence, mutate, mutation_distance, mutation_graph,
     mutation_table, normalize, omega, omega_inverse, phi_pair, psi_pair,
     regularity, tail_context, transitivity_path, transposition_word,
@@ -97,11 +99,15 @@ def test_mutate_indices(u2):
 
 
 def test_gen_minimality(u2):
+    # the summand test is the only route; the bijections suite holds the
+    # split-projective characterization
     s1, s2, p1 = ids(u2, "S1", "S2", "P1")
     assert is_gen_minimal(u2, (p1, s2))
-    assert not is_gen_minimal(u2, (p1, s1))
+    assert not is_gen_minimal(u2, (p1, s1))  # S1 lies in Gen P1
     assert is_gen_minimal(u2, (s1,))
     assert is_gen_minimal(u2, ())
+    with pytest.raises(NotTauRigid):
+        is_gen_minimal(u2, (s1, s2))
 
 
 def test_normalize_a2(u2):
@@ -119,6 +125,25 @@ def test_transposition_word_a2(u2):
     assert w.steps == (("psi", 1, 1),)
     w = transposition_word(u2, (s1, s2), 1, (s1, s2))
     assert w.steps == ()
+
+
+def test_bridge_between_normal_forms(u2):
+    s1, s2, p1 = ids(u2, "S1", "S2", "P1")
+    assert bridge(u2, (s2, p1), (s2, p1)) == []
+    # (S1, S2) has preimage P1 + S2, (P1, S1) has preimage P1 + S1
+    with pytest.raises(Mismatch):
+        bridge(u2, (s1, s2), (p1, s1))
+
+
+def test_bridge_connects_every_pair_of_normal_forms(u3r):
+    # the normal forms are the six orderings of the one gen-minimal sum
+    forms = {normalize(u3r, s)[0] for s in enumerate_tau_es(u3r, frozenset())}
+    assert len(forms) == 6
+    for a in forms:
+        for b in forms:
+            steps = bridge(u3r, a, b)
+            assert apply_steps(u3r, a, steps) == b
+            assert bool(steps) == (a != b)
 
 
 def test_transitivity_paths_a2(u2):

@@ -1,8 +1,10 @@
 import pytest
 
+import tauseq.verify
 from tauseq.emap import engine_for
+from tauseq.sequences import is_gen_minimal
 from tauseq.universe import ModuleUniverse
-from tauseq.verify import run_suites, suite_emap
+from tauseq.verify import run_suites, suite_bijections, suite_emap
 from tauseq.wide import ambient_context, rel_str_indecs
 
 
@@ -87,3 +89,20 @@ def test_fault_detection_spot_checks_larger_algebra(a3rad2):
     engine.memo.update(clean_memo)
     u.cache.pop("mutation_tables", None)
     assert suite_emap(u).ok
+
+
+def test_every_corrupted_gen_minimality_answer_is_detected(a2, monkeypatch):
+    """Flipping the summand test on any one rigid module must make the
+    bijections suite fail, with that module as the certificate."""
+    u = ModuleUniverse(a2)
+    genmin = "gen-minimal definition matches characterization"
+    for bad in u.all_tau_rigid_subsets():
+        def corrupted(u, ids, bad=bad):
+            return is_gen_minimal(u, ids) != (tuple(sorted(ids)) == bad)
+        monkeypatch.setattr(tauseq.verify, "is_gen_minimal", corrupted)
+        report = suite_bijections(u)
+        check = next(c for c in report.checks if c.name == genmin)
+        assert not report.ok
+        assert check.failures == [{"module": [u.labels[i] for i in bad]}]
+    monkeypatch.undo()
+    assert suite_bijections(u).ok

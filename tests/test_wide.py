@@ -5,14 +5,14 @@ import pytest
 from tauseq.errors import Mismatch, NotInW, NotTauRigid, RankMismatch, TauSeqError
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
+from tauseq.sequences import is_gen_minimal
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.verify import suite_bijections
 from tauseq.wide import (
     Context, all_torsion_classes, all_wide_subcategories, ambient_context, bongartz,
-    co_bongartz, context_from_members, context_of, is_gen_minimal_summandwise,
-    j_in_context, j_set_ambient_direct, rel_ext_projectives, rel_perp_tau,
-    rel_str_indecs, rel_tau_rigid, torsion_handle, torsion_t_f,
-    valid_rel_str_obj,
+    co_bongartz, context_from_members, context_of, j_in_context,
+    j_set_ambient_direct, rel_ext_projectives, rel_perp_tau, rel_str_indecs,
+    rel_tau_rigid, torsion_handle, torsion_t_f, valid_rel_str_obj,
 )
 
 
@@ -144,11 +144,12 @@ def test_rel_str_indecs_of_serre_context(u3r):
 
 
 def test_gen_minimality_summandwise(u2):
+    # the summand-by-summand test now lives in sequences.is_gen_minimal
     s1, s2, p1 = ids(u2, "S1", "S2", "P1")
-    assert is_gen_minimal_summandwise(u2, (p1, s2))
-    assert not is_gen_minimal_summandwise(u2, (p1, s1))
-    assert is_gen_minimal_summandwise(u2, (s1,))
-    assert is_gen_minimal_summandwise(u2, ())
+    assert is_gen_minimal(u2, (p1, s2))
+    assert not is_gen_minimal(u2, (p1, s1))
+    assert is_gen_minimal(u2, (s1,))
+    assert is_gen_minimal(u2, ())
 
 
 # --------------------------------------------------------------------------
