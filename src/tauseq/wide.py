@@ -19,20 +19,16 @@ as Ext^1(M, -) vanishing on Gen Z intersected with W.  Both use honest Ext
 groups, which agree with the relative ones because W is extension closed.
 
 The lists of all torsion classes and of all wide subcategories come from two
-theorems rather than a sweep over subsets: torsion classes are closed under
-joining one indecomposable at a time and taking the filtration closure, and
-wide subcategories correspond to semibricks, which the hom table lists.
+theorems rather than a sweep over subsets: torsion classes are Fac T of the
+support tau-tilting objects T (Adachi-Iyama-Reiten), and wide subcategories
+correspond to semibricks, which the hom table lists.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from tauseq.ar import extension_cocycle_space, extension_middle
-from tauseq.errors import (
-    Mismatch, NotInW, NotTauRigid, RankMismatch, TauSeqError,
-)
-from tauseq.linalg import nonzero_combinations
+from tauseq.errors import Mismatch, NotInW, NotTauRigid, RankMismatch
 from tauseq.modules import Rep, hom_dim, quotient, trace
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 
@@ -367,37 +363,18 @@ def compatible_in_context(u: ModuleUniverse, ctx: Context, t: StrObj,
 # --------------------------------------------------------------------------
 
 def all_torsion_classes(u: ModuleUniverse) -> List[FrozenSet[int]]:
-    """Every torsion class.
+    """Every torsion class, as Fac T = Gen T of a support tau-tilting object T.
 
-    The smallest torsion class containing a set is its filtration closure,
-    decided exactly by the iterated trace-quotient test.  The search starts
-    from the zero class and joins one indecomposable at a time; it reaches the
-    closure of every subset because FiltGen(S + x) = FiltGen(FiltGen(S) + x),
-    and every torsion class is the closure of itself.
+    Over a tau-tilting finite algebra T -> Fac T is a bijection from the
+    support tau-tilting objects to the torsion classes (Adachi-Iyama-Reiten,
+    tau-tilting theory), so the list has one entry per object.
     """
     key = "all_torsion_classes"
-    if key in u.cache:
-        return u.cache[key]
-    count = len(u.modules)
-    if count > 16:
-        raise TauSeqError("torsion-class brute force is guarded at 16 indecomposables")
-    start = u.filtgen_set(())
-    seen = {start}
-    todo = [start]
-    while todo:
-        t = todo.pop()
-        for x in range(count):
-            if x in t:
-                continue
-            gens = t | {x}
-            joined = gens | {j for j in range(count)
-                             if j not in gens and u.filtgen_contains(gens, j)}
-            if joined not in seen:
-                seen.add(joined)
-                todo.append(joined)
-    out = sorted(seen, key=lambda s: (len(s), sorted(s)))
-    u.cache[key] = out
-    return out
+    if key not in u.cache:
+        u.cache[key] = sorted({u.gen_set(t.mods) for t in u.all_support_objects()
+                               if t.delta == u.n},
+                              key=lambda s: (len(s), sorted(s)))
+    return u.cache[key]
 
 
 def all_wide_subcategories(u: ModuleUniverse) -> List[FrozenSet[int]]:
@@ -456,37 +433,3 @@ def all_wide_subcategories(u: ModuleUniverse) -> List[FrozenSet[int]]:
     u.cache[key] = out
     return out
 
-
-def _pairwise_cocycles(u: ModuleUniverse, quot_id: int, sub_id: int):
-    cache = u.cache.setdefault("pairwise_cocycles", {})
-    key = (quot_id, sub_id)
-    if key not in cache:
-        cache[key] = extension_cocycle_space(u.modules[quot_id], u.modules[sub_id])[0]
-    return cache[key]
-
-
-def _extension_parts_single(u: ModuleUniverse, quot_id: int, sub_id: int) -> FrozenSet[int]:
-    """Ids among middles of extensions of one indecomposable by another,
-    over small integer cocycle combinations."""
-    cache = u.cache.setdefault("extension_parts", {})
-    key = (quot_id, sub_id)
-    if key in cache:
-        return cache[key]
-    b = u.modules[quot_id]
-    a = u.modules[sub_id]
-    cocycles = _pairwise_cocycles(u, quot_id, sub_id)
-    e = len(cocycles)
-    seen = set()
-    if e:
-        if e > 6:
-            raise TauSeqError("extension sweep guard: cocycle basis of size %d" % e)
-        coeff_range = (0, 1, -1) if e <= 3 else (0, 1)
-        for blocks in nonzero_combinations(cocycles, coeff_range):
-            mid = extension_middle(b, a, blocks)
-            parts = u.identify_parts(mid)
-            if parts is None:
-                raise Mismatch("extension middle fell outside the enumeration")
-            seen.update(parts)
-    result = frozenset(seen)
-    cache[key] = result
-    return result

@@ -5,7 +5,7 @@ from tauseq.emap import engine_for
 from tauseq.sequences import is_gen_minimal
 from tauseq.universe import ModuleUniverse
 from tauseq.verify import run_suites, suite_bijections, suite_emap
-from tauseq.wide import ambient_context, rel_str_indecs
+from tauseq.wide import all_torsion_classes, ambient_context, rel_str_indecs
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +106,17 @@ def test_every_corrupted_gen_minimality_answer_is_detected(a2, monkeypatch):
         assert check.failures == [{"module": [u.labels[i] for i in bad]}]
     monkeypatch.undo()
     assert suite_bijections(u).ok
+
+
+def test_a_torsion_class_not_closed_under_extensions_is_detected(a2):
+    """{01#1, 10#1} is closed under quotients but not under extensions (the
+    projective 11#1 is an extension of the two simples); put in the torsion
+    list, it must fail the closure check with itself as the certificate."""
+    u = ModuleUniverse(a2)
+    torsion = all_torsion_classes(u)
+    torsion[-1] = frozenset(u.id_of_label(x) for x in ("01#1", "10#1"))
+    report = suite_bijections(u)
+    check = next(c for c in report.checks
+                 if c.name == "torsion classes are closed under quotients and extensions")
+    assert check.total == len(torsion)
+    assert check.failures == [{"torsion": ["01#1", "10#1"]}]

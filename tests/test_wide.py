@@ -334,7 +334,11 @@ def ref_torsion_classes(u):
                     for bits in range(2 ** count)})
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "a3rad2", "nakayama2_rad2", "a4"])
+# nakayama2_rad3 and loop_rad2 have indecomposables that are not bricks and
+# ones that are not tau-rigid; a3rad2_gf3 is over GF(3), nakayama3_rad3 a cycle
+@pytest.mark.parametrize("name", ["a2", "a3", "a3rad2", "nakayama2_rad2", "a4",
+                                  "nakayama2_rad3", "a3rad2_gf3", "loop_rad2",
+                                  "nakayama3_rad3"])
 def test_torsion_classes_match_the_subset_loop(name):
     u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
     assert all_torsion_classes(u) == ref_torsion_classes(u)
