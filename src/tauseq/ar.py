@@ -187,12 +187,14 @@ def is_tau_rigid(m: Rep) -> bool:
 # extension cocycles: an independent route to Ext^1 and to middle terms
 # --------------------------------------------------------------------------
 
-def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], int]:
+def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], Mat]:
     """Basis of the cocycle space for extensions 0 -> a -> E -> b -> 0.
 
     A cocycle assigns to each arrow a block c_ar (a.dims[target] x
     b.dims[source]); the relation constraints are linear in these blocks.
-    Returns (list of cocycles, dimension of the coboundary space).
+    Returns (list of cocycles, coboundary matrix): the matrix has one
+    flattened coboundary per column (``_coboundary_matrix``), so its rank is
+    the dimension of the coboundary space.
     """
     algebra = a.algebra
     f = algebra.field
@@ -233,7 +235,7 @@ def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], int]:
                 if any(x != 0 for x in row):
                     rows.append(row)
     if total == 0:
-        return [], 0
+        return [], Mat.zeros(f, 0, 0)
     if rows:
         ker = linalg.solve_kernel(Mat(f, len(rows), total, rows))
     else:
@@ -248,7 +250,7 @@ def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], int]:
                     blk.data[r][c] = ker.data[var(ai, r, c)][col]
             blocks.append(blk)
         cocycles.append(blocks)
-    return cocycles, linalg.rank(_coboundary_matrix(b, a))
+    return cocycles, _coboundary_matrix(b, a)
 
 
 def _cocycle_layout(b: Rep, a: Rep):
@@ -308,8 +310,8 @@ def _coboundary_matrix(b: Rep, a: Rep) -> Mat:
 
 def ext1_dim_cocycle(b: Rep, a: Rep) -> int:
     """dim Ext^1(b, a) counted directly from extension cocycles."""
-    cocycles, cob_rank = extension_cocycle_space(b, a)
-    return len(cocycles) - cob_rank
+    cocycles, cob = extension_cocycle_space(b, a)
+    return len(cocycles) - linalg.rank(cob)
 
 
 def extension_middle(b: Rep, a: Rep, cocycle: List[Mat]) -> Rep:
@@ -336,8 +338,18 @@ def extension_middle(b: Rep, a: Rep, cocycle: List[Mat]) -> Rep:
     return Rep(algebra, dims, mats)
 
 
-def _flat_cocycle(cocycle: List[Mat]) -> list:
+def flat_cocycle(cocycle: List[Mat]) -> list:
+    """The cocycle's blocks in arrow order, each row-major: the layout of
+    ``_cocycle_layout`` and of the coboundary matrix's rows."""
     return [x for blk in cocycle for row in blk.data for x in row]
+
+
+def class_forms(cob: Mat) -> Mat:
+    """Rows spanning the linear forms on flattened cocycles that vanish on
+    the coboundaries (the columns of cob).  On the cocycle space their
+    common kernel is exactly the coboundary space, so they tell the classes
+    in Ext^1 apart."""
+    return linalg.solve_kernel(cob.transpose()).transpose()
 
 
 def almost_split_cocycle(x: Rep, tau_x: Rep) -> List[Mat]:
@@ -352,9 +364,8 @@ def almost_split_cocycle(x: Rep, tau_x: Rep) -> List[Mat]:
     """
     f = x.algebra.field
     q = x.algebra.quiver
-    cocycles, _ = extension_cocycle_space(x, tau_x)
-    # the rows of `forms` span the linear forms that vanish on coboundaries
-    forms = linalg.solve_kernel(_coboundary_matrix(x, tau_x).transpose()).transpose()
+    cocycles, cob = extension_cocycle_space(x, tau_x)
+    forms = class_forms(cob)
     total = forms.cols
     candidates = cocycles
     end = EndAlgebra(x)
@@ -362,7 +373,7 @@ def almost_split_cocycle(x: Rep, tau_x: Rep) -> List[Mat]:
         conditions = []
         for coords in end.core().radical_basis():
             r = end.morphism_of(coords)
-            pulled = [_flat_cocycle([blk.mul(r.maps[ar.source])
+            pulled = [flat_cocycle([blk.mul(r.maps[ar.source])
                                      for blk, ar in zip(c, q.arrows)])
                       for c in cocycles]
             conditions.extend(forms.mul(linalg.from_columns(f, total, pulled)).data)
@@ -372,7 +383,7 @@ def almost_split_cocycle(x: Rep, tau_x: Rep) -> List[Mat]:
             candidates = [linalg.combine(socle.col(k), cocycles)
                           for k in range(socle.cols)]
     for c in candidates:
-        if not forms.mul(Mat.column(f, _flat_cocycle(c))).is_zero():
+        if not forms.mul(Mat.column(f, flat_cocycle(c))).is_zero():
             return c
     raise Mismatch("no almost split sequence ends at the module with dimension "
                    "vector %r" % (x.dims,))

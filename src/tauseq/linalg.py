@@ -15,10 +15,10 @@ those of textbook Gauss-Jordan.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from tauseq.fields import FieldSpec
 
@@ -425,11 +425,3 @@ def combine(coeffs, basis: List[List[Mat]]) -> Optional[List[Mat]]:
         term = [m.scale(c) for m in blocks]
         out = term if out is None else [x.add(y) for x, y in zip(out, term)]
     return out
-
-
-def nonzero_combinations(basis: List[List[Mat]], coeff_range) -> Iterator[List[Mat]]:
-    """combine(coeffs, basis) for every nonzero tuple of coefficients drawn
-    from coeff_range, in itertools.product order."""
-    for coeffs in product(coeff_range, repeat=len(basis)):
-        if any(coeffs):
-            yield combine(coeffs, basis)

@@ -1,21 +1,29 @@
 """Enumeration of indecomposables and the cached tables built on them.
 
 The enumeration builds every indecomposable as the middle of an extension of
-a simple by a smaller module, sweeping the cocycle combinations with
-coefficients in {0, 1, -1} (``linalg.nonzero_combinations``) one total
-dimension layer at a time.  After a layer that adds no module it asks
-whether the found set is closed in the Auslander-Reiten quiver: closed under
-tau and tau-minus, under the summands of rad P and I / soc I, and under the
-summands of the middle term of the almost split sequence ending at each
+a simple S by a direct sum U of found modules, one total dimension layer at a
+time.  It walks the combinations of a cocycle basis with coefficients in
+{0, 1, -1} in product order, but builds one middle per extension class up to
+scaling each summand of U (``_new_class_tuples``): a class that is zero
+against some summand splits the middle, scaling a summand is an automorphism
+of U, and cohomologous cocycles give isomorphic middles, so every skipped
+middle is decomposable or isomorphic to one built before it.  The kept
+middles, and so the found modules and their order, are those of the full
+product sweep.  After a layer that adds no module the sweep asks whether the
+found set is closed in the Auslander-Reiten quiver: closed under tau and
+tau-minus, under the summands of rad P and I / soc I, and under the summands
+of the middle term of the almost split sequence ending at each
 non-projective module (``ARNeighbours``).  The found set holds every simple,
 so once it is closed it is every indecomposable (Auslander's theorem,
 Auslander-Reiten-Smalo ch. VI), and the sweep stops there as completed.  The
 schema-1 certificate keys keep their meaning: the sweep completed, the count
 is stable up to the cap plus one (nothing the sweep could still add), no
 indecomposable touches the cap, and the set is closed under tau, tau-minus,
-radicals of projectives and socle quotients of injectives.  New modules are
-told apart by the exact isomorphism test of ``decompose``.  Counts pinned
-downstream all sit on top of this certificate.
+radicals of projectives and socle quotients of injectives.  The certificate
+needs only the tau table and the closure test, so a build that requires it
+and is refused stops there, before the hom, Ext and trace tables.  New
+modules are told apart by the exact isomorphism test of ``decompose``.
+Counts pinned downstream all sit on top of this certificate.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -29,8 +37,8 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequen
 
 from tauseq import linalg
 from tauseq.ar import (
-    Ext1From, almost_split_middle, extension_cocycle_space, extension_middle,
-    is_injective_rep, tau, tau_minus,
+    Ext1From, almost_split_middle, class_forms, extension_cocycle_space,
+    extension_middle, flat_cocycle, is_injective_rep, tau, tau_minus,
 )
 from tauseq.decompose import (
     _basis_has_iso, indecomposable_parts, is_indecomposable, is_isomorphic,
@@ -177,6 +185,69 @@ class ARNeighbours:
         return True
 
 
+SWEEP_COEFFS = (0, 1, -1)
+
+
+def _summand_classes(parts: List[Rep], forms: List[Mat],
+                     cocycles: List[List[Mat]]) -> List[List[tuple]]:
+    """images[k][i]: the class of cocycles[k], a cocycle of a simple S by the
+    direct sum of the parts, against parts[i]; that is, the rows of the
+    cocycle at parts[i] in forms[i] coordinates of Ext^1(S, parts[i])."""
+    q = parts[0].algebra.quiver
+    f = parts[0].algebra.field
+    starts = []
+    offset = [0] * q.num_vertices
+    for p in parts:
+        starts.append(offset)
+        offset = [o + d for o, d in zip(offset, p.dims)]
+    images = []
+    for cocycle in cocycles:
+        classes = []
+        for p, start, fm in zip(parts, starts, forms):
+            flat = []
+            for ar, blk in zip(q.arrows, cocycle):
+                lo = start[ar.target]
+                for row in blk.data[lo:lo + p.dims[ar.target]]:
+                    flat.extend(row)
+            classes.append(tuple(f.coerce(sum(a * b for a, b in zip(frow, flat)))
+                                 for frow in fm.data))
+        images.append(classes)
+    return images
+
+
+def _new_class_tuples(field, images: List[List[tuple]]) -> Iterator[Tuple[int, ...]]:
+    """The coefficient tuples over SWEEP_COEFFS, in itertools.product order,
+    whose combination of the basis cocycles can give a new indecomposable.
+
+    images[k][i] is the class of basis cocycle k against summand U_i of U
+    (``_summand_classes``).  A tuple is dropped when its class against some
+    U_i is zero, since U_i then splits off the middle, or when its classes
+    equal those of an earlier tuple up to one nonzero scalar per summand:
+    scaling U_i is an automorphism of U and adding a coboundary changes no
+    middle, so both middles are isomorphic.  Each class is scaled so that
+    its first nonzero coordinate is 1, and that key is looked up.
+    """
+    seen = set()
+    for coeffs in itertools.product(SWEEP_COEFFS, repeat=len(images)):
+        terms = [(c, image) for c, image in zip(coeffs, images) if c]
+        key = []
+        for i, coords in enumerate(images[0]):
+            comp = [field.coerce(sum(c * image[i][j] for c, image in terms))
+                    for j in range(len(coords))]
+            pivot = next((x for x in comp if x != 0), None)
+            if pivot is None:
+                break
+            if pivot != 1:
+                inv = field.inv(pivot)
+                comp = [field.mul(x, inv) for x in comp]
+            key.append(tuple(comp))
+        else:
+            key = tuple(key)
+            if key not in seen:
+                seen.add(key)
+                yield coeffs
+
+
 class _Budget:
     # guard rails so a runaway enumeration fails loudly instead of hanging
     MAX_MODULES = 400
@@ -224,7 +295,9 @@ class ModuleUniverse:
         self._by_dims: Dict[tuple, List[int]] = {}
         for i, m in enumerate(self.modules):
             self._by_dims.setdefault(m.dims, []).append(i)
-        self._build_tables()
+        # a refused build stops at its certificate: the translates and the
+        # closure test come first, the hom, Ext and trace tables after it
+        ext_from = self._build_translates()
         self._check_closure()
         del self._neighbours
         self.certified = all(bool(v) for k, v in self.certificate.items()
@@ -232,6 +305,7 @@ class ModuleUniverse:
         if require_certificate and not self.certified:
             raise NotCertifiablyComplete(
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
+        self._build_tables(ext_from)
         self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
         self.cache: Dict = {}  # shared memo space for the layers above
@@ -242,6 +316,15 @@ class ModuleUniverse:
 
     def _enumerate(self, cap: Tuple[int, ...]) -> Tuple[List[Rep], bool, str]:
         """Sweep up to the cap; returns (found, sweep completed, abort reason).
+
+        For each simple S and each bounded multiset of found modules with
+        direct sum U, it takes a basis of the cocycles Z^1(S, U) and walks
+        its {0, +-1} combinations in product order.  Each combination is
+        read against every summand U_i as a class in Ext^1(S, U_i), through
+        forms computed once per (simple, found module) whose rank must be
+        dim Ext^1(S, U_i); only the first combination of each class, up to
+        one scalar per summand and with no zero component, is built and
+        tested.
 
         The sweep completes early, after a dimension layer that adds no
         module, once the found set is closed in the AR quiver: it holds every
@@ -286,12 +369,33 @@ class ModuleUniverse:
         simples = [simple(algebra, v) for v in range(self.n)]
         ext_from = [Ext1From(s) for s in simples]
         ext_cache: Dict[Tuple[int, int], int] = {}
+        forms_cache: Dict[Tuple[int, int], Mat] = {}
 
         def ext_to(sv: int, idx: int) -> int:
             key = (sv, idx)
             if key not in ext_cache:
                 ext_cache[key] = ext_from[sv].dim(found[idx])
             return ext_cache[key]
+
+        def forms_to(sv: int, idx: int, space=None) -> Mat:
+            # ext_to(sv, idx) linear forms on the flattened cocycles of
+            # (S_sv, found[idx]) whose common kernel on Z^1 is B^1, chosen
+            # among class_forms(B^1); space is extension_cocycle_space of
+            # the pair when the caller already has it
+            key = (sv, idx)
+            if key not in forms_cache:
+                cocycles, cob = space or extension_cocycle_space(simples[sv], found[idx])
+                forms = class_forms(cob)
+                images = forms.mul(linalg.from_columns(
+                    self.field, forms.cols, [flat_cocycle(c) for c in cocycles]))
+                _, independent = linalg.rref(images.transpose())
+                if len(independent) != ext_to(sv, idx):
+                    raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the syzygy"
+                                   % (sv + 1, found[idx].dims, len(independent),
+                                      ext_to(sv, idx)))
+                forms_cache[key] = Mat.trusted(self.field, len(independent), forms.cols,
+                                               [forms.data[r] for r in independent])
+            return forms_cache[key]
 
         try:
             for s in simples:
@@ -313,7 +417,7 @@ class ModuleUniverse:
                         u = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
                         if not _dims_leq([a + b for a, b in zip(u.dims, s.dims)], cap):
                             continue
-                        cocycles, _ = extension_cocycle_space(s, u)
+                        cocycles, cob = extension_cocycle_space(s, u)
                         e = len(cocycles)
                         if e == 0:
                             continue
@@ -321,9 +425,15 @@ class ModuleUniverse:
                             abort_reason[0] = ("extension space of dimension %d "
                                                "exceeds the sweep guard" % e)
                             raise _Abort
+                        reuse = (cocycles, cob) if len(combo) == 1 else None
+                        images = _summand_classes(
+                            parts, [forms_to(sv, idx, reuse) for idx in combo], cocycles)
                         # every middle has total dimension t, so a proper
                         # summand is never new: test it, do not decompose it
-                        for blocks in linalg.nonzero_combinations(cocycles, (0, 1, -1)):
+                        for coeffs in _new_class_tuples(self.field, images):
+                            blocks = linalg.combine(coeffs, cocycles)
+                            if blocks is None:  # the zero tuple of a full product walk
+                                continue
                             middle = extension_middle(s, u, blocks)
                             if is_indecomposable(middle):
                                 add(middle)
@@ -358,16 +468,10 @@ class ModuleUniverse:
     # tables
     # ------------------------------------------------------------------
 
-    def _build_tables(self):
+    def _build_translates(self) -> List[Ext1From]:
+        """The projective and injective flags, the projective of each vertex
+        and the tau table; returns each module's projective cover."""
         mods = self.modules
-        count = len(mods)
-        self.hom: List[List[int]] = [[0] * count for _ in range(count)]
-        self._hom_bases: Dict[Tuple[int, int], list] = {}
-        for i in range(count):
-            for j in range(count):
-                basis = hom_basis(mods[i], mods[j])
-                self._hom_bases[(i, j)] = basis
-                self.hom[i][j] = len(basis)
         # one projective cover 0 -> K -> P -> M per module: M is projective
         # exactly when the syzygy K is zero, and K gives the Ext row
         ext_from = [Ext1From(m) for m in mods]
@@ -395,6 +499,21 @@ class ModuleUniverse:
                 continue
             self.tau_of.append(parts[0])
             self.tau_unresolved.append(False)
+        if any(self.tau_unresolved):
+            self.certificate["translate_table_complete"] = False
+        return ext_from
+
+    def _build_tables(self, ext_from: List[Ext1From]):
+        """The hom, tau-rigidity, Ext and trace tables."""
+        mods = self.modules
+        count = len(mods)
+        self.hom: List[List[int]] = [[0] * count for _ in range(count)]
+        self._hom_bases: Dict[Tuple[int, int], list] = {}
+        for i in range(count):
+            for j in range(count):
+                basis = hom_basis(mods[i], mods[j])
+                self._hom_bases[(i, j)] = basis
+                self.hom[i][j] = len(basis)
         self.tau_rigid: List[bool] = []
         for i in range(count):
             if self.tau_unresolved[i]:
@@ -402,8 +521,6 @@ class ModuleUniverse:
                 continue
             ti = self.tau_of[i]
             self.tau_rigid.append(ti is None or self.hom[i][ti] == 0)
-        if any(self.tau_unresolved):
-            self.certificate["translate_table_complete"] = False
         self.ext: List[List[int]] = [
             [ext_from[i].dim(mods[j], self.hom[i][j]) for j in range(count)]
             for i in range(count)]

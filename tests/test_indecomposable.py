@@ -35,7 +35,9 @@ def sweep_middles(algebra, monkeypatch):
     that keeps direct sums would not terminate in reasonable time).  Its
     stop by AR closure is switched off, so it runs every layer up to the
     dimension cap and meets the decomposable middles above the largest
-    indecomposable too.
+    indecomposable too.  It walks every {0, +-1} coefficient tuple, not one
+    per extension class up to summand scaling, so it also meets the
+    middles that split because a class against a summand is zero.
     """
     middles = []
     build = universe_mod.extension_middle
@@ -49,6 +51,8 @@ def sweep_middles(algebra, monkeypatch):
     monkeypatch.setattr(universe_mod, "is_indecomposable",
                         lambda m: len(indecomposable_parts(m)) == 1)
     monkeypatch.setattr(universe_mod.ARNeighbours, "closed", lambda self, modules: False)
+    monkeypatch.setattr(universe_mod, "_new_class_tuples", lambda field, images:
+                        itertools.product(universe_mod.SWEEP_COEFFS, repeat=len(images)))
     u = ModuleUniverse(algebra)
     monkeypatch.undo()
     assert u.certified
