@@ -1,11 +1,15 @@
 """The translate tau = D Tr, rigidity tests, and extension computations.
 
-tau is computed from a minimal projective presentation: read the map as a
-matrix of path coefficients, rebuild it over the opposite algebra with every
-path reversed, take the cokernel there, and dualize back.  Two extension
-counts are provided: Ext1From / ext1_dim (honest Ext^1 via the syzygy of the
-projective cover) and tau_hom_dim (the presentation cokernel, which equals
-dim Hom(N, tau M) and never constructs tau).
+tau is computed from a minimal projective presentation P1 -> P0 -> M -> 0:
+read the map as a matrix of path coefficients, rebuild it over the opposite
+algebra with every path reversed, take the cokernel there, and dualize back.
+Two extension counts are provided: Ext1From / ext1_dim (honest Ext^1 via the
+syzygy K = ker(P0 -> M)) and tau_hom_dim (the presentation cokernel, which
+equals dim Hom(N, tau M) and never constructs tau).  transpose, tau, Ext1From
+and tau_hom_dim each take the presentation when the caller already has one,
+so one presentation per module serves all of them; its syzygy is zero
+exactly when M is projective.  tau_minus = Tr D builds its own presentation
+of D M over the opposite algebra.
 
 For an indecomposable non-projective X the almost split sequence
 
@@ -34,11 +38,14 @@ from tauseq.quiver import Path, opposite
 
 
 def presentation_path_coefficients(pres: Presentation):
-    """Coefficients of the presentation map as path combinations.
+    """Coefficients of the presentation map as path combinations, read once
+    per presentation and kept in pres.coeffs.
 
     Returns coeffs[j][i] = list of (path, scalar) over paths u_i -> v_j, where
     u_i runs over p0 blocks and v_j over p1 blocks.
     """
+    if pres.coeffs is not None:
+        return pres.coeffs
     algebra = pres.p0.algebra
     q = algebra.quiver
     # column offset of each p1 block generator inside the vertexwise layout
@@ -65,6 +72,7 @@ def presentation_path_coefficients(pres: Presentation):
                     entry.append((p, c))
             row.append(entry)
         coeffs.append(row)
+    pres.coeffs = coeffs
     return coeffs
 
 
@@ -75,12 +83,14 @@ def _reverse_path(algebra, op, p: Path) -> Path:
     return Path(tuple(op.quiver.arrow_index(n) for n in names))
 
 
-def transpose(m: Rep) -> Rep:
-    """Tr m over the opposite algebra, from a minimal presentation."""
+def transpose(m: Rep, pres: Optional[Presentation] = None) -> Rep:
+    """Tr m over the opposite algebra, from a minimal presentation of m
+    (built here when pres is None)."""
     algebra = m.algebra
     op = opposite(algebra)
     f = algebra.field
-    pres = min_presentation(m)
+    if pres is None:
+        pres = min_presentation(m)
     coeffs = presentation_path_coefficients(pres)
     # over op: map from the p0-projectives to the p1-projectives
     source = projective_sum(op, list(pres.p0_vertices))
@@ -103,9 +113,10 @@ def transpose(m: Rep) -> Rep:
     return coker
 
 
-def tau(m: Rep) -> Rep:
-    """The translate D Tr m; zero on projectives."""
-    return dualize(transpose(m))
+def tau(m: Rep, pres: Optional[Presentation] = None) -> Rep:
+    """The translate D Tr m; zero on projectives.  pres is a minimal
+    presentation of m, built here when None."""
+    return dualize(transpose(m, pres))
 
 
 def tau_minus(m: Rep) -> Rep:
@@ -123,12 +134,14 @@ def is_injective_rep(m: Rep) -> bool:
     return is_projective_rep(dualize(m))
 
 
-def tau_hom_dim(m: Rep, n: Rep) -> int:
+def tau_hom_dim(m: Rep, n: Rep, pres: Optional[Presentation] = None) -> int:
     """dim Hom(n, tau m), computed as the cokernel of
-    Hom(P0, n) -> Hom(P1, n) over a minimal presentation of m."""
+    Hom(P0, n) -> Hom(P1, n) over a minimal presentation of m (built here
+    when pres is None)."""
     algebra = m.algebra
     f = algebra.field
-    pres = min_presentation(m)
+    if pres is None:
+        pres = min_presentation(m)
     coeffs = presentation_path_coefficients(pres)
     rows_dim = sum(n.dims[v] for v in pres.p1_vertices)
     cols_dim = sum(n.dims[u] for u in pres.p0_vertices)
@@ -155,14 +168,18 @@ class Ext1From:
     Ext^1(m, n) = coker(Hom(P, n) -> Hom(K, n)) and Hom(P_v, n) = n_v, so
     dim Ext^1(m, n) = dim Hom(K, n) - sum_(v in top m) dim n_v
     + dim Hom(m, n): one hom solve per target once the syzygy K is built.
+    Given a minimal presentation of m, its cover and syzygy are used.
     """
 
     __slots__ = ("module", "syzygy", "top")
 
-    def __init__(self, m: Rep):
-        _, cover, self.top = projective_cover(m)
+    def __init__(self, m: Rep, pres: Optional[Presentation] = None):
         self.module = m
-        self.syzygy, _ = kernel(cover)
+        if pres is None:
+            _, cover, self.top = projective_cover(m)
+            self.syzygy, _ = kernel(cover)
+        else:
+            self.top, self.syzygy = pres.p0_vertices, pres.syzygy
 
     def dim(self, n: Rep, hom_mn: Optional[int] = None) -> int:
         """dim Ext^1(m, n); hom_mn is dim Hom(m, n) when already known."""

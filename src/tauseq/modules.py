@@ -379,18 +379,24 @@ class Presentation:
     """A fixed-layout projective presentation p1 -> p0 -> m -> 0.
 
     p0_vertices / p1_vertices list the projective summands in block order, so
-    generators and path coefficients can be read off positionally.
+    generators and path coefficients can be read off positionally.  The
+    syzygy is the kernel of the cover p0 -> m; it is zero exactly when m is
+    projective.  coeffs holds the map's path coefficients once
+    ``ar.presentation_path_coefficients`` has read them.
     """
 
-    __slots__ = ("p0", "p1", "p0_vertices", "p1_vertices", "map", "cover")
+    __slots__ = ("p0", "p1", "p0_vertices", "p1_vertices", "map", "cover",
+                 "syzygy", "coeffs")
 
-    def __init__(self, p0, p1, p0_vertices, p1_vertices, map_mor, cover):
+    def __init__(self, p0, p1, p0_vertices, p1_vertices, map_mor, cover, syzygy):
         self.p0 = p0
         self.p1 = p1
         self.p0_vertices = p0_vertices
         self.p1_vertices = p1_vertices
         self.map = map_mor          # p1 -> p0
         self.cover = cover          # p0 -> m
+        self.syzygy = syzygy        # ker(p0 -> m), the image of p1
+        self.coeffs = None
 
 
 def projective_sum(algebra: BoundQuiverAlgebra, vertices: Sequence[int]) -> Rep:
@@ -466,7 +472,7 @@ def min_presentation(m: Rep) -> Presentation:
     k, incl = kernel(cover)
     p1, cover_k, v1 = projective_cover(k)
     f_mor = incl.compose(cover_k)
-    return Presentation(p0, p1, v0, v1, f_mor, cover)
+    return Presentation(p0, p1, v0, v1, f_mor, cover, k)
 
 
 # -- duality --

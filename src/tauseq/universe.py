@@ -15,7 +15,15 @@ tau-minus, under the summands of rad P and I / soc I, and under the summands
 of the middle term of the almost split sequence ending at each
 non-projective module (``ARNeighbours``).  The found set holds every simple,
 so once it is closed it is every indecomposable (Auslander's theorem,
-Auslander-Reiten-Smalo ch. VI), and the sweep stops there as completed.  The
+Auslander-Reiten-Smalo ch. VI), and the sweep stops there as completed.
+tau-minus is never built: tau is a bijection from the non-projective
+indecomposables onto the non-injective ones with inverse tau-minus
+(Auslander-Reiten-Smalo ch. IV), so once tau X is found for every found X,
+tau-minus Y is found exactly when Y is injective or Y is some found tau X.
+The stop test, the injective flags and the closure certificate all read
+tau-minus off that tau image, and only a module outside it is tested for
+injectivity.  Each module has one minimal projective presentation, which
+gives its tau, its Ext row and its projectivity.  The
 schema-1 certificate keys keep their meaning: the sweep completed, the count
 is stable up to the cap plus one (nothing the sweep could still add), no
 indecomposable touches the cap, and the set is closed under tau, tau-minus,
@@ -38,7 +46,7 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequen
 from tauseq import linalg
 from tauseq.ar import (
     Ext1From, almost_split_middle, class_forms, extension_cocycle_space,
-    extension_middle, flat_cocycle, is_injective_rep, tau, tau_minus,
+    extension_middle, flat_cocycle, is_injective_rep, tau,
 )
 from tauseq.decompose import (
     _basis_has_iso, indecomposable_parts, is_indecomposable, is_isomorphic,
@@ -46,8 +54,8 @@ from tauseq.decompose import (
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Rep, direct_sum, hom_basis, projective, quotient, radical_spans, simple,
-    submodule_from_spans, trace,
+    Presentation, Rep, direct_sum, hom_basis, min_presentation, projective,
+    quotient, radical_spans, simple, submodule_from_spans, trace,
 )
 
 
@@ -116,33 +124,56 @@ def _socle_quotient(m: Rep) -> Rep:
 
 
 class ARNeighbours:
-    """The neighbours of each module in the Auslander-Reiten quiver, as lists
-    of indecomposable summands, each computed once per module.
+    """Each module's minimal projective presentation, its injectivity and
+    its neighbours in the Auslander-Reiten quiver, as lists of
+    indecomposable summands, each computed once per module.
 
-    The sweep's stop test, the translate table and the closure certificate
-    all read these lists:
-      "tau", "tau_minus"  the summands of tau X and tau^- X (none exactly
-                          when X is projective, resp. injective);
-      "before"            the sources of the irreducible maps into X: the
-                          summands of the middle of the almost split
-                          sequence ending at X, or of rad X for X projective;
-      "after"             for X injective, the summands of X / soc X, the
-                          targets of the irreducible maps out of X (for any
-                          other X they are the "before" of tau^- X).
+    The presentation serves the module's tau, its Ext row and its
+    projectivity (a zero syzygy; a projective gets no transpose).  The
+    sweep's stop test, the translate table and the closure certificate all
+    read these lists:
+      "tau"     the summands of tau X (none exactly when X is projective);
+      "before"  the sources of the irreducible maps into X: the summands of
+                the middle of the almost split sequence ending at X, or of
+                rad X for X projective;
+      "after"   for X injective, the summands of X / soc X, the targets of
+                the irreducible maps out of X (for any other X they are the
+                "before" of tau^- X).
+
+    tau^- is never built.  tau is a bijection from the non-projective
+    indecomposables onto the non-injective ones, with inverse tau^-
+    (Auslander-Reiten-Smalo, ch. IV).  So for a list C of pairwise
+    non-isomorphic indecomposables that holds tau X for every X in C,
+    tau^- Y lies in C exactly when Y is injective or Y is tau X for some X
+    in C; only the Y outside that tau image need the injectivity test.
     """
 
     def __init__(self):
-        self._parts: Dict[Tuple[str, int], Tuple[Rep, List[Rep]]] = {}
+        self._memo: Dict[Tuple[str, int], tuple] = {}
+
+    def _cached(self, kind: str, m: Rep, make):
+        key = (kind, id(m))
+        hit = self._memo.get(key)
+        if hit is None:
+            # the module is kept with its entry, so its id names no other module
+            hit = self._memo[key] = (m, make(m))
+        return hit[1]
+
+    def presentation(self, m: Rep) -> Presentation:
+        return self._cached("presentation", m, min_presentation)
+
+    def injective(self, m: Rep) -> bool:
+        return self._cached("injective", m, is_injective_rep)
 
     def parts(self, kind: str, m: Rep) -> List[Rep]:
-        key = (kind, id(m))
-        hit = self._parts.get(key)
-        if hit is not None:
-            return hit[1]
+        return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m))
+
+    def _neighbour_parts(self, kind: str, m: Rep) -> List[Rep]:
         if kind == "tau":
-            rep = tau(m)
-        elif kind == "tau_minus":
-            rep = tau_minus(m)
+            pres = self.presentation(m)
+            if pres.syzygy.total_dim == 0:
+                return []
+            rep = tau(m, pres)
         elif kind == "after":
             rep = _socle_quotient(m)
         else:
@@ -154,16 +185,14 @@ class ARNeighbours:
             else:
                 raise Mismatch("tau of an indecomposable has %d summands"
                                % len(translate))
-        parts = indecomposable_parts(rep)
-        # the module is kept with its parts, so its id names no other module
-        self._parts[key] = (m, parts)
-        return parts
+        return indecomposable_parts(rep)
 
     def closed(self, modules: Sequence[Rep]) -> bool:
-        """Whether every neighbour of every module in the list is isomorphic
-        to one in the list; the modules must be indecomposable and pairwise
-        non-isomorphic.
+        """Whether every neighbour of every module in the list, tau^- X
+        included, is isomorphic to one in the list; the modules must be
+        indecomposable and pairwise non-isomorphic.
 
+        The tau^- X are read from the tau image (see the class docstring).
         A list that is closed and holds every simple is a union of finite
         components of the AR quiver, one per block, so by Auslander's
         theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
@@ -172,16 +201,26 @@ class ARNeighbours:
         for m in modules:
             by_dims.setdefault(m.dims, []).append(m)
 
-        def known(rep: Rep) -> bool:
-            return any(_basis_has_iso(rep, other) for other in by_dims.get(rep.dims, ()))
+        def match(rep: Rep) -> Optional[Rep]:
+            return next((other for other in by_dims.get(rep.dims, ())
+                         if _basis_has_iso(rep, other)), None)
 
+        image = set()
         for m in modules:
-            kinds = ["tau", "tau_minus", "before"]
-            if not self.parts("tau_minus", m):
-                kinds.append("after")
-            for kind in kinds:
-                if not all(known(part) for part in self.parts(kind, m)):
+            for part in self.parts("tau", m):
+                other = match(part)
+                if other is None:
                     return False
+                image.add(id(other))
+        for m in modules:
+            kinds = ["before"]
+            if id(m) not in image:
+                if not self.injective(m):
+                    return False  # tau^- m is missing from the list
+                kinds.append("after")
+            if not all(match(part) is not None
+                       for kind in kinds for part in self.parts(kind, m)):
+                return False
         return True
 
 
@@ -367,7 +406,7 @@ class ModuleUniverse:
         # indecomposability forces a nonzero class against every summand of
         # U, with multiplicity at most dim Ext^1(S, that summand).
         simples = [simple(algebra, v) for v in range(self.n)]
-        ext_from = [Ext1From(s) for s in simples]
+        ext_from = [Ext1From(s, self._neighbours.presentation(s)) for s in simples]
         ext_cache: Dict[Tuple[int, int], int] = {}
         forms_cache: Dict[Tuple[int, int], Mat] = {}
 
@@ -470,13 +509,15 @@ class ModuleUniverse:
 
     def _build_translates(self) -> List[Ext1From]:
         """The projective and injective flags, the projective of each vertex
-        and the tau table; returns each module's projective cover."""
+        and the tau table; returns each module's Ext row."""
         mods = self.modules
-        # one projective cover 0 -> K -> P -> M per module: M is projective
-        # exactly when the syzygy K is zero, and K gives the Ext row
-        ext_from = [Ext1From(m) for m in mods]
-        self.is_proj: List[bool] = [e.syzygy.total_dim == 0 for e in ext_from]
-        self.is_inj: List[bool] = [is_injective_rep(m) for m in mods]
+        neighbours = self._neighbours
+        # one minimal presentation P1 -> P0 -> M per module: M is projective
+        # exactly when the syzygy K = ker(P0 -> M) is zero, K gives the Ext
+        # row and the presentation gives tau M
+        pres = [neighbours.presentation(m) for m in mods]
+        ext_from = [Ext1From(m, p) for m, p in zip(mods, pres)]
+        self.is_proj: List[bool] = [p.syzygy.total_dim == 0 for p in pres]
         self.proj_of_vertex: List[int] = []
         for v in range(self.n):
             pid = self.identify(projective(self.algebra, v))
@@ -490,7 +531,7 @@ class ModuleUniverse:
                 self.tau_of.append(None)
                 self.tau_unresolved.append(False)
                 continue
-            parts = self._identify_all(self._neighbours.parts("tau", m))
+            parts = self._identify_all(neighbours.parts("tau", m))
             if parts is None or len(parts) != 1:
                 # tolerated only on an uncertified sweep; recorded and the
                 # module is treated as not rigid
@@ -501,6 +542,10 @@ class ModuleUniverse:
             self.tau_unresolved.append(False)
         if any(self.tau_unresolved):
             self.certificate["translate_table_complete"] = False
+        # tau X is never injective; outside the tau image the test is exact
+        image = set(self.tau_of)
+        self.is_inj: List[bool] = [i not in image and neighbours.injective(m)
+                                   for i, m in enumerate(mods)]
         return ext_from
 
     def _build_tables(self, ext_from: List[Ext1From]):
@@ -539,16 +584,13 @@ class ModuleUniverse:
             [StrIndec(i, 1) for i in range(count) if self.is_proj[i]]
 
     def _check_closure(self):
-        ok_tau = ok_rad = True
+        # every tau M is found, and tau^- N is found exactly when N is
+        # injective or in the tau image (see ARNeighbours)
+        image = set(self.tau_of)
+        ok_tau = not any(self.tau_unresolved) and all(
+            self.is_inj[i] or i in image for i in range(len(self.modules)))
+        ok_rad = True
         for i, m in enumerate(self.modules):
-            kinds = []
-            if not self.is_proj[i]:
-                kinds.append("tau")
-            if not self.is_inj[i]:
-                kinds.append("tau_minus")
-            if any(self._identify_all(self._neighbours.parts(kind, m)) is None
-                   for kind in kinds):
-                ok_tau = False
             # rad P for every projective, I / soc I for every injective
             kinds = (["before"] if self.is_proj[i] else []) + \
                 (["after"] if self.is_inj[i] else [])

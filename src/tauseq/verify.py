@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from tauseq.ar import is_injective_rep, tau_hom_dim
 from tauseq.emap import engine_for
 from tauseq.errors import TauSeqError
+from tauseq.modules import min_presentation
 from tauseq.sequences import (
     apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
     first_position, is_gen_minimal, is_tf_ordered, mutate, mutation_graph,
@@ -106,12 +108,14 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
             continue
         cert.count(bool(val), {"flag": key})
 
+    # the build reads is_inj off the tau image, so the check asks the
+    # module itself
     translate = Check("translate of non-projective is indecomposable non-injective")
     for i in range(len(u.modules)):
         if u.is_proj[i]:
             continue
         ti = u.tau_of[i]
-        translate.count(ti is not None and not u.is_inj[ti],
+        translate.count(ti is not None and not is_injective_rep(u.modules[ti]),
                         {"module": u.labels[i]})
 
     bridge = Check("hom-into-translate vanishing matches Ext vanishing on Gen")
@@ -123,13 +127,14 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
             bridge.count(lhs == rhs, {"m": u.labels[m], "n": u.labels[n],
                                       "hom_vanishes": lhs, "ext_vanishes": rhs})
 
+    # one presentation per module, built here, not taken from the tables
     surrogate = Check("presentation cokernel equals hom into the translate")
-    from tauseq.ar import tau_hom_dim
     for m in range(len(u.modules)):
+        pres = min_presentation(u.modules[m])
         for n in range(len(u.modules)):
             tm = u.tau_of[m]
             expected = 0 if tm is None else u.hom[n][tm]
-            surrogate.count(tau_hom_dim(u.modules[m], u.modules[n]) == expected,
+            surrogate.count(tau_hom_dim(u.modules[m], u.modules[n], pres) == expected,
                             {"m": u.labels[m], "n": u.labels[n]})
 
     counts = Check("tilting-size support objects match torsion classes")

@@ -3,7 +3,9 @@ reads.
 
 The sweep ends once the found set is closed in the AR quiver.  Forcing the
 closure test to fail runs the full sweep up to the dimension cap, which is
-the oracle: the early stop must change nothing but the time.
+the oracle: the early stop must change nothing but the time.  The build
+reads tau^- and injectivity off the tau image; the direct routes, Tr D and
+the projective cover of the dual, are the oracle for those.
 """
 
 import itertools
@@ -11,12 +13,16 @@ import os
 
 import pytest
 
-from tauseq.ar import almost_split_cocycle, almost_split_middle, extension_middle, tau
+from tauseq import ar, modules, universe
+from tauseq.ar import (
+    Ext1From, almost_split_cocycle, almost_split_middle, extension_middle,
+    is_injective_rep, tau, tau_minus,
+)
 from tauseq.cli import load_algebra_file
 from tauseq.decompose import EndAlgebra, is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat, inverse
-from tauseq.modules import Rep, direct_sum, projective, simple
+from tauseq.modules import Rep, direct_sum, min_presentation, projective, simple
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ARNeighbours, ModuleUniverse
 from test_wide import _linear, _loop_rad2, _nakayama2
@@ -216,3 +222,67 @@ def test_bounded_multisets_are_yielded_in_the_old_order(build):
                 assert list(got) == want
                 compared += len(want)
     assert compared > 0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS) + ["d4", "kronecker_2",
+                                                            "kronecker_3"])
+def test_injectivity_and_tau_minus_agree_with_the_direct_routes(name):
+    if name.startswith("kronecker"):
+        # refused builds: the found list is not closed under tau^-
+        bound = int(name[-1])
+        u = ModuleUniverse(_bench("kronecker")(), (bound, bound),
+                           require_certificate=False)
+        assert not u.certified
+    else:
+        u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
+        assert u.certified
+    preimage = {t: x for x, t in enumerate(u.tau_of) if t is not None}
+    assert len(preimage) == sum(t is not None for t in u.tau_of)
+    for i, m in enumerate(u.modules):
+        assert u.is_inj[i] == is_injective_rep(m), u.labels[i]
+        if not u.is_inj[i]:
+            assert u.identify(tau_minus(m)) == preimage.get(i), u.labels[i]
+            assert i in preimage or not u.certified
+    direct = all(u.identify_parts(tau(m)) is not None
+                 for i, m in enumerate(u.modules) if not u.is_proj[i]) and \
+        all(u.identify_parts(tau_minus(m)) is not None
+            for i, m in enumerate(u.modules) if not u.is_inj[i])
+    assert u.certificate["closed_under_translates"] == direct
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to the named kernel functions wherever tauseq binds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(ar, name, None) or getattr(modules, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (modules, ar, universe):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    return counts
+
+
+def test_a_cold_build_shares_one_presentation_per_module(monkeypatch):
+    counts = _count_calls(monkeypatch, ["tau_minus", "min_presentation", "transpose",
+                                        "projective_cover"])
+    u = ModuleUniverse(_bench("a5")())
+    assert len(u.modules) == 15 and u.certified
+    assert counts["tau_minus"] == 0
+    assert counts["min_presentation"] <= len(u.modules)
+    # one transpose per non-projective, two covers per presentation and
+    # one more per module outside the tau image
+    assert counts["transpose"] == 10
+    assert counts["projective_cover"] <= 40
+
+
+def test_ext_rows_from_a_presentation_match_those_from_a_cover():
+    u = ModuleUniverse(_linear(4))
+    for m in u.modules:
+        given, own = Ext1From(m, min_presentation(m)), Ext1From(m)
+        assert list(given.top) == list(own.top)
+        assert given.syzygy.dims == own.syzygy.dims
+        assert [given.dim(n) for n in u.modules] == [own.dim(n) for n in u.modules]
