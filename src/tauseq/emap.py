@@ -2,10 +2,12 @@
 
 For a support object T in a context V, E sends the indecomposable support
 objects compatible with T to those of the perpendicular subcategory J(T).
-Modules not generated by the module part of T go to their torsion-free
-quotient; everything else lands on a shifted relative projective, pinned
+Modules not generated by the module part M of T go to their torsion-free
+quotient, found as the unique module of V & M-perp with the same hom row on
+that class; everything else lands on a shifted relative projective, pinned
 down by matching perpendicular subcategories: the result R[1] is the unique
 relative projective R of J(T) with R-perp inside J(T) equal to J(T + X).
+Both cases read only the hom and Ext tables, never a module.
 
 All values are memoized per (context, T, X); the table is exposed so the
 verification suites can inject a corrupted entry and prove they notice.
@@ -21,11 +23,10 @@ from typing import Dict, List
 from tauseq.errors import (
     Incompatible, Mismatch, MultiplePreimages, NoPreimage, NoUniqueMatch,
 )
-from tauseq.modules import quotient, trace
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, compatible_in_context, context_of, gen_mask, j_mask, mask_tables,
-    rel_str_indecs, rel_tau_rigid,
+    Context, compatible_in_context, context_of, gen_mask, ids_of, j_mask,
+    mask_tables, reach, rel_str_indecs, rel_tau_rigid,
 )
 
 
@@ -63,7 +64,7 @@ class EMapEngine:
         if k in self.faults:
             return self.faults[k]
         target = context_of(u, ctx, t)
-        if x.shift == 0 and not (t.mods and gen_mask(u, t.mods) >> x.mod & 1):
+        if x.shift == 0 and not gen_mask(u, t.mods) >> x.mod & 1:
             result = self._module_case(ctx, t, x, target)
         else:
             result = self._shifted_case(ctx, t, x, target)
@@ -72,16 +73,17 @@ class EMapEngine:
 
     def _module_case(self, ctx: Context, t: StrObj, x: StrIndec,
                      target: Context) -> StrIndec:
+        """X / trace of M, M the module part of T: the unique Y in F = W & M-perp
+        with X's hom row on F, as maps into F kill that trace.  F is closed
+        under submodules in the context W, so the kernel K of the relative
+        right almost split map E -> Z lies in F, and 0 -> (-, K) -> (-, E) ->
+        rad(-, Z) -> 0 on F reads the multiplicity of each Z off a row."""
         u = self.u
-        rep = u.modules[x.mod]
-        if t.mods:
-            gens = [u.modules[i] for i in t.mods]
-            _, incl = trace(gens, rep)
-            quo, _ = quotient(rep, incl)
-        else:
-            quo = rep
-        parts = u.identify_parts(quo)
-        if parts is None or len(parts) != 1:
+        hom = u.hom
+        cls = ids_of(ctx.mask & ~reach(mask_tables(u).hom_out, t.mods))
+        row = [hom[x.mod][z] for z in cls]
+        parts = [y for y in cls if [hom[y][z] for z in cls] == row]
+        if len(parts) != 1:
             raise Mismatch("torsion-free quotient of %s is not indecomposable"
                            % u.label_of_indec(x))
         y = parts[0]

@@ -30,7 +30,7 @@ from tauseq.errors import (
 )
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, ambient_context, context_of, gen_mask, j_in_context,
+    Context, ambient_context, context_of, gen_mask, ids_of, j_in_context,
     rel_ext_projectives, rel_perp_tau, rel_str_indecs, rel_tau_rigid,
     torsion_handle,
 )
@@ -45,13 +45,13 @@ Pair = Tuple[int, int]
 
 def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:
     """No entry is generated by the ones after it (and the sum is rigid)."""
+    ids = tuple(ids)
     if len(set(ids)) != len(ids):
         return False
-    if not rel_tau_rigid(u, ambient_context(u), tuple(ids)):
+    if not rel_tau_rigid(u, ambient_context(u), ids):
         return False
-    for i in range(len(ids)):
-        tail = frozenset(ids[i + 1:])
-        if tail and u.gen_contains(tail, ids[i]):
+    for i in range(len(ids) - 1):
+        if gen_mask(u, ids[i + 1:]) >> ids[i] & 1:
             return False
     return True
 
@@ -149,7 +149,7 @@ def regularity(u: ModuleUniverse, ctx: Context, pair: Pair) -> Tuple[bool, bool]
     # translate class of the second, or the second is not generated by it
     perp_c = rel_perp_tau(u, ctx, (c,))
     right = (lifted.mod in rel_ext_projectives(u, perp_c)
-             or not gen_mask(u, (lifted.mod,)) & ctx.mask & (1 << c))
+             or not gen_mask(u, (lifted.mod,)) >> c & 1)
     return left, right
 
 
@@ -349,9 +349,8 @@ def is_gen_minimal(u: ModuleUniverse, ids: Sequence[int]) -> bool:
             raise NotTauRigid("gen-minimality is only defined for rigid modules")
     if not rel_tau_rigid(u, ambient_context(u), idset):
         raise NotTauRigid("the sum is not tau-rigid")
-    for i in idset:
-        others = frozenset(j for j in idset if j != i)
-        if others and u.gen_contains(others, i):
+    for k, i in enumerate(idset):
+        if gen_mask(u, idset[:k] + idset[k + 1:]) >> i & 1:
             return False
     return True
 
@@ -422,7 +421,7 @@ def normalize(u: ModuleUniverse, seq: Seq,
     steps: List[Tuple[str, int, int]] = []
     cur = seq
     tf = omega_inverse(u, cur)
-    members = u.gen_set(tf)
+    members = frozenset(ids_of(gen_mask(u, tf)))
     for _ in range(u.support_tilting_count() + 1):
         if trace is not None:
             trace.append(members)
@@ -445,7 +444,7 @@ def normalize(u: ModuleUniverse, seq: Seq,
         cur = mutate(u, cur, "phi", index)
         steps.append(("phi", index, 1))
         tf = omega_inverse(u, cur)
-        after = u.gen_set(tf)
+        after = frozenset(ids_of(gen_mask(u, tf)))
         if not (members < after):
             raise NoStrictIncrease("left mutation failed to enlarge the "
                                    "torsion class")

@@ -29,9 +29,11 @@ is stable up to the cap plus one (nothing the sweep could still add), no
 indecomposable touches the cap, and the set is closed under tau, tau-minus,
 radicals of projectives and socle quotients of injectives.  The certificate
 needs only the tau table and the closure test, so a build that requires it
-and is refused stops there, before the hom, Ext and trace tables.  New
+and is refused stops there, before the hom and Ext tables.  New
 modules are told apart by the exact isomorphism test of ``decompose``.
-Counts pinned downstream all sit on top of this certificate.
+Counts pinned downstream all sit on top of this certificate.  No trace
+table is kept: ``gen_set`` and ``filtgen_*`` compute from traces, as the
+oracle for the verify suites and the tests.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -54,7 +56,7 @@ from tauseq.decompose import (
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, direct_sum, hom_basis, min_presentation, projective,
+    Presentation, Rep, direct_sum, hom_dim, min_presentation, projective,
     quotient, radical_spans, simple, submodule_from_spans, trace,
 )
 
@@ -335,7 +337,7 @@ class ModuleUniverse:
         for i, m in enumerate(self.modules):
             self._by_dims.setdefault(m.dims, []).append(i)
         # a refused build stops at its certificate: the translates and the
-        # closure test come first, the hom, Ext and trace tables after it
+        # closure test come first, the hom and Ext tables after it
         ext_from = self._build_translates()
         self._check_closure()
         del self._neighbours
@@ -549,16 +551,10 @@ class ModuleUniverse:
         return ext_from
 
     def _build_tables(self, ext_from: List[Ext1From]):
-        """The hom, tau-rigidity, Ext and trace tables."""
+        """The hom, tau-rigidity and Ext tables."""
         mods = self.modules
         count = len(mods)
-        self.hom: List[List[int]] = [[0] * count for _ in range(count)]
-        self._hom_bases: Dict[Tuple[int, int], list] = {}
-        for i in range(count):
-            for j in range(count):
-                basis = hom_basis(mods[i], mods[j])
-                self._hom_bases[(i, j)] = basis
-                self.hom[i][j] = len(basis)
+        self.hom: List[List[int]] = [[hom_dim(m, n) for n in mods] for m in mods]
         self.tau_rigid: List[bool] = []
         for i in range(count):
             if self.tau_unresolved[i]:
@@ -569,16 +565,6 @@ class ModuleUniverse:
         self.ext: List[List[int]] = [
             [ext_from[i].dim(mods[j], self.hom[i][j]) for j in range(count)]
             for i in range(count)]
-        # per-vertex column spans of trace(M_i, M_j)
-        self._trace_spans: Dict[Tuple[int, int], List[Mat]] = {}
-        f = self.field
-        for i in range(count):
-            for j in range(count):
-                spans = [Mat.zeros(f, mods[j].dims[v], 0) for v in range(self.n)]
-                for mor in self._hom_bases[(i, j)]:
-                    for v in range(self.n):
-                        spans[v] = spans[v].hstack(mor.maps[v])
-                self._trace_spans[(i, j)] = [linalg.column_space_basis(s) for s in spans]
         self.str_indecs: List[StrIndec] = \
             [StrIndec(i, 0) for i in range(count) if self.tau_rigid[i]] + \
             [StrIndec(i, 1) for i in range(count) if self.is_proj[i]]
@@ -663,38 +649,22 @@ class ModuleUniverse:
     # Gen and FiltGen membership
     # ------------------------------------------------------------------
 
-    def trace_rank_full(self, gens: FrozenSet[int], j: int) -> bool:
-        m = self.modules[j]
-        if m.total_dim == 0:
-            return True
-        f = self.field
-        for v in range(self.n):
-            if m.dims[v] == 0:
-                continue
-            stacked = Mat.zeros(f, m.dims[v], 0)
-            for i in gens:
-                stacked = stacked.hstack(self._trace_spans[(i, j)][v])
-            if linalg.rank(stacked) < m.dims[v]:
-                return False
-        return True
-
     def gen_set(self, ids) -> FrozenSet[int]:
-        """Indecomposable members of Gen of the direct sum of the given ids."""
+        """Indecomposable members of Gen of the direct sum of the given ids:
+        the modules equal to the trace of the sum in them.  An oracle for the
+        verify suites and the tests; the library reads ``wide.gen_mask``."""
         key = frozenset(ids)
         cached = self._gen_cache.get(key)
-        if cached is not None:
-            return cached
-        members = frozenset(j for j in range(len(self.modules))
-                            if self.trace_rank_full(key, j))
-        self._gen_cache[key] = members
-        return members
-
-    def gen_contains(self, ids, j: int) -> bool:
-        return j in self.gen_set(ids)
+        if cached is None:
+            gens = [self.modules[i] for i in sorted(key)]
+            cached = self._gen_cache[key] = frozenset(
+                j for j, m in enumerate(self.modules)
+                if trace(gens, m)[0].total_dim == m.total_dim)
+        return cached
 
     def filtgen_contains(self, ids, j: int) -> bool:
         """Membership in the smallest torsion class containing the given ids,
-        by the iterated trace-quotient test."""
+        by the iterated trace-quotient test; an oracle, like ``gen_set``."""
         key = (frozenset(ids), j)
         cached = self._filtgen_cache.get(key)
         if cached is not None:

@@ -7,10 +7,18 @@ caught and converted into failures, so a corrupted internal table surfaces
 here instead of crashing the run.
 
 Gen-minimality has one route in the library; the bijections suite checks it
-against the split-projective characterization.  The transitivity suite
-normalizes each sequence once and assembles each pair's word from the two
-normalizations and one bridge per pair of normal forms; the pairs of a wide
-subcategory over PAIR_BUDGET are counted as ``skipped``.
+against the split-projective characterization.  The library reads Gen, split
+projectives and E off the hom and Ext tables; the module-level oracle (Gen
+and FiltGen from traces, ``gen_set`` and ``filtgen_set``, and decomposed
+trace quotients) is read by the checks on Ext vanishing on Gen, Gen of the
+gen-minimal modules, split projectives, torsion closure, the wide map's
+inverse, "two of Gen, perp-translate, J", the Gen-then-J factorization,
+generation passing down E, FiltGen of a sequence, and the Serre chain.
+
+The transitivity suite normalizes each sequence once and assembles each
+pair's word from the two normalizations and one bridge per pair of normal
+forms; the pairs of a wide subcategory over PAIR_BUDGET are counted as
+``skipped``.
 """
 
 from __future__ import annotations
@@ -318,9 +326,9 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
                     continue
                 if not rel_tau_rigid(u, amb, tuple(sorted({x, y, z}))):
                     continue
-                if u.gen_contains((z,), y) or u.gen_contains((z,), x):
+                if y in u.gen_set((z,)) or x in u.gen_set((z,)):
                     continue
-                if not u.gen_contains((y, z), x):
+                if x not in u.gen_set((y, z)):
                     continue
 
                 def _run(x=x, y=y, z=z):

@@ -7,10 +7,12 @@ just the largest context and the relative machinery needs no second code
 path.  Contexts are interned by mask, so equal member sets give the same
 Context object and share one frozenset view.
 
-The relative tests run on bitmask rows of the hom, Ext and Gen tables, built
+The relative tests run on bitmask rows of the hom and Ext tables, built
 once per universe: each is a few AND and OR operations on ints.  J(T), for
 instance, is the mask of the relative perpendicular of the translate of T
 with every module receiving a nonzero map from a summand of T cleared.
+Gen is read off the hom rows too (``gen_mask``); the trace route of
+``ModuleUniverse.gen_set`` is only the oracle of the verify suites and tests.
 
 Relative tau-rigidity never constructs a relative translate.  A module M in
 a wide subcategory W is tau-rigid there exactly when Ext^1(M, -) vanishes on
@@ -45,14 +47,14 @@ class Context(NamedTuple):
 class MaskTables(NamedTuple):
     """Bitmask rows of the universe's tables, built once per universe.
 
-    Bit x of hom_out[i] is set when Hom(i, x) != 0, bit y of ext_out[i] when
-    Ext^1(i, y) != 0, and bit j of gen1[z] when j lies in Gen z.  gens holds
-    the Gen mask of larger generator sets, keyed by their sorted ids.
+    Bit x of hom_out[i] is set when Hom(i, x) != 0 and bit y of ext_out[i]
+    when Ext^1(i, y) != 0.  gens is the memo of gen_mask: gens[z] for each
+    single id z, built with the tables since an int key is the cheapest
+    lookup, and gens[ids] for each id tuple asked for.
     """
     hom_out: List[int]
     ext_out: List[int]
-    gen1: List[int]
-    gens: Dict[Tuple[int, ...], int]
+    gens: Dict[object, int]
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -67,27 +69,48 @@ def ids_of(mask: int) -> List[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def reach(rows: List[int], ids: Iterable[int]) -> int:
+    """The union of the rows of the ids: with hom_out, everything receiving
+    a nonzero map from one of them."""
+    out = 0
+    for i in ids:
+        out |= rows[i]
+    return out
+
+
+def left_perp(hom_out: List[int], mask: int) -> int:
+    """Everything with no nonzero map into the mask."""
+    out = 0
+    for x, row in enumerate(hom_out):
+        if not row & mask:
+            out |= 1 << x
+    return out
+
+
 def mask_tables(u: ModuleUniverse) -> MaskTables:
     tables = u.cache.get("masks")
     if tables is None:
         count = len(u.modules)
+        hom_out = [mask_of(x for x in range(count) if row[x]) for row in u.hom]
         tables = MaskTables(
-            [mask_of(x for x in range(count) if row[x]) for row in u.hom],
-            [mask_of(y for y in range(count) if row[y]) for row in u.ext],
-            [mask_of(u.gen_set((z,))) for z in range(count)], {})
+            hom_out, [mask_of(y for y in range(count) if row[y]) for row in u.ext],
+            {z: left_perp(hom_out, ~row) for z, row in enumerate(hom_out)})
         u.cache["masks"] = tables
     return tables
 
 
-def gen_mask(u: ModuleUniverse, ids: Sequence[int]) -> int:
-    """Gen of the sum of the given sorted ids, as a mask."""
+def gen_mask(u: ModuleUniverse, ids: Tuple[int, ...]) -> int:
+    """The torsion class T(M) the ids generate, the left perpendicular of
+    their right perpendicular, as a mask; any order of the ids gives the
+    same mask.  For a tau-rigid M it is Gen M (Auslander-Smalo).  For any
+    other M the callers only ask whether Ext^1(N, -) vanishes on Gen M & W,
+    W a wide subcategory holding M: that is closed under extensions, and
+    T(M) & W is the torsion class M generates in W."""
     tables = mask_tables(u)
-    if len(ids) == 1:
-        return tables.gen1[ids[0]]
-    key = tuple(ids)
-    mask = tables.gens.get(key)
+    mask = tables.gens.get(ids)
     if mask is None:
-        mask = tables.gens[key] = mask_of(u.gen_set(key))
+        hom_out = tables.hom_out
+        mask = tables.gens[ids] = left_perp(hom_out, ~reach(hom_out, ids))
     return mask
 
 
@@ -145,16 +168,21 @@ class TorsionHandle(NamedTuple):
 
 
 def torsion_handle(u: ModuleUniverse, members: Iterable[int]) -> TorsionHandle:
+    """The Ext-projectives P of T, split by whether q is in Fac(T - q), and
+    the projectives with no maps into T.  The members must form a torsion
+    class, as those of every caller do; then T = Fac P and q is in Fac(T - q)
+    exactly when it is in Fac(P - q), the gen_mask of the tau-rigid P - q:
+    every map into q from T - q lands in im f + (rad End q) q, f the
+    add(P - q)-approximation of q, so by nilpotency q = im f."""
     cache = u.cache.setdefault("torsion_handles", {})
     key = frozenset(members)
     if key in cache:
         return cache[key]
     ext_proj = rel_ext_projectives(u, key)
     split, nonsplit = [], []
-    for q in ext_proj:
-        others = key - {q}
-        generated_by_others = bool(others) and u.gen_contains(others, q)
-        (nonsplit if generated_by_others else split).append(q)
+    for k, q in enumerate(ext_proj):
+        others = ext_proj[:k] + ext_proj[k + 1:]
+        (nonsplit if gen_mask(u, others) >> q & 1 else split).append(q)
     mask = mask_of(key)
     hom_out = mask_tables(u).hom_out
     orth = tuple(p for p in sorted(u.proj_of_vertex) if not hom_out[p] & mask)
@@ -185,9 +213,8 @@ def torsion_t_f(u: ModuleUniverse, members: Iterable[int], m: Rep):
 
 def perp_tau_members(u: ModuleUniverse, ids: Sequence[int]) -> FrozenSet[int]:
     """Members of the torsion class of modules with no maps into tau of the sum."""
-    taus = [u.tau_of[m] for m in ids if u.tau_of[m] is not None]
-    return frozenset(x for x in range(len(u.modules))
-                     if all(u.hom[x][t] == 0 for t in taus))
+    taus = mask_of(u.tau_of[m] for m in ids if u.tau_of[m] is not None)
+    return frozenset(ids_of(left_perp(mask_tables(u).hom_out, taus)))
 
 
 def bongartz(u: ModuleUniverse, ids: Sequence[int]) -> Tuple[int, ...]:
@@ -211,8 +238,7 @@ def co_bongartz(u: ModuleUniverse, ids: Sequence[int]):
     for m in ids:
         if not u.tau_rigid[m]:
             raise NotTauRigid("module %s is not tau-rigid" % u.labels[m])
-    members = u.gen_set(ids)
-    handle = torsion_handle(u, members)
+    handle = torsion_handle(u, ids_of(gen_mask(u, tuple(sorted(ids)))))
     if not set(ids) <= set(handle.ext_proj):
         raise Mismatch("input is not Ext-projective in its own Gen class")
     if len(handle.ext_proj) + len(handle.orthogonal_proj) != u.n:
@@ -230,21 +256,12 @@ def require_in_context(u: ModuleUniverse, ctx: Context, ids: Iterable[int]):
             raise NotInW("module %s lies outside the wide subcategory" % u.labels[i])
 
 
-def _ext_mask(tables: MaskTables, ids: Iterable[int]) -> int:
-    """Everything receiving a nonzero Ext^1 from one of the ids."""
-    ext = 0
-    for m in ids:
-        ext |= tables.ext_out[m]
-    return ext
-
-
-def rel_tau_rigid(u: ModuleUniverse, ctx: Context, ids: Sequence[int]) -> bool:
+def rel_tau_rigid(u: ModuleUniverse, ctx: Context, ids: Tuple[int, ...]) -> bool:
     """Relative tau-rigidity of the sum of the given modules in the context."""
     if not ids:
         return True
     require_in_context(u, ctx, ids)
-    ext = _ext_mask(mask_tables(u), ids)
-    return not ext & ctx.mask & gen_mask(u, sorted(ids))
+    return not reach(mask_tables(u).ext_out, ids) & ctx.mask & gen_mask(u, ids)
 
 
 def _perp_tau_mask(tables: MaskTables, ctx: Context, ext: int) -> int:
@@ -253,8 +270,9 @@ def _perp_tau_mask(tables: MaskTables, ctx: Context, ext: int) -> int:
     hit = ext & ctx.mask
     perp = ctx.mask
     if hit:
+        gens = tables.gens
         for z in ctx.members:
-            if tables.gen1[z] & hit:
+            if gens[z] & hit:
                 perp ^= 1 << z
     return perp
 
@@ -269,7 +287,7 @@ def rel_perp_tau(u: ModuleUniverse, ctx: Context, ids: Sequence[int]) -> FrozenS
     """Members z of the context with Hom(z, tau of the sum) = 0 relatively,
     detected as Ext^1(sum, Gen z within the context) = 0."""
     tables = mask_tables(u)
-    return member_view(u, _perp_tau_mask(tables, ctx, _ext_mask(tables, ids)))
+    return member_view(u, _perp_tau_mask(tables, ctx, reach(tables.ext_out, ids)))
 
 
 def _support_ext(u: ModuleUniverse, tables: MaskTables, ctx: Context,
@@ -315,7 +333,7 @@ def _j_mask(tables: MaskTables, ctx: Context, t: StrObj, ext: int) -> int:
 def j_mask(u: ModuleUniverse, ctx: Context, t: StrObj) -> int:
     """The perpendicular wide subcategory of t inside the context, as a mask."""
     tables = mask_tables(u)
-    return _j_mask(tables, ctx, t, _ext_mask(tables, t.mods))
+    return _j_mask(tables, ctx, t, reach(tables.ext_out, t.mods))
 
 
 def j_in_context(u: ModuleUniverse, ctx: Context, t: StrObj) -> FrozenSet[int]:
@@ -371,8 +389,8 @@ def all_torsion_classes(u: ModuleUniverse) -> List[FrozenSet[int]]:
     """
     key = "all_torsion_classes"
     if key not in u.cache:
-        u.cache[key] = sorted({u.gen_set(t.mods) for t in u.all_support_objects()
-                               if t.delta == u.n},
+        u.cache[key] = sorted({frozenset(ids_of(gen_mask(u, t.mods)))
+                               for t in u.all_support_objects() if t.delta == u.n},
                               key=lambda s: (len(s), sorted(s)))
     return u.cache[key]
 
@@ -394,23 +412,14 @@ def all_wide_subcategories(u: ModuleUniverse) -> List[FrozenSet[int]]:
     if key in u.cache:
         return u.cache[key]
     hom_out = mask_tables(u).hom_out
-    count = len(u.modules)
-    bricks = [i for i in range(count) if u.hom[i][i] == 1]
+    bricks = [i for i in range(len(u.modules)) if u.hom[i][i] == 1]
     if len(bricks) != sum(u.tau_rigid):
         raise Mismatch("%d bricks but %d tau-rigid indecomposables"
                        % (len(bricks), sum(u.tau_rigid)))
 
-    def left_perp(mask: int) -> int:
-        return mask_of(x for x in range(count) if not hom_out[x] & mask)
-
-    def reach(mask: int) -> int:
-        out = 0
-        for i in ids_of(mask):
-            out |= hom_out[i]
-        return out
-
     def wide_of(s: int) -> int:
-        return left_perp(_full(u) & ~reach(s)) & ~reach(left_perp(s))
+        return left_perp(hom_out, ~reach(hom_out, ids_of(s))) & \
+            ~reach(hom_out, ids_of(left_perp(hom_out, s)))
 
     orthogonal = {i: mask_of(j for j in bricks
                              if not (hom_out[i] >> j & 1 or hom_out[j] >> i & 1))

@@ -57,8 +57,9 @@ def test_zero_and_one_are_ints():
 def test_universe_matrices_and_hom_bases_are_canonical(name):
     u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
     assert all(all_canonical(m.mats) for m in u.modules)
-    for basis in u._hom_bases.values():
-        assert all(all_canonical(f.maps) for f in basis)
+    for m in u.modules:
+        for n in u.modules:
+            assert all(all_canonical(f.maps) for f in hom_basis(m, n))
 
 
 def test_a_fractional_module_stays_canonical(a2):

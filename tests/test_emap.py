@@ -7,12 +7,14 @@ from tauseq.errors import (
 )
 from tauseq.emap import engine_for
 from tauseq.fields import FieldSpec
+from tauseq.modules import quotient, trace
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj, ZERO_OBJ
 from tauseq.wide import (
     ambient_context, compatible_in_context, context_of, rel_str_indecs,
     rel_tau_rigid, valid_rel_str_obj,
 )
+from test_wide import MASK_ALGEBRAS
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +235,43 @@ def test_second_e_inverse_reads_the_table(a3rad2, monkeypatch):
     for y in image:
         e.e_inverse(amb, t, y)
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# the module case against the trace, quotient and decomposition route
+# --------------------------------------------------------------------------
+
+def reference_module_case(u, t, x):
+    """E of a module outside Gen of the module part of T, at the module
+    level: the quotient by the trace of the module part, decomposed."""
+    rep = u.modules[x.mod]
+    if t.mods:
+        _, incl = trace([u.modules[i] for i in t.mods], rep)
+        rep, _ = quotient(rep, incl)
+    parts = u.identify_parts(rep)
+    assert parts is not None and len(parts) == 1
+    return StrIndec(parts[0], 0)
+
+
+@pytest.mark.parametrize("name", sorted(MASK_ALGEBRAS))
+def test_module_case_matches_the_trace_quotient_route(name):
+    u = ModuleUniverse(MASK_ALGEBRAS[name]())
+    e = engine_for(u)
+    amb = ambient_context(u)
+    contexts = [amb] + [context_of(u, amb, ZERO_OBJ.with_indec(x))
+                        for x in rel_str_indecs(u, amb)]
+    checked = 0
+    for ctx in contexts:
+        for t in support_objects_in(u, ctx):
+            gen = u.gen_set(t.mods)
+            for x in rel_str_indecs(u, ctx):
+                if x.shift or not compatible_in_context(u, ctx, t, x):
+                    continue
+                got = e.e_map(ctx, t, x)
+                where = (name, sorted(ctx.members), t, x)
+                if x.mod in gen:
+                    assert got.shift == 1, where
+                else:
+                    assert got == reference_module_case(u, t, x), where
+                    checked += 1
+    assert checked > len(contexts)

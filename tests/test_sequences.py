@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from tauseq import modules
 from tauseq.errors import (
     DifferentJ, IndexOutOfRange, Mismatch, NotTauRigid, NotTFOrdered,
 )
@@ -277,3 +281,33 @@ def test_mutation_distance_of_a_shorter_sequence_stays_in_its_j(u2):
     # (S1) and (S2) have different perpendicular categories: no path
     assert mutation_distance(u2, (s1,), (s2,)) is None
     assert mutation_distance(u2, (s1,), (s1,)) == 0
+
+
+def test_a5_sequences_and_a_path_read_only_the_tables(monkeypatch):
+    # after the build, Gen, reduction and normalization come from the hom
+    # and Ext masks: no trace, quotient, decomposition or module-level Gen
+    names = ["1", "2", "3", "4", "5"]
+    arrows = [("a%d" % v, names[v], names[v + 1]) for v in range(4)]
+    u = ModuleUniverse(build_algebra(Quiver(names, arrows), FieldSpec(0)))
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("trace", "quotient"):
+        real = getattr(modules, name)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("tauseq") \
+                    and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy(name, real))
+    for name in ("identify_parts", "gen_set", "filtgen_contains"):
+        monkeypatch.setattr(ModuleUniverse, name,
+                            spy(name, getattr(ModuleUniverse, name)))
+    seqs = enumerate_tau_es(u, frozenset())
+    assert len(seqs) == 1296
+    word = transitivity_path(u, seqs[0], seqs[-1])
+    assert apply_steps(u, seqs[0], word.steps) == seqs[-1]
+    assert not calls, dict(calls)

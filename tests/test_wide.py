@@ -10,7 +10,7 @@ from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.verify import suite_bijections
 from tauseq.wide import (
     Context, all_torsion_classes, all_wide_subcategories, ambient_context, bongartz,
-    co_bongartz, context_from_members, context_of, j_in_context,
+    co_bongartz, context_from_members, context_of, gen_mask, ids_of, j_in_context,
     j_set_ambient_direct, rel_ext_projectives, rel_perp_tau, rel_str_indecs,
     rel_tau_rigid, torsion_handle, torsion_t_f, valid_rel_str_obj,
 )
@@ -342,6 +342,21 @@ def ref_torsion_classes(u):
 def test_torsion_classes_match_the_subset_loop(name):
     u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
     assert all_torsion_classes(u) == ref_torsion_classes(u)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ALGEBRAS))
+def test_gen_mask_and_split_projectives_match_the_trace_oracle(name):
+    u = ModuleUniverse(LATTICE_ALGEBRAS[name]())
+    for ids in u.all_tau_rigid_subsets():
+        assert frozenset(ids_of(gen_mask(u, ids))) == u.gen_set(ids), (name, ids)
+    # on any single module the mask is the smallest torsion class holding it
+    for z in range(len(u.modules)):
+        assert frozenset(ids_of(gen_mask(u, (z,)))) == u.filtgen_set((z,)), (name, z)
+    for t in all_torsion_classes(u):
+        h = torsion_handle(u, t)
+        inside = [q in u.gen_set(t - {q}) for q in h.ext_proj]
+        assert h.nonsplit == tuple(q for q, i in zip(h.ext_proj, inside) if i)
+        assert h.split == tuple(q for q, i in zip(h.ext_proj, inside) if not i)
 
 
 # nakayama2_rad3 has two non-brick projectives, loop_rad2 a non-brick one
