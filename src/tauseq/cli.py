@@ -264,27 +264,32 @@ def cmd_tes_graph(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    from tauseq.sequences import enumerate_tau_es, mutation_graph
-    from tauseq.verify import SUITES, run_suites
+def _verify_summary(u: ModuleUniverse):
+    """The counts block and the complete mutation graph of a verify report."""
+    from tauseq.sequences import mutation_graph
     from tauseq.wide import all_torsion_classes, all_wide_subcategories
-    u = _certified_universe(args)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(u, names)
-    ok = all(r.ok for r in reports)
     graph = mutation_graph(u, frozenset())
     counts = {
         "indecomposables": len(u.modules),
         "tau_rigid_indecomposables": sum(u.tau_rigid),
         "torsion_classes": len(all_torsion_classes(u)),
         "wide_subcategories": len(all_wide_subcategories(u)),
-        "complete_sequences": len(enumerate_tau_es(u, frozenset())),
+        "complete_sequences": len(graph.vertices),
     }
+    return counts, {"vertices": len(graph.vertices), "edges": len(graph.edges),
+                    "connected": graph.is_connected()}
+
+
+def cmd_verify(args) -> int:
+    from tauseq.verify import SUITES, Check, run_suites
+    u = _certified_universe(args)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = run_suites(u, names)
+    summary = Check("counts and mutation graph")
+    counts, graph = summary.attempt(lambda: _verify_summary(u), {}) or (None, None)
+    ok = summary.ok and all(r.ok for r in reports)
     doc = {"schema": SCHEMA, "algebra": algebra_summary(u),
-           "counts": counts,
-           "mutation_graph": {"vertices": len(graph.vertices),
-                              "edges": len(graph.edges),
-                              "connected": graph.is_connected()},
+           "counts": counts, "mutation_graph": graph,
            "passed": ok, "suites": [r.as_dict() for r in reports]}
     lines = []
     for r in reports:
@@ -294,6 +299,9 @@ def cmd_verify(args) -> int:
             for failure in c.failures[:3]:
                 lines.append("    counterexample: %s"
                              % json.dumps(failure, sort_keys=True))
+    if not summary.ok:
+        doc["diagnostic"] = summary.failures[0]["diagnostic"]
+        lines.append("%s: %s" % (summary.name, doc["diagnostic"]))
     emit(doc, args.json, lines)
     return 0 if ok else 1
 

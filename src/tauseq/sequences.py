@@ -56,6 +56,12 @@ def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:
     return True
 
 
+def tf_orderings(u: ModuleUniverse, ids: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The TF-ordered permutations of a rigid set, in itertools.permutations
+    order."""
+    return [perm for perm in itertools.permutations(ids) if is_tf_ordered(u, perm)]
+
+
 def omega(u: ModuleUniverse, tf: Sequence[int]) -> Seq:
     """The sequence attached to an ordered rigid module: each entry is the
     reduction of itself against the sum of its successors."""
@@ -493,11 +499,8 @@ def enumerate_tau_es(u: ModuleUniverse, w_members: FrozenSet[int]) -> List[Seq]:
     amb = ambient_context(u)
     out = []
     for subset in u.all_tau_rigid_subsets():
-        if j_in_context(u, amb, StrObj.make(subset)) != w_members:
-            continue
-        for perm in itertools.permutations(subset):
-            if is_tf_ordered(u, perm):
-                out.append(omega(u, perm))
+        if j_in_context(u, amb, StrObj.make(subset)) == w_members:
+            out.extend(omega(u, perm) for perm in tf_orderings(u, subset))
     return sorted(set(out))
 
 

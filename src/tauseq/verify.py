@@ -2,9 +2,13 @@
 
 Every suite runs a family of exhaustive desk-scale checks and returns the
 pass/fail counts together with a reproducible certificate (labels plus an
-operation trace) for each failure.  Diagnostics raised by the engine are
-caught and converted into failures, so a corrupted internal table surfaces
-here instead of crashing the run.
+operation trace) for each failure.  ``Check.attempt`` turns a diagnostic
+raised by the engine into a failed check, so a corrupted internal table
+surfaces here instead of crashing the run: at item level where a check owns
+the call, including the calls listing the items it iterates over, and at
+suite level otherwise, as the one failed check "suite ran to completion".
+Each suite computes every fact it reads once; Gen, the perp-translate class
+and J of each rigid set are computed once for the bijections suite.
 
 Gen-minimality has one route in the library; the bijections suite checks it
 against the split-projective characterization.  The library reads Gen, split
@@ -23,8 +27,7 @@ forms; the pairs of a wide subcategory over PAIR_BUDGET are counted as
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 from tauseq.ar import is_injective_rep, tau_hom_dim
 from tauseq.emap import engine_for
@@ -34,14 +37,17 @@ from tauseq.sequences import (
     apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
     first_position, is_gen_minimal, is_tf_ordered, mutate, mutation_graph,
     mutation_table, normalize, omega, omega_inverse, tail_context,
-    transposition_word,
+    tf_orderings, transposition_word,
 )
 from tauseq.universe import ZERO_OBJ, ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context,
-    compatible_in_context, context_from_members, context_of, j_in_context,
-    perp_tau_members, rel_str_indecs, rel_tau_rigid, torsion_handle,
+    compatible_in_context, context_from_members, context_of, ids_of,
+    j_in_context, left_perp, mask_of, mask_tables, perp_tau_members,
+    rel_str_indecs, rel_tau_rigid, torsion_handle,
 )
+
+T = TypeVar("T")
 
 
 class Check:
@@ -56,14 +62,21 @@ class Check:
         if not ok:
             self.failures.append(certificate or {})
 
-    def guard(self, fn: Callable[[], bool], certificate: dict):
+    def attempt(self, fn: Callable[[], T], certificate: dict) -> Optional[T]:
+        """fn(); if it raises a diagnostic, one failure whose certificate
+        names it, and None."""
         try:
-            self.count(fn(), certificate)
+            return fn()
         except TauSeqError as exc:
-            self.total += 1
-            cert = dict(certificate)
-            cert["diagnostic"] = "%s: %s" % (type(exc).__name__, exc)
-            self.failures.append(cert)
+            self.count(False, dict(certificate, diagnostic="%s: %s"
+                                   % (type(exc).__name__, exc)))
+            return None
+
+    def guard(self, fn: Callable[[], bool], certificate: dict):
+        """Count one item: fn() is whether it holds."""
+        ok = self.attempt(fn, certificate)
+        if ok is not None:
+            self.count(ok, certificate)
 
     @property
     def ok(self) -> bool:
@@ -127,11 +140,12 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
                         {"module": u.labels[i]})
 
     bridge = Check("hom-into-translate vanishing matches Ext vanishing on Gen")
+    gens = [u.gen_set((n,)) for n in range(len(u.modules))]
     for m in range(len(u.modules)):
+        tm = u.tau_of[m]
         for n in range(len(u.modules)):
-            tm = u.tau_of[m]
             lhs = tm is None or u.hom[n][tm] == 0
-            rhs = all(u.ext[m][y] == 0 for y in u.gen_set((n,)))
+            rhs = all(u.ext[m][y] == 0 for y in gens[n])
             bridge.count(lhs == rhs, {"m": u.labels[m], "n": u.labels[n],
                                       "hom_vanishes": lhs, "ext_vanishes": rhs})
 
@@ -139,16 +153,16 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
     surrogate = Check("presentation cokernel equals hom into the translate")
     for m in range(len(u.modules)):
         pres = min_presentation(u.modules[m])
+        tm = u.tau_of[m]
         for n in range(len(u.modules)):
-            tm = u.tau_of[m]
             expected = 0 if tm is None else u.hom[n][tm]
             surrogate.count(tau_hom_dim(u.modules[m], u.modules[n], pres) == expected,
                             {"m": u.labels[m], "n": u.labels[n]})
 
     counts = Check("tilting-size support objects match torsion classes")
-    counts.count(u.support_tilting_count() == len(all_torsion_classes(u)),
-                 {"support_tilting": u.support_tilting_count(),
-                  "torsion_classes": len(all_torsion_classes(u))})
+    tilting, torsion = u.support_tilting_count(), len(all_torsion_classes(u))
+    counts.count(tilting == torsion,
+                 {"support_tilting": tilting, "torsion_classes": torsion})
 
     return SuiteReport("enumeration", [cert, translate, bridge, surrogate, counts])
 
@@ -159,20 +173,23 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
 
 def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     amb = ambient_context(u)
+    hom_out = mask_tables(u).hom_out
     torsion = all_torsion_classes(u)
     wides = all_wide_subcategories(u)
     wide_set = set(wides)
+    rigid_sets = u.all_tau_rigid_subsets()
+    # Gen, the perp-translate class and J of each rigid set
+    facts = {a: (u.gen_set(a), perp_tau_members(u, a),
+                 j_in_context(u, amb, StrObj.make(a))) for a in rigid_sets}
 
     genmin_check = Check("gen-minimal definition matches characterization")
     genmin: List[Tuple[int, ...]] = []
-    for ids in u.all_tau_rigid_subsets():
+    for ids in rigid_sets:
         def _run(ids=ids):
             # the characterization: the module is the split projective of
             # the torsion class left-perpendicular to its J
             g = is_gen_minimal(u, ids)
-            j_members = j_in_context(u, amb, StrObj.make(ids))
-            perp = frozenset(x for x in range(len(u.modules))
-                             if all(u.hom[x][w] == 0 for w in j_members))
+            perp = ids_of(left_perp(hom_out, mask_of(facts[ids][2])))
             if g != (set(torsion_handle(u, perp).split) == set(ids)):
                 return False
             if g:
@@ -181,14 +198,14 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
         genmin_check.guard(_run, {"module": _labels(u, ids)})
 
     to_torsion = Check("gen-minimal modules biject onto torsion classes via Gen")
-    images = [u.gen_set(ids) for ids in genmin]
+    images = [facts[ids][0] for ids in genmin]
     to_torsion.count(len(set(images)) == len(images), {"issue": "not injective"})
     to_torsion.count(sorted(images, key=lambda s: (len(s), sorted(s)))
                      == list(torsion),
                      {"issue": "image differs from the torsion-class list"})
     back = Check("split projectives invert Gen")
     for ids in genmin:
-        h = torsion_handle(u, u.gen_set(ids))
+        h = torsion_handle(u, facts[ids][0])
         back.count(set(h.split) == set(ids),
                    {"module": _labels(u, ids), "split": _labels(u, h.split)})
 
@@ -223,14 +240,10 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
         perp_are_wide.count(w in wide_set, {"members": _labels(u, w)})
 
     rigid_unique = Check("two of Gen, perp-translate, J determine the third and the module")
-    rigid_sets = u.all_tau_rigid_subsets()
     for a in rigid_sets:
         for b in rigid_sets:
-            gen_eq = u.gen_set(a) == u.gen_set(b)
-            perp_eq = perp_tau_members(u, a) == perp_tau_members(u, b)
-            j_eq = j_in_context(u, amb, StrObj.make(a)) == \
-                j_in_context(u, amb, StrObj.make(b))
-            votes = [gen_eq, perp_eq, j_eq]
+            votes = [x == y for x, y in zip(facts[a], facts[b])]
+            gen_eq, perp_eq, j_eq = votes
             two_imply_third = not (sum(votes) == 2)
             all_iff_equal = (all(votes) == (a == b))
             rigid_unique.count(two_imply_third and all_iff_equal,
@@ -242,17 +255,16 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     for ids in rigid_sets:
         if not ids:
             continue
-        perp = perp_tau_members(u, ids)
-        jm = j_in_context(u, amb, StrObj.make(ids))
+        gen, perp, jm = facts[ids]
         gens = [u.modules[i] for i in ids]
         for x in sorted(perp):
-            def _run(x=x, gens=gens, jm=jm, ids=ids):
+            def _run(x=x, gens=gens, gen=gen, jm=jm):
                 t, incl = trace(gens, u.modules[x])
                 q, _ = quotient(u.modules[x], incl)
                 t_ids = u.identify_parts(t)
                 q_ids = u.identify_parts(q)
                 return (t_ids is not None and q_ids is not None
-                        and set(t_ids) <= u.gen_set(ids) and set(q_ids) <= jm)
+                        and set(t_ids) <= gen and set(q_ids) <= jm)
             jasso.guard(_run, {"module": _labels(u, ids), "member": u.labels[x]})
 
     return SuiteReport("bijections", [
@@ -281,12 +293,20 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
         bijective.guard(_run, {"T": u.label_of_obj(t)})
 
     composition = Check("reduction composes across sums")
+    jsum = Check("perpendicular category of a sum by reduction")
     for z in xs:
         tz = ZERO_OBJ.with_indec(z)
         for y in xs:
             if not compatible_in_context(u, amb, tz, y):
                 continue
             tyz = tz.with_indec(y)
+
+            def _jsum(y=y, tz=tz, tyz=tyz):
+                lhs = j_in_context(u, amb, tyz)
+                sub = context_of(u, amb, tz)
+                ey = e.e_map(amb, tz, y)
+                return lhs == j_in_context(u, sub, ZERO_OBJ.with_indec(ey))
+            jsum.guard(_jsum, {"X": u.label_of_indec(y), "Y": u.label_of_indec(z)})
             for x in xs:
                 if not compatible_in_context(u, amb, tyz, x):
                     continue
@@ -301,21 +321,6 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
                 composition.guard(_run, {"X": u.label_of_indec(x),
                                          "Y": u.label_of_indec(y),
                                          "Z": u.label_of_indec(z)})
-
-    jsum = Check("perpendicular category of a sum by reduction")
-    for y in xs:
-        ty = ZERO_OBJ.with_indec(y)
-        for x in xs:
-            if not compatible_in_context(u, amb, ty, x):
-                continue
-
-            def _run(x=x, y=y, ty=ty):
-                lhs = j_in_context(u, amb, ty.with_indec(x))
-                sub = context_of(u, amb, ty)
-                ex = e.e_map(amb, ty, x)
-                rhs = j_in_context(u, sub, ZERO_OBJ.with_indec(ex))
-                return lhs == rhs
-            jsum.guard(_run, {"X": u.label_of_indec(x), "Y": u.label_of_indec(y)})
 
     passdown = Check("generation passes down the reduction")
     mods = [x.mod for x in xs if not x.shift]
@@ -360,22 +365,20 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
         projbij.guard(_run, {"module": _labels(u, ids)})
 
     roundtrip = Check("ordered preimages invert the sequence map")
-    pair_unique = Check("pairs over one subcategory are determined entrywise")
-    tf_unique = Check("ordered rigid pairs with equal perpendicular agree")
+    filt_bridge = Check("filtration closure of a sequence equals Gen of its preimage")
     for w in all_wide_subcategories(u):
-        seqs = enumerate_tau_es(u, w)
-        for s in seqs:
-            def _run(s=s):
-                return omega(u, omega_inverse(u, s)) == s
-            roundtrip.guard(_run, {"sequence": _labels(u, s)})
+        for s in roundtrip.attempt(lambda w=w: enumerate_tau_es(u, w),
+                                   {"wide": _labels(u, w)}) or ():
+            cert = {"sequence": _labels(u, s)}
+            tf = roundtrip.attempt(lambda s=s: omega_inverse(u, s), cert)
+            if tf is not None:
+                roundtrip.guard(lambda s=s, tf=tf: omega(u, tf) == s, cert)
+                filt_bridge.guard(lambda s=s, tf=tf: u.filtgen_set(frozenset(s))
+                                  == u.gen_set(tf), cert)
+
     # pair uniqueness within each pair context cell
-    try:
-        table = mutation_table(u, amb)
-    except TauSeqError as exc:
-        pair_unique.total += 1
-        pair_unique.failures.append({"diagnostic": "%s: %s"
-                                     % (type(exc).__name__, exc)})
-        table = None
+    pair_unique = Check("pairs over one subcategory are determined entrywise")
+    table = pair_unique.attempt(lambda: mutation_table(u, amb), {})
     if table is not None:
         for cell, members in table.cells.items():
             firsts = [p[0] for p in members]
@@ -383,28 +386,17 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
             pair_unique.count(len(set(firsts)) == len(firsts)
                               and len(set(seconds)) == len(seconds),
                               {"cell": _labels(u, cell)})
-    # TF-uniqueness on ordered pairs
-    rigid_pairs = [ids for ids in u.all_tau_rigid_subsets() if len(ids) == 2]
-    tf_pairs = []
-    for a, b in rigid_pairs:
-        for x, y in ((a, b), (b, a)):
-            if is_tf_ordered(u, (x, y)):
-                tf_pairs.append((x, y))
+
+    tf_unique = Check("ordered rigid pairs with equal perpendicular agree")
+    tf_pairs = [p for ids in u.all_tau_rigid_subsets() if len(ids) == 2
+                for p in tf_orderings(u, ids)]
+    pair_j = {p: j_in_context(u, amb, StrObj.make(p)) for p in tf_pairs}
     for (x, y) in tf_pairs:
         for (z, y2) in tf_pairs:
             if y2 != y or x == z:
                 continue
-            same_j = j_in_context(u, amb, StrObj.make((x, y))) == \
-                j_in_context(u, amb, StrObj.make((z, y)))
-            tf_unique.count(not same_j,
+            tf_unique.count(pair_j[x, y] != pair_j[z, y],
                             {"X": u.labels[x], "Z": u.labels[z], "Y": u.labels[y]})
-
-    filt_bridge = Check("filtration closure of a sequence equals Gen of its preimage")
-    for w in all_wide_subcategories(u):
-        for s in enumerate_tau_es(u, w):
-            def _run(s=s):
-                return u.filtgen_set(frozenset(s)) == u.gen_set(omega_inverse(u, s))
-            filt_bridge.guard(_run, {"sequence": _labels(u, s)})
 
     return SuiteReport("emap", [
         bijective, composition, jsum, passdown, projbij, roundtrip,
@@ -431,19 +423,12 @@ def suite_mutation(u: ModuleUniverse) -> SuiteReport:
     preserve = Check("mutation preserves the perpendicular subcategory")
     census = Check("at most one irregular pair per group, each side")
     for ctx in _sequence_contexts(u):
-        def _build(ctx=ctx):
-            table = mutation_table(u, ctx)
-            for p, q in table.phi.items():
-                if table.psi[q] != p:
-                    return False
-            return True
-        inverse.guard(_build, {"context_rank": ctx.rank})
-        try:
-            table = mutation_table(u, ctx)
-        except TauSeqError as exc:
-            census.total += 1
-            census.failures.append({"diagnostic": str(exc)})
+        # the table does not build unless psi inverts phi
+        table = inverse.attempt(lambda ctx=ctx: mutation_table(u, ctx),
+                                {"context_rank": ctx.rank})
+        if table is None:
             continue
+        inverse.count(True)
         for cell, members in table.cells.items():
             left_irr = [p for p in table.left_irregular if p in members]
             right_irr = [p for p in table.right_irregular if p in members]
@@ -455,7 +440,8 @@ def suite_mutation(u: ModuleUniverse) -> SuiteReport:
 
     local = Check("mutation changes exactly the chosen adjacent pair")
     for w in all_wide_subcategories(u):
-        for s in enumerate_tau_es(u, w):
+        for s in local.attempt(lambda w=w: enumerate_tau_es(u, w),
+                               {"wide": _labels(u, w)}) or ():
             k = first_position(u, s)
             for off in range(len(s) - 1):
                 def _run(s=s, off=off, k=k):
@@ -486,12 +472,14 @@ def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
     bound = u.support_tilting_count()
 
     for w in all_wide_subcategories(u):
-        seqs = enumerate_tau_es(u, w)
+        seqs = counts.attempt(lambda w=w: enumerate_tau_es(u, w), {"wide": _labels(u, w)})
+        if seqs is None:
+            continue
         oracle = enumerate_tau_es_recursive(u, w)
         counts.count(seqs == oracle, {"wide": _labels(u, w),
                                       "primary": len(seqs), "oracle": len(oracle)})
-        g = mutation_graph(u, w)
-        connected.count(g.is_connected(), {"wide": _labels(u, w)})
+        connected.guard(lambda w=w: mutation_graph(u, w).is_connected(),
+                        {"wide": _labels(u, w)})
         def _unique(w=w, seqs=seqs):
             minimal_sums = set()
             for s in seqs:
@@ -530,9 +518,7 @@ def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
     for w in all_wide_subcategories(u):
         if context_from_members(u, w).rank != u.n - 2:
             continue
-        perp = frozenset(x for x in range(len(u.modules))
-                         if all(u.hom[x][m] == 0 for m in w))
-        handle = torsion_handle(u, perp)
+        handle = torsion_handle(u, ids_of(left_perp(mask_tables(u).hom_out, mask_of(w))))
         def _run(w=w, handle=handle):
             if len(handle.split) != 2:
                 return False
@@ -550,20 +536,18 @@ def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
                                       {"V": u.labels[first], "U": u.labels[second]})
 
     swaps = Check("adjacent transpositions are powers of one mutation")
-    table_bounds = {}
     for ids in u.all_tau_rigid_subsets():
         if len(ids) < 2:
             continue
-        for perm in itertools.permutations(ids):
-            if not is_tf_ordered(u, perm):
-                continue
+        orderings = tf_orderings(u, ids)
+        valid = set(orderings)
+        for perm in orderings:
             for pos in range(len(perm) - 1):
-                swapped = list(perm)
-                swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                if not is_tf_ordered(u, tuple(swapped)):
+                swapped = perm[:pos] + (perm[pos + 1], perm[pos]) + perm[pos + 2:]
+                if swapped not in valid:
                     continue
 
-                def _run(perm=perm, swapped=tuple(swapped), pos=pos):
+                def _run(perm=perm, swapped=swapped, pos=pos):
                     s1 = omega(u, perm)
                     s2 = omega(u, swapped)
                     k = first_position(u, s1)
@@ -613,11 +597,15 @@ SUITES: Dict[str, Callable[[ModuleUniverse], SuiteReport]] = {
 
 
 def run_suites(u: ModuleUniverse, names: Sequence[str]) -> List[SuiteReport]:
+    """Run the named suites; a suite that raises a diagnostic is reported
+    with the one failed check "suite ran to completion"."""
     if "all" in names:
         names = list(SUITES)
     out = []
     for n in names:
         if n not in SUITES:
             raise KeyError("unknown suite %r" % n)
-        out.append(SUITES[n](u))
+        ran = Check("suite ran to completion")
+        report = ran.attempt(lambda n=n: SUITES[n](u), {"suite": n})
+        out.append(report or SuiteReport(n, [ran]))
     return out

@@ -150,9 +150,8 @@ def rel_ext_projectives(u: ModuleUniverse, members: Iterable[int]) -> Tuple[int,
     return tuple(q for q in ids_of(mask) if not ext_out[q] & mask)
 
 
-def context_from_members(u: ModuleUniverse, members: Iterable[int],
-                         expected_rank: Optional[int] = None) -> Context:
-    return _context(u, mask_of(members), expected_rank)
+def context_from_members(u: ModuleUniverse, members: Iterable[int]) -> Context:
+    return _context(u, mask_of(members))
 
 
 # --------------------------------------------------------------------------

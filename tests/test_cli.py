@@ -123,6 +123,25 @@ def test_verify_json_deterministic(capsys):
     assert doc["passed"] is True
 
 
+def test_verify_reports_a_diagnostic_in_the_counts(capsys, monkeypatch):
+    """A diagnostic raised while counting is a verification failure with
+    exit code 1: the report still prints, with the counts left out."""
+    import tauseq.wide
+    from tauseq.errors import Mismatch
+
+    def broken(u):
+        raise Mismatch("brick count differs")
+    monkeypatch.setattr(tauseq.wide, "all_wide_subcategories", broken)
+    a2 = os.path.join(HERE, "..", "perfbench", "algebras", "a2.json")
+    code, out, _ = run(capsys, "verify", a2, "--suite", "enumeration", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["counts"] is None and doc["mutation_graph"] is None
+    assert doc["diagnostic"] == "Mismatch: brick count differs"
+    assert [s["passed"] for s in doc["suites"]] == [True]
+
+
 def test_malformed_algebra_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": {"characteristic": 0}, "vertices": ["1"]}')
