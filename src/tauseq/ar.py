@@ -294,34 +294,28 @@ def _coboundary_matrix(b: Rep, a: Rep) -> Mat:
     f = algebra.field
     q = algebra.quiver
     total, var = _cocycle_layout(b, a)
-    hvars = []
-    htotal = 0
-    for v in range(q.num_vertices):
-        hvars.append(htotal)
-        htotal += a.dims[v] * b.dims[v]
     cob_cols = []
-    for hidx in range(htotal):
-        # basis vertex map: find which (v, i, j)
-        v = 0
-        while v + 1 < q.num_vertices and hvars[v + 1] <= hidx:
-            v += 1
-        local = hidx - hvars[v]
-        hi, hj = divmod(local, b.dims[v])
-        col_vec = [f.zero] * total
-        for ai, ar in enumerate(q.arrows):
-            if ar.source == v:
-                # -A_ar h: entry (r, j') gets -A[r][hi] at column hj == j'
-                for r in range(a.dims[ar.target]):
-                    cav = a.mats[ai].data[r][hi]
-                    if cav != 0:
-                        col_vec[var(ai, r, hj)] = f.sub(col_vec[var(ai, r, hj)], cav)
-            if ar.target == v:
-                # +h B_ar: entry (hi, c) gets B[hj][c]
-                for c in range(b.dims[ar.source]):
-                    cbv = b.mats[ai].data[hj][c]
-                    if cbv != 0:
-                        col_vec[var(ai, hi, c)] = f.add(col_vec[var(ai, hi, c)], cbv)
-        cob_cols.append(col_vec)
+    # the basis vertex maps in order: vertex v, then row hi, then column hj
+    for v in range(q.num_vertices):
+        for hi in range(a.dims[v]):
+            for hj in range(b.dims[v]):
+                col_vec = [f.zero] * total
+                for ai, ar in enumerate(q.arrows):
+                    if ar.source == v:
+                        # -A_ar h: entry (r, j') gets -A[r][hi] at column hj == j'
+                        for r in range(a.dims[ar.target]):
+                            cav = a.mats[ai].data[r][hi]
+                            if cav != 0:
+                                idx = var(ai, r, hj)
+                                col_vec[idx] = f.sub(col_vec[idx], cav)
+                    if ar.target == v:
+                        # +h B_ar: entry (hi, c) gets B[hj][c]
+                        for c in range(b.dims[ar.source]):
+                            cbv = b.mats[ai].data[hj][c]
+                            if cbv != 0:
+                                idx = var(ai, hi, c)
+                                col_vec[idx] = f.add(col_vec[idx], cbv)
+                cob_cols.append(col_vec)
     return linalg.from_columns(f, total, cob_cols)
 
 

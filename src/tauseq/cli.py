@@ -43,12 +43,22 @@ def load_algebra_file(path: str):
         raise InputError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise InputError("%s: line %d: %s" % (path, exc.lineno, exc.msg))
+    if not isinstance(doc, dict):
+        raise InputError("%s: expected a JSON object" % path)
     for field_name in ("field", "vertices", "arrows"):
         if field_name not in doc:
             raise InputError("%s: missing required field %r" % (path, field_name))
+    for field_name in ("vertices", "arrows", "relations"):
+        if not isinstance(doc.get(field_name, []), list):
+            raise InputError("%s: %r must be a list" % (path, field_name))
+    if not doc["vertices"]:
+        raise InputError("%s: the quiver has no vertices" % path)
     try:
-        characteristic = int(doc["field"]["characteristic"])
-    except (KeyError, TypeError, ValueError):
+        raw = doc["field"]["characteristic"]
+        characteristic = int(raw)
+        if isinstance(raw, float) and raw != characteristic:
+            raise ValueError(raw)
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InputError("%s: field.characteristic must be an integer" % path)
     try:
         field = FieldSpec(characteristic)
@@ -60,7 +70,10 @@ def load_algebra_file(path: str):
             arrows.append((str(a["name"]), str(a["from"]), str(a["to"])))
         except (KeyError, TypeError):
             raise InputError("%s: arrows need name/from/to fields" % path)
-    relations = [[str(x) for x in rel] for rel in doc.get("relations", [])]
+    relations = doc.get("relations", [])
+    if not all(isinstance(rel, list) for rel in relations):
+        raise InputError("%s: each relation must be a list of arrow names" % path)
+    relations = [[str(x) for x in rel] for rel in relations]
     try:
         quiver = Quiver([str(v) for v in doc["vertices"]], arrows)
         algebra = build_algebra(quiver, field, relations)
@@ -254,8 +267,11 @@ def cmd_tes_graph(args) -> int:
     graph = mutation_graph(u, _selected_wide(u, args.j))
     dot = graph_dot(u, graph)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.dot, exc))
         print("wrote %s (%d vertices, %d edges, %s)"
               % (args.dot, len(graph.vertices), len(graph.edges),
                  "connected" if graph.is_connected() else "DISCONNECTED"))

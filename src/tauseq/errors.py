@@ -24,6 +24,10 @@ class UnknownVertex(TauSeqError):
     pass
 
 
+class MalformedQuiver(TauSeqError):
+    """Two vertices share an id, or two arrows share a name."""
+
+
 class AlgebraMismatch(TauSeqError):
     """Modules over different algebras were mixed in one operation."""
 

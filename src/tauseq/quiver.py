@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from tauseq.errors import InfiniteDimensional, MalformedRelation, UnknownVertex
+from tauseq.errors import (
+    InfiniteDimensional, MalformedQuiver, MalformedRelation, UnknownVertex,
+)
 from tauseq.fields import FieldSpec
 
 
@@ -34,7 +36,7 @@ class Quiver:
     def __init__(self, vertices: Sequence[str], arrows: Sequence[Tuple[str, str, str]]):
         labels = [str(v) for v in vertices]
         if len(set(labels)) != len(labels):
-            raise ValueError("duplicate vertex ids")
+            raise MalformedQuiver("duplicate vertex ids")
         self.vertex_labels: Tuple[str, ...] = tuple(labels)
         self._index: Dict[str, int] = {v: i for i, v in enumerate(labels)}
         arr: List[Arrow] = []
@@ -42,7 +44,7 @@ class Quiver:
         for (name, src, tgt) in arrows:
             name = str(name)
             if name in names:
-                raise ValueError("duplicate arrow name %r" % name)
+                raise MalformedQuiver("duplicate arrow name %r" % name)
             names.add(name)
             if str(src) not in self._index or str(tgt) not in self._index:
                 raise UnknownVertex("arrow %r has endpoint outside the vertex set" % name)

@@ -20,20 +20,21 @@ tau-minus is never built: tau is a bijection from the non-projective
 indecomposables onto the non-injective ones with inverse tau-minus
 (Auslander-Reiten-Smalo ch. IV), so once tau X is found for every found X,
 tau-minus Y is found exactly when Y is injective or Y is some found tau X.
-The stop test, the injective flags and the closure certificate all read
-tau-minus off that tau image, and only a module outside it is tested for
-injectivity.  Each module has one minimal projective presentation, which
-gives its tau, its Ext row and its projectivity.  The
-schema-1 certificate keys keep their meaning: the sweep completed, the count
-is stable up to the cap plus one (nothing the sweep could still add), no
-indecomposable touches the cap, and the set is closed under tau, tau-minus,
-radicals of projectives and socle quotients of injectives.  The certificate
-needs only the tau table and the closure test, so a build that requires it
-and is refused stops there, before the hom and Ext tables.  New
-modules are told apart by the exact isomorphism test of ``decompose``.
-Counts pinned downstream all sit on top of this certificate.  No trace
-table is kept: ``gen_set`` and ``filtgen_*`` compute from traces, as the
-oracle for the verify suites and the tests.
+One closure routine, ``ARNeighbours.closure``, reads tau-minus off that tau
+image, testing only a module outside it for injectivity, and gives the stop
+test, the tau table, the injective flags and the certificate.  Each module
+has one minimal projective presentation, which gives its tau, its Ext row
+and its projectivity.  The schema-1 certificate keys keep their meaning: the
+sweep completed, the count is stable up to the cap plus one (nothing the
+sweep could still add), no indecomposable touches the cap, and the set is
+closed under tau, tau-minus, radicals of projectives and socle quotients of
+injectives.  The certificate needs only the tau table and the closure flags,
+so a build that requires it and is refused stops there, before the hom and
+Ext tables.  One ``Catalogue`` tells modules apart, by the Fitting test of
+``decompose``, for the sweep's new modules, the closure, ``identify`` and
+``identify_parts``.  Counts pinned downstream all sit on top of this
+certificate.  No trace table is kept: ``gen_set`` and ``filtgen_*`` compute
+from traces, as the oracle for the verify suites and the tests.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -50,9 +51,7 @@ from tauseq.ar import (
     Ext1From, almost_split_middle, class_forms, extension_cocycle_space,
     extension_middle, flat_cocycle, is_injective_rep, tau,
 )
-from tauseq.decompose import (
-    _basis_has_iso, indecomposable_parts, is_indecomposable, is_isomorphic,
-)
+from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecomposable
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
@@ -125,15 +124,57 @@ def _socle_quotient(m: Rep) -> Rep:
     return quotient(m, incl)[0]
 
 
+class Catalogue:
+    """Pairwise non-isomorphic indecomposables, bucketed by dimension vector;
+    a module's position in ``modules`` is its id here."""
+
+    def __init__(self, modules: Sequence[Rep] = ()):
+        self.modules: List[Rep] = []
+        self._by_dims: Dict[tuple, List[int]] = {}
+        for m in modules:
+            self.add(m)
+
+    def add(self, m: Rep):
+        self._by_dims.setdefault(m.dims, []).append(len(self.modules))
+        self.modules.append(m)
+
+    def find(self, rep: Rep) -> Optional[int]:
+        """The position of the module isomorphic to rep, or None.  The
+        module is indecomposable, so by Fitting's lemma the two are
+        isomorphic exactly when some Hom basis element is, whether or not
+        rep is."""
+        return next((i for i in self._by_dims.get(rep.dims, ())
+                     if _basis_has_iso(rep, self.modules[i])), None)
+
+    def find_all(self, parts: Sequence[Rep]) -> Optional[List[int]]:
+        """The sorted positions of the parts, or None if one is not found."""
+        out = []
+        for part in parts:
+            i = self.find(part)
+            if i is None:
+                return None
+            out.append(i)
+        return sorted(out)
+
+
+class Closure(NamedTuple):
+    """What ``ARNeighbours.closure`` reads off a catalogue, per position."""
+    tau_of: List[Optional[int]]  # None for a projective or an unresolved tau
+    tau_unresolved: List[bool]   # tau X is not one found module
+    is_inj: List[bool]
+    closed_under_translates: bool
+    closed_under_radical_and_socle_quotients: bool
+
+
 class ARNeighbours:
     """Each module's minimal projective presentation, its injectivity and
     its neighbours in the Auslander-Reiten quiver, as lists of
     indecomposable summands, each computed once per module.
 
     The presentation serves the module's tau, its Ext row and its
-    projectivity (a zero syzygy; a projective gets no transpose).  The
-    sweep's stop test, the translate table and the closure certificate all
-    read these lists:
+    projectivity (a zero syzygy; a projective gets no transpose).
+    ``closure`` reads these lists for the sweep's stop test, the translate
+    table and the closure certificate:
       "tau"     the summands of tau X (none exactly when X is projective);
       "before"  the sources of the irreducible maps into X: the summands of
                 the middle of the almost split sequence ending at X, or of
@@ -189,41 +230,57 @@ class ARNeighbours:
                                % len(translate))
         return indecomposable_parts(rep)
 
+    def closure(self, catalogue: Catalogue) -> Closure:
+        """The translate table, the injective flags and the two closure
+        flags of the catalogue's modules.
+
+        tau is closed when every tau X is one found module and every Y is
+        injective or some found tau X, which is then tau^- Y (see the class
+        docstring); the radicals and socle quotients are closed when the
+        summands of rad P and of I / soc I are found for every found
+        projective P and injective I.
+        """
+        mods = catalogue.modules
+        tau_of: List[Optional[int]] = []
+        unresolved: List[bool] = []
+        for m in mods:
+            parts = self.parts("tau", m)
+            ids = catalogue.find_all(parts)
+            resolved = ids is not None and len(ids) == 1
+            tau_of.append(ids[0] if resolved else None)
+            unresolved.append(bool(parts) and not resolved)
+        # tau X is never injective; outside the tau image the test is exact
+        image = set(tau_of)
+        is_inj = [i not in image and self.injective(m) for i, m in enumerate(mods)]
+        translates = not any(unresolved) and all(
+            is_inj[i] or i in image for i in range(len(mods)))
+
+        def found(kind: str, m: Rep) -> bool:
+            return catalogue.find_all(self.parts(kind, m)) is not None
+
+        # rad P for every projective, I / soc I for every injective
+        radical = all((bool(self.parts("tau", m)) or found("before", m)) and
+                      (not is_inj[i] or found("after", m))
+                      for i, m in enumerate(mods))
+        return Closure(tau_of, unresolved, is_inj, translates, radical)
+
     def closed(self, modules: Sequence[Rep]) -> bool:
         """Whether every neighbour of every module in the list, tau^- X
         included, is isomorphic to one in the list; the modules must be
         indecomposable and pairwise non-isomorphic.
 
-        The tau^- X are read from the tau image (see the class docstring).
-        A list that is closed and holds every simple is a union of finite
-        components of the AR quiver, one per block, so by Auslander's
-        theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
+        That is the two closure flags plus the middle of the almost split
+        sequence ending at each non-projective module.  A list that is
+        closed and holds every simple is a union of finite components of
+        the AR quiver, one per block, so by Auslander's theorem it is every
+        indecomposable (Auslander-Reiten-Smalo, ch. VI).
         """
-        by_dims: Dict[tuple, List[Rep]] = {}
-        for m in modules:
-            by_dims.setdefault(m.dims, []).append(m)
-
-        def match(rep: Rep) -> Optional[Rep]:
-            return next((other for other in by_dims.get(rep.dims, ())
-                         if _basis_has_iso(rep, other)), None)
-
-        image = set()
-        for m in modules:
-            for part in self.parts("tau", m):
-                other = match(part)
-                if other is None:
-                    return False
-                image.add(id(other))
-        for m in modules:
-            kinds = ["before"]
-            if id(m) not in image:
-                if not self.injective(m):
-                    return False  # tau^- m is missing from the list
-                kinds.append("after")
-            if not all(match(part) is not None
-                       for kind in kinds for part in self.parts(kind, m)):
-                return False
-        return True
+        catalogue = Catalogue(modules)
+        c = self.closure(catalogue)
+        return c.closed_under_translates and \
+            c.closed_under_radical_and_socle_quotients and \
+            all(catalogue.find_all(self.parts("before", m)) is not None
+                for m in modules if self.parts("tau", m))
 
 
 SWEEP_COEFFS = (0, 1, -1)
@@ -333,20 +390,18 @@ class ModuleUniverse:
         for m in self.modules:
             seen[m.dims] = seen.get(m.dims, 0) + 1
             self.labels.append(_label(m.dims, seen[m.dims]))
-        self._by_dims: Dict[tuple, List[int]] = {}
-        for i, m in enumerate(self.modules):
-            self._by_dims.setdefault(m.dims, []).append(i)
-        # a refused build stops at its certificate: the translates and the
-        # closure test come first, the hom and Ext tables after it
-        ext_from = self._build_translates()
+        self._catalogue = Catalogue(self.modules)
+        # a refused build stops at its certificate: the closure comes first,
+        # the hom and Ext tables after it
         self._check_closure()
+        pres = [self._neighbours.presentation(m) for m in self.modules]
         del self._neighbours
         self.certified = all(bool(v) for k, v in self.certificate.items()
                              if k not in ("dim_bound", "sweep_aborted_because"))
         if require_certificate and not self.certified:
             raise NotCertifiablyComplete(
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
-        self._build_tables(ext_from)
+        self._build_tables(pres)
         self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
         self.cache: Dict = {}  # shared memo space for the layers above
@@ -376,32 +431,21 @@ class ModuleUniverse:
         further work cannot restore it.
         """
         algebra = self.algebra
-        found: List[Rep] = []
-        buckets: Dict[tuple, List[Rep]] = {}
+        catalogue = Catalogue()
+        found = catalogue.modules
 
         class _Abort(Exception):
-            pass
+            """The sweep stops uncompleted; the argument is the reason."""
 
-        abort_reason = [""]
-
-        def add(rep: Rep) -> bool:
-            # every candidate is indecomposable, so by Fitting's lemma it is
-            # isomorphic to another exactly when some Hom basis element is
-            key = rep.dims
-            for other in buckets.get(key, []):
-                if _basis_has_iso(rep, other):
-                    return False
-            buckets.setdefault(key, []).append(rep)
-            found.append(rep)
+        def add(rep: Rep):
+            if catalogue.find(rep) is not None:
+                return
+            catalogue.add(rep)
             if len(found) > _Budget.MAX_MODULES:
-                abort_reason[0] = ("more than %d indecomposables"
-                                   % _Budget.MAX_MODULES)
-                raise _Abort
+                raise _Abort("more than %d indecomposables" % _Budget.MAX_MODULES)
             if not _dims_leq(rep.dims, self.dim_bound):
-                abort_reason[0] = ("indecomposable with dimension vector %r "
-                                   "above the cap %r" % (rep.dims, self.dim_bound))
-                raise _Abort
-            return True
+                raise _Abort("indecomposable with dimension vector %r above the cap %r"
+                             % (rep.dims, self.dim_bound))
 
         # A new indecomposable E of total dimension t is the middle of some
         # 0 -> U -> E -> S -> 0 with S simple and U its maximal submodule;
@@ -463,9 +507,8 @@ class ModuleUniverse:
                         if e == 0:
                             continue
                         if e > _Budget.MAX_COCYCLE_BASIS:
-                            abort_reason[0] = ("extension space of dimension %d "
-                                               "exceeds the sweep guard" % e)
-                            raise _Abort
+                            raise _Abort("extension space of dimension %d "
+                                         "exceeds the sweep guard" % e)
                         reuse = (cocycles, cob) if len(combo) == 1 else None
                         images = _summand_classes(
                             parts, [forms_to(sv, idx, reuse) for idx in combo], cocycles)
@@ -480,8 +523,8 @@ class ModuleUniverse:
                                 add(middle)
                 if len(found) == layer_start and self._neighbours.closed(found):
                     break
-        except _Abort:
-            return found, False, abort_reason[0]
+        except _Abort as abort:
+            return found, False, str(abort)
         return found, True, ""
 
     @staticmethod
@@ -509,16 +552,27 @@ class ModuleUniverse:
     # tables
     # ------------------------------------------------------------------
 
-    def _build_translates(self) -> List[Ext1From]:
-        """The projective and injective flags, the projective of each vertex
-        and the tau table; returns each module's Ext row."""
+    def _check_closure(self):
+        """The tau table, the injective flags and the closure certificate."""
+        c = self._neighbours.closure(self._catalogue)
+        # an unresolved tau is tolerated only on an uncertified sweep; the
+        # module is treated as not rigid
+        self.tau_of: List[Optional[int]] = c.tau_of
+        self.tau_unresolved: List[bool] = c.tau_unresolved
+        self.is_inj: List[bool] = c.is_inj
+        if any(c.tau_unresolved):
+            self.certificate["translate_table_complete"] = False
+        self.certificate["closed_under_translates"] = c.closed_under_translates
+        self.certificate["closed_under_radical_and_socle_quotients"] = \
+            c.closed_under_radical_and_socle_quotients
+
+    def _build_tables(self, pres: List[Presentation]):
+        """The projective flags, the projective of each vertex and the hom,
+        tau-rigidity and Ext tables, from each module's minimal presentation
+        P1 -> P0 -> M: M is projective exactly when the syzygy
+        K = ker(P0 -> M) is zero, and K gives the Ext row."""
         mods = self.modules
-        neighbours = self._neighbours
-        # one minimal presentation P1 -> P0 -> M per module: M is projective
-        # exactly when the syzygy K = ker(P0 -> M) is zero, K gives the Ext
-        # row and the presentation gives tau M
-        pres = [neighbours.presentation(m) for m in mods]
-        ext_from = [Ext1From(m, p) for m, p in zip(mods, pres)]
+        count = len(mods)
         self.is_proj: List[bool] = [p.syzygy.total_dim == 0 for p in pres]
         self.proj_of_vertex: List[int] = []
         for v in range(self.n):
@@ -526,34 +580,7 @@ class ModuleUniverse:
             if pid is None:
                 raise Mismatch("projective at vertex %d missing from the enumeration" % v)
             self.proj_of_vertex.append(pid)
-        self.tau_of: List[Optional[int]] = []
-        self.tau_unresolved: List[bool] = []
-        for i, m in enumerate(mods):
-            if self.is_proj[i]:
-                self.tau_of.append(None)
-                self.tau_unresolved.append(False)
-                continue
-            parts = self._identify_all(neighbours.parts("tau", m))
-            if parts is None or len(parts) != 1:
-                # tolerated only on an uncertified sweep; recorded and the
-                # module is treated as not rigid
-                self.tau_of.append(None)
-                self.tau_unresolved.append(True)
-                continue
-            self.tau_of.append(parts[0])
-            self.tau_unresolved.append(False)
-        if any(self.tau_unresolved):
-            self.certificate["translate_table_complete"] = False
-        # tau X is never injective; outside the tau image the test is exact
-        image = set(self.tau_of)
-        self.is_inj: List[bool] = [i not in image and neighbours.injective(m)
-                                   for i, m in enumerate(mods)]
-        return ext_from
-
-    def _build_tables(self, ext_from: List[Ext1From]):
-        """The hom, tau-rigidity and Ext tables."""
-        mods = self.modules
-        count = len(mods)
+        ext_from = [Ext1From(m, p) for m, p in zip(mods, pres)]
         self.hom: List[List[int]] = [[hom_dim(m, n) for n in mods] for m in mods]
         self.tau_rigid: List[bool] = []
         for i in range(count):
@@ -569,50 +596,17 @@ class ModuleUniverse:
             [StrIndec(i, 0) for i in range(count) if self.tau_rigid[i]] + \
             [StrIndec(i, 1) for i in range(count) if self.is_proj[i]]
 
-    def _check_closure(self):
-        # every tau M is found, and tau^- N is found exactly when N is
-        # injective or in the tau image (see ARNeighbours)
-        image = set(self.tau_of)
-        ok_tau = not any(self.tau_unresolved) and all(
-            self.is_inj[i] or i in image for i in range(len(self.modules)))
-        ok_rad = True
-        for i, m in enumerate(self.modules):
-            # rad P for every projective, I / soc I for every injective
-            kinds = (["before"] if self.is_proj[i] else []) + \
-                (["after"] if self.is_inj[i] else [])
-            if any(self._identify_all(self._neighbours.parts(kind, m)) is None
-                   for kind in kinds):
-                ok_rad = False
-        self.certificate["closed_under_translates"] = ok_tau
-        self.certificate["closed_under_radical_and_socle_quotients"] = ok_rad
-
     # ------------------------------------------------------------------
     # identification
     # ------------------------------------------------------------------
 
     def identify(self, rep: Rep) -> Optional[int]:
-        """Canonical id of an indecomposable rep, or None if unknown."""
-        for i in self._by_dims.get(rep.dims, []):
-            if is_isomorphic(rep, self.modules[i]):
-                return i
-        return None
-
-    def _identify_all(self, parts: List[Rep]) -> Optional[List[int]]:
-        """Sorted canonical ids of indecomposable reps, or None if one is
-        unknown.  Each part is indecomposable, so by Fitting's lemma it is
-        isomorphic to a module exactly when some Hom basis element is."""
-        out = []
-        for part in parts:
-            i = next((i for i in self._by_dims.get(part.dims, [])
-                      if _basis_has_iso(part, self.modules[i])), None)
-            if i is None:
-                return None
-            out.append(i)
-        return sorted(out)
+        """Canonical id of the module isomorphic to rep, or None."""
+        return self._catalogue.find(rep)
 
     def identify_parts(self, rep: Rep) -> Optional[List[int]]:
         """Sorted canonical ids (with multiplicity) of the summands, or None."""
-        return self._identify_all(indecomposable_parts(rep))
+        return self._catalogue.find_all(indecomposable_parts(rep))
 
     def label_of_indec(self, x: StrIndec) -> str:
         return self.labels[x.mod] + ("[1]" if x.shift else "")

@@ -106,6 +106,22 @@ def test_dropping_any_module_breaks_the_closure(build):
         assert not neighbours.closed(u.modules[:i] + u.modules[i + 1:]), u.labels[i]
 
 
+def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():
+    # P1, P2 and S1 + S2 all have the dimension vector (1, 1); only the
+    # projectives are modules, and the sum is identified summand by summand
+    algebra = _nakayama2([["a", "b"], ["b", "a"]])
+    u = ModuleUniverse(algebra)
+    for v in range(u.n):
+        assert u.identify(projective(algebra, v)) == u.proj_of_vertex[v]
+    assert len(set(u.proj_of_vertex)) == 2
+    sum_of_simples, _, _ = direct_sum([simple(algebra, 0), simple(algebra, 1)])
+    assert sum_of_simples.dims == (1, 1)
+    assert u.identify(sum_of_simples) is None
+    simples = sorted(u.identify(simple(algebra, v)) for v in range(u.n))
+    assert None not in simples
+    assert u.identify_parts(sum_of_simples) == simples
+
+
 def _check_almost_split(x, tau_x):
     e = almost_split_middle(x, tau_x)
     assert e.dims == tuple(a + b for a, b in zip(x.dims, tau_x.dims))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from tauseq.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -12,6 +14,14 @@ ALGEBRAS = os.path.join(HERE, "..", "algebras")
 
 def path(name):
     return os.path.join(ALGEBRAS, name)
+
+
+def src_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(HERE, "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -153,6 +163,37 @@ def test_malformed_algebra_file(tmp_path, capsys):
     assert code == 2
 
 
+A2 = {"field": {"characteristic": 0}, "vertices": ["1", "2"],
+      "arrows": [{"name": "a", "from": "1", "to": "2"}], "relations": []}
+MALFORMED = {
+    "duplicate_vertex_ids": dict(A2, vertices=["1", "1"]),
+    "duplicate_arrow_names": dict(A2, arrows=[{"name": "a", "from": "1", "to": "2"}] * 2),
+    "vertices_not_a_list": dict(A2, vertices=2),
+    "arrows_not_a_list": dict(A2, arrows=3),
+    "relations_not_a_list": dict(A2, relations=4),
+    "relation_not_a_list": dict(A2, relations=[5]),
+    "no_vertices": dict(A2, vertices=[], arrows=[]),
+    "non_integral_characteristic": dict(A2, field={"characteristic": 2.5}),
+    "infinite_characteristic": dict(A2, field={"characteristic": float("inf")}),
+    "top_level_not_an_object": 5,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + ["dot_into_a_missing_directory"])
+def test_malformed_input_exits_2_without_a_traceback(case, tmp_path):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps(MALFORMED.get(case, A2)))
+    if case == "dot_into_a_missing_directory":
+        argv = ["tes", str(algebra), "graph", "--dot", str(tmp_path / "missing" / "g.dot")]
+    else:
+        argv = ["inspect", str(algebra)]
+    proc = subprocess.run([sys.executable, "-m", "tauseq.cli"] + argv, env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_commands_run_without_importing_sympy():
     # sympy is only the factorization fallback for minimal polynomials of
     # degree 3 and up, which no corpus algebra needs; a fresh interpreter
@@ -165,10 +206,7 @@ def test_cli_commands_run_without_importing_sympy():
             assert main(["verify", %r, "--suite", "all", "--json"]) == 0
         assert "sympy" not in sys.modules, "sympy was imported"
         """ % (path("a3.json"), path("a2.json")))
-    src = os.path.join(HERE, "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
