@@ -89,19 +89,20 @@ def build_universe(algebra, dim_bound: Optional[int],
                           require_certificate=require_certificate)
 
 
+def _module_id(u: ModuleUniverse, token: str) -> int:
+    try:
+        return u.id_of_label(token)
+    except KeyError as exc:
+        raise InputError(exc.args[0])
+
+
 def parse_sequence(u: ModuleUniverse, text: str) -> Tuple[int, ...]:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     if not body.strip():
         return ()
-    out = []
-    for token in body.split(","):
-        try:
-            out.append(u.id_of_label(token.strip()))
-        except KeyError as exc:
-            raise InputError(str(exc))
-    return tuple(out)
+    return tuple(_module_id(u, token) for token in body.split(","))
 
 
 def parse_str_obj(u: ModuleUniverse, text: str) -> StrObj:
@@ -116,11 +117,7 @@ def parse_str_obj(u: ModuleUniverse, text: str) -> StrObj:
         shifted = token.endswith("[1]")
         if shifted:
             token = token[:-3]
-        try:
-            mid = u.id_of_label(token)
-        except KeyError as exc:
-            raise InputError(str(exc))
-        (shifts if shifted else mods).append(mid)
+        (shifts if shifted else mods).append(_module_id(u, token))
     return StrObj.make(mods, shifts)
 
 
@@ -181,10 +178,7 @@ def cmd_inspect(args) -> int:
 
 def _certified_universe(args) -> ModuleUniverse:
     algebra = load_algebra_file(args.file)
-    try:
-        return build_universe(algebra, args.dim_bound, require_certificate=True)
-    except TauSeqError as exc:
-        raise InputError("%s: %s" % (type(exc).__name__, exc))
+    return build_universe(algebra, args.dim_bound, require_certificate=True)
 
 
 def _selected_wide(u: ModuleUniverse, text: Optional[str]) -> FrozenSet[int]:
@@ -212,11 +206,8 @@ def cmd_tes_mutate(args) -> int:
     from tauseq.sequences import mutate, tail_context
     u = _certified_universe(args)
     seq = parse_sequence(u, args.seq)
-    try:
-        tail_context(u, seq)  # the whole input must be a sequence
-        out = mutate(u, seq, args.op, args.index)
-    except TauSeqError as exc:
-        raise InputError("%s: %s" % (type(exc).__name__, exc))
+    tail_context(u, seq)  # the whole input must be a sequence
+    out = mutate(u, seq, args.op, args.index)
     doc = {"schema": SCHEMA, "input": seq_label(u, seq), "op": args.op,
            "index": args.index, "output": seq_label(u, out)}
     emit(doc, args.json, [seq_label(u, out)])
@@ -228,12 +219,9 @@ def cmd_tes_path(args) -> int:
     u = _certified_universe(args)
     src = parse_sequence(u, getattr(args, "from"))
     dst = parse_sequence(u, args.to)
-    try:
-        word = transitivity_path(u, src, dst)
-        applied = apply_steps(u, src, word.steps) == dst
-        dist = mutation_distance(u, src, dst)
-    except TauSeqError as exc:
-        raise InputError("%s: %s" % (type(exc).__name__, exc))
+    word = transitivity_path(u, src, dst)
+    applied = apply_steps(u, src, word.steps) == dst  # the one application of the word
+    dist = mutation_distance(u, src, dst)
     doc = {"schema": SCHEMA, "from": seq_label(u, src), "to": seq_label(u, dst),
            "word": word.display(), "length": word.length,
            "bfs_distance": dist, "applied": "OK" if applied else "FAILED"}

@@ -15,7 +15,9 @@ formula output landing in the wrong group aborts loudly.
 
 Transitivity is certified by words: ``normalize`` mutates a sequence until
 its preimage sum is gen-minimal, ``bridge`` connects two such normal forms
-by transpositions, and both move preimage entries with one walk.
+by transpositions, and both move preimage entries with one walk.  Each word
+is built once and is plain data; it is checked by whoever applies it (the
+``tes path`` command and the verify suite).
 """
 
 from __future__ import annotations
@@ -99,17 +101,6 @@ def tail_context(u: ModuleUniverse, tail: Seq) -> Context:
     c = ambient_context(u)
     for x in reversed(tail):
         c = context_of(u, c, StrObj.make([x]))
-    return c
-
-
-def j_of_sequence(u: ModuleUniverse, seq: Seq) -> Context:
-    """The perpendicular subcategory of the whole sequence, computed
-    recursively and cross-checked against the unordered preimage sum."""
-    c = tail_context(u, seq)
-    tf = omega_inverse(u, seq)
-    direct = j_in_context(u, ambient_context(u), StrObj.make(tf))
-    if direct != c.members:
-        raise Mismatch("recursive and preimage routes to J disagree")
     return c
 
 
@@ -288,30 +279,28 @@ def first_position(u: ModuleUniverse, seq: Seq) -> int:
     return u.n - len(seq) + 1
 
 
-def mutate(u: ModuleUniverse, seq: Seq, op: str, index: int) -> Seq:
-    """Apply a left or right mutation at an absolute position."""
+def _split_at(u: ModuleUniverse, seq: Seq, index: int) -> Tuple[Seq, Pair, Seq]:
+    """The head, the adjacent pair at an absolute position, and the tail."""
     k = first_position(u, seq)
     offset = index - k
     if not 0 <= offset <= len(seq) - 2:
         raise IndexOutOfRange("position %d not mutable in a sequence at "
                               "positions %d..%d" % (index, k, u.n))
-    tail = seq[offset + 2:]
-    pair = (seq[offset], seq[offset + 1])
-    new_pair = mutation_table(u, tail_context(u, tail)).apply(op, pair)
-    out = seq[:offset] + new_pair + tail
-    return out
+    return seq[:offset], (seq[offset], seq[offset + 1]), seq[offset + 2:]
+
+
+def mutate(u: ModuleUniverse, seq: Seq, op: str, index: int) -> Seq:
+    """Apply a left or right mutation at an absolute position."""
+    head, pair, tail = _split_at(u, seq, index)
+    return head + mutation_table(u, tail_context(u, tail)).apply(op, pair) + tail
 
 
 class MutationWord:
-    """A composition of mutation steps, re-verified against its endpoints."""
+    """A composition of mutation steps (op, position, power), read left to
+    right.  Plain data: applying it is left to the caller."""
 
-    def __init__(self, u: ModuleUniverse, steps: Sequence[Tuple[str, int, int]],
-                 source: Seq, target: Seq):
+    def __init__(self, steps: Sequence[Tuple[str, int, int]]):
         self.steps = tuple(steps)
-        self.source = source
-        self.target = target
-        if apply_steps(u, source, self.steps) != target:
-            raise Mismatch("mutation word does not carry its source to its target")
 
     @property
     def length(self) -> int:
@@ -368,21 +357,20 @@ def is_gen_minimal(u: ModuleUniverse, ids: Sequence[int]) -> bool:
 def transposition_word(u: ModuleUniverse, seq: Seq, index: int,
                        target: Seq) -> MutationWord:
     """The minimal power of a single mutation at one position carrying seq to
-    target; exponents are searched in the order +1, -1, +2, -2, ..."""
+    target; exponents are searched in the order +1, -1, +2, -2, ..., along
+    the pair's orbits in the one mutation table of the tail."""
     if seq == target:
-        return MutationWord(u, (), seq, target)
-    k = first_position(u, seq)
-    offset = index - k
-    ctx = tail_context(u, seq[offset + 2:])
-    bound = mutation_table(u, ctx).cell_size((seq[offset], seq[offset + 1])) + 1
-    forward = backward = seq
-    for power in range(1, bound + 1):
-        forward = mutate(u, forward, "phi", index)
-        if forward == target:
-            return MutationWord(u, (("phi", index, power),), seq, target)
-        backward = mutate(u, backward, "psi", index)
-        if backward == target:
-            return MutationWord(u, (("psi", index, power),), seq, target)
+        return MutationWord(())
+    head, pair, tail = _split_at(u, seq, index)
+    table = mutation_table(u, tail_context(u, tail))
+    forward = backward = pair
+    for power in range(1, table.cell_size(pair) + 2):
+        forward = table.apply("phi", forward)
+        if head + forward + tail == target:
+            return MutationWord((("phi", index, power),))
+        backward = table.apply("psi", backward)
+        if head + backward + tail == target:
+            return MutationWord((("psi", index, power),))
     raise OrbitExhausted("no power of the mutation at position %d connects the "
                          "two sequences" % index)
 
@@ -432,7 +420,7 @@ def normalize(u: ModuleUniverse, seq: Seq,
         if trace is not None:
             trace.append(members)
         if is_gen_minimal(u, tf):
-            return cur, MutationWord(u, steps, seq, cur)
+            return cur, MutationWord(steps)
         handle = torsion_handle(u, members)
         candidates = [pos for pos, y in enumerate(tf) if y in handle.nonsplit]
         if not candidates:
@@ -481,12 +469,11 @@ def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
     normalization word of seq2."""
     if len(seq1) != len(seq2):
         raise DifferentJ("sequences of different lengths")
-    if j_of_sequence(u, seq1).members != j_of_sequence(u, seq2).members:
+    if tail_context(u, seq1).members != tail_context(u, seq2).members:
         raise DifferentJ("the sequences determine different wide subcategories")
     n1, w1 = normalize(u, seq1)
     n2, w2 = normalize(u, seq2)
-    steps = w1.steps + tuple(bridge(u, n1, n2)) + w2.inverse_steps()
-    return MutationWord(u, steps, seq1, seq2)
+    return MutationWord(w1.steps + tuple(bridge(u, n1, n2)) + w2.inverse_steps())
 
 
 # --------------------------------------------------------------------------

@@ -592,9 +592,6 @@ class ModuleUniverse:
         self.ext: List[List[int]] = [
             [ext_from[i].dim(mods[j], self.hom[i][j]) for j in range(count)]
             for i in range(count)]
-        self.str_indecs: List[StrIndec] = \
-            [StrIndec(i, 0) for i in range(count) if self.tau_rigid[i]] + \
-            [StrIndec(i, 1) for i in range(count) if self.is_proj[i]]
 
     # ------------------------------------------------------------------
     # identification
@@ -632,9 +629,9 @@ class ModuleUniverse:
         if label[:1] in ("S", "P") and label[1:].isdigit():
             v = int(label[1:]) - 1
             if 0 <= v < self.n:
-                rep = simple(self.algebra, v) if label[0] == "S" \
-                    else projective(self.algebra, v)
-                i = self.identify(rep)
+                if label[0] == "P":
+                    return self.proj_of_vertex[v]
+                i = self.identify(simple(self.algebra, v))
                 if i is not None:
                     return i
         raise KeyError("unknown module label %r" % label)

@@ -230,3 +230,13 @@ def test_tes_mutate_refuses_an_input_that_is_not_a_sequence(capsys):
                          "--index", "2")
     assert (code, out) == (2, "")
     assert "NotTauRigid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mutate", "--seq", "(S9,S1)", "--op", "phi", "--index", "1"],
+    ["enumerate", "--j", "(S9[1])"],
+])
+def test_unknown_label_is_reported_without_stray_quotes(argv, capsys):
+    a2 = os.path.join(HERE, "..", "perfbench", "algebras", "a2.json")
+    code, out, err = run(capsys, "tes", a2, *argv)
+    assert (code, out, err) == (2, "", "error: unknown module label 'S9'\n")

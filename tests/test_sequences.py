@@ -9,14 +9,17 @@ from tauseq.errors import (
 )
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
+from tauseq import sequences
 from tauseq.sequences import (
-    apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive, is_gen_minimal,
-    is_tf_ordered, j_of_sequence, mutate, mutation_distance, mutation_graph,
-    mutation_table, normalize, omega, omega_inverse, phi_pair, psi_pair,
-    regularity, tail_context, transitivity_path, transposition_word,
+    apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
+    first_position, is_gen_minimal, is_tf_ordered, mutate, mutation_distance,
+    mutation_graph, mutation_table, normalize, omega, omega_inverse, phi_pair,
+    psi_pair, regularity, tail_context, transitivity_path, transposition_word,
 )
-from tauseq.universe import ModuleUniverse
-from tauseq.wide import all_torsion_classes, ambient_context
+from tauseq.universe import ModuleUniverse, StrObj
+from tauseq.wide import (
+    all_torsion_classes, all_wide_subcategories, ambient_context, j_in_context,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +72,25 @@ def test_complete_sequences_a2(u2):
 
 def test_j_of_sequence(u2):
     s1, s2, p1 = ids(u2, "S1", "S2", "P1")
-    assert j_of_sequence(u2, (s1, s2)).members == frozenset()
-    assert j_of_sequence(u2, (s2,)).members == frozenset({s1})
+    assert tail_context(u2, (s1, s2)).members == frozenset()
+    assert tail_context(u2, (s2,)).members == frozenset({s1})
+
+
+@pytest.mark.parametrize("name", ["a3", "a3rad2", "nakayama_cycle"])
+def test_j_of_a_sequence_is_j_of_its_preimage_sum(name, request):
+    # the recursive J of a sequence against the perpendicular category of the
+    # unordered preimage sum, on every sequence of every family
+    if name == "nakayama_cycle":
+        q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+        algebra = build_algebra(q, FieldSpec(0), [["a", "b"], ["b", "a"]])
+    else:
+        algebra = request.getfixturevalue(name)
+    u = ModuleUniverse(algebra)
+    amb = ambient_context(u)
+    for w in all_wide_subcategories(u):
+        for s in enumerate_tau_es(u, w):
+            direct = j_in_context(u, amb, StrObj.make(omega_inverse(u, s)))
+            assert tail_context(u, s).members == direct == w
 
 
 def test_phi_three_cycle(u2):
@@ -236,11 +256,12 @@ def test_tail_context_is_the_perpendicular_of_the_tail(u3r):
     assert tail_context(u3r, ()) == amb
     for s in enumerate_tau_es(u3r, frozenset()):
         assert tail_context(u3r, s).members == frozenset()
-        assert tail_context(u3r, s[1:]) == j_of_sequence(u3r, s[1:])
+        assert tail_context(u3r, s[1:]).members == j_in_context(
+            u3r, amb, StrObj.make(omega_inverse(u3r, s[1:])))
 
 
 def _distance_by_graph(u, src, dst):
-    g = mutation_graph(u, j_of_sequence(u, src).members)
+    g = mutation_graph(u, tail_context(u, src).members)
     index = {v: i for i, v in enumerate(g.vertices)}
     return g.bfs_distances(index[src]).get(index[dst])
 
@@ -311,3 +332,42 @@ def test_a5_sequences_and_a_path_read_only_the_tables(monkeypatch):
     word = transitivity_path(u, seqs[0], seqs[-1])
     assert apply_steps(u, seqs[0], word.steps) == seqs[-1]
     assert not calls, dict(calls)
+
+
+def test_words_are_built_once_on_warm_a4(monkeypatch):
+    # the library builds each word without applying it; a transposition
+    # walks the pair's orbits in the one mutation table of its tail
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    u = ModuleUniverse(build_algebra(q, FieldSpec(0)))
+    seqs = enumerate_tau_es(u, frozenset())
+    src, dst = seqs[0], seqs[-1]
+    warm = transitivity_path(u, src, dst)
+    index = first_position(u, src)
+    # a second power that moves the sequence, so the orbit walk takes steps
+    start, target = next((s, t) for s in seqs
+                         for t in [mutate(u, mutate(u, s, "phi", index), "phi", index)]
+                         if t != s)
+    transposition_word(u, start, index, target)
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(sequences, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(sequences, name, counted)
+
+    for name in ("apply_steps", "mutate", "tail_context"):
+        spy(name)
+    word = transitivity_path(u, src, dst)
+    assert calls["apply_steps"] == 0
+    assert word.steps == warm.steps
+    calls.clear()
+    step = transposition_word(u, start, index, target)
+    assert (calls["mutate"], calls["tail_context"]) == (0, 1)
+    monkeypatch.undo()
+    assert step.length >= 1
+    assert apply_steps(u, start, step.steps) == target
+    assert apply_steps(u, src, word.steps) == dst

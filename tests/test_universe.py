@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from tauseq.errors import BoundTooSmall
 from tauseq.modules import projective, simple
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.wide import ambient_context, rel_str_indecs
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +53,23 @@ def test_labels_are_stable_and_parse(u2):
     assert u2.id_of_label("11") == u2.identify(projective(u2.algebra, 0))
 
 
+def str_indecs(u):
+    return rel_str_indecs(u, ambient_context(u))
+
+
 def test_str_indec_count_a2(u2):
     # all three modules are tau-rigid; two projectives give two shifts
-    assert len(u2.str_indecs) == 5
+    assert len(str_indecs(u2)) == 5
 
 
 def test_str_indec_count_a3(u3):
-    assert len([x for x in u3.str_indecs if x.shift == 0]) == 6
-    assert len([x for x in u3.str_indecs if x.shift == 1]) == 3
+    assert len([x for x in str_indecs(u3) if x.shift == 0]) == 6
+    assert len([x for x in str_indecs(u3) if x.shift == 1]) == 3
 
 
 def test_str_indec_count_a3rad2(u3r):
-    assert len([x for x in u3r.str_indecs if x.shift == 0]) == 5
-    assert len([x for x in u3r.str_indecs if x.shift == 1]) == 3
+    assert len([x for x in str_indecs(u3r) if x.shift == 0]) == 5
+    assert len([x for x in str_indecs(u3r) if x.shift == 1]) == 3
 
 
 def test_tau_table_a2(u2):
