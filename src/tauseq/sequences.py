@@ -32,9 +32,8 @@ from tauseq.errors import (
 )
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
-    Context, ambient_context, context_of, gen_mask, ids_of, j_in_context,
-    rel_ext_projectives, rel_perp_tau, rel_str_indecs, rel_tau_rigid,
-    torsion_handle,
+    Context, ambient_context, context_of, gen_mask, ids_of, rel_ext_projectives,
+    rel_perp_tau, rel_str_indecs, rel_tau_rigid, rigid_index, torsion_handle,
 )
 
 Seq = Tuple[int, ...]
@@ -281,6 +280,9 @@ def first_position(u: ModuleUniverse, seq: Seq) -> int:
 
 def _split_at(u: ModuleUniverse, seq: Seq, index: int) -> Tuple[Seq, Pair, Seq]:
     """The head, the adjacent pair at an absolute position, and the tail."""
+    if len(seq) < 2:
+        raise IndexOutOfRange("position %d not mutable: a sequence of length %d "
+                              "has no adjacent pair" % (index, len(seq)))
     k = first_position(u, seq)
     offset = index - k
     if not 0 <= offset <= len(seq) - 2:
@@ -482,12 +484,12 @@ def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
 
 def enumerate_tau_es(u: ModuleUniverse, w_members: FrozenSet[int]) -> List[Seq]:
     """All sequences whose perpendicular subcategory is the given one, by
-    running the orderings of suitable rigid modules through omega."""
-    amb = ambient_context(u)
+    running the TF-orderings of the rigid modules with that J through omega.
+    The rigid modules over each J are read off the universe's index
+    (``wide.rigid_index``), which computes J once per rigid module."""
     out = []
-    for subset in u.all_tau_rigid_subsets():
-        if j_in_context(u, amb, StrObj.make(subset)) == w_members:
-            out.extend(omega(u, perm) for perm in tf_orderings(u, subset))
+    for subset in rigid_index(u).over.get(w_members, ()):
+        out.extend(omega(u, perm) for perm in tf_orderings(u, subset))
     return sorted(set(out))
 
 

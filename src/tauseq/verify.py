@@ -7,8 +7,9 @@ raised by the engine into a failed check, so a corrupted internal table
 surfaces here instead of crashing the run: at item level where a check owns
 the call, including the calls listing the items it iterates over, and at
 suite level otherwise, as the one failed check "suite ran to completion".
-Each suite computes every fact it reads once; Gen, the perp-translate class
-and J of each rigid set are computed once for the bijections suite.
+Each suite computes every fact it reads once; Gen and the perp-translate
+class of each rigid set are computed once for the bijections suite, and J of
+each rigid set is read off the universe's index (``wide.rigid_index``).
 
 Gen-minimality has one route in the library; the bijections suite checks it
 against the split-projective characterization.  The library reads Gen, split
@@ -27,7 +28,7 @@ forms; the pairs of a wide subcategory over PAIR_BUDGET are counted as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from tauseq.ar import is_injective_rep, tau_hom_dim
 from tauseq.emap import engine_for
@@ -44,7 +45,7 @@ from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context,
     compatible_in_context, context_from_members, context_of, ids_of,
     j_in_context, left_perp, mask_of, mask_tables, perp_tau_members,
-    rel_str_indecs, rel_tau_rigid, torsion_handle,
+    rel_str_indecs, rel_tau_rigid, rigid_j, torsion_handle,
 )
 
 T = TypeVar("T")
@@ -179,8 +180,8 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     wide_set = set(wides)
     rigid_sets = u.all_tau_rigid_subsets()
     # Gen, the perp-translate class and J of each rigid set
-    facts = {a: (u.gen_set(a), perp_tau_members(u, a),
-                 j_in_context(u, amb, StrObj.make(a))) for a in rigid_sets}
+    facts = {a: (u.gen_set(a), perp_tau_members(u, a), rigid_j(u, a))
+             for a in rigid_sets}
 
     genmin_check = Check("gen-minimal definition matches characterization")
     genmin: List[Tuple[int, ...]] = []
@@ -390,7 +391,7 @@ def suite_emap(u: ModuleUniverse) -> SuiteReport:
     tf_unique = Check("ordered rigid pairs with equal perpendicular agree")
     tf_pairs = [p for ids in u.all_tau_rigid_subsets() if len(ids) == 2
                 for p in tf_orderings(u, ids)]
-    pair_j = {p: j_in_context(u, amb, StrObj.make(p)) for p in tf_pairs}
+    pair_j = {p: rigid_j(u, p) for p in tf_pairs}
     for (x, y) in tf_pairs:
         for (z, y2) in tf_pairs:
             if y2 != y or x == z:
@@ -463,7 +464,6 @@ PAIR_BUDGET = 40000
 
 
 def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
-    amb = ambient_context(u)
     counts = Check("sequence enumeration matches the recursive definition")
     connected = Check("mutation graph is connected")
     words = Check("normalization words connect all pairs of sequences")
@@ -523,15 +523,14 @@ def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
             if len(handle.split) != 2:
                 return False
             pair = tuple(sorted(handle.split))
-            return (is_gen_minimal(u, pair)
-                    and j_in_context(u, amb, StrObj.make(pair)) == w)
+            return is_gen_minimal(u, pair) and rigid_j(u, pair) == w
         corank2.guard(_run, {"wide": _labels(u, w), "split": _labels(u, handle.split)})
         if len(handle.split) == 2:
             uu, vv = handle.split
             if u.is_proj[uu] and u.is_proj[vv]:
                 for first, second in ((uu, vv), (vv, uu)):
-                    def _run_chain(first=first, second=second, w=w):
-                        return _check_serre_chain(u, w, first, second)
+                    def _run_chain(first=first, second=second):
+                        return _check_serre_chain(u, first, second)
                     serre_chain.guard(_run_chain,
                                       {"V": u.labels[first], "U": u.labels[second]})
 
@@ -563,18 +562,19 @@ def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
     ])
 
 
-def _check_serre_chain(u: ModuleUniverse, w: FrozenSet[int],
-                       v_mod: int, u_mod: int) -> bool:
+def _check_serre_chain(u: ModuleUniverse, v_mod: int, u_mod: int) -> bool:
     """Iterate the right mutation from the sequence of (V, U); the second
     entries must strictly descend in Gen until they hit V, and the chain must
-    end at the sequence of (U, V)."""
+    end at the sequence of (U, V).  Each Gen is a torsion class, so a chain
+    that descends strictly has at most as many steps as there are support
+    tau-tilting objects."""
     if not is_tf_ordered(u, (v_mod, u_mod)):
         return True  # not an ordering; nothing to trace
     seq = omega(u, (v_mod, u_mod))
     target = omega(u, (u_mod, v_mod))
     k = first_position(u, seq)
     prev_gen = None
-    for _ in range(len(enumerate_tau_es(u, w)) + 1):
+    for _ in range(u.support_tilting_count() + 1):
         tf = omega_inverse(u, seq)
         u_l = tf[1]
         if u_l == v_mod:

@@ -13,6 +13,8 @@ instance, is the mask of the relative perpendicular of the translate of T
 with every module receiving a nonzero map from a summand of T cleared.
 Gen is read off the hom rows too (``gen_mask``); the trace route of
 ``ModuleUniverse.gen_set`` is only the oracle of the verify suites and tests.
+J of every basic tau-rigid module is computed once per universe and filed by
+J (``rigid_index``); the sequence families and the verify suites read it.
 
 Relative tau-rigidity never constructs a relative translate.  A module M in
 a wide subcategory W is tau-rigid there exactly when Ext^1(M, -) vanishes on
@@ -348,6 +350,41 @@ def context_of(u: ModuleUniverse, ctx: Context, t: StrObj) -> Context:
         raise NotTauRigid("object %s is not support tau-rigid in the context"
                           % u.label_of_obj(t))
     return _context(u, _j_mask(tables, ctx, t, ext), ctx.rank - t.delta)
+
+
+class RigidIndex(NamedTuple):
+    """The ambient J of every basic tau-rigid module, built once per universe.
+
+    j_of maps each sorted id tuple of ``all_tau_rigid_subsets`` to its J, and
+    over files those tuples under their J, in the order of that list.
+    """
+    j_of: Dict[Tuple[int, ...], FrozenSet[int]]
+    over: Dict[FrozenSet[int], List[Tuple[int, ...]]]
+
+
+def rigid_index(u: ModuleUniverse) -> RigidIndex:
+    """The index of the tau-rigid sets by their J: one j_in_context call per
+    set, on first use."""
+    index = u.cache.get("rigid_index")
+    if index is None:
+        amb = ambient_context(u)
+        j_of = {ids: j_in_context(u, amb, StrObj.make(ids))
+                for ids in u.all_tau_rigid_subsets()}
+        over: Dict[FrozenSet[int], List[Tuple[int, ...]]] = {}
+        for ids, j in j_of.items():
+            over.setdefault(j, []).append(ids)
+        index = u.cache["rigid_index"] = RigidIndex(j_of, over)
+    return index
+
+
+def rigid_j(u: ModuleUniverse, ids: Iterable[int]) -> FrozenSet[int]:
+    """J of a basic tau-rigid module in the ambient category, read off the
+    index; the ids may come in any order."""
+    t = StrObj.make(tuple(ids))
+    j = rigid_index(u).j_of.get(t.mods)
+    if j is None:
+        raise NotTauRigid("module %s is not basic tau-rigid" % u.label_of_obj(t))
+    return j
 
 
 def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:

@@ -232,6 +232,20 @@ def test_tes_mutate_refuses_an_input_that_is_not_a_sequence(capsys):
     assert "NotTauRigid" in err
 
 
+@pytest.mark.parametrize("seq, index, message", [
+    ("()", "1", "position 1 not mutable: a sequence of length 0 has no adjacent pair"),
+    ("(001#1)", "1",
+     "position 1 not mutable: a sequence of length 1 has no adjacent pair"),
+    ("(001#1,100#1,011#1)", "3",
+     "position 3 not mutable in a sequence at positions 1..3"),
+])
+def test_tes_mutate_out_of_range_names_the_missing_pair(seq, index, message, capsys):
+    a3 = os.path.join(HERE, "..", "perfbench", "algebras", "a3.json")
+    code, out, err = run(capsys, "tes", a3, "mutate", "--seq", seq,
+                         "--op", "phi", "--index", index)
+    assert (code, out, err) == (2, "", "error: IndexOutOfRange: %s\n" % message)
+
+
 @pytest.mark.parametrize("argv", [
     ["mutate", "--seq", "(S9,S1)", "--op", "phi", "--index", "1"],
     ["enumerate", "--j", "(S9[1])"],

@@ -1,9 +1,11 @@
+import os
 import sys
 from collections import Counter
 
 import pytest
 
-from tauseq import modules
+from tauseq import modules, wide
+from tauseq.cli import load_algebra_file
 from tauseq.errors import (
     DifferentJ, IndexOutOfRange, Mismatch, NotTauRigid, NotTFOrdered,
 )
@@ -19,7 +21,10 @@ from tauseq.sequences import (
 from tauseq.universe import ModuleUniverse, StrObj
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context, j_in_context,
+    rigid_j,
 )
+
+HERE = os.path.dirname(__file__)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +39,10 @@ def u3r(a3rad2):
 
 def ids(u, *labels):
     return tuple(u.id_of_label(x) for x in labels)
+
+
+def _algebra_file(*parts):
+    return load_algebra_file(os.path.join(HERE, "..", *parts))
 
 
 def test_tf_orderings_a2(u2):
@@ -371,3 +380,44 @@ def test_words_are_built_once_on_warm_a4(monkeypatch):
     assert step.length >= 1
     assert apply_steps(u, start, step.steps) == target
     assert apply_steps(u, src, word.steps) == dst
+
+
+def test_family_queries_compute_j_once_per_rigid_set(monkeypatch):
+    # J of every rigid set is filed once per universe; a family query reads
+    # the index instead of recomputing J of all 90 rigid sets of A4
+    u = ModuleUniverse(_algebra_file("perfbench", "algebras", "a4.json"))
+    calls = Counter()
+    real = wide.j_in_context
+
+    def counted(*args, **kwargs):
+        calls["j_in_context"] += 1
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("tauseq") \
+                and getattr(mod, "j_in_context", None) is real:
+            monkeypatch.setattr(mod, "j_in_context", counted)
+    wides = all_wide_subcategories(u)
+    first = [enumerate_tau_es(u, w) for w in wides]
+    second = [enumerate_tau_es(u, w) for w in wides]
+    assert first == second
+    assert sum(map(len, first)) > len(wides)
+    assert calls["j_in_context"] == len(u.all_tau_rigid_subsets()) == 90
+    # the two simples 0001#1 and 0010#1 extend, so their sum has no entry
+    with pytest.raises(NotTauRigid):
+        rigid_j(u, ids(u, "0010#1", "0001#1"))
+
+
+@pytest.mark.parametrize("parts", [
+    ("perfbench", "algebras", "a2.json"),
+    ("perfbench", "algebras", "a3.json"),
+    ("perfbench", "algebras", "a3rad2.json"),
+    ("perfbench", "algebras", "nakayama2_rad2.json"),
+    ("perfbench", "algebras", "a4.json"),
+    ("algebras", "d4.json"),
+], ids=lambda parts: os.path.splitext(parts[-1])[0])
+def test_every_family_read_off_the_index_matches_the_recursion(parts):
+    u = ModuleUniverse(_algebra_file(*parts))
+    for w in all_wide_subcategories(u):
+        assert enumerate_tau_es(u, w) == enumerate_tau_es_recursive(u, w), \
+            [u.labels[i] for i in sorted(w)]
