@@ -1,4 +1,4 @@
-"""The translate tau = D Tr, rigidity tests, and extension computations.
+"""The translate tau = D Tr and extension computations.
 
 tau is computed from a minimal projective presentation P1 -> P0 -> M -> 0:
 read the map as a matrix of path coefficients, rebuild it over the opposite
@@ -194,14 +194,8 @@ def ext1_dim(m: Rep, n: Rep) -> int:
     return Ext1From(m).dim(n)
 
 
-def is_tau_rigid(m: Rep) -> bool:
-    if m.total_dim == 0:
-        return True
-    return hom_dim(m, tau(m)) == 0
-
-
 # --------------------------------------------------------------------------
-# extension cocycles: an independent route to Ext^1 and to middle terms
+# extension cocycles: extension classes and their middle terms
 # --------------------------------------------------------------------------
 
 def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], Mat]:
@@ -317,12 +311,6 @@ def _coboundary_matrix(b: Rep, a: Rep) -> Mat:
                                 col_vec[idx] = f.add(col_vec[idx], cbv)
                 cob_cols.append(col_vec)
     return linalg.from_columns(f, total, cob_cols)
-
-
-def ext1_dim_cocycle(b: Rep, a: Rep) -> int:
-    """dim Ext^1(b, a) counted directly from extension cocycles."""
-    cocycles, cob = extension_cocycle_space(b, a)
-    return len(cocycles) - linalg.rank(cob)
 
 
 def extension_middle(b: Rep, a: Rep, cocycle: List[Mat]) -> Rep:

@@ -721,25 +721,6 @@ def indecomposable_parts(m: Rep) -> List[Rep]:
     return indecomposable_parts(image) + indecomposable_parts(kernel)
 
 
-def decompose(m: Rep) -> List[Tuple[Rep, int]]:
-    """Decomposition into indecomposables with multiplicities."""
-    parts = indecomposable_parts(m)
-    groups: List[Tuple[Rep, int]] = []
-    for p in parts:
-        for i, (q, mult) in enumerate(groups):
-            if is_isomorphic(p, q):
-                groups[i] = (q, mult + 1)
-                break
-        else:
-            groups.append((p, 1))
-    return groups
-
-
-def delta(m: Rep) -> int:
-    """Number of indecomposable direct summands."""
-    return len(indecomposable_parts(m))
-
-
 def _basis_has_iso(m: Rep, n: Rep) -> bool:
     return m.dims == n.dims and any(f.is_iso() for f in hom_basis(m, n))
 

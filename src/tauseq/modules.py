@@ -3,7 +3,7 @@
 A Rep assigns a vector space dimension to each vertex and an exact matrix to
 each arrow (target-dim x source-dim, acting on column vectors).  Morphisms
 are tuples of vertex matrices satisfying the commuting-square condition.
-All constructions here (kernels, images, traces, covers) return explicit
+All constructions here (kernels, cokernels, traces, covers) return explicit
 representations together with the structural morphisms.
 """
 
@@ -324,19 +324,6 @@ def quotient(x: Rep, incl: RepMorphism) -> Tuple[Rep, RepMorphism]:
 def kernel(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism]:
     spans = [linalg.solve_kernel(m) for m in f_mor.maps]
     return submodule_from_spans(f_mor.source, spans)
-
-
-def image(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism, RepMorphism]:
-    """Image as a submodule of the target, plus the co-restricted surjection."""
-    img, incl = submodule_from_spans(f_mor.target, list(f_mor.maps))
-    maps = []
-    for v in range(len(incl.maps)):
-        sol = linalg.solve(incl.maps[v], f_mor.maps[v])
-        if sol is None:
-            raise ValueError("image factorization failed")
-        maps.append(sol)
-    onto = RepMorphism(f_mor.source, img, maps, validate=False)
-    return img, incl, onto
 
 
 def cokernel(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism]:

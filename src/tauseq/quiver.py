@@ -281,12 +281,3 @@ def opposite(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     algebra._opposite = op
     op._opposite = algebra
     return op
-
-
-def structurally_equal(a: BoundQuiverAlgebra, b: BoundQuiverAlgebra) -> bool:
-    qa, qb = a.quiver, b.quiver
-    return (qa.vertex_labels == qb.vertex_labels
-            and [(x.name, x.source, x.target) for x in qa.arrows]
-            == [(x.name, x.source, x.target) for x in qb.arrows]
-            and sorted(a.relations) == sorted(b.relations)
-            and a.field == b.field)

@@ -262,14 +262,6 @@ def mutation_table(u: ModuleUniverse, ctx: Context) -> MutationTable:
     return cache[ctx.members]
 
 
-def phi_pair(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
-    return mutation_table(u, ctx).apply("phi", pair)
-
-
-def psi_pair(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
-    return mutation_table(u, ctx).apply("psi", pair)
-
-
 # --------------------------------------------------------------------------
 # mutation of sequences
 # --------------------------------------------------------------------------
@@ -519,56 +511,51 @@ def enumerate_tau_es_recursive(u: ModuleUniverse,
     return sorted(set(rec(amb)))
 
 
+def _bfs(start, neighbours, goal=None) -> Dict:
+    """Breadth-first distances from start along neighbours(v), in the order
+    they are found.  Returns as soon as goal is reached, so a lazy
+    neighbours is read no further than the goal."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier and goal not in dist:
+        nxt = []
+        for v in frontier:
+            for w in neighbours(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    if w == goal:
+                        return dist
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 class MutationGraph:
     def __init__(self, vertices: List[Seq], edges: List[Tuple[int, int, str, int]]):
         self.vertices = vertices
         self.edges = edges
+        self.adjacent: List[List[int]] = [[] for _ in vertices]
+        for a, b, _, _ in edges:
+            self.adjacent[a].append(b)
+            self.adjacent[b].append(a)
 
     def is_connected(self) -> bool:
         return not self.vertices or len(self.bfs_distances(0)) == len(self.vertices)
 
     def bfs_distances(self, start: int) -> Dict[int, int]:
-        dist = {start: 0}
-        frontier = [start]
-        adj: Dict[int, List[int]] = {i: [] for i in range(len(self.vertices))}
-        for a, b, _, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+        return _bfs(start, self.adjacent.__getitem__)
 
 
 def mutation_distance(u: ModuleUniverse, src: Seq, dst: Seq) -> Optional[int]:
     """Fewest single mutations from src to dst, or None if dst is out of
     reach.  Breadth-first over every phi_i and psi_i: psi_i inverts phi_i, so
     these are the undirected edges of the mutation graph."""
-    if src == dst:
-        return 0
     k = first_position(u, src)
-    seen = {src}
-    frontier = [src]
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = []
-        for v in frontier:
-            for index in range(k, u.n):
-                for op in ("phi", "psi"):
-                    w = mutate(u, v, op, index)
-                    if w == dst:
-                        return steps
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return None
+
+    def neighbours(v: Seq):
+        return (mutate(u, v, op, index) for index in range(k, u.n) for op in ("phi", "psi"))
+
+    return _bfs(src, neighbours, dst).get(dst)
 
 
 def mutation_graph(u: ModuleUniverse, w_members: FrozenSet[int]) -> MutationGraph:

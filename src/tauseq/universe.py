@@ -84,9 +84,6 @@ class StrObj(NamedTuple):
             return StrObj.make(self.mods, self.shifts + (x.mod,))
         return StrObj.make(self.mods + (x.mod,), self.shifts)
 
-    def indecs(self) -> List[StrIndec]:
-        return [StrIndec(i, 0) for i in self.mods] + [StrIndec(i, 1) for i in self.shifts]
-
     @property
     def delta(self) -> int:
         return len(self.mods) + len(self.shifts)
@@ -687,18 +684,6 @@ class ModuleUniverse:
         """Hom(M_a, tau M_b) == 0, from the tables."""
         tb = self.tau_of[b]
         return tb is None or self.hom[a][tb] == 0
-
-    def indec_compatible(self, x: StrIndec, y: StrIndec) -> bool:
-        """Whether x + y is a basic support object (ambient test)."""
-        if x == y:
-            return False
-        if x.shift and y.shift:
-            return x.mod != y.mod
-        if x.shift:
-            return self.hom[x.mod][y.mod] == 0  # Hom(P, M) = 0
-        if y.shift:
-            return self.hom[y.mod][x.mod] == 0
-        return self.tau_hom_vanishes(x.mod, y.mod) and self.tau_hom_vanishes(y.mod, x.mod)
 
     def all_tau_rigid_subsets(self) -> List[Tuple[int, ...]]:
         """All basic tau-rigid modules, as sorted id tuples (including ())."""

@@ -1,4 +1,4 @@
-"""Torsion classes, Ext-projectives, completions, and wide subcategories.
+"""Torsion classes, Ext-projectives, and wide subcategories.
 
 A wide subcategory is carried around as a Context: its indecomposable member
 ids, its relative projectives, its rank, and its members as an int bitmask.
@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq.errors import Mismatch, NotInW, NotTauRigid, RankMismatch
-from tauseq.modules import Rep, hom_dim, quotient, trace
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 
 
@@ -192,59 +191,10 @@ def torsion_handle(u: ModuleUniverse, members: Iterable[int]) -> TorsionHandle:
     return handle
 
 
-def torsion_t_f(u: ModuleUniverse, members: Iterable[int], m: Rep):
-    """The canonical sequence 0 -> tM -> M -> fM -> 0 for the torsion class
-    with the given indecomposable members; verified on return."""
-    gens = [u.modules[i] for i in sorted(members)]
-    if not gens:
-        from tauseq.modules import zero_rep
-        t = zero_rep(u.algebra)
-        f_part = m
-        return t, f_part
-    t, incl = trace(gens, m)
-    f_part, _ = quotient(m, incl)
-    t_ids = u.identify_parts(t)
-    if t_ids is None or not set(t_ids) <= set(members):
-        raise Mismatch("torsion part fell outside the torsion class")
-    for g in gens:
-        if f_part.total_dim and hom_dim(g, f_part) != 0:
-            raise Mismatch("torsion-free part receives maps from the class")
-    return t, f_part
-
-
 def perp_tau_members(u: ModuleUniverse, ids: Sequence[int]) -> FrozenSet[int]:
     """Members of the torsion class of modules with no maps into tau of the sum."""
     taus = mask_of(u.tau_of[m] for m in ids if u.tau_of[m] is not None)
     return frozenset(ids_of(left_perp(mask_tables(u).hom_out, taus)))
-
-
-def bongartz(u: ModuleUniverse, ids: Sequence[int]) -> Tuple[int, ...]:
-    """Completion of a tau-rigid module via the Ext-projectives of the
-    torsion class of everything not mapping into its translate."""
-    for m in ids:
-        if not u.tau_rigid[m]:
-            raise NotTauRigid("module %s is not tau-rigid" % u.labels[m])
-    if not rel_tau_rigid(u, ambient_context(u), tuple(ids)):
-        raise NotTauRigid("the sum is not tau-rigid")
-    members = perp_tau_members(u, ids)
-    completion = rel_ext_projectives(u, members)
-    if len(completion) != u.n or not set(ids) <= set(completion):
-        raise Mismatch("completion is not a full tilting-size module containing "
-                       "the input")
-    return completion
-
-
-def co_bongartz(u: ModuleUniverse, ids: Sequence[int]):
-    """Ext-projectives of Gen of the sum, plus the orthogonal projectives."""
-    for m in ids:
-        if not u.tau_rigid[m]:
-            raise NotTauRigid("module %s is not tau-rigid" % u.labels[m])
-    handle = torsion_handle(u, ids_of(gen_mask(u, tuple(sorted(ids)))))
-    if not set(ids) <= set(handle.ext_proj):
-        raise Mismatch("input is not Ext-projective in its own Gen class")
-    if len(handle.ext_proj) + len(handle.orthogonal_proj) != u.n:
-        raise Mismatch("support-completion count violates the rank formula")
-    return handle.ext_proj, handle.orthogonal_proj
 
 
 # --------------------------------------------------------------------------
@@ -385,13 +335,6 @@ def rigid_j(u: ModuleUniverse, ids: Iterable[int]) -> FrozenSet[int]:
     if j is None:
         raise NotTauRigid("module %s is not basic tau-rigid" % u.label_of_obj(t))
     return j
-
-
-def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:
-    """Ambient J(M, P) straight from the hom and translate tables; used to
-    cross-check the relative route."""
-    return frozenset(x for x in perp_tau_members(u, t.mods)
-                     if all(u.hom[i][x] == 0 for i in t.mods + t.shifts))
 
 
 def rel_str_indecs(u: ModuleUniverse, ctx: Context) -> List[StrIndec]:

@@ -1,0 +1,153 @@
+"""Independent routes that only the tests call.
+
+Each function here recomputes something the library gets another way: at
+the module level where the library reads tables, or from the tables by a
+second route.  The tests compare the library against them.  None of them is
+reachable from the package, the command line or the benchmark.
+"""
+
+from __future__ import annotations
+
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
+
+from tauseq import linalg
+from tauseq.ar import extension_cocycle_space, tau
+from tauseq.decompose import indecomposable_parts, is_isomorphic
+from tauseq.errors import Mismatch, NotTauRigid
+from tauseq.modules import Rep, RepMorphism, hom_dim, quotient, submodule_from_spans, trace
+from tauseq.quiver import BoundQuiverAlgebra
+from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.wide import (
+    ambient_context, gen_mask, ids_of, perp_tau_members, rel_ext_projectives,
+    rel_tau_rigid, torsion_handle,
+)
+
+
+# --------------------------------------------------------------------------
+# torsion classes, completions and J at the ambient level
+# --------------------------------------------------------------------------
+
+def torsion_t_f(u: ModuleUniverse, members: Iterable[int], m: Rep):
+    """The canonical sequence 0 -> tM -> M -> fM -> 0 for the torsion class
+    with the given indecomposable members; verified on return."""
+    gens = [u.modules[i] for i in sorted(members)]
+    if not gens:
+        from tauseq.modules import zero_rep
+        t = zero_rep(u.algebra)
+        f_part = m
+        return t, f_part
+    t, incl = trace(gens, m)
+    f_part, _ = quotient(m, incl)
+    t_ids = u.identify_parts(t)
+    if t_ids is None or not set(t_ids) <= set(members):
+        raise Mismatch("torsion part fell outside the torsion class")
+    for g in gens:
+        if f_part.total_dim and hom_dim(g, f_part) != 0:
+            raise Mismatch("torsion-free part receives maps from the class")
+    return t, f_part
+
+
+def bongartz(u: ModuleUniverse, ids: Sequence[int]) -> Tuple[int, ...]:
+    """Completion of a tau-rigid module via the Ext-projectives of the
+    torsion class of everything not mapping into its translate."""
+    for m in ids:
+        if not u.tau_rigid[m]:
+            raise NotTauRigid("module %s is not tau-rigid" % u.labels[m])
+    if not rel_tau_rigid(u, ambient_context(u), tuple(ids)):
+        raise NotTauRigid("the sum is not tau-rigid")
+    members = perp_tau_members(u, ids)
+    completion = rel_ext_projectives(u, members)
+    if len(completion) != u.n or not set(ids) <= set(completion):
+        raise Mismatch("completion is not a full tilting-size module containing "
+                       "the input")
+    return completion
+
+
+def co_bongartz(u: ModuleUniverse, ids: Sequence[int]):
+    """Ext-projectives of Gen of the sum, plus the orthogonal projectives."""
+    for m in ids:
+        if not u.tau_rigid[m]:
+            raise NotTauRigid("module %s is not tau-rigid" % u.labels[m])
+    handle = torsion_handle(u, ids_of(gen_mask(u, tuple(sorted(ids)))))
+    if not set(ids) <= set(handle.ext_proj):
+        raise Mismatch("input is not Ext-projective in its own Gen class")
+    if len(handle.ext_proj) + len(handle.orthogonal_proj) != u.n:
+        raise Mismatch("support-completion count violates the rank formula")
+    return handle.ext_proj, handle.orthogonal_proj
+
+
+def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:
+    """Ambient J(M, P) straight from the hom and translate tables; used to
+    cross-check the relative route."""
+    return frozenset(x for x in perp_tau_members(u, t.mods)
+                     if all(u.hom[i][x] == 0 for i in t.mods + t.shifts))
+
+
+def indec_compatible(u: ModuleUniverse, x: StrIndec, y: StrIndec) -> bool:
+    """Whether x + y is a basic support object (ambient test)."""
+    if x == y:
+        return False
+    if x.shift and y.shift:
+        return x.mod != y.mod
+    if x.shift:
+        return u.hom[x.mod][y.mod] == 0  # Hom(P, M) = 0
+    if y.shift:
+        return u.hom[y.mod][x.mod] == 0
+    return u.tau_hom_vanishes(x.mod, y.mod) and u.tau_hom_vanishes(y.mod, x.mod)
+
+
+# --------------------------------------------------------------------------
+# module-level routes: tau-rigidity, Ext, decomposition, images
+# --------------------------------------------------------------------------
+
+def is_tau_rigid(m: Rep) -> bool:
+    if m.total_dim == 0:
+        return True
+    return hom_dim(m, tau(m)) == 0
+
+
+def ext1_dim_cocycle(b: Rep, a: Rep) -> int:
+    """dim Ext^1(b, a) counted directly from extension cocycles."""
+    cocycles, cob = extension_cocycle_space(b, a)
+    return len(cocycles) - linalg.rank(cob)
+
+
+def decompose(m: Rep) -> List[Tuple[Rep, int]]:
+    """Decomposition into indecomposables with multiplicities."""
+    parts = indecomposable_parts(m)
+    groups: List[Tuple[Rep, int]] = []
+    for p in parts:
+        for i, (q, mult) in enumerate(groups):
+            if is_isomorphic(p, q):
+                groups[i] = (q, mult + 1)
+                break
+        else:
+            groups.append((p, 1))
+    return groups
+
+
+def delta(m: Rep) -> int:
+    """Number of indecomposable direct summands."""
+    return len(indecomposable_parts(m))
+
+
+def image(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism, RepMorphism]:
+    """Image as a submodule of the target, plus the co-restricted surjection."""
+    img, incl = submodule_from_spans(f_mor.target, list(f_mor.maps))
+    maps = []
+    for v in range(len(incl.maps)):
+        sol = linalg.solve(incl.maps[v], f_mor.maps[v])
+        if sol is None:
+            raise ValueError("image factorization failed")
+        maps.append(sol)
+    onto = RepMorphism(f_mor.source, img, maps, validate=False)
+    return img, incl, onto
+
+
+def structurally_equal(a: BoundQuiverAlgebra, b: BoundQuiverAlgebra) -> bool:
+    qa, qb = a.quiver, b.quiver
+    return (qa.vertex_labels == qb.vertex_labels
+            and [(x.name, x.source, x.target) for x in qa.arrows]
+            == [(x.name, x.source, x.target) for x in qb.arrows]
+            and sorted(a.relations) == sorted(b.relations)
+            and a.field == b.field)

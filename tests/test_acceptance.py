@@ -14,7 +14,7 @@ import pytest
 from tauseq.emap import engine_for
 from tauseq.sequences import (
     apply_steps, enumerate_tau_es, enumerate_tau_es_recursive, first_position,
-    is_tf_ordered, mutation_graph, mutation_table, normalize, omega, phi_pair,
+    is_tf_ordered, mutation_graph, mutation_table, normalize, omega,
     transitivity_path, transposition_word,
 )
 from tauseq.universe import ModuleUniverse, StrObj
@@ -52,11 +52,11 @@ def test_criterion_1_a2_basics(u2):
     s1, s2, p1 = (u2.id_of_label(x) for x in ("S1", "S2", "P1"))
     seqs = enumerate_tau_es(u2, frozenset())
     assert sorted(seqs) == sorted([(s1, s2), (s2, p1), (p1, s1)])
-    amb = ambient_context(u2)
+    table = mutation_table(u2, ambient_context(u2))
     # the left mutation acts as a 3-cycle on the complete sequences
-    assert phi_pair(u2, amb, (s1, s2)) == (p1, s1)
-    assert phi_pair(u2, amb, (p1, s1)) == (s2, p1)
-    assert phi_pair(u2, amb, (s2, p1)) == (s1, s2)
+    assert table.apply("phi", (s1, s2)) == (p1, s1)
+    assert table.apply("phi", (p1, s1)) == (s2, p1)
+    assert table.apply("phi", (s2, p1)) == (s1, s2)
     assert mutation_graph(u2, frozenset()).is_connected()
     reports = run_suites(u2, ["all"])
     assert all(r.ok for r in reports)

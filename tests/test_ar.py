@@ -1,10 +1,12 @@
 from tauseq import linalg
 from tauseq.ar import (
-    ext1_dim, ext1_dim_cocycle, extension_cocycle_space, extension_middle,
-    is_injective_rep, is_projective_rep, is_tau_rigid, tau, tau_hom_dim, tau_minus,
+    ext1_dim, extension_cocycle_space, extension_middle, is_injective_rep,
+    is_projective_rep, tau, tau_hom_dim, tau_minus,
 )
 from tauseq.decompose import is_isomorphic
 from tauseq.modules import direct_sum, hom_dim, projective, simple
+
+from oracles import ext1_dim_cocycle, is_tau_rigid
 
 
 def test_tau_on_a2(a2):

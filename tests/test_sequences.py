@@ -15,8 +15,8 @@ from tauseq import sequences
 from tauseq.sequences import (
     apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
     first_position, is_gen_minimal, is_tf_ordered, mutate, mutation_distance,
-    mutation_graph, mutation_table, normalize, omega, omega_inverse, phi_pair,
-    psi_pair, regularity, tail_context, transitivity_path, transposition_word,
+    mutation_graph, mutation_table, normalize, omega, omega_inverse, regularity,
+    tail_context, transitivity_path, transposition_word,
 )
 from tauseq.universe import ModuleUniverse, StrObj
 from tauseq.wide import (
@@ -104,12 +104,12 @@ def test_j_of_a_sequence_is_j_of_its_preimage_sum(name, request):
 
 def test_phi_three_cycle(u2):
     s1, s2, p1 = ids(u2, "S1", "S2", "P1")
-    amb = ambient_context(u2)
-    assert phi_pair(u2, amb, (s1, s2)) == (p1, s1)
-    assert phi_pair(u2, amb, (p1, s1)) == (s2, p1)
-    assert phi_pair(u2, amb, (s2, p1)) == (s1, s2)
+    table = mutation_table(u2, ambient_context(u2))
+    assert table.apply("phi", (s1, s2)) == (p1, s1)
+    assert table.apply("phi", (p1, s1)) == (s2, p1)
+    assert table.apply("phi", (s2, p1)) == (s1, s2)
     for p in ((s1, s2), (p1, s1), (s2, p1)):
-        assert psi_pair(u2, amb, phi_pair(u2, amb, p)) == p
+        assert table.apply("psi", table.apply("phi", p)) == p
 
 
 def test_regularity_a2(u2):

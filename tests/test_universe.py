@@ -6,6 +6,8 @@ from tauseq.modules import projective, simple
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import ambient_context, rel_str_indecs
 
+from oracles import indec_compatible
+
 
 @pytest.fixture(scope="module")
 def u2(a2):
@@ -91,14 +93,14 @@ def test_gen_sets_a2(u2):
 
 def test_compatibility_a2(u2):
     s1, s2, p1 = (u2.id_of_label(x) for x in ("S1", "S2", "P1"))
-    assert u2.indec_compatible(StrIndec(s1, 0), StrIndec(p1, 0))
-    assert not u2.indec_compatible(StrIndec(s1, 0), StrIndec(s2, 0))
-    assert not u2.indec_compatible(StrIndec(s2, 0), StrIndec(s2, 1))
+    assert indec_compatible(u2, StrIndec(s1, 0), StrIndec(p1, 0))
+    assert not indec_compatible(u2, StrIndec(s1, 0), StrIndec(s2, 0))
+    assert not indec_compatible(u2, StrIndec(s2, 0), StrIndec(s2, 1))
     # Hom(P1, S2) = 0, so S2 + P1[1] is a valid support object
     assert u2.hom[p1][s2] == 0
-    assert u2.indec_compatible(StrIndec(s2, 0), StrIndec(p1, 1))
+    assert indec_compatible(u2, StrIndec(s2, 0), StrIndec(p1, 1))
     # Hom(P1, S1) != 0 rules out S1 + P1[1]
-    assert not u2.indec_compatible(StrIndec(s1, 0), StrIndec(p1, 1))
+    assert not indec_compatible(u2, StrIndec(s1, 0), StrIndec(p1, 1))
 
 
 def test_tau_rigid_subsets_a2(u2):

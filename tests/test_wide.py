@@ -9,11 +9,13 @@ from tauseq.sequences import is_gen_minimal
 from tauseq.universe import ModuleUniverse, StrIndec, StrObj
 from tauseq.verify import suite_bijections
 from tauseq.wide import (
-    Context, all_torsion_classes, all_wide_subcategories, ambient_context, bongartz,
-    co_bongartz, context_from_members, context_of, gen_mask, ids_of, j_in_context,
-    j_set_ambient_direct, rel_ext_projectives, rel_perp_tau, rel_str_indecs,
-    rel_tau_rigid, torsion_handle, torsion_t_f, valid_rel_str_obj,
+    Context, all_torsion_classes, all_wide_subcategories, ambient_context,
+    context_from_members, context_of, gen_mask, ids_of, j_in_context,
+    rel_ext_projectives, rel_perp_tau, rel_str_indecs, rel_tau_rigid,
+    torsion_handle, valid_rel_str_obj,
 )
+
+from oracles import bongartz, co_bongartz, j_set_ambient_direct, torsion_t_f
 
 
 @pytest.fixture(scope="module")
