@@ -4,7 +4,9 @@ Strategy: compute End(M), its radical (trace form of the regular
 representation in characteristic 0, lifted traces over a prime field), then
 hunt for a nontrivial idempotent in the semisimple quotient and lift it.  A
 module is certified indecomposable when the semisimple quotient is
-one-dimensional, or commutative with a primitive element (a field).
+one-dimensional, or a field: the search ends at the first primitive element,
+a candidate x whose minimal polynomial is irreducible and has degree the
+dimension of the quotient, since k[x] is then the whole quotient.
 Anything the deterministic search cannot decide raises
 IdempotentSplitFailure loudly instead of guessing.  ``indecomposable_parts``
 splits along the lifted idempotent and recurses; ``is_indecomposable`` runs
@@ -299,16 +301,12 @@ class AlgebraCore:
         return _apply(self.left_mult_matrix(a), b)
 
     def is_scalar(self, a: list) -> bool:
-        basis = linalg.from_columns(self.field, self.dim, [self.unit])
-        return linalg.solve(basis, Mat.column(self.field, a)) is not None
-
-    def is_commutative(self) -> bool:
-        std = self.std_basis()
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.mul(std[i], std[j]) != self.mul(std[j], std[i]):
-                    return False
-        return True
+        """Whether a is c times the unit, c read off the unit's first
+        nonzero coordinate."""
+        f = self.field
+        i = next(i for i, u in enumerate(self.unit) if u != 0)
+        c = f.div(a[i], self.unit[i])
+        return all(x == f.mul(c, u) for x, u in zip(a, self.unit))
 
     def minimal_polynomial(self, a: list) -> list:
         """Monic minimal polynomial, coefficients low degree first."""
@@ -550,20 +548,27 @@ def _idempotent_from_nilpotent(core: AlgebraCore, y: list) -> Optional[list]:
 
 def find_idempotent_semisimple(core: AlgebraCore) -> Optional[list]:
     """A nontrivial idempotent of a semisimple core, or None when the core is
-    certified to be a division algebra (one-dimensional, or a commutative
-    field).  Raises IdempotentSplitFailure when the search is inconclusive.
+    certified to be a division algebra.  Raises IdempotentSplitFailure when
+    the search is inconclusive.
+
+    A one-dimensional core is the field itself.  Otherwise each candidate x
+    is read through its minimal polynomial m: a split of m gives an
+    idempotent.  The search ends with None at the first primitive element,
+    an x whose m is irreducible, of multiplicity 1 and of degree dim core:
+    k[x] = k[t]/(m) is then the whole core, and a field, which has no
+    nontrivial idempotent.
     """
     f = core.field
     k = core.dim
     if k <= 1:
         return None
-    max_minpoly_degree = 0
     for x in _candidate_stream(core):
         if all(c == 0 for c in x) or core.is_scalar(x):
             continue
         m = core.minimal_polynomial(x)
-        max_minpoly_degree = max(max_minpoly_degree, len(m) - 1)
         factors = factor_poly(f, m)
+        if len(m) - 1 == k and len(factors) == 1 and factors[0][1] == 1:
+            return None  # k[x] = k[t]/(m) is all of the core, and a field
         e = None
         if len(factors) >= 2:
             e = _idempotent_from_coprime_split(core, x, m, factors)
@@ -576,8 +581,6 @@ def find_idempotent_semisimple(core: AlgebraCore) -> Optional[list]:
             if all(c == 0 for c in e) or core.is_scalar(e):
                 raise IdempotentSplitFailure("constructed idempotent is trivial")
             return e
-    if core.is_commutative() and max_minpoly_degree == k:
-        return None  # primitive element certifies a field
     if f.characteristic and f.characteristic ** k <= 200000:
         for coeffs in itertools.product(range(f.characteristic), repeat=k):
             x = [f.coerce(c) for c in coeffs]

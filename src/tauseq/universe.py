@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequen
 from tauseq import linalg
 from tauseq.ar import (
     Ext1From, almost_split_middle, class_forms, extension_cocycle_space,
-    extension_middle, flat_cocycle, is_injective_rep, tau,
+    extension_middle, flat_cocycle, tau,
 )
 from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecomposable
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
@@ -104,8 +104,9 @@ def _label(dims: Sequence[int], ordinal: int) -> str:
     return "%s#%d" % (body, ordinal)
 
 
-def _socle_quotient(m: Rep) -> Rep:
-    """m / soc m, the socle being the common kernel of the outgoing arrows."""
+def _socle_spans(m: Rep) -> List[Mat]:
+    """A basis of soc m at each vertex: the common kernel of the outgoing
+    arrows."""
     q = m.algebra.quiver
     spans = []
     for v in range(m.algebra.n):
@@ -117,8 +118,26 @@ def _socle_quotient(m: Rep) -> Rep:
             spans.append(linalg.solve_kernel(stacked))
         else:
             spans.append(Mat.identity(m.algebra.field, m.dims[v]))
-    _, incl = submodule_from_spans(m, spans)
+    return spans
+
+
+def _socle_quotient(m: Rep) -> Rep:
+    """m / soc m."""
+    _, incl = submodule_from_spans(m, _socle_spans(m))
     return quotient(m, incl)[0]
+
+
+def _is_injective_indecomposable(m: Rep) -> bool:
+    """Whether the indecomposable m is injective: exactly when soc m is one
+    simple S_v and m has the dimension vector of I(v), whose entry at w is
+    the number of paths from w to v.  m embeds in I(soc m), its injective
+    envelope, so equal dimensions make the embedding an isomorphism."""
+    socle = [span.cols for span in _socle_spans(m)]
+    if sum(socle) != 1:
+        return False
+    v = socle.index(1)
+    algebra = m.algebra
+    return all(d == len(algebra.paths_between(w, v)) for w, d in enumerate(m.dims))
 
 
 class Catalogue:
@@ -164,15 +183,19 @@ class Closure(NamedTuple):
 
 
 class ARNeighbours:
-    """Each module's minimal projective presentation, its injectivity and
-    its neighbours in the Auslander-Reiten quiver, as lists of
-    indecomposable summands, each computed once per module.
+    """Each module's minimal projective presentation, its translate, its
+    injectivity and its neighbours in the Auslander-Reiten quiver, as lists
+    of indecomposable summands, each computed once per module.
 
     The presentation serves the module's tau, its Ext row and its
     projectivity (a zero syzygy; a projective gets no transpose).
-    ``closure`` reads these lists for the sweep's stop test, the translate
-    table and the closure certificate:
-      "tau"     the summands of tau X (none exactly when X is projective);
+    ``translate`` keeps tau X whole, as one rep: for X indecomposable and
+    not projective, tau X is indecomposable (Auslander-Reiten-Smalo,
+    ch. IV), so it is never decomposed, and ``Catalogue.find`` identifies it
+    directly.  ``injective`` reads the socle (``_is_injective_indecomposable``)
+    and builds no projective cover over the opposite algebra.  ``closure``
+    reads these, and the neighbour lists, for the sweep's stop test, the
+    translate table and the closure certificate:
       "before"  the sources of the irreducible maps into X: the summands of
                 the middle of the almost split sequence ending at X, or of
                 rad X for X projective;
@@ -202,29 +225,28 @@ class ARNeighbours:
     def presentation(self, m: Rep) -> Presentation:
         return self._cached("presentation", m, min_presentation)
 
+    def translate(self, m: Rep) -> Optional[Rep]:
+        """tau m, or None when m is projective."""
+        def make(m: Rep) -> Optional[Rep]:
+            pres = self.presentation(m)
+            return tau(m, pres) if pres.syzygy.total_dim else None
+        return self._cached("tau", m, make)
+
     def injective(self, m: Rep) -> bool:
-        return self._cached("injective", m, is_injective_rep)
+        return self._cached("injective", m, _is_injective_indecomposable)
 
     def parts(self, kind: str, m: Rep) -> List[Rep]:
         return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m))
 
     def _neighbour_parts(self, kind: str, m: Rep) -> List[Rep]:
-        if kind == "tau":
-            pres = self.presentation(m)
-            if pres.syzygy.total_dim == 0:
-                return []
-            rep = tau(m, pres)
-        elif kind == "after":
+        if kind == "after":
             rep = _socle_quotient(m)
         else:
-            translate = self.parts("tau", m)
-            if not translate:
+            translate = self.translate(m)
+            if translate is None:
                 rep, _ = submodule_from_spans(m, radical_spans(m))
-            elif len(translate) == 1:
-                rep = almost_split_middle(m, translate[0])
             else:
-                raise Mismatch("tau of an indecomposable has %d summands"
-                               % len(translate))
+                rep = almost_split_middle(m, translate)
         return indecomposable_parts(rep)
 
     def closure(self, catalogue: Catalogue) -> Closure:
@@ -241,11 +263,10 @@ class ARNeighbours:
         tau_of: List[Optional[int]] = []
         unresolved: List[bool] = []
         for m in mods:
-            parts = self.parts("tau", m)
-            ids = catalogue.find_all(parts)
-            resolved = ids is not None and len(ids) == 1
-            tau_of.append(ids[0] if resolved else None)
-            unresolved.append(bool(parts) and not resolved)
+            translate = self.translate(m)
+            i = None if translate is None else catalogue.find(translate)
+            tau_of.append(i)
+            unresolved.append(translate is not None and i is None)
         # tau X is never injective; outside the tau image the test is exact
         image = set(tau_of)
         is_inj = [i not in image and self.injective(m) for i, m in enumerate(mods)]
@@ -256,7 +277,7 @@ class ARNeighbours:
             return catalogue.find_all(self.parts(kind, m)) is not None
 
         # rad P for every projective, I / soc I for every injective
-        radical = all((bool(self.parts("tau", m)) or found("before", m)) and
+        radical = all((self.translate(m) is not None or found("before", m)) and
                       (not is_inj[i] or found("after", m))
                       for i, m in enumerate(mods))
         return Closure(tau_of, unresolved, is_inj, translates, radical)
@@ -277,7 +298,7 @@ class ARNeighbours:
         return c.closed_under_translates and \
             c.closed_under_radical_and_socle_quotients and \
             all(catalogue.find_all(self.parts("before", m)) is not None
-                for m in modules if self.parts("tau", m))
+                for m in modules if self.translate(m) is not None)
 
 
 SWEEP_COEFFS = (0, 1, -1)

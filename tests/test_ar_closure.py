@@ -13,13 +13,14 @@ import os
 
 import pytest
 
-from tauseq import ar, modules, universe
+from tauseq import ar, decompose, modules, universe, verify
 from tauseq.ar import (
     Ext1From, almost_split_cocycle, almost_split_middle, extension_middle,
     is_injective_rep, tau, tau_minus,
 )
 from tauseq.cli import load_algebra_file
 from tauseq.decompose import EndAlgebra, is_isomorphic
+from tauseq.errors import NotCertifiablyComplete
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat, inverse
 from tauseq.modules import Rep, direct_sum, min_presentation, projective, simple
@@ -293,6 +294,54 @@ def test_a_cold_build_shares_one_presentation_per_module(monkeypatch):
     # one more per module outside the tau image
     assert counts["transpose"] == 10
     assert counts["projective_cover"] <= 40
+
+
+def _spy_on(monkeypatch, original, spy):
+    """Rebind the function original to spy wherever tauseq binds it."""
+    for mod in (modules, decompose, ar, universe, verify):
+        if getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, spy)
+
+
+@pytest.mark.parametrize("name", ["a5", "kronecker_2"])
+def test_a_cold_build_keeps_tau_whole_and_reads_injectivity_off_the_socle(name, monkeypatch):
+    translates, decomposed = [], []
+    tau_, parts_ = ar.tau, decompose.indecomposable_parts
+
+    def tau_spy(*args):
+        translates.append(tau_(*args))
+        return translates[-1]
+
+    def parts_spy(m):
+        decomposed.append(m)
+        return parts_(m)
+
+    def injective_oracle(m):
+        raise AssertionError("the build called is_injective_rep")
+
+    _spy_on(monkeypatch, tau_, tau_spy)
+    _spy_on(monkeypatch, parts_, parts_spy)
+    _spy_on(monkeypatch, ar.is_injective_rep, injective_oracle)
+    if name == "a5":
+        assert ModuleUniverse(_bench("a5")()).certified
+    else:
+        with pytest.raises(NotCertifiablyComplete):
+            ModuleUniverse(_bench("kronecker")(), (2, 2))
+    assert translates and decomposed
+    # both lists keep their reps alive, so an equal id is the same rep
+    assert not {id(t) for t in translates} & {id(m) for m in decomposed}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS) + ["d4", "kronecker_3"])
+def test_the_socle_test_of_injectivity_matches_the_dual_cover(name):
+    # every module, the tau image included, which the closure never tests
+    if name == "kronecker_3":
+        u = ModuleUniverse(_bench("kronecker")(), (3, 3), require_certificate=False)
+    else:
+        u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
+    flags = [universe._is_injective_indecomposable(m) for m in u.modules]
+    assert flags == [is_injective_rep(m) for m in u.modules]
+    assert any(flags) and not all(flags)
 
 
 def test_ext_rows_from_a_presentation_match_those_from_a_cover():

@@ -1,4 +1,6 @@
-from tauseq.decompose import is_isomorphic, indecomposable_parts
+import pytest
+
+from tauseq.decompose import AlgebraCore, indecomposable_parts, is_indecomposable, is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, direct_sum, projective, simple
@@ -95,3 +97,26 @@ def test_kronecker_style_end_ring():
     assert not is_isomorphic(reg(0), reg(1))
     m, _, _ = direct_sum([reg(0), reg(1)])
     assert delta(m) == 2
+
+
+@pytest.mark.parametrize("characteristic", [0, 3], ids=["sqrt2_over_Q", "GF9"])
+def test_a_field_end_ring_is_certified_at_its_first_primitive_element(characteristic,
+                                                                       monkeypatch):
+    # a = I, b = [[0, 2], [1, 0]] on dims (2, 2): End is the commutant of b,
+    # k[b] with b^2 = 2, which is Q(sqrt 2) over Q and GF(9) over GF(3); every
+    # non-scalar element is primitive, so one minimal polynomial settles it
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    alg = build_algebra(q, FieldSpec(characteristic))
+    f = alg.field
+    m = Rep(alg, (2, 2), (Mat.from_rows(f, [[1, 0], [0, 1]]),
+                          Mat.from_rows(f, [[0, 2], [1, 0]])))
+    calls = []
+    original = AlgebraCore.minimal_polynomial
+
+    def spy(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(AlgebraCore, "minimal_polynomial", spy)
+    assert is_indecomposable(m)
+    assert len(calls) == 1
