@@ -138,7 +138,8 @@ def algebra_summary(u: ModuleUniverse) -> dict:
              "injective": u.is_inj[i]}
             for i, m in enumerate(u.modules)
         ],
-        "certificate": {k: (list(v) if isinstance(v, (list, tuple)) else bool(v))
+        "certificate": {k: (list(v) if isinstance(v, (list, tuple))
+                            else v if isinstance(v, str) else bool(v))
                         for k, v in u.certificate.items()},
         "certified": u.certified,
     }

@@ -9,8 +9,10 @@ a candidate x whose minimal polynomial is irreducible and has degree the
 dimension of the quotient, since k[x] is then the whole quotient.
 Anything the deterministic search cannot decide raises
 IdempotentSplitFailure loudly instead of guessing.  ``indecomposable_parts``
-splits along the lifted idempotent and recurses; ``is_indecomposable`` runs
-the same search and stops before it builds any summand.
+splits along the lifted idempotent and recurses; ``is_indecomposable`` first
+asks Fitting's lemma of each basis element b of End(M), since M = ker b^N +
+im b^N for N >= dim M, and runs the same search only when no b splits M,
+stopping before it builds any summand.
 
 Isomorphism needs no search: an indecomposable M is isomorphic to N exactly
 when some element of a basis of Hom(M, N) is invertible, because End(M) is
@@ -666,15 +668,15 @@ class EndAlgebra:
         return AlgebraCore(f, left, [row[k * k] for row in coords])
 
 
-def _splitting_idempotent(m: Rep) -> Optional[RepMorphism]:
+def _splitting_idempotent(m: Rep, end: Optional[EndAlgebra] = None) -> Optional[RepMorphism]:
     """A nontrivial idempotent endomorphism of a nonzero m, or None when m is
-    certified indecomposable.
+    certified indecomposable; end is End(m) when the caller has built it.
 
     The idempotent is found in End(M) modulo its radical and lifted through
     the nilpotent radical; it is nontrivial when its image is neither 0 nor
     all of m, that is 0 < sum_v rank(e_v) < dim m.
     """
-    end = EndAlgebra(m)
+    end = end or EndAlgebra(m)
     if end.dim == 1:
         return None
     core = end.core()
@@ -706,9 +708,37 @@ def _splitting_idempotent(m: Rep) -> Optional[RepMorphism]:
     return idem
 
 
+def _fitting_splits(f: RepMorphism) -> bool:
+    """Whether the endomorphism f splits its module by Fitting's lemma:
+    M = ker f^N + im f^N for N >= dim M, and both are nonzero exactly when
+    0 < sum_v rank(f_v^N) < dim M.  The kernel and image of a linear map on
+    a d-dimensional space no longer change from its d-th power on, so each
+    vertex squares its map only until the exponent reaches its dimension."""
+    total = rank = 0
+    for x in f.maps:
+        d = x.rows
+        power = 1
+        while power < d:
+            x = x.mul(x)
+            power *= 2
+        total += d
+        rank += linalg.rank(x) if d else 0
+    return 0 < rank < total
+
+
 def is_indecomposable(m: Rep) -> bool:
-    """Whether m is nonzero and indecomposable, without building summands."""
-    return m.total_dim > 0 and _splitting_idempotent(m) is None
+    """Whether m is nonzero and indecomposable, without building summands.
+
+    A basis element of End(M) that splits M by Fitting's lemma proves M
+    decomposable at once; only when none does is the idempotent search of
+    ``indecomposable_parts`` run, and only it certifies M indecomposable.
+    """
+    if m.total_dim == 0:
+        return False
+    end = EndAlgebra(m)
+    if end.dim > 1 and any(_fitting_splits(b) for b in end.basis):
+        return False
+    return _splitting_idempotent(m, end) is None
 
 
 def indecomposable_parts(m: Rep) -> List[Rep]:

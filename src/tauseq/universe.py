@@ -16,6 +16,14 @@ of the middle term of the almost split sequence ending at each
 non-projective module (``ARNeighbours``).  The found set holds every simple,
 so once it is closed it is every indecomposable (Auslander's theorem,
 Auslander-Reiten-Smalo ch. VI), and the sweep stops there as completed.
+Once the set holds every indecomposable projective and is closed under tau,
+tau-minus, rad P and I / soc I, only a module on a tau-periodic orbit needs
+its almost split middle built: for any other X an irreducible map Y -> X
+moves down the tau orbit of X as tau^j Y -> tau^j X (Auslander-Reiten-Smalo
+ch. VII) until tau^j Y is projective or a summand of rad P for a projective
+tau^j X = P, so found either way, and tau-minus closure walks back up to Y.
+The certificate permutes the closure of the last stop test into the sorted
+order instead of computing it a second time.
 tau-minus is never built: tau is a bijection from the non-projective
 indecomposables onto the non-injective ones with inverse tau-minus
 (Auslander-Reiten-Smalo ch. IV), so once tau X is found for every found X,
@@ -202,6 +210,9 @@ class ARNeighbours:
       "after"   for X injective, the summands of X / soc X, the targets of
                 the irreducible maps out of X (for any other X they are the
                 "before" of tau^- X).
+    The stop test ``closed`` builds "before" of a non-projective X only on a
+    tau-periodic orbit; when the list holds every indecomposable projective,
+    the other orbits need no middle (the proof is in its docstring).
 
     tau^- is never built.  tau is a bijection from the non-projective
     indecomposables onto the non-injective ones, with inverse tau^-
@@ -213,6 +224,7 @@ class ARNeighbours:
 
     def __init__(self):
         self._memo: Dict[Tuple[str, int], tuple] = {}
+        self.last_closed: Optional[Tuple[List[Rep], Closure]] = None
 
     def _cached(self, kind: str, m: Rep, make):
         key = (kind, id(m))
@@ -287,18 +299,60 @@ class ARNeighbours:
         included, is isomorphic to one in the list; the modules must be
         indecomposable and pairwise non-isomorphic.
 
-        That is the two closure flags plus the middle of the almost split
-        sequence ending at each non-projective module.  A list that is
-        closed and holds every simple is a union of finite components of
-        the AR quiver, one per block, so by Auslander's theorem it is every
-        indecomposable (Auslander-Reiten-Smalo, ch. VI).
+        That is: the list holds as many projectives as the algebra has
+        vertices, so every indecomposable projective; the two closure flags
+        hold; and the middle of the almost split sequence ending at X is
+        found for each non-projective X on a tau-periodic orbit.  No other
+        middle needs building.  Let the tau orbit of X in the list reach a
+        projective, and let Y -> X be irreducible.  Then tau^j Y -> tau^j X
+        is irreducible (Auslander-Reiten-Smalo, ch. VII) down the orbit
+        until tau^j Y is projective, so in the list, or tau^j X = P is, and
+        then tau^j Y is a summand of rad P, in the list by the radical
+        flag.  tau^j Y lies in the tau image, so it is not injective, nor is
+        any module between it and Y, and tau^- closure walks back up to Y.
+        A list that is closed and holds every simple is a union of finite
+        components of the AR quiver, one per block, so by Auslander's
+        theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
+
+        A list found closed is kept with its closure in ``last_closed``.
         """
+        if not modules or sum(self.translate(m) is None for m in modules) \
+                != modules[0].algebra.n:
+            return False
         catalogue = Catalogue(modules)
         c = self.closure(catalogue)
-        return c.closed_under_translates and \
-            c.closed_under_radical_and_socle_quotients and \
-            all(catalogue.find_all(self.parts("before", m)) is not None
-                for m in modules if self.translate(m) is not None)
+        if not (c.closed_under_translates and c.closed_under_radical_and_socle_quotients):
+            return False
+        for i, m in enumerate(modules):
+            if c.tau_of[i] is not None and _tau_periodic(c.tau_of, i) and \
+                    catalogue.find_all(self.parts("before", m)) is None:
+                return False
+        self.last_closed = (list(modules), c)
+        return True
+
+
+def _tau_periodic(tau_of: Sequence[Optional[int]], i: int) -> bool:
+    """Whether the tau orbit of module i never reaches a projective (None)
+    within the list; tau is injective, so such an orbit returns to i."""
+    for _ in range(len(tau_of)):
+        i = tau_of[i]
+        if i is None:
+            return False
+    return True
+
+
+def _reordered(old: Sequence[Rep], c: Closure, new: Sequence[Rep]) -> Optional[Closure]:
+    """The closure c of the list old, for the list new, or None unless new
+    holds the same reps as old in some order; a closure depends only on
+    which modules the list holds."""
+    at = {id(m): k for k, m in enumerate(new)}
+    if len(old) != len(at) or any(id(m) not in at for m in old):
+        return None
+    order = [at[id(m)] for m in old]  # old position -> new position
+    perm = sorted(range(len(old)), key=order.__getitem__)  # new -> old
+    return Closure([None if c.tau_of[i] is None else order[c.tau_of[i]] for i in perm],
+                   [c.tau_unresolved[i] for i in perm], [c.is_inj[i] for i in perm],
+                   c.closed_under_translates, c.closed_under_radical_and_socle_quotients)
 
 
 SWEEP_COEFFS = (0, 1, -1)
@@ -571,8 +625,17 @@ class ModuleUniverse:
     # ------------------------------------------------------------------
 
     def _check_closure(self):
-        """The tau table, the injective flags and the closure certificate."""
-        c = self._neighbours.closure(self._catalogue)
+        """The tau table, the injective flags and the closure certificate.
+
+        When the stop test found exactly these modules closed, its closure
+        is permuted into the sorted order instead of identifying every tau,
+        rad P and I / soc I summand again; a closure depends only on the
+        set of modules, not on their order.
+        """
+        last = self._neighbours.last_closed
+        c = last and _reordered(last[0], last[1], self.modules)
+        if c is None:
+            c = self._neighbours.closure(self._catalogue)
         # an unresolved tau is tolerated only on an uncertified sweep; the
         # module is treated as not rigid
         self.tau_of: List[Optional[int]] = c.tau_of

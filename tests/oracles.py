@@ -16,11 +16,27 @@ from tauseq.decompose import indecomposable_parts, is_isomorphic
 from tauseq.errors import Mismatch, NotTauRigid
 from tauseq.modules import Rep, RepMorphism, hom_dim, quotient, submodule_from_spans, trace
 from tauseq.quiver import BoundQuiverAlgebra
-from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj
 from tauseq.wide import (
     ambient_context, gen_mask, ids_of, perp_tau_members, rel_ext_projectives,
     rel_tau_rigid, torsion_handle,
 )
+
+
+# --------------------------------------------------------------------------
+# the sweep's stop test
+# --------------------------------------------------------------------------
+
+def closed_with_every_middle(neighbours: ARNeighbours, modules: Sequence[Rep]) -> bool:
+    """``ARNeighbours.closed`` without the tau-orbit argument: the two
+    closure flags plus the middle of the almost split sequence ending at
+    every non-projective module, whatever its orbit."""
+    catalogue = Catalogue(modules)
+    c = neighbours.closure(catalogue)
+    return c.closed_under_translates and \
+        c.closed_under_radical_and_socle_quotients and \
+        all(catalogue.find_all(neighbours.parts("before", m)) is not None
+            for m in modules if neighbours.translate(m) is not None)
 
 
 # --------------------------------------------------------------------------

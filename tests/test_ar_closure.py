@@ -25,7 +25,8 @@ from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat, inverse
 from tauseq.modules import Rep, direct_sum, min_presentation, projective, simple
 from tauseq.quiver import Quiver, build_algebra
-from tauseq.universe import ARNeighbours, ModuleUniverse
+from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse
+from oracles import closed_with_every_middle
 from test_wide import _linear, _loop_rad2, _nakayama2
 
 BENCH_ALGEBRAS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras")
@@ -105,6 +106,76 @@ def test_dropping_any_module_breaks_the_closure(build):
     assert neighbours.closed(u.modules)
     for i in range(len(u.modules)):
         assert not neighbours.closed(u.modules[:i] + u.modules[i + 1:]), u.labels[i]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_the_stop_test_agrees_with_every_middle(name, monkeypatch):
+    # the tau-orbit argument changes no verdict, and the closure the build
+    # permutes from the stop test is the one it would compute afresh
+    verdicts = []
+    closed = ARNeighbours.closed
+
+    def spy(self, modules):
+        verdicts.append((closed(self, modules),
+                         closed_with_every_middle(ARNeighbours(), modules)))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(ARNeighbours, "closed", spy)
+    u = ModuleUniverse(ORACLE_ALGEBRAS[name]())
+    assert verdicts and verdicts[-1] == (True, True)
+    assert all(new == old for new, old in verdicts)
+    c = ARNeighbours().closure(Catalogue(u.modules))
+    assert (u.tau_of, u.tau_unresolved, u.is_inj) == (c.tau_of, c.tau_unresolved, c.is_inj)
+
+
+def test_a_missing_projective_injective_is_caught_by_the_projective_count():
+    # A4's projective-injective 1111#1 is no tau X, no summand of a radical
+    # and no I / soc I of another module, and no orbit of A4 is periodic:
+    # only the count of projectives notices that it is missing
+    u = ModuleUniverse(_linear(4))
+    i = u.labels.index("1111#1")
+    rest = u.modules[:i] + u.modules[i + 1:]
+    neighbours = ARNeighbours()
+    c = neighbours.closure(Catalogue(rest))
+    assert c.closed_under_translates and c.closed_under_radical_and_socle_quotients
+    assert not any(t is not None and universe._tau_periodic(c.tau_of, j)
+                   for j, t in enumerate(c.tau_of))
+    assert not neighbours.closed(rest)
+    assert not closed_with_every_middle(neighbours, rest)
+
+
+def test_a_periodic_orbit_needs_its_middle():
+    # over k[x]/(x^4) tau is the identity, so every orbit is periodic;
+    # {k, k[x]/(x^3), k[x]/(x^4)} is closed under tau, rad P and I / soc I
+    # and holds the projective, but the almost split sequence ending at k
+    # has the missing k[x]/(x^2) as its middle
+    algebra = _loop(4)
+    mods = [_uniserial(algebra, length) for length in (1, 3, 4)]
+    neighbours = ARNeighbours()
+    c = neighbours.closure(Catalogue(mods))
+    assert c.closed_under_translates and c.closed_under_radical_and_socle_quotients
+    assert not neighbours.closed(mods)
+    assert neighbours.closed(mods + [_uniserial(algebra, 2)])
+
+
+@pytest.mark.parametrize("name,middles,isos", [
+    ("a4", 0, 20), ("a5", 0, 28), ("d4", 0, 32),
+    ("nakayama2_rad2", 2, None), ("nakayama3_rad3", 6, None)])
+def test_a_cold_build_builds_middles_only_on_periodic_orbits(name, middles, isos,
+                                                              monkeypatch):
+    # the parent build made 6, 10, 8, 2 and 6 middles and 41, 62 and 58
+    # isomorphism tests, the closure's second pass included
+    counts = {"almost_split_middle": 0, "_basis_has_iso": 0}
+    for original in (ar.almost_split_middle, decompose._basis_has_iso):
+        def spy(*args, _original=original):
+            counts[_original.__name__] += 1
+            return _original(*args)
+
+        _spy_on(monkeypatch, original, spy)
+    assert ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]()).certified
+    assert counts["almost_split_middle"] == middles
+    if isos is not None:
+        assert counts["_basis_has_iso"] == isos
 
 
 def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():

@@ -1,12 +1,25 @@
+import itertools
+import os
+
 import pytest
 
-from tauseq.decompose import AlgebraCore, indecomposable_parts, is_indecomposable, is_isomorphic
+from tauseq import decompose as decompose_mod, universe
+from tauseq.cli import load_algebra_file
+from tauseq.decompose import (
+    AlgebraCore, _splitting_idempotent, indecomposable_parts, is_indecomposable, is_isomorphic,
+)
+from tauseq.errors import NotCertifiablyComplete
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
+from tauseq.universe import ModuleUniverse
 
 from oracles import decompose, delta
+from test_wide import _linear
+
+KRONECKER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras",
+                         "kronecker.json")
 
 
 def test_block_diagonal_splits(a2):
@@ -120,3 +133,68 @@ def test_a_field_end_ring_is_certified_at_its_first_primitive_element(characteri
     monkeypatch.setattr(AlgebraCore, "minimal_polynomial", spy)
     assert is_indecomposable(m)
     assert len(calls) == 1
+
+
+def _kronecker_sweep(monkeypatch, bound):
+    """The middles the Kronecker sweep tests, and how many times it ran the
+    idempotent search."""
+    middles, searches = [], []
+    test, search = universe.is_indecomposable, decompose_mod.find_idempotent_semisimple
+
+    def test_spy(m):
+        middles.append(m)
+        return test(m)
+
+    def search_spy(core):
+        searches.append(core)
+        return search(core)
+
+    monkeypatch.setattr(universe, "is_indecomposable", test_spy)
+    monkeypatch.setattr(decompose_mod, "find_idempotent_semisimple", search_spy)
+    if bound is None:
+        assert not ModuleUniverse(load_algebra_file(KRONECKER),
+                                  require_certificate=False).certified
+    else:
+        with pytest.raises(NotCertifiablyComplete):
+            ModuleUniverse(load_algebra_file(KRONECKER), (bound, bound))
+    monkeypatch.undo()
+    return middles, len(searches)
+
+
+@pytest.mark.parametrize("bound", [2, None], ids=["dim_bound_2", "default_bound"])
+def test_the_fitting_split_agrees_with_the_idempotent_search_on_kronecker_middles(
+        bound, monkeypatch):
+    middles, _ = _kronecker_sweep(monkeypatch, bound)
+    verdicts = [is_indecomposable(m) for m in middles]
+    assert verdicts == [_splitting_idempotent(m) is None for m in middles]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_the_kronecker_sweep_runs_the_idempotent_search_less(monkeypatch):
+    # without the Fitting split the --dim-bound 2 sweep ran it 39 times
+    _, searches = _kronecker_sweep(monkeypatch, 2)
+    assert searches == 10
+
+
+def _loop4(characteristic):
+    q = Quiver(["1"], [("x", "1", "1")])
+    return build_algebra(q, FieldSpec(characteristic), [["x"] * 4])
+
+
+def _nakayama2_rad2(characteristic):
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    return build_algebra(q, FieldSpec(characteristic), [["a", "b"], ["b", "a"]])
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3], ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("build", [lambda c: _linear(3, c), _nakayama2_rad2, _loop4],
+                         ids=["a3", "nakayama2_rad2", "loop_rad4"])
+def test_the_fitting_split_agrees_with_the_idempotent_search_on_sums(build,
+                                                                    characteristic):
+    u = ModuleUniverse(build(characteristic))
+    reps = list(u.modules)
+    reps += [direct_sum([a, b])[0] for a, b in
+             itertools.combinations_with_replacement(u.modules, 2)]
+    verdicts = [is_indecomposable(m) for m in reps]
+    assert verdicts == [_splitting_idempotent(m) is None for m in reps]
+    assert verdicts == [i < len(u.modules) for i in range(len(reps))]

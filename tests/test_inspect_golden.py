@@ -10,7 +10,7 @@ re-record after an intended change, run ``tauseq inspect algebras/<file>
 bound is pinned the same way in ``golden/inspect_kronecker.json``: the
 Kronecker quiver is representation-infinite, so the report is uncertified
 and carries the tau-rigid and injective flags of a found list that is not
-closed, with exit code 0.
+closed, and the reason the sweep stopped, with exit code 0.
 """
 
 import json
@@ -46,4 +46,7 @@ def test_uncertified_kronecker_inspect_is_byte_identical(capsys, monkeypatch):
     code = main(["inspect", "perfbench/algebras/kronecker.json", "--json"])
     captured = capsys.readouterr()
     assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == KRONECKER
-    assert code == 0 and json.loads(captured.out)["algebra"]["certified"] is False
+    report = json.loads(captured.out)["algebra"]
+    assert code == 0 and report["certified"] is False
+    assert report["certificate"]["sweep_aborted_because"] == \
+        "extension space of dimension 8 exceeds the sweep guard"
