@@ -167,19 +167,25 @@ def projective(algebra: BoundQuiverAlgebra, v: int) -> Rep:
     return rep
 
 
-def direct_sum(reps: Sequence[Rep]) -> Tuple[Rep, List[RepMorphism], List[RepMorphism]]:
-    """Direct sum with the block embeddings and projections."""
+def block_sum(reps: Sequence[Rep]) -> Rep:
+    """The direct sum of the reps, block diagonal in the given order, without
+    the embeddings and projections of ``direct_sum``."""
     if not reps:
         raise ValueError("empty direct sum needs an algebra; use zero_rep")
     algebra = reps[0].algebra
     f = algebra.field
     q = algebra.quiver
-    nv = q.num_vertices
-    dims = [sum(r.dims[v] for r in reps) for v in range(nv)]
-    mats = []
-    for i in range(len(q.arrows)):
-        mats.append(linalg.block_diag(f, [r.mats[i] for r in reps]))
-    total = Rep(algebra, dims, mats, validate=False)
+    dims = [sum(r.dims[v] for r in reps) for v in range(q.num_vertices)]
+    mats = [linalg.block_diag(f, [r.mats[i] for r in reps]) for i in range(len(q.arrows))]
+    return Rep(algebra, dims, mats, validate=False)
+
+
+def direct_sum(reps: Sequence[Rep]) -> Tuple[Rep, List[RepMorphism], List[RepMorphism]]:
+    """Direct sum with the block embeddings and projections."""
+    total = block_sum(reps)
+    f = total.algebra.field
+    nv = total.algebra.quiver.num_vertices
+    dims = total.dims
     embeds, projs = [], []
     offsets = [0] * nv
     for r in reps:
@@ -389,8 +395,7 @@ class Presentation:
 def projective_sum(algebra: BoundQuiverAlgebra, vertices: Sequence[int]) -> Rep:
     if not vertices:
         return zero_rep(algebra)
-    total, _, _ = direct_sum([projective(algebra, v) for v in vertices])
-    return total
+    return block_sum([projective(algebra, v) for v in vertices])
 
 
 def morphism_from_generator_images(p: Rep, p_vertices: Sequence[int],

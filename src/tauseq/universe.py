@@ -30,15 +30,24 @@ indecomposables onto the non-injective ones with inverse tau-minus
 tau-minus Y is found exactly when Y is injective or Y is some found tau X.
 One closure routine, ``ARNeighbours.closure``, reads tau-minus off that tau
 image, testing only a module outside it for injectivity, and gives the stop
-test, the tau table, the injective flags and the certificate.  Each module
-has one minimal projective presentation, which gives its tau, its Ext row
-and its projectivity.  The schema-1 certificate keys keep their meaning: the
-sweep completed, the count is stable up to the cap plus one (nothing the
-sweep could still add), no indecomposable touches the cap, and the set is
-closed under tau, tau-minus, radicals of projectives and socle quotients of
-injectives.  The certificate needs only the tau table and the closure flags,
-so a build that requires it and is refused stops there, before the hom and
-Ext tables.  One ``Catalogue`` tells modules apart, by the Fitting test of
+test, the tau table, the injective flags and the certificate.  Projectivity
+is read off the top and injectivity off the socle; each non-projective
+module has one minimal projective presentation, which gives its tau and its
+Ext row.  The schema-1 certificate keys keep their meaning: the sweep
+completed, the count is stable up to the cap plus one (nothing the sweep
+could still add), no indecomposable touches the cap, and the set is closed
+under tau, tau-minus, radicals of projectives and socle quotients of
+injectives.
+
+The build computes only what its caller reads.  A build that requires the
+certificate and is refused stops at it.  One that the sweep keys refuse
+already decides the closure keys with the least work: the first module, in
+sorted order, whose tau is not found makes both translate keys false, and
+only the radical key is still computed in full.  A build that is kept
+computes the flags and tau-rigidity, one Hom(X, tau X) per module whose tau
+was found; the hom and Ext tables are filled on their first read and are
+plain attributes from then on, so ``inspect`` never computes them.
+One ``Catalogue`` tells modules apart, by the Fitting test of
 ``decompose``, for the sweep's new modules, the closure, ``identify`` and
 ``identify_parts``.  Counts pinned downstream all sit on top of this
 certificate.  No trace table is kept: ``gen_set`` and ``filtgen_*`` compute
@@ -52,6 +61,7 @@ disambiguating ordinal, for example "11#1".
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq import linalg
@@ -63,7 +73,7 @@ from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecompos
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, direct_sum, hom_dim, min_presentation, projective,
+    Presentation, Rep, block_sum, hom_dim, min_presentation, projective,
     quotient, radical_spans, simple, submodule_from_spans, trace,
 )
 
@@ -135,6 +145,19 @@ def _socle_quotient(m: Rep) -> Rep:
     return quotient(m, incl)[0]
 
 
+def _is_projective_indecomposable(m: Rep) -> bool:
+    """Whether the indecomposable m is projective: exactly when top m is one
+    simple S_v and m has the dimension vector of P(v).  P(v) covers m, its
+    projective cover, so equal dimensions make the cover an isomorphism.
+    The top is computed only when the dimension vector is that of some P(v)."""
+    algebra = m.algebra
+    candidates = [v for v in range(algebra.n) if projective(algebra, v).dims == m.dims]
+    if not candidates:
+        return False
+    top = [d - linalg.rank(span) for d, span in zip(m.dims, radical_spans(m))]
+    return sum(top) == 1 and top.index(1) in candidates
+
+
 def _is_injective_indecomposable(m: Rep) -> bool:
     """Whether the indecomposable m is injective: exactly when soc m is one
     simple S_v and m has the dimension vector of I(v), whose entry at w is
@@ -195,14 +218,15 @@ class ARNeighbours:
     injectivity and its neighbours in the Auslander-Reiten quiver, as lists
     of indecomposable summands, each computed once per module.
 
-    The presentation serves the module's tau, its Ext row and its
-    projectivity (a zero syzygy; a projective gets no transpose).
-    ``translate`` keeps tau X whole, as one rep: for X indecomposable and
-    not projective, tau X is indecomposable (Auslander-Reiten-Smalo,
-    ch. IV), so it is never decomposed, and ``Catalogue.find`` identifies it
-    directly.  ``injective`` reads the socle (``_is_injective_indecomposable``)
-    and builds no projective cover over the opposite algebra.  ``closure``
-    reads these, and the neighbour lists, for the sweep's stop test, the
+    The presentation serves the module's tau and its Ext row.
+    ``projective`` reads the top (``_is_projective_indecomposable``), so a
+    projective gets no presentation here and no transpose.  ``translate``
+    keeps tau X whole, as one rep: for X indecomposable and not projective,
+    tau X is indecomposable (Auslander-Reiten-Smalo, ch. IV), so it is never
+    decomposed, and ``Catalogue.find`` identifies it directly.
+    ``injective`` reads the socle (``_is_injective_indecomposable``) and
+    builds no projective cover over the opposite algebra.  ``closure`` reads
+    these, and the neighbour lists, for the sweep's stop test, the
     translate table and the closure certificate:
       "before"  the sources of the irreducible maps into X: the summands of
                 the middle of the almost split sequence ending at X, or of
@@ -240,9 +264,11 @@ class ARNeighbours:
     def translate(self, m: Rep) -> Optional[Rep]:
         """tau m, or None when m is projective."""
         def make(m: Rep) -> Optional[Rep]:
-            pres = self.presentation(m)
-            return tau(m, pres) if pres.syzygy.total_dim else None
+            return None if self.projective(m) else tau(m, self.presentation(m))
         return self._cached("tau", m, make)
+
+    def projective(self, m: Rep) -> bool:
+        return self._cached("projective", m, _is_projective_indecomposable)
 
     def injective(self, m: Rep) -> bool:
         return self._cached("injective", m, _is_injective_indecomposable)
@@ -284,15 +310,33 @@ class ARNeighbours:
         is_inj = [i not in image and self.injective(m) for i, m in enumerate(mods)]
         translates = not any(unresolved) and all(
             is_inj[i] or i in image for i in range(len(mods)))
+        return Closure(tau_of, unresolved, is_inj, translates,
+                       self.radical_closed(catalogue, is_inj))
 
+    def radical_closed(self, catalogue: Catalogue, is_inj: Sequence[bool]) -> bool:
+        """Whether the summands of rad P and of I / soc I are found for
+        every found projective P and every found I with is_inj."""
         def found(kind: str, m: Rep) -> bool:
             return catalogue.find_all(self.parts(kind, m)) is not None
 
-        # rad P for every projective, I / soc I for every injective
-        radical = all((self.translate(m) is not None or found("before", m)) and
-                      (not is_inj[i] or found("after", m))
-                      for i, m in enumerate(mods))
-        return Closure(tau_of, unresolved, is_inj, translates, radical)
+        return all((not self.projective(m) or found("before", m)) and
+                   (not is_inj[i] or found("after", m))
+                   for i, m in enumerate(catalogue.modules))
+
+    def refused_closure_keys(self, catalogue: Catalogue) -> Optional[Dict[str, bool]]:
+        """The closure keys of a certificate that already fails, decided
+        with the least work, or None when every tau X is found and only the
+        whole closure decides them.
+
+        The first module in the list whose tau X is not found makes both
+        translate keys false, so the walk stops there; the radical key
+        reads projectivity off the top and injectivity off the socle."""
+        if all(t is None or catalogue.find(t) is not None
+               for t in map(self.translate, catalogue.modules)):
+            return None
+        return {"translate_table_complete": False, "closed_under_translates": False,
+                "closed_under_radical_and_socle_quotients": self.radical_closed(
+                    catalogue, [self.injective(m) for m in catalogue.modules])}
 
     def closed(self, modules: Sequence[Rep]) -> bool:
         """Whether every neighbour of every module in the list, tau^- X
@@ -385,6 +429,28 @@ def _summand_classes(parts: List[Rep], forms: List[Mat],
     return images
 
 
+def _class_key(p: int, vec: list) -> Optional[tuple]:
+    """vec up to a nonzero scalar, or None when vec is zero: over GF(p)
+    reduced and scaled so that its first nonzero entry is 1, over Q (p = 0)
+    its primitive integer form with a positive first nonzero entry."""
+    if p:
+        vec = [x % p for x in vec]
+        pivot = next((x for x in vec if x), 0)
+        if not pivot:
+            return None
+        inv = pow(pivot, p - 2, p)
+        return tuple(x * inv % p for x in vec)
+    if any(type(x) is not int for x in vec):  # a Fraction: clear denominators
+        den = math.lcm(*(x.denominator for x in vec))
+        vec = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*vec)
+    if not g:
+        return None
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
+
+
 def _new_class_tuples(field, images: List[List[tuple]]) -> Iterator[Tuple[int, ...]]:
     """The coefficient tuples over SWEEP_COEFFS, in itertools.product order,
     whose combination of the basis cocycles can give a new indecomposable.
@@ -394,28 +460,91 @@ def _new_class_tuples(field, images: List[List[tuple]]) -> Iterator[Tuple[int, .
     U_i is zero, since U_i then splits off the middle, or when its classes
     equal those of an earlier tuple up to one nonzero scalar per summand:
     scaling U_i is an automorphism of U and adding a coboundary changes no
-    middle, so both middles are isomorphic.  Each class is scaled so that
-    its first nonzero coordinate is 1, and that key is looked up.
+    middle, so both middles are isomorphic.  Each class is keyed up to a
+    nonzero scalar (``_class_key``), and that key is looked up.
+
+    The walk is the product tree, first coefficient outermost, and carries
+    the prefix sum of c_k * images[k] down it: one vector add or subtract
+    per node with a nonzero coefficient, reduced only at a leaf.
     """
+    # every class of one basis cocycle, flattened summand after summand
+    flat = [[x for coords in image for x in coords] for image in images]
+    bounds = []
+    start = 0
+    for coords in images[0]:
+        bounds.append((start, start + len(coords)))
+        start += len(coords)
+    depth = len(images)
+    p = field.characteristic
     seen = set()
-    for coeffs in itertools.product(SWEEP_COEFFS, repeat=len(images)):
-        terms = [(c, image) for c, image in zip(coeffs, images) if c]
-        key = []
-        for i, coords in enumerate(images[0]):
-            comp = [field.coerce(sum(c * image[i][j] for c, image in terms))
-                    for j in range(len(coords))]
-            pivot = next((x for x in comp if x != 0), None)
-            if pivot is None:
-                break
-            if pivot != 1:
-                inv = field.inv(pivot)
-                comp = [field.mul(x, inv) for x in comp]
-            key.append(tuple(comp))
-        else:
+    coeffs: List[int] = []
+
+    def walk(k: int, total: list) -> Iterator[Tuple[int, ...]]:
+        if k == depth:
+            key = []
+            for lo, hi in bounds:
+                part = _class_key(p, total[lo:hi])
+                if part is None:
+                    return
+                key.append(part)
             key = tuple(key)
             if key not in seen:
                 seen.add(key)
-                yield coeffs
+                yield tuple(coeffs)
+            return
+        image = flat[k]
+        for c in SWEEP_COEFFS:
+            coeffs.append(c)
+            if c == 0:
+                yield from walk(k + 1, total)
+            elif c == 1:
+                yield from walk(k + 1, [a + b for a, b in zip(total, image)])
+            else:
+                yield from walk(k + 1, [a - b for a, b in zip(total, image)])
+            coeffs.pop()
+
+    yield from walk(0, [0] * start)
+
+
+def _holds(certificate: Dict[str, object]) -> bool:
+    """Whether every key of the certificate so far holds."""
+    return all(bool(v) for k, v in certificate.items()
+               if k not in ("dim_bound", "sweep_aborted_because"))
+
+
+class _TableOnFirstRead:
+    """``hom`` or ``ext`` of a universe until either table is first read:
+    indexing, iterating, ``len`` or ``==`` fills both tables
+    (``ModuleUniverse._build_tables``), which replace the stand-ins on the
+    universe as plain lists.  A hook for missing attributes on the universe
+    would do the same, but would slow every attribute read of it."""
+
+    __slots__ = ("_universe", "_name")
+
+    def __init__(self, universe: "ModuleUniverse", name: str):
+        self._universe = universe
+        self._name = name
+
+    def _table(self) -> List[List[int]]:
+        # getattr, not vars(): materializing the instance dict would slow
+        # every later attribute read of the universe
+        table = getattr(self._universe, self._name)
+        if table is self:
+            self._universe._build_tables()
+            table = getattr(self._universe, self._name)
+        return table
+
+    def __getitem__(self, i):
+        return self._table()[i]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._table())
+
+    def __eq__(self, other) -> bool:
+        return self._table() == other
 
 
 class _Budget:
@@ -426,7 +555,11 @@ class _Budget:
 
 class ModuleUniverse:
     """All indecomposables of a representation-finite bound quiver algebra,
-    with hom, extension and translate tables keyed by canonical id."""
+    with hom, extension and translate tables keyed by canonical id.
+
+    The translate table, the projective and injective flags, tau_rigid and
+    the certificate are built with the universe; ``hom`` and ``ext`` are
+    filled on the first read of either (``_build_tables``)."""
 
     def __init__(self, algebra, dim_bound: Optional[Sequence[int]] = None,
                  require_certificate: bool = True):
@@ -463,17 +596,35 @@ class ModuleUniverse:
             seen[m.dims] = seen.get(m.dims, 0) + 1
             self.labels.append(_label(m.dims, seen[m.dims]))
         self._catalogue = Catalogue(self.modules)
-        # a refused build stops at its certificate: the closure comes first,
-        # the hom and Ext tables after it
-        self._check_closure()
-        pres = [self._neighbours.presentation(m) for m in self.modules]
-        del self._neighbours
-        self.certified = all(bool(v) for k, v in self.certificate.items()
-                             if k not in ("dim_bound", "sweep_aborted_because"))
+        # a refused build stops at its certificate, and one that the sweep
+        # keys refuse already decides the closure keys with the least work
+        self._check_closure(require_certificate and not _holds(self.certificate))
+        self.certified = _holds(self.certificate)
         if require_certificate and not self.certified:
             raise NotCertifiablyComplete(
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
-        self._build_tables(pres)
+        neighbours = self._neighbours
+        del self._neighbours
+        self.is_proj: List[bool] = [neighbours.projective(m) for m in self.modules]
+        # the minimal presentation that gave a module its tau gives its Ext
+        # row when ``ext`` is first read; a projective has none built, and
+        # Ext1From reads its zero syzygy off a cover then
+        self._pres: List[Optional[Presentation]] = [
+            None if proj else neighbours.presentation(m)
+            for m, proj in zip(self.modules, self.is_proj)]
+        self.proj_of_vertex: List[int] = []
+        for v in range(self.n):
+            pid = self.identify(projective(algebra, v))
+            if pid is None:
+                raise Mismatch("projective at vertex %d missing from the enumeration" % v)
+            self.proj_of_vertex.append(pid)
+        # an unresolved tau is tolerated only on an uncertified sweep; the
+        # module is treated as not rigid
+        self.tau_rigid: List[bool] = [
+            not unresolved and (t is None or hom_dim(m, self.modules[t]) == 0)
+            for m, t, unresolved in zip(self.modules, self.tau_of, self.tau_unresolved)]
+        self.hom: List[List[int]] = _TableOnFirstRead(self, "hom")
+        self.ext: List[List[int]] = _TableOnFirstRead(self, "ext")
         self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
         self.cache: Dict = {}  # shared memo space for the layers above
@@ -571,7 +722,7 @@ class ModuleUniverse:
                     allowed = [(idx, e) for idx, e in allowed if e > 0]
                     for combo in self._bounded_multisets(found, allowed, t - 1):
                         parts = [found[idx] for idx in combo]
-                        u = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
+                        u = parts[0] if len(parts) == 1 else block_sum(parts)
                         if not _dims_leq([a + b for a, b in zip(u.dims, s.dims)], cap):
                             continue
                         cocycles, cob = extension_cocycle_space(s, u)
@@ -624,20 +775,26 @@ class ModuleUniverse:
     # tables
     # ------------------------------------------------------------------
 
-    def _check_closure(self):
+    def _check_closure(self, refused: bool):
         """The tau table, the injective flags and the closure certificate.
 
         When the stop test found exactly these modules closed, its closure
         is permuted into the sorted order instead of identifying every tau,
         rad P and I / soc I summand again; a closure depends only on the
-        set of modules, not on their order.
+        set of modules, not on their order.  A build that is ``refused``
+        already stops at the first module whose tau is not found
+        (``ARNeighbours.refused_closure_keys``) and sets only the
+        certificate, which is all its refusal reports.
         """
+        if refused:
+            keys = self._neighbours.refused_closure_keys(self._catalogue)
+            if keys is not None:
+                self.certificate.update(keys)
+                return
         last = self._neighbours.last_closed
         c = last and _reordered(last[0], last[1], self.modules)
         if c is None:
             c = self._neighbours.closure(self._catalogue)
-        # an unresolved tau is tolerated only on an uncertified sweep; the
-        # module is treated as not rigid
         self.tau_of: List[Optional[int]] = c.tau_of
         self.tau_unresolved: List[bool] = c.tau_unresolved
         self.is_inj: List[bool] = c.is_inj
@@ -647,32 +804,19 @@ class ModuleUniverse:
         self.certificate["closed_under_radical_and_socle_quotients"] = \
             c.closed_under_radical_and_socle_quotients
 
-    def _build_tables(self, pres: List[Presentation]):
-        """The projective flags, the projective of each vertex and the hom,
-        tau-rigidity and Ext tables, from each module's minimal presentation
-        P1 -> P0 -> M: M is projective exactly when the syzygy
-        K = ker(P0 -> M) is zero, and K gives the Ext row."""
+    def _build_tables(self):
+        """The hom and Ext tables, filled in place of their stand-ins
+        (``_TableOnFirstRead``) on the first read of either: hom[i][j] =
+        dim Hom(M_i, M_j) and ext[i][j] = dim Ext^1(M_i, M_j), the Ext row
+        of M_i from the syzygy of its minimal presentation, or of its cover
+        for a projective.  A build whose caller reads neither, as
+        ``inspect`` does, never computes them."""
         mods = self.modules
-        count = len(mods)
-        self.is_proj: List[bool] = [p.syzygy.total_dim == 0 for p in pres]
-        self.proj_of_vertex: List[int] = []
-        for v in range(self.n):
-            pid = self.identify(projective(self.algebra, v))
-            if pid is None:
-                raise Mismatch("projective at vertex %d missing from the enumeration" % v)
-            self.proj_of_vertex.append(pid)
-        ext_from = [Ext1From(m, p) for m, p in zip(mods, pres)]
-        self.hom: List[List[int]] = [[hom_dim(m, n) for n in mods] for m in mods]
-        self.tau_rigid: List[bool] = []
-        for i in range(count):
-            if self.tau_unresolved[i]:
-                self.tau_rigid.append(False)
-                continue
-            ti = self.tau_of[i]
-            self.tau_rigid.append(ti is None or self.hom[i][ti] == 0)
-        self.ext: List[List[int]] = [
-            [ext_from[i].dim(mods[j], self.hom[i][j]) for j in range(count)]
-            for i in range(count)]
+        ext_from = [Ext1From(m, p) for m, p in zip(mods, self._pres)]
+        self.hom = [[hom_dim(m, n) for n in mods] for m in mods]
+        self.ext = [[e.dim(n, h) for n, h in zip(mods, row)]
+                    for e, row in zip(ext_from, self.hom)]
+        del self._pres
 
     # ------------------------------------------------------------------
     # identification

@@ -8,15 +8,20 @@ reachable from the package, the command line or the benchmark.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+import itertools
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from tauseq import linalg
-from tauseq.ar import extension_cocycle_space, tau
+from tauseq.ar import Ext1From, extension_cocycle_space, tau
 from tauseq.decompose import indecomposable_parts, is_isomorphic
 from tauseq.errors import Mismatch, NotTauRigid
-from tauseq.modules import Rep, RepMorphism, hom_dim, quotient, submodule_from_spans, trace
+from tauseq.modules import (
+    Rep, RepMorphism, hom_dim, min_presentation, quotient, submodule_from_spans, trace,
+)
 from tauseq.quiver import BoundQuiverAlgebra
-from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj
+from tauseq.universe import (
+    SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj,
+)
 from tauseq.wide import (
     ambient_context, gen_mask, ids_of, perp_tau_members, rel_ext_projectives,
     rel_tau_rigid, torsion_handle,
@@ -37,6 +42,49 @@ def closed_with_every_middle(neighbours: ARNeighbours, modules: Sequence[Rep]) -
         c.closed_under_radical_and_socle_quotients and \
         all(catalogue.find_all(neighbours.parts("before", m)) is not None
             for m in modules if neighbours.translate(m) is not None)
+
+
+# --------------------------------------------------------------------------
+# the sweep's extension classes
+# --------------------------------------------------------------------------
+
+def new_class_tuples_by_product(field, images: List[List[tuple]]) -> Iterator[Tuple[int, ...]]:
+    """``universe._new_class_tuples`` one tuple at a time: each class from
+    all terms of its tuple, scaled in the field so that its first nonzero
+    coordinate is 1."""
+    seen = set()
+    for coeffs in itertools.product(SWEEP_COEFFS, repeat=len(images)):
+        terms = [(c, image) for c, image in zip(coeffs, images) if c]
+        key = []
+        for i, coords in enumerate(images[0]):
+            comp = [field.coerce(sum(c * image[i][j] for c, image in terms))
+                    for j in range(len(coords))]
+            pivot = next((x for x in comp if x != 0), None)
+            if pivot is None:
+                break
+            inv = field.inv(pivot)
+            key.append(tuple(field.mul(x, inv) for x in comp))
+        else:
+            key = tuple(key)
+            if key not in seen:
+                seen.add(key)
+                yield coeffs
+
+
+# --------------------------------------------------------------------------
+# the hom and Ext tables
+# --------------------------------------------------------------------------
+
+def eager_tables(u: ModuleUniverse) -> Tuple[List[List[int]], List[List[int]]]:
+    """The hom and Ext tables as the build once filled them for every
+    universe: one hom solve per ordered pair, and the Ext row of each module
+    from the syzygy of its minimal presentation."""
+    mods = u.modules
+    hom = [[hom_dim(m, n) for n in mods] for m in mods]
+    ext_from = [Ext1From(m, min_presentation(m)) for m in mods]
+    ext = [[ext_from[i].dim(mods[j], hom[i][j]) for j in range(len(mods))]
+           for i in range(len(mods))]
+    return hom, ext
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,10 @@ The sweep ends once the found set is closed in the AR quiver.  Forcing the
 closure test to fail runs the full sweep up to the dimension cap, which is
 the oracle: the early stop must change nothing but the time.  The build
 reads tau^- and injectivity off the tau image; the direct routes, Tr D and
-the projective cover of the dual, are the oracle for those.
+the projective cover of the dual, are the oracle for those.  Projectivity
+is read off the top, against the projective cover.  A build refused by its
+sweep keys stops at the first tau it cannot find; its certificate must be
+the one the whole closure gives.
 """
 
 import itertools
@@ -18,7 +21,7 @@ from tauseq.ar import (
     Ext1From, almost_split_cocycle, almost_split_middle, extension_middle,
     is_injective_rep, tau, tau_minus,
 )
-from tauseq.cli import load_algebra_file
+from tauseq.cli import load_algebra_file, main
 from tauseq.decompose import EndAlgebra, is_isomorphic
 from tauseq.errors import NotCertifiablyComplete
 from tauseq.fields import FieldSpec
@@ -413,6 +416,81 @@ def test_the_socle_test_of_injectivity_matches_the_dual_cover(name):
     flags = [universe._is_injective_indecomposable(m) for m in u.modules]
     assert flags == [is_injective_rep(m) for m in u.modules]
     assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS) + ["d4", "kronecker_3"])
+def test_the_top_test_of_projectivity_matches_the_cover(name):
+    if name == "kronecker_3":
+        u = ModuleUniverse(_bench("kronecker")(), (3, 3), require_certificate=False)
+    else:
+        u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
+    flags = [universe._is_projective_indecomposable(m) for m in u.modules]
+    assert flags == [ar.is_projective_rep(m) for m in u.modules]
+    assert any(flags) and not all(flags)
+
+
+def test_the_kronecker_refusal_builds_one_translate(monkeypatch, capsys):
+    # the first module in sorted order that is not projective is S1, whose
+    # tau lies above the cap: that settles both translate keys; the two
+    # presentations are the simples' ones that the sweep's Ext rows read
+    counts = _count_calls(monkeypatch, ["tau", "min_presentation"])
+    code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate",
+                 "--dim-bound", "2"])
+    assert code == 2 and "closed_under_translates': False" in capsys.readouterr().err
+    assert counts == {"tau": 1, "min_presentation": 2}
+
+
+@pytest.mark.parametrize("name,bound", [("kronecker", (2, 2)), ("kronecker", (3, 3)),
+                                        ("a3", (1, 1, 1))])
+def test_a_refused_certificate_equals_the_whole_closure(name, bound, monkeypatch):
+    # A3 at the cap (1, 1, 1) is refused only for touching the cap; every
+    # tau is found there, so the whole closure decides the keys
+    algebra = _linear(3) if name == "a3" else _bench(name)()
+    built = []
+    check = ModuleUniverse._check_closure
+
+    def spy(self, *args):
+        built.append(self)
+        return check(self, *args)
+
+    monkeypatch.setattr(ModuleUniverse, "_check_closure", spy)
+    with pytest.raises(NotCertifiablyComplete):
+        ModuleUniverse(algebra, bound)
+    monkeypatch.undo()
+    (u,) = built
+    c = ARNeighbours().closure(Catalogue(u.modules))
+    expected = [("translate_table_complete", False)] if any(c.tau_unresolved) else []
+    expected += [("closed_under_translates", c.closed_under_translates),
+                 ("closed_under_radical_and_socle_quotients",
+                  c.closed_under_radical_and_socle_quotients)]
+    assert [(k, v) for k, v in u.certificate.items()
+            if k in ("translate_table_complete", "closed_under_translates",
+                     "closed_under_radical_and_socle_quotients")] == expected
+    assert (name == "a3") == (not any(c.tau_unresolved))
+    unrefused = ModuleUniverse(algebra, bound, require_certificate=False)
+    assert list(unrefused.certificate.items()) == list(u.certificate.items())
+
+
+@pytest.mark.parametrize("build", [lambda: _linear(4), _d4,
+                                   lambda: _nakayama2([["a", "b"], ["b", "a"]])],
+                         ids=["a4", "d4", "nakayama2_rad2"])
+def test_the_refused_keys_match_the_closure_without_any_one_module(build):
+    # dropping a module leaves some tau unfound, or a summand of a radical
+    # or a socle quotient, or both, or neither
+    u = ModuleUniverse(build())
+    radical_fails = 0
+    for i in range(len(u.modules)):
+        rest = Catalogue(u.modules[:i] + u.modules[i + 1:])
+        keys = ARNeighbours().refused_closure_keys(rest)
+        c = ARNeighbours().closure(rest)
+        if not any(c.tau_unresolved):
+            assert keys is None
+            continue
+        assert keys == {"translate_table_complete": False, "closed_under_translates": False,
+                        "closed_under_radical_and_socle_quotients":
+                            c.closed_under_radical_and_socle_quotients}
+        radical_fails += not c.closed_under_radical_and_socle_quotients
+    assert radical_fails
 
 
 def test_ext_rows_from_a_presentation_match_those_from_a_cover():

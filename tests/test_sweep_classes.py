@@ -27,6 +27,7 @@ from tauseq.linalg import Mat
 from tauseq.modules import direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse, _new_class_tuples
+from oracles import new_class_tuples_by_product
 from test_ar_closure import BENCH_ALGEBRAS, ORACLE_ALGEBRAS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -106,6 +107,25 @@ def test_new_class_tuples_in_product_order(characteristic):
     # a class the coefficients reach only as a zero combination is skipped
     images = [[(1,)], [(1,)]]
     assert list(_new_class_tuples(field, images)) == [(0, 1)]
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prefix_sums_keep_the_tuples_and_their_order(characteristic, data):
+    # up to six basis cocycles against up to three summands, with Fraction
+    # coordinates over Q; the oracle computes each tuple's classes afresh
+    field = FieldSpec(characteristic)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if characteristic:
+        scalar = st.integers(0, characteristic - 1)
+    else:
+        scalar = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    images = data.draw(st.lists(
+        st.tuples(*[st.tuples(*[scalar] * size) for size in sizes]).map(list),
+        min_size=1, max_size=6))
+    assert list(_new_class_tuples(field, images)) == \
+        list(new_class_tuples_by_product(field, images))
 
 
 # --------------------------------------------------------------------------
