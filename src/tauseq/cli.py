@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import FrozenSet, List, Optional, Sequence, Tuple
@@ -310,7 +311,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first call; parsing leaves
+    it as it was, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="tauseq",
         description="exact computations with torsion classes and "
@@ -368,8 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -5,11 +5,20 @@ each arrow (target-dim x source-dim, acting on column vectors).  Morphisms
 are tuples of vertex matrices satisfying the commuting-square condition.
 All constructions here (kernels, cokernels, traces, covers) return explicit
 representations together with the structural morphisms.
+
+The simples of a monomial algebra need no linear algebra (Green, Happel and
+Zacharia, Projective resolutions over Artin algebras with zero relations,
+1985).  rad P(v) is the direct sum of the arrow ideals aA over the arrows a
+leaving v, each spanned by the paths that start with a; I(v) / soc I(v) is
+the sum of the duals of the opposite algebra's arrow ideals at v.  S_v is
+presented by the sum of the P(t a) -> P(v), and aA is P(t a) modulo the
+paths u with a.u a minimal zero path, which gives dim Ext^1(S_v, M).  The
+generic routes serve every other module and stay as the oracles.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from tauseq import linalg
 from tauseq.errors import AlgebraMismatch, UnknownVertex
@@ -282,10 +291,14 @@ def submodule_from_spans(x: Rep, spans: List[Mat]) -> Tuple[Rep, RepMorphism]:
     The spans must be arrow stable; the induced arrow actions are solved
     exactly and an inconsistency raises.
     """
+    return _submodule_on_bases(x, [linalg.column_space_basis(s) for s in spans])
+
+
+def _submodule_on_bases(x: Rep, bases: List[Mat]) -> Tuple[Rep, RepMorphism]:
+    """``submodule_from_spans`` for spans whose columns are already
+    linearly independent, so they are the submodule's basis as given."""
     algebra = x.algebra
-    f = algebra.field
     q = algebra.quiver
-    bases = [linalg.column_space_basis(s) for s in spans]
     dims = [b.cols for b in bases]
     mats = []
     for ai, a in enumerate(q.arrows):
@@ -304,32 +317,31 @@ def quotient(x: Rep, incl: RepMorphism) -> Tuple[Rep, RepMorphism]:
     algebra = x.algebra
     f = algebra.field
     q = algebra.quiver
-    projs = []
-    dims = []
-    for v in range(q.num_vertices):
-        _, _, qv = linalg.rank_image_cokernel(incl.maps[v])
-        projs.append(qv)
-        dims.append(qv.rows)
+    # Q_v with rows spanning the forms that vanish on the image: Q_v incl_v = 0
+    projs = [linalg.solve_kernel(m.transpose()).transpose() for m in incl.maps]
+    dims = [qv.rows for qv in projs]
+    # the induced map c at an arrow s -> t solves c Q_s = Q_t x_a, through
+    # one right inverse of each Q_s
+    rinvs: List[Optional[Mat]] = [None] * q.num_vertices
     mats = []
     for ai, a in enumerate(q.arrows):
-        # induced map c with c q_s = q_t x_a; solve via a right inverse of q_s
         qs, qt = projs[a.source], projs[a.target]
-        rhs = qt.mul(x.mats[ai])
         if qs.rows == 0:
             mats.append(Mat.zeros(f, dims[a.target], 0))
             continue
-        rinv = linalg.solve(qs, Mat.identity(f, qs.rows))
+        rinv = rinvs[a.source]
         if rinv is None:
-            raise ValueError("cokernel projection is not surjective")
-        mats.append(rhs.mul(rinv))
+            rinv = rinvs[a.source] = linalg.solve(qs, Mat.identity(f, qs.rows))
+            if rinv is None:
+                raise ValueError("cokernel projection is not surjective")
+        mats.append(qt.mul(x.mats[ai]).mul(rinv))
     quo = Rep(algebra, dims, mats, validate=False)
     proj = RepMorphism(x, quo, projs, validate=False)
     return quo, proj
 
 
 def kernel(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism]:
-    spans = [linalg.solve_kernel(m) for m in f_mor.maps]
-    return submodule_from_spans(f_mor.source, spans)
+    return _submodule_on_bases(f_mor.source, [linalg.solve_kernel(m) for m in f_mor.maps])
 
 
 def cokernel(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism]:
@@ -412,10 +424,16 @@ def morphism_from_generator_images(p: Rep, p_vertices: Sequence[int],
     maps = [Mat.zeros(f, target.dims[w], p.dims[w]) for w in range(nv)]
     offsets = [0] * nv
     for v, vec in zip(p_vertices, images):
-        img_col = Mat.column(f, vec)
+        # the image of the path u.a is target_a times the image of u; paths
+        # come shortest first and every prefix of an alive path is alive
+        cols = {(): Mat.column(f, vec)}
         for path in algebra.paths_from(v):
             w = path.target(q)
-            col = target.path_action(path).mul(img_col)
+            if path.arrows:
+                col = cols[path.arrows] = \
+                    target.mats[path.arrows[-1]].mul(cols[path.arrows[:-1]])
+            else:
+                col = cols[()]
             for i in range(target.dims[w]):
                 maps[w].data[i][offsets[w]] = col.data[i][0]
             offsets[w] += 1
@@ -436,9 +454,9 @@ def projective_cover(m: Rep) -> Tuple[Rep, RepMorphism, List[int]]:
     summand_vertices: List[int] = []
     lifts: List[list] = []
     for v in range(nv):
-        basis = linalg.column_space_basis(rad[v])
-        # standard complement: unit vectors at the non-pivot coordinates of basis^T
-        _, pivots = linalg.rref(basis.transpose())
+        # standard complement: unit vectors at the non-pivot coordinates of
+        # rad^T, whose row space is the radical at v
+        pivots = set(linalg.rref(rad[v].transpose())[1])
         for i in range(m.dims[v]):
             if i not in pivots:
                 vec = [f.zero] * m.dims[v]
@@ -465,6 +483,115 @@ def min_presentation(m: Rep) -> Presentation:
     p1, cover_k, v1 = projective_cover(k)
     f_mor = incl.compose(cover_k)
     return Presentation(p0, p1, v0, v1, f_mor, cover, k)
+
+
+# -- a monomial algebra's simples, read off its paths --
+
+def _coordinate_submodule(x: Rep, coords: Sequence[Sequence[int]]) -> Rep:
+    """The submodule of x spanned at each vertex w by the basis vectors
+    coords[w].  Every arrow of x must map a kept basis vector to a kept one
+    or to zero, as on a projective's path basis, so the arrow actions are
+    the kept rows and columns."""
+    algebra = x.algebra
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        rows, cols = coords[a.target], coords[a.source]
+        data = x.mats[ai].data
+        mats.append(Mat.trusted(algebra.field, len(rows), len(cols),
+                                [[data[r][c] for c in cols] for r in rows]))
+    return Rep(algebra, [len(c) for c in coords], mats, validate=False)
+
+
+def _path_coords(algebra: BoundQuiverAlgebra, v: int, keep) -> List[List[int]]:
+    """For each vertex w, the positions in P(v)'s basis at w of the paths
+    v -> w that keep(path) accepts."""
+    return [[i for i, p in enumerate(algebra.paths_between(v, w)) if keep(p)]
+            for w in range(algebra.n)]
+
+
+def arrow_ideals(algebra: BoundQuiverAlgebra, v: int) -> List[Rep]:
+    """The summands aA of rad P(v), one per arrow a leaving v in arrow
+    order: the coordinate submodule of P(v) spanned by the paths that start
+    with a.  The paths of positive length split by their first arrow, and
+    aA is generated by a, so it is local and indecomposable."""
+    p = projective(algebra, v)
+    return [_coordinate_submodule(p, _path_coords(
+                algebra, v, lambda path: path.arrows[:1] == (a,)))
+            for a in algebra.quiver.arrows_from(v)]
+
+
+def dual_arrow_ideals(algebra: BoundQuiverAlgebra, v: int) -> List[Rep]:
+    """The summands of I(v) / soc I(v): I(v) is the dual of the opposite
+    algebra's P(v), so I(v) / soc I(v) is the dual of its radical, the sum
+    of the opposite algebra's arrow ideals at v."""
+    return [dualize(ideal) for ideal in arrow_ideals(opposite(algebra), v)]
+
+
+def simple_presentation(algebra: BoundQuiverAlgebra, v: int) -> Presentation:
+    """The minimal presentation of S_v: the sum of P(t a) over the arrows a
+    leaving v maps to P(v), each generator to its arrow a, and its image,
+    the syzygy, is rad P(v), spanned by the paths of positive length."""
+    q = algebra.quiver
+    arrows = q.arrows_from(v)
+    p0 = projective(algebra, v)
+    p1_vertices = [q.arrows[a].target for a in arrows]
+    p1 = projective_sum(algebra, p1_vertices)
+    images = []
+    for a, w in zip(arrows, p1_vertices):
+        vec = [algebra.field.zero] * p0.dims[w]
+        vec[algebra.paths_between(v, w).index(Path((a,)))] = algebra.field.one
+        images.append(vec)
+    map_mor = morphism_from_generator_images(p1, p1_vertices, p0, images)
+    s = simple(algebra, v)
+    cover = morphism_from_generator_images(p0, [v], s, [[algebra.field.one]])
+    syzygy = _coordinate_submodule(p0, _path_coords(algebra, v, lambda path: path.arrows))
+    return Presentation(p0, p1, [v], p1_vertices, map_mor, cover, syzygy)
+
+
+def _zero_tails(algebra: BoundQuiverAlgebra) -> List[List[Tuple[int, ...]]]:
+    """tails[a]: the paths u with a.u a minimal zero path, that is, a.u is
+    zero while u and a.u without its last arrow are alive.  They are read
+    off the alive paths, not off the listed relations, which may contain
+    one another; kept per algebra."""
+    tails = algebra._cache.get("zero_tails")
+    if tails is None:
+        q = algebra.quiver
+        alive = {p.arrows for p in algebra.path_basis}
+        tails = algebra._cache["zero_tails"] = [[] for _ in q.arrows]
+        for p in algebra.path_basis:
+            if p.arrows:
+                for b in q.arrows_from(p.target(q)):
+                    tail = p.arrows[1:] + (b,)
+                    if p.arrows + (b,) not in alive and tail in alive:
+                        tails[p.arrows[0]].append(tail)
+    return tails
+
+
+def _stacked_rank(mats: Sequence[Mat], cols: int, field) -> int:
+    """The rank of the matrices stacked vertically, each with cols columns."""
+    rows = [row for m in mats for row in m.data]
+    return linalg.rank(Mat.trusted(field, len(rows), cols, rows)) if rows else 0
+
+
+def simple_ext_dim(algebra: BoundQuiverAlgebra, v: int, m: Rep) -> int:
+    """dim Ext^1(S_v, m), read off the paths.
+
+    From 0 -> rad P(v) -> P(v) -> S_v -> 0, dim Ext^1(S_v, m) is
+    dim Hom(rad P(v), m) - dim m_v + dim Hom(S_v, m).  rad P(v) is the sum
+    of the arrow ideals aA, and aA is P(t a) modulo the paths u with a.u a
+    minimal zero path, so Hom(aA, m) is the x in m_(t a) that every such u
+    kills; Hom(S_v, m) is the common kernel of the arrows leaving v.
+    """
+    q = algebra.quiver
+    f = algebra.field
+    arrows = q.arrows_from(v)
+    tails = _zero_tails(algebra)
+    ext = 0
+    for a in arrows:
+        w = q.arrows[a].target
+        ext += m.dims[w] - _stacked_rank(
+            [m.path_action_arrows(u) for u in tails[a]], m.dims[w], f)
+    return ext - _stacked_rank([m.mats[a] for a in arrows], m.dims[v], f)
 
 
 # -- duality --

@@ -33,11 +33,16 @@ image, testing only a module outside it for injectivity, and gives the stop
 test, the tau table, the injective flags and the certificate.  Projectivity
 is read off the top and injectivity off the socle; each non-projective
 module has one minimal projective presentation, which gives its tau and its
-Ext row.  The schema-1 certificate keys keep their meaning: the sweep
-completed, the count is stable up to the cap plus one (nothing the sweep
-could still add), no indecomposable touches the cap, and the set is closed
-under tau, tau-minus, radicals of projectives and socle quotients of
-injectives.
+Ext row.  On a monomial algebra the simples need no linear algebra
+(``modules``): a simple's presentation is read off the paths, the summands
+of rad P(v) are the arrow ideals at v and those of I(v) / soc I(v) their
+duals over the opposite algebra, so the closure builds no radical or socle
+quotient and decomposes neither, and the sweep reads dim Ext^1(S, M) off
+the minimal zero paths.  The schema-1 certificate keys keep their meaning:
+the sweep completed, the count is stable up to the cap plus one (nothing
+the sweep could still add), no indecomposable touches the cap, and the set
+is closed under tau, tau-minus, radicals of projectives and socle quotients
+of injectives.
 
 The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
@@ -73,8 +78,9 @@ from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecompos
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, block_sum, hom_dim, min_presentation, projective,
-    quotient, radical_spans, simple, submodule_from_spans, trace,
+    Presentation, Rep, arrow_ideals, block_sum, dual_arrow_ideals, hom_dim,
+    min_presentation, projective, quotient, radical_spans, simple,
+    simple_ext_dim, simple_presentation, trace,
 )
 
 
@@ -139,36 +145,42 @@ def _socle_spans(m: Rep) -> List[Mat]:
     return spans
 
 
-def _socle_quotient(m: Rep) -> Rep:
-    """m / soc m."""
-    _, incl = submodule_from_spans(m, _socle_spans(m))
-    return quotient(m, incl)[0]
-
-
-def _is_projective_indecomposable(m: Rep) -> bool:
-    """Whether the indecomposable m is projective: exactly when top m is one
-    simple S_v and m has the dimension vector of P(v).  P(v) covers m, its
-    projective cover, so equal dimensions make the cover an isomorphism.
-    The top is computed only when the dimension vector is that of some P(v)."""
+def _projective_vertex(m: Rep) -> Optional[int]:
+    """v when the indecomposable m is the projective P(v), else None: m is
+    projective exactly when top m is one simple S_v and m has the dimension
+    vector of P(v).  P(v) covers m, its projective cover, so equal
+    dimensions make the cover an isomorphism.  The top is computed only
+    when the dimension vector is that of some P(v)."""
     algebra = m.algebra
     candidates = [v for v in range(algebra.n) if projective(algebra, v).dims == m.dims]
     if not candidates:
-        return False
+        return None
     top = [d - linalg.rank(span) for d, span in zip(m.dims, radical_spans(m))]
-    return sum(top) == 1 and top.index(1) in candidates
+    v = top.index(1) if sum(top) == 1 else None
+    return v if v in candidates else None
 
 
-def _is_injective_indecomposable(m: Rep) -> bool:
-    """Whether the indecomposable m is injective: exactly when soc m is one
-    simple S_v and m has the dimension vector of I(v), whose entry at w is
-    the number of paths from w to v.  m embeds in I(soc m), its injective
-    envelope, so equal dimensions make the embedding an isomorphism."""
+def _injective_vertex(m: Rep) -> Optional[int]:
+    """v when the indecomposable m is the injective I(v), else None: m is
+    injective exactly when soc m is one simple S_v and m has the dimension
+    vector of I(v), whose entry at w is the number of paths from w to v.
+    m embeds in I(soc m), its injective envelope, so equal dimensions make
+    the embedding an isomorphism."""
     socle = [span.cols for span in _socle_spans(m)]
     if sum(socle) != 1:
-        return False
+        return None
     v = socle.index(1)
     algebra = m.algebra
-    return all(d == len(algebra.paths_between(w, v)) for w, d in enumerate(m.dims))
+    return v if all(d == len(algebra.paths_between(w, v))
+                    for w, d in enumerate(m.dims)) else None
+
+
+def _presentation(m: Rep) -> Presentation:
+    """The minimal presentation of m; a module of dimension one is a simple
+    S_v, whose presentation is read off the paths."""
+    if m.total_dim == 1:
+        return simple_presentation(m.algebra, m.dims.index(1))
+    return min_presentation(m)
 
 
 class Catalogue:
@@ -218,22 +230,25 @@ class ARNeighbours:
     injectivity and its neighbours in the Auslander-Reiten quiver, as lists
     of indecomposable summands, each computed once per module.
 
-    The presentation serves the module's tau and its Ext row.
-    ``projective`` reads the top (``_is_projective_indecomposable``), so a
+    The presentation serves the module's tau and its Ext row; a simple's is
+    read off the paths (``modules.simple_presentation``).
+    ``projective_vertex`` reads the top (``_projective_vertex``), so a
     projective gets no presentation here and no transpose.  ``translate``
     keeps tau X whole, as one rep: for X indecomposable and not projective,
     tau X is indecomposable (Auslander-Reiten-Smalo, ch. IV), so it is never
     decomposed, and ``Catalogue.find`` identifies it directly.
-    ``injective`` reads the socle (``_is_injective_indecomposable``) and
+    ``injective_vertex`` reads the socle (``_injective_vertex``) and
     builds no projective cover over the opposite algebra.  ``closure`` reads
     these, and the neighbour lists, for the sweep's stop test, the
     translate table and the closure certificate:
       "before"  the sources of the irreducible maps into X: the summands of
-                the middle of the almost split sequence ending at X, or of
-                rad X for X projective;
-      "after"   for X injective, the summands of X / soc X, the targets of
-                the irreducible maps out of X (for any other X they are the
-                "before" of tau^- X).
+                the middle of the almost split sequence ending at X, or for
+                X = P(v) the summands of rad P(v), its arrow ideals
+                (``modules.arrow_ideals``);
+      "after"   for X = I(v), the summands of I(v) / soc I(v), read off the
+                opposite algebra's paths (``modules.dual_arrow_ideals``):
+                the targets of the irreducible maps out of X (for any other
+                X they are the "before" of tau^- X).
     The stop test ``closed`` builds "before" of a non-projective X only on a
     tau-periodic orbit; when the list holds every indecomposable projective,
     the other orbits need no middle (the proof is in its docstring).
@@ -259,33 +274,34 @@ class ARNeighbours:
         return hit[1]
 
     def presentation(self, m: Rep) -> Presentation:
-        return self._cached("presentation", m, min_presentation)
+        return self._cached("presentation", m, _presentation)
 
     def translate(self, m: Rep) -> Optional[Rep]:
         """tau m, or None when m is projective."""
         def make(m: Rep) -> Optional[Rep]:
-            return None if self.projective(m) else tau(m, self.presentation(m))
+            if self.projective_vertex(m) is not None:
+                return None
+            return tau(m, self.presentation(m))
         return self._cached("tau", m, make)
 
-    def projective(self, m: Rep) -> bool:
-        return self._cached("projective", m, _is_projective_indecomposable)
+    def projective_vertex(self, m: Rep) -> Optional[int]:
+        """v when m is the projective P(v), else None."""
+        return self._cached("projective", m, _projective_vertex)
 
-    def injective(self, m: Rep) -> bool:
-        return self._cached("injective", m, _is_injective_indecomposable)
+    def injective_vertex(self, m: Rep) -> Optional[int]:
+        """v when m is the injective I(v), else None."""
+        return self._cached("injective", m, _injective_vertex)
 
     def parts(self, kind: str, m: Rep) -> List[Rep]:
         return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m))
 
     def _neighbour_parts(self, kind: str, m: Rep) -> List[Rep]:
         if kind == "after":
-            rep = _socle_quotient(m)
-        else:
-            translate = self.translate(m)
-            if translate is None:
-                rep, _ = submodule_from_spans(m, radical_spans(m))
-            else:
-                rep = almost_split_middle(m, translate)
-        return indecomposable_parts(rep)
+            return dual_arrow_ideals(m.algebra, self.injective_vertex(m))
+        translate = self.translate(m)
+        if translate is None:
+            return arrow_ideals(m.algebra, self.projective_vertex(m))
+        return indecomposable_parts(almost_split_middle(m, translate))
 
     def closure(self, catalogue: Catalogue) -> Closure:
         """The translate table, the injective flags and the two closure
@@ -307,7 +323,8 @@ class ARNeighbours:
             unresolved.append(translate is not None and i is None)
         # tau X is never injective; outside the tau image the test is exact
         image = set(tau_of)
-        is_inj = [i not in image and self.injective(m) for i, m in enumerate(mods)]
+        is_inj = [i not in image and self.injective_vertex(m) is not None
+                  for i, m in enumerate(mods)]
         translates = not any(unresolved) and all(
             is_inj[i] or i in image for i in range(len(mods)))
         return Closure(tau_of, unresolved, is_inj, translates,
@@ -319,7 +336,7 @@ class ARNeighbours:
         def found(kind: str, m: Rep) -> bool:
             return catalogue.find_all(self.parts(kind, m)) is not None
 
-        return all((not self.projective(m) or found("before", m)) and
+        return all((self.projective_vertex(m) is None or found("before", m)) and
                    (not is_inj[i] or found("after", m))
                    for i, m in enumerate(catalogue.modules))
 
@@ -330,13 +347,15 @@ class ARNeighbours:
 
         The first module in the list whose tau X is not found makes both
         translate keys false, so the walk stops there; the radical key
-        reads projectivity off the top and injectivity off the socle."""
+        reads projectivity off the top, injectivity off the socle and the
+        summands off the paths."""
         if all(t is None or catalogue.find(t) is not None
                for t in map(self.translate, catalogue.modules)):
             return None
         return {"translate_table_complete": False, "closed_under_translates": False,
                 "closed_under_radical_and_socle_quotients": self.radical_closed(
-                    catalogue, [self.injective(m) for m in catalogue.modules])}
+                    catalogue, [self.injective_vertex(m) is not None
+                                for m in catalogue.modules])}
 
     def closed(self, modules: Sequence[Rep]) -> bool:
         """Whether every neighbour of every module in the list, tau^- X
@@ -605,7 +624,8 @@ class ModuleUniverse:
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
         neighbours = self._neighbours
         del self._neighbours
-        self.is_proj: List[bool] = [neighbours.projective(m) for m in self.modules]
+        self.is_proj: List[bool] = [neighbours.projective_vertex(m) is not None
+                                    for m in self.modules]
         # the minimal presentation that gave a module its tau gives its Ext
         # row when ``ext`` is first read; a projective has none built, and
         # Ext1From reads its zero syzygy off a cover then
@@ -675,14 +695,13 @@ class ModuleUniverse:
         # indecomposability forces a nonzero class against every summand of
         # U, with multiplicity at most dim Ext^1(S, that summand).
         simples = [simple(algebra, v) for v in range(self.n)]
-        ext_from = [Ext1From(s, self._neighbours.presentation(s)) for s in simples]
         ext_cache: Dict[Tuple[int, int], int] = {}
         forms_cache: Dict[Tuple[int, int], Mat] = {}
 
         def ext_to(sv: int, idx: int) -> int:
             key = (sv, idx)
             if key not in ext_cache:
-                ext_cache[key] = ext_from[sv].dim(found[idx])
+                ext_cache[key] = simple_ext_dim(algebra, sv, found[idx])
             return ext_cache[key]
 
         def forms_to(sv: int, idx: int, space=None) -> Mat:
@@ -698,7 +717,7 @@ class ModuleUniverse:
                     self.field, forms.cols, [flat_cocycle(c) for c in cocycles]))
                 _, independent = linalg.rref(images.transpose())
                 if len(independent) != ext_to(sv, idx):
-                    raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the syzygy"
+                    raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the paths"
                                    % (sv + 1, found[idx].dims, len(independent),
                                       ext_to(sv, idx)))
                 forms_cache[key] = Mat.trusted(self.field, len(independent), forms.cols,

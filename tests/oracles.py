@@ -20,7 +20,7 @@ from tauseq.modules import (
 )
 from tauseq.quiver import BoundQuiverAlgebra
 from tauseq.universe import (
-    SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj,
+    SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj, _socle_spans,
 )
 from tauseq.wide import (
     ambient_context, gen_mask, ids_of, perp_tau_members, rel_ext_projectives,
@@ -193,6 +193,13 @@ def decompose(m: Rep) -> List[Tuple[Rep, int]]:
 def delta(m: Rep) -> int:
     """Number of indecomposable direct summands."""
     return len(indecomposable_parts(m))
+
+
+def socle_quotient(m: Rep) -> Rep:
+    """m / soc m, as a quotient by the common kernel of the arrows; the
+    build reads it off the paths (``modules.dual_arrow_ideals``)."""
+    _, incl = submodule_from_spans(m, _socle_spans(m))
+    return quotient(m, incl)[0]
 
 
 def image(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism, RepMorphism]:

@@ -26,8 +26,8 @@ from tauseq.decompose import EndAlgebra, is_isomorphic
 from tauseq.errors import NotCertifiablyComplete
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat, inverse
-from tauseq.modules import Rep, direct_sum, min_presentation, projective, simple
-from tauseq.quiver import Quiver, build_algebra
+from tauseq.modules import Rep, direct_sum, dualize, min_presentation, projective, simple
+from tauseq.quiver import Quiver, build_algebra, opposite
 from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse
 from oracles import closed_with_every_middle
 from test_wide import _linear, _loop_rad2, _nakayama2
@@ -363,11 +363,11 @@ def test_a_cold_build_shares_one_presentation_per_module(monkeypatch):
     u = ModuleUniverse(_bench("a5")())
     assert len(u.modules) == 15 and u.certified
     assert counts["tau_minus"] == 0
-    assert counts["min_presentation"] <= len(u.modules)
-    # one transpose per non-projective, two covers per presentation and
-    # one more per module outside the tau image
+    # one transpose per non-projective; a simple's presentation is read off
+    # the paths, so 6 of the 10 are computed, with two covers each
     assert counts["transpose"] == 10
-    assert counts["projective_cover"] <= 40
+    assert counts["min_presentation"] == 6
+    assert counts["projective_cover"] == 12
 
 
 def _spy_on(monkeypatch, original, spy):
@@ -404,6 +404,11 @@ def test_a_cold_build_keeps_tau_whole_and_reads_injectivity_off_the_socle(name, 
     assert translates and decomposed
     # both lists keep their reps alive, so an equal id is the same rep
     assert not {id(t) for t in translates} & {id(m) for m in decomposed}
+    # rad P and I / soc I are read off the paths: the sweep's projectives
+    # are all that is decomposed
+    algebra = decomposed[0].algebra
+    assert {id(m) for m in decomposed} == {id(projective(algebra, v))
+                                           for v in range(algebra.n)}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS) + ["d4", "kronecker_3"])
@@ -413,9 +418,15 @@ def test_the_socle_test_of_injectivity_matches_the_dual_cover(name):
         u = ModuleUniverse(_bench("kronecker")(), (3, 3), require_certificate=False)
     else:
         u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
-    flags = [universe._is_injective_indecomposable(m) for m in u.modules]
+    vertices = [universe._injective_vertex(m) for m in u.modules]
+    flags = [v is not None for v in vertices]
     assert flags == [is_injective_rep(m) for m in u.modules]
     assert any(flags) and not all(flags)
+    # the vertex is the socle's: the module is I(v), the dual of P(v) over
+    # the opposite algebra
+    op = opposite(u.algebra)
+    assert all(is_isomorphic(m, dualize(projective(op, v)))
+               for m, v in zip(u.modules, vertices) if v is not None)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS) + ["d4", "kronecker_3"])
@@ -424,20 +435,24 @@ def test_the_top_test_of_projectivity_matches_the_cover(name):
         u = ModuleUniverse(_bench("kronecker")(), (3, 3), require_certificate=False)
     else:
         u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
-    flags = [universe._is_projective_indecomposable(m) for m in u.modules]
+    vertices = [universe._projective_vertex(m) for m in u.modules]
+    flags = [v is not None for v in vertices]
     assert flags == [ar.is_projective_rep(m) for m in u.modules]
     assert any(flags) and not all(flags)
+    assert all(is_isomorphic(m, projective(u.algebra, v))
+               for m, v in zip(u.modules, vertices) if v is not None)
 
 
 def test_the_kronecker_refusal_builds_one_translate(monkeypatch, capsys):
     # the first module in sorted order that is not projective is S1, whose
-    # tau lies above the cap: that settles both translate keys; the two
-    # presentations are the simples' ones that the sweep's Ext rows read
+    # tau lies above the cap: that settles both translate keys; S1's
+    # presentation and the sweep's Ext rows are read off the paths, so no
+    # presentation is computed
     counts = _count_calls(monkeypatch, ["tau", "min_presentation"])
     code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate",
                  "--dim-bound", "2"])
     assert code == 2 and "closed_under_translates': False" in capsys.readouterr().err
-    assert counts == {"tau": 1, "min_presentation": 2}
+    assert counts == {"tau": 1, "min_presentation": 0}
 
 
 @pytest.mark.parametrize("name,bound", [("kronecker", (2, 2)), ("kronecker", (3, 3)),
