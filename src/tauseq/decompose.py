@@ -1,7 +1,7 @@
 """Direct sum decomposition and isomorphism testing, fully exact.
 
-Strategy: compute End(M), its radical (trace form of the regular
-representation in characteristic 0, lifted traces over a prime field), then
+Strategy: compute End(M), its radical (lifted traces of the regular
+representation, which stop at the trace form in characteristic 0), then
 hunt for a nontrivial idempotent in the semisimple quotient and lift it.  A
 module is certified indecomposable when the semisimple quotient is
 one-dimensional, or a field: the search ends at the first primitive element,
@@ -340,33 +340,15 @@ class AlgebraCore:
     # -- radical --
 
     def radical_basis(self) -> List[list]:
-        k = self.dim
-        if k == 0:
-            return []
-        if self.field.characteristic == 0:
-            basis = self._radical_basis_rational()
-        else:
-            basis = self._radical_basis_prime_field()
-        self._verify_nilpotent_ideal(basis)
-        return basis
-
-    def _radical_basis_rational(self) -> List[list]:
-        # the kernel of the trace form (x, y) -> tr(L_x L_y); the whole Gram
-        # matrix is one product of flattened L_i with flattened transposes
-        k = self.dim
-        lm = self.left_mult
-        flat_t = Mat.trusted(self.field, k * k, k, [[lj.data[c][r] for lj in lm]
-                                                    for r in range(k) for c in range(k)])
-        ker = linalg.solve_kernel(self._flat_left.mul(flat_t))
-        return [ker.col(c) for c in range(ker.cols)]
-
-    def _radical_basis_prime_field(self) -> List[list]:
         # Lifted traces (Cohen, Ivanyos and Wales 1997): I_-1 = A and
         # I_i = {x in I_(i-1) : g_i(x y) = 0 for all y in A}, where
         # g_i(x) = (tr(Lhat_x^(p^i)) mod p^(i+1)) / p^i on the integer lift
         # Lhat_x of L_x.  Each I_i is an ideal, g_i is linear on I_(i-1),
         # and I_i is the radical once p^(i+1) > dim A.  Plain traces cannot
         # refine: over GF(p), tr(M^p) = tr(M)^p repeats the first round.
+        # In characteristic 0, g_0 is the trace, so round 0 is the kernel of
+        # the trace form tr(L_(x y)) = tr(L_x L_y), which is already the
+        # radical (Dickson), and the loop stops there.
         f = self.field
         p = f.characteristic
         k = self.dim
@@ -375,9 +357,13 @@ class AlgebraCore:
         q = 1
         while current:
             n = len(current)
-            g = [_power_trace(lx.data, q, q * p) for lx in lxs]
-            if any(t % q for t in g):
-                raise IdempotentSplitFailure("lifted trace is not divisible by p^i")
+            if p:
+                g = [_power_trace(lx.data, q, q * p) for lx in lxs]
+                if any(t % q for t in g):
+                    raise IdempotentSplitFailure("lifted trace is not divisible by p^i")
+                g = [t // q for t in g]
+            else:
+                g = [lx.trace() for lx in lxs]
             # by linearity, g_i(x_s b_t) from the coordinates of x_s b_t,
             # which is column t of L_(x_s); on I_-1 = A (the standard
             # basis) those coordinates are the products themselves
@@ -387,14 +373,15 @@ class AlgebraCore:
                 coords = linalg.ColumnBasis(span).coords(coords)
                 if coords is None:
                     raise IdempotentSplitFailure("radical candidate is not an ideal")
-            gxy = Mat.trusted(f, 1, n, [[t // q for t in g]]).mul(coords).data[0]
+            gxy = Mat.trusted(f, 1, n, [g]).mul(coords).data[0]
             form = Mat.trusted(f, k, n, [[gxy[s * k + t] for s in range(n)]
                                          for t in range(k)])
             current = span.mul(linalg.solve_kernel(form)).columns()
             q *= p
-            if q > k:
+            if not q or q > k:
                 break
             lxs = self.left_mult_matrices(current)
+        self._verify_nilpotent_ideal(current)
         return current
 
     def _verify_nilpotent_ideal(self, basis: List[list]):

@@ -22,23 +22,28 @@ its almost split middle built: for any other X an irreducible map Y -> X
 moves down the tau orbit of X as tau^j Y -> tau^j X (Auslander-Reiten-Smalo
 ch. VII) until tau^j Y is projective or a summand of rad P for a projective
 tau^j X = P, so found either way, and tau-minus closure walks back up to Y.
-The certificate permutes the closure of the last stop test into the sorted
-order instead of computing it a second time.
+The stop test closes the list in canonical order, and the certificate takes
+that closure as it is instead of computing it a second time.  The sweep
+adds each P(v) as it is, since End P(v) = e_v A e_v is local, so it
+decomposes no projective.  When the guard on the size of a cocycle space
+stops the sweep, the stop test still runs on the found list, which is
+every indecomposable if it is closed; an abort above the cap runs none.
 tau-minus is never built: tau is a bijection from the non-projective
 indecomposables onto the non-injective ones with inverse tau-minus
 (Auslander-Reiten-Smalo ch. IV), so once tau X is found for every found X,
 tau-minus Y is found exactly when Y is injective or Y is some found tau X.
 One closure routine, ``ARNeighbours.closure``, reads tau-minus off that tau
 image, testing only a module outside it for injectivity, and gives the stop
-test, the tau table, the injective flags and the certificate.  Projectivity
-is read off the top and injectivity off the socle; each non-projective
-module has one minimal projective presentation, which gives its tau and its
-Ext row.  On a monomial algebra the simples need no linear algebra
-(``modules``): a simple's presentation is read off the paths, the summands
-of rad P(v) are the arrow ideals at v and those of I(v) / soc I(v) their
-duals over the opposite algebra, so the closure builds no radical or socle
-quotient and decomposes neither, and the sweep reads dim Ext^1(S, M) off
-the minimal zero paths.  The schema-1 certificate keys keep their meaning:
+test, the tau table, the injective flags and the certificate.  One top test
+reads projectivity, and injectivity on the dual over the opposite algebra,
+whose top is the socle; each non-projective module has one minimal
+projective presentation, which gives its tau and its Ext row.  On a
+monomial algebra the simples need no linear algebra (``modules``): a
+simple's presentation is read off the paths, the summands of rad P(v) are
+the arrow ideals at v and those of I(v) / soc I(v) their duals over the
+opposite algebra, so the closure builds no radical or socle quotient and
+decomposes neither, and the sweep reads dim Ext^1(S, M) off the minimal
+zero paths.  The schema-1 certificate keys keep their meaning:
 the sweep completed, the count is stable up to the cap plus one (nothing
 the sweep could still add), no indecomposable touches the cap, and the set
 is closed under tau, tau-minus, radicals of projectives and socle quotients
@@ -78,7 +83,7 @@ from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecompos
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, arrow_ideals, block_sum, dual_arrow_ideals, hom_dim,
+    Presentation, Rep, arrow_ideals, block_sum, dual_arrow_ideals, dualize, hom_dim,
     min_presentation, projective, quotient, radical_spans, simple,
     simple_ext_dim, simple_presentation, trace,
 )
@@ -128,21 +133,10 @@ def _label(dims: Sequence[int], ordinal: int) -> str:
     return "%s#%d" % (body, ordinal)
 
 
-def _socle_spans(m: Rep) -> List[Mat]:
-    """A basis of soc m at each vertex: the common kernel of the outgoing
-    arrows."""
-    q = m.algebra.quiver
-    spans = []
-    for v in range(m.algebra.n):
-        outgoing = q.arrows_from(v)
-        if outgoing:
-            stacked = m.mats[outgoing[0]]
-            for ai in outgoing[1:]:
-                stacked = stacked.vstack(m.mats[ai])
-            spans.append(linalg.solve_kernel(stacked))
-        else:
-            spans.append(Mat.identity(m.algebra.field, m.dims[v]))
-    return spans
+def _canonical(modules: Sequence[Rep]) -> List[Rep]:
+    """The modules in the order of canonical ids: by total dimension, then
+    dimension vector, then their order in the list."""
+    return sorted(modules, key=lambda m: (m.total_dim, m.dims))
 
 
 def _projective_vertex(m: Rep) -> Optional[int]:
@@ -150,7 +144,9 @@ def _projective_vertex(m: Rep) -> Optional[int]:
     projective exactly when top m is one simple S_v and m has the dimension
     vector of P(v).  P(v) covers m, its projective cover, so equal
     dimensions make the cover an isomorphism.  The top is computed only
-    when the dimension vector is that of some P(v)."""
+    when the dimension vector is that of some P(v).  Read on the dual over
+    the opposite algebra, the same test says whether m is the injective
+    I(v): soc m is the dual of top D m, and D I(v) is P(v) there."""
     algebra = m.algebra
     candidates = [v for v in range(algebra.n) if projective(algebra, v).dims == m.dims]
     if not candidates:
@@ -158,21 +154,6 @@ def _projective_vertex(m: Rep) -> Optional[int]:
     top = [d - linalg.rank(span) for d, span in zip(m.dims, radical_spans(m))]
     v = top.index(1) if sum(top) == 1 else None
     return v if v in candidates else None
-
-
-def _injective_vertex(m: Rep) -> Optional[int]:
-    """v when the indecomposable m is the injective I(v), else None: m is
-    injective exactly when soc m is one simple S_v and m has the dimension
-    vector of I(v), whose entry at w is the number of paths from w to v.
-    m embeds in I(soc m), its injective envelope, so equal dimensions make
-    the embedding an isomorphism."""
-    socle = [span.cols for span in _socle_spans(m)]
-    if sum(socle) != 1:
-        return None
-    v = socle.index(1)
-    algebra = m.algebra
-    return v if all(d == len(algebra.paths_between(w, v))
-                    for w, d in enumerate(m.dims)) else None
 
 
 def _presentation(m: Rep) -> Presentation:
@@ -237,8 +218,9 @@ class ARNeighbours:
     keeps tau X whole, as one rep: for X indecomposable and not projective,
     tau X is indecomposable (Auslander-Reiten-Smalo, ch. IV), so it is never
     decomposed, and ``Catalogue.find`` identifies it directly.
-    ``injective_vertex`` reads the socle (``_injective_vertex``) and
-    builds no projective cover over the opposite algebra.  ``closure`` reads
+    ``injective_vertex`` runs the same top test on the dual over the
+    opposite algebra, whose top is the socle, and builds no projective
+    cover there.  ``closure`` reads
     these, and the neighbour lists, for the sweep's stop test, the
     translate table and the closure certificate:
       "before"  the sources of the irreducible maps into X: the summands of
@@ -251,7 +233,9 @@ class ARNeighbours:
                 X they are the "before" of tau^- X).
     The stop test ``closed`` builds "before" of a non-projective X only on a
     tau-periodic orbit; when the list holds every indecomposable projective,
-    the other orbits need no middle (the proof is in its docstring).
+    the other orbits need no middle (the proof is in its docstring).  It
+    returns the closure it computed, over the list in canonical order, and
+    the certificate reads that closure without permuting it.
 
     tau^- is never built.  tau is a bijection from the non-projective
     indecomposables onto the non-injective ones, with inverse tau^-
@@ -263,7 +247,6 @@ class ARNeighbours:
 
     def __init__(self):
         self._memo: Dict[Tuple[str, int], tuple] = {}
-        self.last_closed: Optional[Tuple[List[Rep], Closure]] = None
 
     def _cached(self, kind: str, m: Rep, make):
         key = (kind, id(m))
@@ -289,8 +272,9 @@ class ARNeighbours:
         return self._cached("projective", m, _projective_vertex)
 
     def injective_vertex(self, m: Rep) -> Optional[int]:
-        """v when m is the injective I(v), else None."""
-        return self._cached("injective", m, _injective_vertex)
+        """v when m is the injective I(v), else None: the top test of
+        ``_projective_vertex`` on the dual over the opposite algebra."""
+        return self._cached("injective", m, lambda m: _projective_vertex(dualize(m)))
 
     def parts(self, kind: str, m: Rep) -> List[Rep]:
         return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m))
@@ -357,9 +341,10 @@ class ARNeighbours:
                     catalogue, [self.injective_vertex(m) is not None
                                 for m in catalogue.modules])}
 
-    def closed(self, modules: Sequence[Rep]) -> bool:
-        """Whether every neighbour of every module in the list, tau^- X
-        included, is isomorphic to one in the list; the modules must be
+    def closed(self, modules: Sequence[Rep]) -> Optional[Closure]:
+        """The closure of the list in canonical order (``_canonical``) when
+        every neighbour of every module in it, tau^- X included, is
+        isomorphic to one in the list, else None; the modules must be
         indecomposable and pairwise non-isomorphic.
 
         That is: the list holds as many projectives as the algebra has
@@ -376,22 +361,19 @@ class ARNeighbours:
         A list that is closed and holds every simple is a union of finite
         components of the AR quiver, one per block, so by Auslander's
         theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
-
-        A list found closed is kept with its closure in ``last_closed``.
         """
         if not modules or sum(self.translate(m) is None for m in modules) \
                 != modules[0].algebra.n:
-            return False
-        catalogue = Catalogue(modules)
+            return None
+        catalogue = Catalogue(_canonical(modules))
         c = self.closure(catalogue)
         if not (c.closed_under_translates and c.closed_under_radical_and_socle_quotients):
-            return False
-        for i, m in enumerate(modules):
+            return None
+        for i, m in enumerate(catalogue.modules):
             if c.tau_of[i] is not None and _tau_periodic(c.tau_of, i) and \
                     catalogue.find_all(self.parts("before", m)) is None:
-                return False
-        self.last_closed = (list(modules), c)
-        return True
+                return None
+        return c
 
 
 def _tau_periodic(tau_of: Sequence[Optional[int]], i: int) -> bool:
@@ -402,20 +384,6 @@ def _tau_periodic(tau_of: Sequence[Optional[int]], i: int) -> bool:
         if i is None:
             return False
     return True
-
-
-def _reordered(old: Sequence[Rep], c: Closure, new: Sequence[Rep]) -> Optional[Closure]:
-    """The closure c of the list old, for the list new, or None unless new
-    holds the same reps as old in some order; a closure depends only on
-    which modules the list holds."""
-    at = {id(m): k for k, m in enumerate(new)}
-    if len(old) != len(at) or any(id(m) not in at for m in old):
-        return None
-    order = [at[id(m)] for m in old]  # old position -> new position
-    perm = sorted(range(len(old)), key=order.__getitem__)  # new -> old
-    return Closure([None if c.tau_of[i] is None else order[c.tau_of[i]] for i in perm],
-                   [c.tau_unresolved[i] for i in perm], [c.is_inj[i] for i in perm],
-                   c.closed_under_translates, c.closed_under_radical_and_socle_quotients)
 
 
 SWEEP_COEFFS = (0, 1, -1)
@@ -572,6 +540,15 @@ class _Budget:
     MAX_COCYCLE_BASIS = 6
 
 
+class _Abort(Exception):
+    """The sweep stops uncompleted; the argument is the reason."""
+
+
+class _GuardAbort(_Abort):
+    """The cocycle guard stops the sweep, which completes after all if the
+    found list is closed; the argument is the reason."""
+
+
 class ModuleUniverse:
     """All indecomposables of a representation-finite bound quiver algebra,
     with hom, extension and translate tables keyed by canonical id.
@@ -595,7 +572,8 @@ class ModuleUniverse:
                 raise BoundTooSmall("projective with dimension vector %r exceeds the cap %r"
                                     % (p.dims, self.dim_bound))
         self._neighbours = ARNeighbours()
-        found, complete, reason = self._enumerate(tuple(b + 1 for b in self.dim_bound))
+        found, complete, reason, closure = self._enumerate(
+            tuple(b + 1 for b in self.dim_bound))
         inside = [m for m in found if _dims_leq(m.dims, self.dim_bound)]
         self.certificate: Dict[str, object] = {
             "dim_bound": list(self.dim_bound),
@@ -606,9 +584,7 @@ class ModuleUniverse:
         }
         if reason:
             self.certificate["sweep_aborted_because"] = reason
-        order = sorted(range(len(inside)), key=lambda i: (inside[i].total_dim,
-                                                          inside[i].dims, i))
-        self.modules: List[Rep] = [inside[i] for i in order]
+        self.modules: List[Rep] = _canonical(inside)
         self.labels: List[str] = []
         seen: Dict[tuple, int] = {}
         for m in self.modules:
@@ -617,15 +593,15 @@ class ModuleUniverse:
         self._catalogue = Catalogue(self.modules)
         # a refused build stops at its certificate, and one that the sweep
         # keys refuse already decides the closure keys with the least work
-        self._check_closure(require_certificate and not _holds(self.certificate))
+        self._check_closure(require_certificate and not _holds(self.certificate), closure)
         self.certified = _holds(self.certificate)
         if require_certificate and not self.certified:
             raise NotCertifiablyComplete(
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
         neighbours = self._neighbours
         del self._neighbours
-        self.is_proj: List[bool] = [neighbours.projective_vertex(m) is not None
-                                    for m in self.modules]
+        vertex_of = [neighbours.projective_vertex(m) for m in self.modules]
+        self.is_proj: List[bool] = [v is not None for v in vertex_of]
         # the minimal presentation that gave a module its tau gives its Ext
         # row when ``ext`` is first read; a projective has none built, and
         # Ext1From reads its zero syzygy off a cover then
@@ -634,10 +610,9 @@ class ModuleUniverse:
             for m, proj in zip(self.modules, self.is_proj)]
         self.proj_of_vertex: List[int] = []
         for v in range(self.n):
-            pid = self.identify(projective(algebra, v))
-            if pid is None:
+            if v not in vertex_of:
                 raise Mismatch("projective at vertex %d missing from the enumeration" % v)
-            self.proj_of_vertex.append(pid)
+            self.proj_of_vertex.append(vertex_of.index(v))
         # an unresolved tau is tolerated only on an uncertified sweep; the
         # module is treated as not rigid
         self.tau_rigid: List[bool] = [
@@ -653,8 +628,11 @@ class ModuleUniverse:
     # enumeration
     # ------------------------------------------------------------------
 
-    def _enumerate(self, cap: Tuple[int, ...]) -> Tuple[List[Rep], bool, str]:
-        """Sweep up to the cap; returns (found, sweep completed, abort reason).
+    def _enumerate(self, cap: Tuple[int, ...]) -> Tuple[List[Rep], bool, str,
+                                                        Optional[Closure]]:
+        """Sweep up to the cap; returns (found, sweep completed, abort reason,
+        the closure of found in canonical order when the stop test ended
+        the sweep, else None).
 
         For each simple S and each bounded multiset of found modules with
         direct sum U, it takes a basis of the cocycles Z^1(S, U) and walks
@@ -671,14 +649,13 @@ class ModuleUniverse:
         indecomposable, and the layers up to the cap could add nothing.  It
         aborts as soon as an indecomposable enters the shell above dim_bound,
         since at that point the stability certificate is already forfeit and
-        further work cannot restore it.
+        further work cannot restore it.  When the cocycle guard aborts it
+        instead, the stop test still runs on the found list, and a list that
+        is closed completes the sweep by the same theorem.
         """
         algebra = self.algebra
         catalogue = Catalogue()
         found = catalogue.modules
-
-        class _Abort(Exception):
-            """The sweep stops uncompleted; the argument is the reason."""
 
         def add(rep: Rep):
             if catalogue.find(rep) is not None:
@@ -724,14 +701,14 @@ class ModuleUniverse:
                                                [forms.data[r] for r in independent])
             return forms_cache[key]
 
+        closure = None
         try:
             for s in simples:
                 add(s)
+            # P(v) is indecomposable, its End ring e_v A e_v being e_v plus
+            # nilpotent cycles, and __init__ has checked it under the cap
             for v in range(self.n):
-                p = projective(algebra, v)
-                if _dims_leq(p.dims, cap):
-                    for part in indecomposable_parts(p):
-                        add(part)
+                add(projective(algebra, v))
             total_cap = sum(cap)
             for t in range(2, total_cap + 1):
                 layer_start = len(found)
@@ -749,8 +726,8 @@ class ModuleUniverse:
                         if e == 0:
                             continue
                         if e > _Budget.MAX_COCYCLE_BASIS:
-                            raise _Abort("extension space of dimension %d "
-                                         "exceeds the sweep guard" % e)
+                            raise _GuardAbort("extension space of dimension %d "
+                                              "exceeds the sweep guard" % e)
                         reuse = (cocycles, cob) if len(combo) == 1 else None
                         images = _summand_classes(
                             parts, [forms_to(sv, idx, reuse) for idx in combo], cocycles)
@@ -763,11 +740,17 @@ class ModuleUniverse:
                             middle = extension_middle(s, u, blocks)
                             if is_indecomposable(middle):
                                 add(middle)
-                if len(found) == layer_start and self._neighbours.closed(found):
-                    break
+                if len(found) == layer_start:
+                    closure = self._neighbours.closed(found)
+                    if closure is not None:
+                        break
+        except _GuardAbort as abort:
+            closure = self._neighbours.closed(found)
+            if closure is None:
+                return found, False, str(abort), None
         except _Abort as abort:
-            return found, False, str(abort)
-        return found, True, ""
+            return found, False, str(abort), None
+        return found, True, "", closure
 
     @staticmethod
     def _bounded_multisets(found: List[Rep], allowed: List[Tuple[int, int]], total: int):
@@ -794,24 +777,22 @@ class ModuleUniverse:
     # tables
     # ------------------------------------------------------------------
 
-    def _check_closure(self, refused: bool):
+    def _check_closure(self, refused: bool, c: Optional[Closure]):
         """The tau table, the injective flags and the closure certificate.
 
-        When the stop test found exactly these modules closed, its closure
-        is permuted into the sorted order instead of identifying every tau,
-        rad P and I / soc I summand again; a closure depends only on the
-        set of modules, not on their order.  A build that is ``refused``
-        already stops at the first module whose tau is not found
+        c is the closure of the stop test that ended the sweep, or None.  A
+        sweep that the stop test ends found no module above the cap, so its
+        list is exactly these modules, and the stop test closed them in
+        this same canonical order.  Without c, a build that is ``refused``
+        stops at the first module whose tau is not found
         (``ARNeighbours.refused_closure_keys``) and sets only the
         certificate, which is all its refusal reports.
         """
-        if refused:
+        if c is None and refused:
             keys = self._neighbours.refused_closure_keys(self._catalogue)
             if keys is not None:
                 self.certificate.update(keys)
                 return
-        last = self._neighbours.last_closed
-        c = last and _reordered(last[0], last[1], self.modules)
         if c is None:
             c = self._neighbours.closure(self._catalogue)
         self.tau_of: List[Optional[int]] = c.tau_of

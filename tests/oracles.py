@@ -13,14 +13,15 @@ from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from tauseq import linalg
 from tauseq.ar import Ext1From, extension_cocycle_space, tau
-from tauseq.decompose import indecomposable_parts, is_isomorphic
+from tauseq.decompose import AlgebraCore, indecomposable_parts, is_isomorphic
 from tauseq.errors import Mismatch, NotTauRigid
+from tauseq.linalg import Mat
 from tauseq.modules import (
     Rep, RepMorphism, hom_dim, min_presentation, quotient, submodule_from_spans, trace,
 )
 from tauseq.quiver import BoundQuiverAlgebra
 from tauseq.universe import (
-    SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj, _socle_spans,
+    SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj,
 )
 from tauseq.wide import (
     ambient_context, gen_mask, ids_of, perp_tau_members, rel_ext_projectives,
@@ -42,6 +43,24 @@ def closed_with_every_middle(neighbours: ARNeighbours, modules: Sequence[Rep]) -
         c.closed_under_radical_and_socle_quotients and \
         all(catalogue.find_all(neighbours.parts("before", m)) is not None
             for m in modules if neighbours.translate(m) is not None)
+
+
+# --------------------------------------------------------------------------
+# the radical in characteristic 0
+# --------------------------------------------------------------------------
+
+def trace_form_radical(core: AlgebraCore) -> List[list]:
+    """The radical of a structure-constant algebra over the rationals as the
+    kernel of its trace form (x, y) -> tr(L_x L_y) (Dickson): the Gram
+    matrix of the L_i, one product of the flattened L_i with their flattened
+    transposes; the library reads the same form off the lifted traces."""
+    k = core.dim
+    lm = core.left_mult
+    flat = Mat.trusted(core.field, k, k * k, [[x for row in li.data for x in row] for li in lm])
+    flat_t = Mat.trusted(core.field, k * k, k, [[lj.data[c][r] for lj in lm]
+                                                for r in range(k) for c in range(k)])
+    ker = linalg.solve_kernel(flat.mul(flat_t))
+    return [ker.col(c) for c in range(ker.cols)]
 
 
 # --------------------------------------------------------------------------
@@ -195,10 +214,27 @@ def delta(m: Rep) -> int:
     return len(indecomposable_parts(m))
 
 
+def socle_spans(m: Rep) -> List[Mat]:
+    """A basis of soc m at each vertex: the common kernel of the outgoing
+    arrows; the build reads the socle as the top of the dual."""
+    q = m.algebra.quiver
+    spans = []
+    for v in range(m.algebra.n):
+        outgoing = q.arrows_from(v)
+        if outgoing:
+            stacked = m.mats[outgoing[0]]
+            for ai in outgoing[1:]:
+                stacked = stacked.vstack(m.mats[ai])
+            spans.append(linalg.solve_kernel(stacked))
+        else:
+            spans.append(Mat.identity(m.algebra.field, m.dims[v]))
+    return spans
+
+
 def socle_quotient(m: Rep) -> Rep:
     """m / soc m, as a quotient by the common kernel of the arrows; the
     build reads it off the paths (``modules.dual_arrow_ideals``)."""
-    _, incl = submodule_from_spans(m, _socle_spans(m))
+    _, incl = submodule_from_spans(m, socle_spans(m))
     return quotient(m, incl)[0]
 
 

@@ -15,7 +15,7 @@ from tauseq.modules import Rep, direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse
 
-from oracles import decompose, delta
+from oracles import decompose, delta, trace_form_radical
 from test_wide import _linear
 
 KRONECKER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras",
@@ -200,3 +200,24 @@ def test_the_fitting_split_agrees_with_the_idempotent_search_on_sums(build,
     verdicts = [is_indecomposable(m) for m in reps]
     assert verdicts == [_splitting_idempotent(m) is None for m in reps]
     assert verdicts == [i < len(u.modules) for i in range(len(reps))]
+
+
+@pytest.mark.parametrize("name", ["a3rad2", "a4", "nakayama2_rad2"])
+def test_the_rational_radical_is_the_kernel_of_the_trace_form(name):
+    # the lifted-trace loop stops after its first round over the rationals,
+    # and gives the trace form's kernel basis exactly, scalar types included
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras",
+                        name + ".json")
+    u = ModuleUniverse(load_algebra_file(path))
+    mods = u.modules
+    reps = mods + [direct_sum([m, m])[0] for m in mods] + \
+        [direct_sum(list(pair))[0] for pair in itertools.combinations(mods, 2)]
+    radicals = 0
+    for m in reps:
+        core = decompose_mod.EndAlgebra(m).core()
+        rad = core.radical_basis()
+        want = trace_form_radical(core)
+        assert rad == want and [list(map(type, v)) for v in rad] == \
+            [list(map(type, v)) for v in want], m.dims
+        radicals += bool(rad)
+    assert radicals

@@ -50,7 +50,7 @@ def sweep_middles(algebra, monkeypatch):
     monkeypatch.setattr(universe_mod, "extension_middle", spy)
     monkeypatch.setattr(universe_mod, "is_indecomposable",
                         lambda m: len(indecomposable_parts(m)) == 1)
-    monkeypatch.setattr(universe_mod.ARNeighbours, "closed", lambda self, modules: False)
+    monkeypatch.setattr(universe_mod.ARNeighbours, "closed", lambda self, modules: None)
     monkeypatch.setattr(universe_mod, "_new_class_tuples", lambda field, images:
                         itertools.product(universe_mod.SWEEP_COEFFS, repeat=len(images)))
     u = ModuleUniverse(algebra)

@@ -3,7 +3,8 @@
 Over GF(p) the plain trace chain tr(M^(p^m)) = tr(M)^(p^m) never refines
 past its first round, so End algebras of dimension at least p used to keep
 nilpotent-free directions and fail.  The lifted traces fix that; these tests
-pin it on linear A4 and on small structure-constant algebras.
+pin it on linear A4 and on small structure-constant algebras.  The same loop
+gives the radical over the rationals (p = 0) in one round, the trace form's.
 """
 
 import json
@@ -48,7 +49,7 @@ def test_linear_a4_over_small_prime_matches_rationals(tmp_path, capsys, p):
 
 
 def truncated_polynomials(p, n):
-    """GF(p)[x]/(x^n) on the basis 1, x, ..., x^(n-1)."""
+    """GF(p)[x]/(x^n) on the basis 1, x, ..., x^(n-1); Q[x]/(x^n) for p = 0."""
     f = FieldSpec(p)
     left = []
     for i in range(n):
@@ -60,7 +61,8 @@ def truncated_polynomials(p, n):
 
 
 def upper_triangular_2x2(p):
-    """Upper triangular 2 x 2 matrices over GF(p) on e11, e12, e22."""
+    """Upper triangular 2 x 2 matrices over GF(p), or Q for p = 0, on e11,
+    e12, e22."""
     f = FieldSpec(p)
     table = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}  # e11 e11, e11 e12, ...
     left = []
@@ -80,7 +82,7 @@ def span_rank(field, vectors):
     return linalg.rank(linalg.from_columns(field, len(vectors[0]), vectors))
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4)])
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (0, 4)])
 def test_radical_of_truncated_polynomials(p, n):
     core = truncated_polynomials(p, n)
     rad = core.radical_basis()
@@ -90,7 +92,7 @@ def test_radical_of_truncated_polynomials(p, n):
     assert span_rank(core.field, rad) == n - 1
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 0])
 def test_radical_of_upper_triangular_matrices(p):
     core = upper_triangular_2x2(p)
     rad = core.radical_basis()
