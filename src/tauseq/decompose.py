@@ -1,18 +1,20 @@
 """Direct sum decomposition and isomorphism testing, fully exact.
 
-Strategy: compute End(M), its radical (lifted traces of the regular
-representation, which stop at the trace form in characteristic 0), then
-hunt for a nontrivial idempotent in the semisimple quotient and lift it.  A
-module is certified indecomposable when the semisimple quotient is
-one-dimensional, or a field: the search ends at the first primitive element,
-a candidate x whose minimal polynomial is irreducible and has degree the
-dimension of the quotient, since k[x] is then the whole quotient.
-Anything the deterministic search cannot decide raises
-IdempotentSplitFailure loudly instead of guessing.  ``indecomposable_parts``
-splits along the lifted idempotent and recurses; ``is_indecomposable`` first
-asks Fitting's lemma of each basis element b of End(M), since M = ker b^N +
-im b^N for N >= dim M, and runs the same search only when no b splits M,
-stopping before it builds any summand.
+A module M splits one way, by Fitting's lemma: for an endomorphism f and
+N >= dim M, M = ker f^N + im f^N, and both summands are nonzero exactly when
+f is neither nilpotent nor invertible.  Each basis element of End(M) is
+tried first.  When none splits M, End(M) is reduced modulo its radical
+(lifted traces of the regular representation, which stop at the trace form
+in characteristic 0) and the semisimple quotient is searched for a
+nontrivial idempotent: the left identity of yA for a zero divisor y = g(x),
+g a proper factor of the minimal polynomial of a candidate x.  Any preimage
+of that idempotent in End(M) splits M; no lifting is needed.  M is certified
+indecomposable when the quotient is one-dimensional, or a field: the search
+ends at the first primitive element, a candidate whose minimal polynomial is
+irreducible of degree the dimension of the quotient.  Anything the
+deterministic search cannot decide raises IdempotentSplitFailure loudly
+instead of guessing.  ``is_indecomposable`` stops at the first split;
+``indecomposable_parts`` builds both summands and recurses.
 
 Isomorphism needs no search: an indecomposable M is isomorphic to N exactly
 when some element of a basis of Hom(M, N) is invertible, because End(M) is
@@ -34,73 +36,6 @@ from tauseq.errors import IdempotentSplitFailure
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, RepMorphism, hom_basis, submodule_from_spans
-
-
-# --------------------------------------------------------------------------
-# exact polynomial helpers (coefficient lists, low degree first)
-# --------------------------------------------------------------------------
-
-def _poly_trim(field: FieldSpec, p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(field: FieldSpec, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _poly_trim(field, out)
-
-
-def _poly_sub(field: FieldSpec, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.sub(x, y))
-    return _poly_trim(field, out)
-
-
-def _poly_divmod(field: FieldSpec, a: list, b: list) -> Tuple[list, list]:
-    a = a[:]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    binv = field.inv(b[-1])
-    while len(a) >= len(b) and a:
-        c = field.mul(a[-1], binv)
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] = field.sub(a[d + i], field.mul(c, y))
-        _poly_trim(field, a)
-    return _poly_trim(field, q), a
-
-
-def _poly_gcdex(field: FieldSpec, a: list, b: list) -> Tuple[list, list, list]:
-    """Return (g, u, v) with u a + v b = g = gcd(a, b), g monic."""
-    r0, r1 = a[:], b[:]
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
-    while r1:
-        q, r = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(field, s0, _poly_mul(field, q, s1))
-        t0, t1 = t1, _poly_sub(field, t0, _poly_mul(field, q, t1))
-    if r0:
-        lead = field.inv(r0[-1])
-        r0 = [field.mul(lead, c) for c in r0]
-        s0 = [field.mul(lead, c) for c in s0]
-        t0 = [field.mul(lead, c) for c in t0]
-    return r0, s0, t0
 
 
 def _rational_sqrt(q):
@@ -485,35 +420,14 @@ def _candidate_stream(core: AlgebraCore):
         yield vec
 
 
-def _idempotent_from_coprime_split(core: AlgebraCore, x: list, m: list,
-                                   factors: List[Tuple[list, int]]) -> list:
-    f = core.field
-    a = [f.one]
-    g0, e0 = factors[0]
-    for _ in range(e0):
-        a = _poly_mul(f, a, g0)
-    b = [f.one]
-    for g, e in factors[1:]:
-        for _ in range(e):
-            b = _poly_mul(f, b, g)
-    g, u, _v = _poly_gcdex(f, a, b)
-    if len(g) != 1:
-        raise IdempotentSplitFailure("expected coprime factor split")
-    ua = _poly_divmod(f, _poly_mul(f, u, a), m)[1]
-    return core.evaluate_poly(ua, x)
-
-
-def _idempotent_from_nilpotent(core: AlgebraCore, y: list) -> Optional[list]:
-    """In a semisimple algebra the right ideal yA is eA for an idempotent e
-    acting as a left identity on it; solve for e linearly."""
+def _idempotent_of_right_ideal(core: AlgebraCore, y: list) -> list:
+    """In a semisimple algebra the right ideal yA of a nonzero y is eA for an
+    idempotent e acting as a left identity on it; solve for e linearly."""
     f = core.field
     k = core.dim
     gens = [core.mul(y, b) for b in core.std_basis()]
     span = linalg.column_space_basis(linalg.from_columns(f, k, gens))
-    idim = span.cols
-    if idim == 0:
-        return None
-    ideal = [span.col(c) for c in range(idim)]
+    ideal = span.columns()
     rows: List[list] = []
     rhs_rows: List[list] = []
     for z in ideal:
@@ -521,18 +435,12 @@ def _idempotent_from_nilpotent(core: AlgebraCore, y: list) -> Optional[list]:
         for coord in range(k):
             rows.append([p[coord] for p in prods])
             rhs_rows.append([z[coord]])
-    sol = linalg.solve(Mat(f, len(rows), idim, rows),
+    sol = linalg.solve(Mat(f, len(rows), len(ideal), rows),
                        Mat(f, len(rhs_rows), 1, rhs_rows))
     if sol is None:
         raise IdempotentSplitFailure(
             "right ideal has no left identity; the radical must be wrong")
-    e = [f.zero] * k
-    for t in range(idim):
-        c = sol.data[t][0]
-        if c != 0:
-            for coord in range(k):
-                e[coord] = f.add(e[coord], f.mul(c, ideal[t][coord]))
-    return e
+    return [row[0] for row in span.mul(sol).data]
 
 
 def find_idempotent_semisimple(core: AlgebraCore) -> Optional[list]:
@@ -541,10 +449,13 @@ def find_idempotent_semisimple(core: AlgebraCore) -> Optional[list]:
     the search is inconclusive.
 
     A one-dimensional core is the field itself.  Otherwise each candidate x
-    is read through its minimal polynomial m: a split of m gives an
-    idempotent.  The search ends with None at the first primitive element,
-    an x whose m is irreducible, of multiplicity 1 and of degree dim core:
-    k[x] = k[t]/(m) is then the whole core, and a field, which has no
+    is read through its minimal polynomial m.  When m is irreducible of
+    multiplicity 1, k[x] = k[t]/(m) is a field: if deg m = dim core it is the
+    whole core, which has no nontrivial idempotent, and the search ends with
+    None; else the next candidate is tried.  Any other m has a proper factor
+    g, the first one ``factor_poly`` returns: y = g(x) is nonzero, since
+    deg g < deg m, and a zero divisor, since m(x) = 0 and m is minimal.  So
+    the right ideal yA is neither 0 nor the core, and its left identity is a
     nontrivial idempotent.
     """
     f = core.field
@@ -556,20 +467,16 @@ def find_idempotent_semisimple(core: AlgebraCore) -> Optional[list]:
             continue
         m = core.minimal_polynomial(x)
         factors = factor_poly(f, m)
-        if len(m) - 1 == k and len(factors) == 1 and factors[0][1] == 1:
-            return None  # k[x] = k[t]/(m) is all of the core, and a field
-        e = None
-        if len(factors) >= 2:
-            e = _idempotent_from_coprime_split(core, x, m, factors)
-        elif factors[0][1] >= 2:
-            y = core.evaluate_poly(factors[0][0], x)
-            e = _idempotent_from_nilpotent(core, y)
-        if e is not None:
-            if core.mul(e, e) != e:
-                raise IdempotentSplitFailure("constructed element is not idempotent")
-            if all(c == 0 for c in e) or core.is_scalar(e):
-                raise IdempotentSplitFailure("constructed idempotent is trivial")
-            return e
+        if len(factors) == 1 and factors[0][1] == 1:
+            if len(m) - 1 == k:
+                return None  # k[x] = k[t]/(m) is all of the core, and a field
+            continue
+        e = _idempotent_of_right_ideal(core, core.evaluate_poly(factors[0][0], x))
+        if core.mul(e, e) != e:
+            raise IdempotentSplitFailure("constructed element is not idempotent")
+        if all(c == 0 for c in e) or core.is_scalar(e):
+            raise IdempotentSplitFailure("constructed idempotent is trivial")
+        return e
     if f.characteristic and f.characteristic ** k <= 200000:
         for coeffs in itertools.product(range(f.characteristic), repeat=k):
             x = [f.coerce(c) for c in coeffs]
@@ -655,13 +562,14 @@ class EndAlgebra:
         return AlgebraCore(f, left, [row[k * k] for row in coords])
 
 
-def _splitting_idempotent(m: Rep, end: Optional[EndAlgebra] = None) -> Optional[RepMorphism]:
-    """A nontrivial idempotent endomorphism of a nonzero m, or None when m is
-    certified indecomposable; end is End(m) when the caller has built it.
+def _idempotent_mod_radical(m: Rep, end: Optional[EndAlgebra] = None) -> Optional[RepMorphism]:
+    """An endomorphism e0 of a nonzero m whose class in End(m) modulo its
+    radical is a nontrivial idempotent, or None when m is certified
+    indecomposable; end is End(m) when the caller has built it.
 
-    The idempotent is found in End(M) modulo its radical and lifted through
-    the nilpotent radical; it is nontrivial when its image is neither 0 nor
-    all of m, that is 0 < sum_v rank(e_v) < dim m.
+    e0 is the plain preimage of the idempotent the search finds in the
+    semisimple quotient, not lifted: it is neither nilpotent nor invertible,
+    since its class is neither 0 nor 1, so it splits m by Fitting's lemma.
     """
     end = end or EndAlgebra(m)
     if end.dim == 1:
@@ -674,33 +582,17 @@ def _splitting_idempotent(m: Rep, end: Optional[EndAlgebra] = None) -> Optional[
     ebar = find_idempotent_semisimple(quot)
     if ebar is None:
         return None
-    f = core.field
-    e = [f.zero] * core.dim
-    for t, c in enumerate(ebar):
-        if c != 0:
-            for coord in range(core.dim):
-                e[coord] = f.add(e[coord], f.mul(c, comp[t][coord]))
-    # lift through the nilpotent ideal: e <- 3e^2 - 2e^3 squares the error
-    for _ in range(60):
-        if core.mul(e, e) == e:
-            break
-        e2 = core.mul(e, e)
-        e3 = core.mul(e2, e)
-        e = [f.sub(f.mul(f.coerce(3), a), f.mul(f.coerce(2), b)) for a, b in zip(e2, e3)]
-    else:
-        raise IdempotentSplitFailure("idempotent lifting did not converge")
-    idem = end.morphism_of(e)
-    if not 0 < sum(linalg.rank(x) for x in idem.maps) < m.total_dim:
-        raise IdempotentSplitFailure("idempotent did not split the module")
-    return idem
+    return end.morphism_of(_apply(linalg.from_columns(core.field, core.dim, comp), ebar))
 
 
-def _fitting_splits(f: RepMorphism) -> bool:
-    """Whether the endomorphism f splits its module by Fitting's lemma:
-    M = ker f^N + im f^N for N >= dim M, and both are nonzero exactly when
-    0 < sum_v rank(f_v^N) < dim M.  The kernel and image of a linear map on
-    a d-dimensional space no longer change from its d-th power on, so each
-    vertex squares its map only until the exponent reaches its dimension."""
+def _fitting_power(f: RepMorphism) -> Optional[List[Mat]]:
+    """The maps f_v^N, N >= dim M, of an endomorphism f of M when they split
+    M by Fitting's lemma, else None: M = ker f^N + im f^N, and both are
+    nonzero exactly when 0 < sum_v rank(f_v^N) < dim M.  The kernel and image
+    of a linear map on a d-dimensional space no longer change from its d-th
+    power on, so each vertex squares its map only until the exponent reaches
+    its dimension."""
+    powers = []
     total = rank = 0
     for x in f.maps:
         d = x.rows
@@ -708,36 +600,49 @@ def _fitting_splits(f: RepMorphism) -> bool:
         while power < d:
             x = x.mul(x)
             power *= 2
+        powers.append(x)
         total += d
         rank += linalg.rank(x) if d else 0
-    return 0 < rank < total
+    return powers if 0 < rank < total else None
+
+
+def _splitting_maps(m: Rep) -> Optional[List[Mat]]:
+    """The maps f_v^N of an endomorphism f that splits a nonzero m by
+    Fitting's lemma, or None when m is certified indecomposable.
+
+    Each basis element of End(m) is tried first; only when none splits m
+    does the idempotent search run, and only it certifies m indecomposable.
+    """
+    end = EndAlgebra(m)
+    if end.dim > 1:
+        for b in end.basis:
+            powers = _fitting_power(b)
+            if powers is not None:
+                return powers
+    e0 = _idempotent_mod_radical(m, end)
+    if e0 is None:
+        return None
+    powers = _fitting_power(e0)
+    if powers is None:
+        raise IdempotentSplitFailure("idempotent did not split the module")
+    return powers
 
 
 def is_indecomposable(m: Rep) -> bool:
-    """Whether m is nonzero and indecomposable, without building summands.
-
-    A basis element of End(M) that splits M by Fitting's lemma proves M
-    decomposable at once; only when none does is the idempotent search of
-    ``indecomposable_parts`` run, and only it certifies M indecomposable.
-    """
-    if m.total_dim == 0:
-        return False
-    end = EndAlgebra(m)
-    if end.dim > 1 and any(_fitting_splits(b) for b in end.basis):
-        return False
-    return _splitting_idempotent(m, end) is None
+    """Whether m is nonzero and indecomposable, without building summands."""
+    return m.total_dim > 0 and _splitting_maps(m) is None
 
 
 def indecomposable_parts(m: Rep) -> List[Rep]:
     """All indecomposable direct summands of m, with repetition."""
     if m.total_dim == 0:
         return []
-    e = _splitting_idempotent(m)
-    if e is None:
+    powers = _splitting_maps(m)
+    if powers is None:
         return [m]
-    # m = im e + ker e, and the rank check makes both summands nonzero
-    image, _ = submodule_from_spans(m, e.maps)
-    kernel, _ = submodule_from_spans(m, [linalg.solve_kernel(x) for x in e.maps])
+    # m = im f^N + ker f^N, and the rank check makes both summands nonzero
+    image, _ = submodule_from_spans(m, powers)
+    kernel, _ = submodule_from_spans(m, [linalg.solve_kernel(x) for x in powers])
     return indecomposable_parts(image) + indecomposable_parts(kernel)
 
 

@@ -13,15 +13,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin to these 13 bases is exact below _PRIME_BOUND, which is psi_13
+# of Sorenson and Webster (2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < _PRIME_BOUND is prime, by deterministic Miller-Rabin."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
+               for x in (pow(a, d, n) for a in _WITNESSES))
 
 
 def rational(q):
@@ -35,6 +43,9 @@ class FieldSpec:
     __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int = 0):
+        if characteristic >= _PRIME_BOUND:
+            raise ValueError("characteristic %d is too large to certify prime; it must be"
+                             " below %d" % (characteristic, _PRIME_BOUND))
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError("characteristic must be 0 or a prime, got %r" % (characteristic,))
         self.characteristic = characteristic

@@ -6,7 +6,7 @@ import pytest
 from tauseq import decompose as decompose_mod, universe
 from tauseq.cli import load_algebra_file
 from tauseq.decompose import (
-    AlgebraCore, _splitting_idempotent, indecomposable_parts, is_indecomposable, is_isomorphic,
+    AlgebraCore, _idempotent_mod_radical, indecomposable_parts, is_indecomposable, is_isomorphic,
 )
 from tauseq.errors import NotCertifiablyComplete
 from tauseq.fields import FieldSpec
@@ -166,7 +166,7 @@ def test_the_fitting_split_agrees_with_the_idempotent_search_on_kronecker_middle
         bound, monkeypatch):
     middles, _ = _kronecker_sweep(monkeypatch, bound)
     verdicts = [is_indecomposable(m) for m in middles]
-    assert verdicts == [_splitting_idempotent(m) is None for m in middles]
+    assert verdicts == [_idempotent_mod_radical(m) is None for m in middles]
     assert any(verdicts) and not all(verdicts)
 
 
@@ -198,7 +198,7 @@ def test_the_fitting_split_agrees_with_the_idempotent_search_on_sums(build,
     reps += [direct_sum([a, b])[0] for a, b in
              itertools.combinations_with_replacement(u.modules, 2)]
     verdicts = [is_indecomposable(m) for m in reps]
-    assert verdicts == [_splitting_idempotent(m) is None for m in reps]
+    assert verdicts == [_idempotent_mod_radical(m) is None for m in reps]
     assert verdicts == [i < len(u.modules) for i in range(len(reps))]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tauseq import decompose
+from tauseq import linalg
 from tauseq.decompose import AlgebraCore, find_idempotent_semisimple
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
@@ -37,19 +37,19 @@ def matrix_core(f, order):
     return core_from_table(f, table, unit)
 
 
-@pytest.fixture
-def routes(monkeypatch):
-    """Record which construction produced the idempotent."""
-    seen = []
-    for name in ("_idempotent_from_coprime_split", "_idempotent_from_nilpotent"):
-        inner = getattr(decompose, name)
+def product_with_gaussian_rationals_core(f):
+    """Q x Q(i) on the basis (1, i), (0, 1), (0, i).  The first candidate,
+    (1, i), has minimal polynomial (t - 1)(t^2 + 1), with an irreducible
+    quadratic factor."""
+    def prod(x, y):
+        # x is (x0, x1 + (x0 + x2) i): multiply componentwise, read back
+        a = x[0] * y[0]
+        re = x[1] * y[1] - (x[0] + x[2]) * (y[0] + y[2])
+        im = x[1] * (y[0] + y[2]) + (x[0] + x[2]) * y[1]
+        return [a, re, im - a]
 
-        def spy(*args, _name=name, _inner=inner):
-            seen.append(_name)
-            return _inner(*args)
-
-        monkeypatch.setattr(decompose, name, spy)
-    return seen
+    std = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    return core_from_table(f, [[prod(x, y) for y in std] for x in std], [1, 1, -1])
 
 
 def assert_nontrivial_idempotent(core, e):
@@ -60,29 +60,45 @@ def assert_nontrivial_idempotent(core, e):
 
 
 @pytest.mark.parametrize("p", [0, 3])
-def test_product_of_two_fields_splits_by_coprime_factors(p, routes):
+def test_product_of_two_fields_splits(p):
     # K[u]/(u^2 - 1) = K x K: u has minimal polynomial (x - 1)(x + 1)
     core = quadratic_extension_core(FieldSpec(p), 1, 0)
     assert_nontrivial_idempotent(core, find_idempotent_semisimple(core))
-    assert routes == ["_idempotent_from_coprime_split"]
 
 
-def test_matrix_algebra_splits_by_the_nilpotent_route(routes):
-    # E_12 comes first: its minimal polynomial is x^2, a repeated factor
-    core = matrix_core(FieldSpec(0), [(0, 1), (0, 0), (1, 0), (1, 1)])
-    assert_nontrivial_idempotent(core, find_idempotent_semisimple(core))
-    assert routes == ["_idempotent_from_nilpotent"]
+MATRIX_UNIT_ORDERS = {
+    "E12_first": [(0, 1), (0, 0), (1, 0), (1, 1)],  # minimal polynomial x^2
+    "E11_first": [(0, 0), (0, 1), (1, 0), (1, 1)],  # x (x - 1)
+    "E21_E22_first": [(1, 0), (1, 1), (0, 0), (0, 1)],
+}
 
 
-def test_gaussian_rationals_are_certified_a_field(routes):
+@pytest.mark.parametrize("p", [0, 2, 3], ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("order", sorted(MATRIX_UNIT_ORDERS))
+def test_matrix_algebra_splits(order, p):
+    core = matrix_core(FieldSpec(p), MATRIX_UNIT_ORDERS[order])
+    e = find_idempotent_semisimple(core)
+    assert_nontrivial_idempotent(core, e)
+    # a nontrivial idempotent of M_2 has rank 1, so e A e is one-dimensional
+    assert linalg.rank(core.left_mult_matrix(e).mul(core.right_mult_matrix(e))) == 1
+
+
+def test_a_product_with_an_irreducible_quadratic_factor_splits():
+    core = product_with_gaussian_rationals_core(FieldSpec(0))
+    assert core.minimal_polynomial([1, 0, 0]) == [-1, 1, -1, 1]  # (t - 1)(t^2 + 1)
+    e = find_idempotent_semisimple(core)
+    assert_nontrivial_idempotent(core, e)
+    # the only nontrivial idempotents are (1, 0) and (0, 1)
+    assert e in ([1, 0, -1], [0, 1, 0])
+
+
+def test_gaussian_rationals_are_certified_a_field():
     # Q(i): i^2 = -1, every non-scalar has an irreducible quadratic minpoly
     core = quadratic_extension_core(FieldSpec(0), -1, 0)
     assert find_idempotent_semisimple(core) is None
-    assert routes == []
 
 
-def test_field_with_four_elements_is_certified_a_field(routes):
+def test_field_with_four_elements_is_certified_a_field():
     # GF(2)[x]/(x^2 + x + 1): x^2 = x + 1
     core = quadratic_extension_core(FieldSpec(2), 1, 1)
     assert find_idempotent_semisimple(core) is None
-    assert routes == []

@@ -1,18 +1,26 @@
 """The sweep's indecomposability predicate against the full decomposition.
 
-``is_indecomposable`` and ``indecomposable_parts`` share one idempotent
-search; the predicate stops where the decomposition would build summands.
-They must agree on every module: the extension middles the enumeration sweep
-really builds, direct sums, non-brick modules and the zero module.
+``is_indecomposable`` and ``indecomposable_parts`` share one splitting
+routine, a Fitting split by a basis element of End(M) or else by a preimage
+of the idempotent the search finds modulo the radical; the predicate stops
+at the first split, where the decomposition builds both summands.  They must
+agree on every module: the extension middles the enumeration sweep really
+builds, direct sums, direct sums in a random basis, non-brick modules and
+the zero module.
 """
 
+import functools
 import itertools
+import os
+import random
 
 import pytest
 
-from tauseq import universe as universe_mod
+from tauseq import linalg, universe as universe_mod
+from tauseq.cli import load_algebra_file
 from tauseq.decompose import indecomposable_parts, is_indecomposable
-from tauseq.modules import direct_sum, projective, simple, zero_rep
+from tauseq.linalg import Mat
+from tauseq.modules import Rep, block_sum, direct_sum, projective, simple, zero_rep
 from tauseq.universe import ModuleUniverse
 from test_wide import LATTICE_ALGEBRAS, _linear
 
@@ -100,3 +108,51 @@ def test_zero_module_is_not_indecomposable(a2):
     z = zero_rep(a2)
     assert not is_indecomposable(z)
     assert indecomposable_parts(z) == []
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+RANDOM_SUM_FILES = {
+    "a3": "algebras/a3.json",
+    "nakayama2_rad3": "algebras/nakayama2_rad3.json",
+    "nakayama3_rad3": "algebras/nakayama3_rad3.json",
+    "a3rad2_gf3": "perfbench/algebras/a3rad2_gf3.json",
+    "a4_gf2": "perfbench/algebras/a4_gf2.json",
+    "d4": "algebras/d4.json",
+    "nakayama2_rad2": "perfbench/algebras/nakayama2_rad2.json",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalogue_universe(name):
+    return ModuleUniverse(load_algebra_file(os.path.join(ROOT, RANDOM_SUM_FILES[name])))
+
+
+def _random_invertible(f, d, rng):
+    scalars = range(-2, 3) if f.characteristic == 0 else range(f.characteristic)
+    while True:
+        m = Mat(f, d, d, [[f.coerce(rng.choice(scalars)) for _ in range(d)]
+                          for _ in range(d)])
+        if linalg.rank(m) == d:
+            return m
+
+
+def _in_random_basis(m, rng):
+    """m with the basis at each vertex v changed by a random invertible P_v:
+    the arrow a: s -> t acts by P_t A P_s^-1."""
+    f = m.algebra.field
+    change = [_random_invertible(f, d, rng) for d in m.dims]
+    mats = [change[a.target].mul(x).mul(linalg.inverse(change[a.source]))
+            for a, x in zip(m.algebra.quiver.arrows, m.mats)]
+    return Rep(m.algebra, m.dims, mats)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(RANDOM_SUM_FILES))
+def test_random_sums_in_a_random_basis_split_into_their_summands(name, seed):
+    u = _catalogue_universe(name)
+    rng = random.Random("%s/%d" % (name, seed))
+    for _ in range(40):
+        ids = sorted(rng.randrange(len(u.modules)) for _ in range(rng.randint(1, 3)))
+        m = _in_random_basis(block_sum([u.modules[i] for i in ids]), rng)
+        assert u.identify_parts(m) == ids
+        assert is_indecomposable(m) == (len(ids) == 1)
