@@ -1,15 +1,23 @@
-"""The translate tau = D Tr and extension computations.
+"""The translate tau = D Tr, identified without building it, and extension
+computations.
 
-tau is computed from a minimal projective presentation P1 -> P0 -> M -> 0:
-read the map as a matrix of path coefficients, rebuild it over the opposite
-algebra with every path reversed, take the cokernel there, and dualize back.
-Two extension counts are provided: Ext1From / ext1_dim (honest Ext^1 via the
-syzygy K = ker(P0 -> M)) and tau_hom_dim (the presentation cokernel, which
-equals dim Hom(N, tau M) and never constructs tau).  transpose, tau, Ext1From
-and tau_hom_dim each take the presentation when the caller already has one,
-so one presentation per module serves all of them; its syzygy is zero
-exactly when M is projective.  tau_minus = Tr D builds its own presentation
-of D M over the opposite algebra.
+The build never builds tau X.  From a minimal presentation
+P1 -> P0 -> X -> 0 in path coordinates (``modules.min_presentation``), the
+Nakayama functor gives the exact sequence
+
+    0 -> tau X -> nu P1 -> nu P0 -> nu X -> 0
+
+(Auslander-Reiten-Smalo ch. IV; Assem-Simson-Skowronski IV.2.4), with
+nu P(v) = I(v).  ``tau_dims`` reads the dimension vector of tau X off the
+rank of nu P1 -> nu P0 at each vertex, and ``is_tau_of`` decides whether a
+module Z is tau X from Hom(Z, tau X), the forms on Hom(P1, Z) that vanish on
+the image of Hom(P0, Z); ``tau_hom_dim`` counts them, which is
+dim Hom(Z, tau X).  ``tau`` and ``transpose`` still build tau X = D Tr X
+over the opposite algebra, and ``tau_minus`` = Tr D, as oracles for the
+tests.  Ext1From / ext1_dim give the honest Ext^1 via the syzygy
+K = ker(P0 -> M); each routine takes the presentation when the caller
+already has one, so one presentation per module serves all of them, and its
+syzygy is zero exactly when M is projective.
 
 For an indecomposable non-projective X the almost split sequence
 
@@ -19,7 +27,7 @@ is the non-split extension whose class lies in the socle of Ext^1(X, tau X)
 as an End(X)-module (Auslander-Reiten-Smalo, ch. V): pulling the class back
 along any radical endomorphism of X splits it.  The summands of E are the
 sources of the irreducible maps into X.  almost_split_middle builds E from
-one such cocycle.
+one such cocycle, for any module isomorphic to tau X.
 """
 
 from __future__ import annotations
@@ -37,50 +45,10 @@ from tauseq.modules import (
 from tauseq.quiver import Path, opposite
 
 
-def presentation_path_coefficients(pres: Presentation):
-    """Coefficients of the presentation map as path combinations, read once
-    per presentation and kept in pres.coeffs.
-
-    Returns coeffs[j][i] = list of (path, scalar) over paths u_i -> v_j, where
-    u_i runs over p0 blocks and v_j over p1 blocks.
-    """
-    if pres.coeffs is not None:
-        return pres.coeffs
-    algebra = pres.p0.algebra
-    q = algebra.quiver
-    # column offset of each p1 block generator inside the vertexwise layout
-    gen_offsets = []
-    per_vertex = [0] * q.num_vertices
-    for v in pres.p1_vertices:
-        gen_offsets.append(per_vertex[v])
-        for p in algebra.paths_from(v):
-            per_vertex[p.target(q)] += 1
-    coeffs = []
-    for j, vj in enumerate(pres.p1_vertices):
-        col_index = gen_offsets[j]
-        column = [pres.map.maps[vj].data[r][col_index]
-                  for r in range(pres.p0.dims[vj])]
-        row = []
-        pos = 0
-        for ui in pres.p0_vertices:
-            paths = [p for p in algebra.paths_from(ui) if p.target(q) == vj]
-            entry = []
-            for p in paths:
-                c = column[pos]
-                pos += 1
-                if c != 0:
-                    entry.append((p, c))
-            row.append(entry)
-        coeffs.append(row)
-    pres.coeffs = coeffs
-    return coeffs
-
-
-def _reverse_path(algebra, op, p: Path) -> Path:
-    if not p.arrows:
-        return Path((), p.vertex)
-    names = [algebra.quiver.arrows[i].name for i in reversed(p.arrows)]
-    return Path(tuple(op.quiver.arrow_index(n) for n in names))
+def _reversed_arrows(algebra, op, p: Path) -> Tuple[int, ...]:
+    """The arrows of p in reverse order, as arrows of the opposite algebra."""
+    return tuple(op.quiver.arrow_index(algebra.quiver.arrows[i].name)
+                 for i in reversed(p.arrows))
 
 
 def transpose(m: Rep, pres: Optional[Presentation] = None) -> Rep:
@@ -91,7 +59,6 @@ def transpose(m: Rep, pres: Optional[Presentation] = None) -> Rep:
     f = algebra.field
     if pres is None:
         pres = min_presentation(m)
-    coeffs = presentation_path_coefficients(pres)
     # over op: map from the p0-projectives to the p1-projectives
     source = projective_sum(op, list(pres.p0_vertices))
     target = projective_sum(op, list(pres.p1_vertices))
@@ -101,12 +68,9 @@ def transpose(m: Rep, pres: Optional[Presentation] = None) -> Rep:
         vec = [f.zero] * target.dims[ui]
         pos = 0
         for j, vj in enumerate(pres.p1_vertices):
-            op_paths = op.paths_between(vj, ui)
-            index_of = {pp.arrows: k for k, pp in enumerate(op_paths)}
-            for (p, c) in coeffs[j][i]:
-                rp = _reverse_path(algebra, op, p)
-                vec[pos + index_of[rp.arrows]] = c
-            pos += len(op_paths)
+            for (p, c) in pres.coeffs[j][i]:
+                vec[pos + op.place(_reversed_arrows(algebra, op, p))] = c
+            pos += len(op.paths_between(vj, ui))
         images.append(vec)
     g = morphism_from_generator_images(source, list(pres.p0_vertices), target, images)
     coker, _ = cokernel(g)
@@ -124,25 +88,45 @@ def tau_minus(m: Rep) -> Rep:
     return transpose(dualize(m))
 
 
-def is_projective_rep(m: Rep) -> bool:
-    _, cover, _ = projective_cover(m)
-    k, _ = kernel(cover)
-    return k.total_dim == 0
+def tau_dims(pres: Presentation) -> Tuple[int, ...]:
+    """The dimension vector of tau X, for X with the minimal presentation
+    pres, without building tau X.
+
+    In 0 -> tau X -> nu P1 -> nu P0, nu P(v) = I(v) has the paths w -> v as
+    the basis of its dual at w, and the map at w sends the path q: w -> u_i
+    of block i of P0 to sum_j sum_p c_(ij,p) q.p.  So dim (tau X)_w is the
+    number of paths w -> v_j over the blocks j of P1, less the rank of that
+    path-composition matrix.
+    """
+    algebra = pres.algebra
+    dims = []
+    for w in range(algebra.n):
+        row_starts, rows = [], 0
+        for v in pres.p1_vertices:
+            row_starts.append(rows)
+            rows += len(algebra.paths_between(w, v))
+        cols = []
+        for i, u in enumerate(pres.p0_vertices):
+            for head in algebra.paths_between(w, u):
+                col = [0] * rows
+                for j, start in enumerate(row_starts):
+                    for p, c in pres.coeffs[j][i]:
+                        # q.p is dead, or it is one basis path w -> v_j
+                        k = algebra.place(head.arrows + p.arrows)
+                        if k is not None:
+                            col[start + k] = c
+                cols.append(col)
+        # the columns as rows: the rank is the same
+        dims.append(rows - linalg.rank(Mat.trusted(algebra.field, len(cols), rows, cols)))
+    return tuple(dims)
 
 
-def is_injective_rep(m: Rep) -> bool:
-    return is_projective_rep(dualize(m))
-
-
-def tau_hom_dim(m: Rep, n: Rep, pres: Optional[Presentation] = None) -> int:
-    """dim Hom(n, tau m), computed as the cokernel of
-    Hom(P0, n) -> Hom(P1, n) over a minimal presentation of m (built here
-    when pres is None)."""
-    algebra = m.algebra
+def _presentation_matrix(pres: Presentation, n: Rep) -> Mat:
+    """The matrix of Hom(P0, n) -> Hom(P1, n): rows (j, n at v_j), columns
+    (i, n at u_i), and block (j, i) is sum_p c_p n(p) over the path
+    coefficients of the presentation map."""
+    algebra = n.algebra
     f = algebra.field
-    if pres is None:
-        pres = min_presentation(m)
-    coeffs = presentation_path_coefficients(pres)
     rows_dim = sum(n.dims[v] for v in pres.p1_vertices)
     cols_dim = sum(n.dims[u] for u in pres.p0_vertices)
     big = Mat.zeros(f, rows_dim, cols_dim)
@@ -151,15 +135,77 @@ def tau_hom_dim(m: Rep, n: Rep, pres: Optional[Presentation] = None) -> int:
         coff = 0
         for i, ui in enumerate(pres.p0_vertices):
             block = Mat.zeros(f, n.dims[vj], n.dims[ui])
-            for (p, c) in coeffs[j][i]:
+            for (p, c) in pres.coeffs[j][i]:
                 act = n.path_action(p)
                 block = block.add(act.scale(c))
             for r in range(block.rows):
-                for cc in range(block.cols):
-                    big.data[roff + r][coff + cc] = block.data[r][cc]
+                big.data[roff + r][coff:coff + block.cols] = block.data[r]
             coff += n.dims[ui]
         roff += n.dims[vj]
-    return rows_dim - linalg.rank(big)
+    return big
+
+
+def tau_hom_dim(m: Rep, n: Rep, pres: Optional[Presentation] = None) -> int:
+    """dim Hom(n, tau m), computed as the cokernel of
+    Hom(P0, n) -> Hom(P1, n) over a minimal presentation of m (built here
+    when pres is None)."""
+    if pres is None:
+        pres = min_presentation(m)
+    big = _presentation_matrix(pres, n)
+    return big.rows - linalg.rank(big)
+
+
+def is_tau_of(z: Rep, pres: Presentation) -> bool:
+    """Whether z is isomorphic to tau X, for an indecomposable non-projective
+    X with the minimal presentation pres and an indecomposable z with the
+    dimension vector of tau X (``tau_dims``); tau X is never built.
+
+    Hom(z, nu P) = D Hom(P, z), so Hom(z, tau X) = ker(Hom(z, nu P1) ->
+    Hom(z, nu P0)) is the left kernel of the matrix of ``tau_hom_dim``: the
+    lambda = (lambda_j), lambda_j a form on z at v_j, that vanish on the
+    image of Hom(P0, z).  Such a lambda maps z into tau X, a submodule of
+    nu P1, by z -> (lambda_j z(q) z) over the paths q: w -> v_j at each
+    vertex w.  With equal dimension vectors it is an isomorphism exactly
+    when it is injective at every vertex, and since z and tau X are
+    indecomposable some basis element of Hom(z, tau X) is an isomorphism
+    when any map is (Fitting's lemma).  The presentation must be minimal:
+    otherwise the kernel of nu P1 -> nu P0 has injective summands besides
+    tau X.
+    """
+    f = z.algebra.field
+    q = z.algebra.quiver
+    big = _presentation_matrix(pres, z)
+    forms = linalg.solve_kernel(big.transpose())
+    if not forms.cols:
+        return False
+    # at[w]: the rows lambda_j z(q), as matrices over every basis element
+    # lambda at once, for the paths q: w -> v_j
+    at: List[List[Mat]] = [[] for _ in range(z.algebra.n)]
+    start = 0
+    for v in pres.p1_vertices:
+        end = start + z.dims[v]
+        # row l of lam[q] is lambda_l z(q); z(a.r) = z(r) z(a) for the
+        # path q = a.r, and r, a suffix of q, comes first
+        lam = {(): Mat.trusted(f, end - start, forms.cols, forms.data[start:end]).transpose()}
+        for path in z.algebra.paths_into(v):
+            if path.arrows:
+                lam[path.arrows] = lam[path.arrows[1:]].mul(z.mats[path.arrows[0]])
+            at[path.source(q)].append(lam[path.arrows])
+        start = end
+    return any(all(linalg.rank(Mat.trusted(f, len(mats), z.dims[w],
+                                           [m.data[l] for m in mats])) == z.dims[w]
+                   for w, mats in enumerate(at) if z.dims[w])
+               for l in range(forms.cols))
+
+
+def is_projective_rep(m: Rep) -> bool:
+    _, cover, _ = projective_cover(m)
+    k, _ = kernel(cover)
+    return k.total_dim == 0
+
+
+def is_injective_rep(m: Rep) -> bool:
+    return is_projective_rep(dualize(m))
 
 
 class Ext1From:

@@ -6,14 +6,22 @@ are tuples of vertex matrices satisfying the commuting-square condition.
 All constructions here (kernels, cokernels, traces, covers) return explicit
 representations together with the structural morphisms.
 
+A minimal projective presentation P1 -> P0 -> M -> 0 is read in the path
+coordinates of P0 (``min_presentation``): the kernel of the cover at each
+vertex, its radical by moving kernel vectors along the arrows, which on a
+monomial algebra only re-indexes paths, and a complement of that radical as
+the generators of P1, whose coordinates are the map's path coefficients.
+The syzygy is built as a module only when it is read.
+
 The simples of a monomial algebra need no linear algebra (Green, Happel and
 Zacharia, Projective resolutions over Artin algebras with zero relations,
 1985).  rad P(v) is the direct sum of the arrow ideals aA over the arrows a
 leaving v, each spanned by the paths that start with a; I(v) / soc I(v) is
-the sum of the duals of the opposite algebra's arrow ideals at v.  S_v is
-presented by the sum of the P(t a) -> P(v), and aA is P(t a) modulo the
-paths u with a.u a minimal zero path, which gives dim Ext^1(S_v, M).  The
-generic routes serve every other module and stay as the oracles.
+the sum of the duals of the opposite algebra's arrow ideals at v.  The
+presentation of S_v comes out as the sum of the P(t a) -> P(v), and aA is
+P(t a) modulo the paths u with a.u a minimal zero path, which gives
+dim Ext^1(S_v, M).  The generic routes serve every other module and stay as
+the oracles.
 """
 
 from __future__ import annotations
@@ -159,17 +167,14 @@ def projective(algebra: BoundQuiverAlgebra, v: int) -> Rep:
     cache = algebra._cache.setdefault("projectives", {})
     if v in cache:
         return cache[v]
-    basis = {w: algebra.paths_between(v, w) for w in range(q.num_vertices)}
-    pos = {w: {p: i for i, p in enumerate(basis[w])} for w in range(q.num_vertices)}
-    dims = [len(basis[w]) for w in range(q.num_vertices)]
+    dims = [len(algebra.paths_between(v, w)) for w in range(q.num_vertices)]
     mats = []
-    for a in q.arrows:
+    for ai, a in enumerate(q.arrows):
         m = Mat.zeros(algebra.field, dims[a.target], dims[a.source])
-        arrow_path = Path((q.arrow_index(a.name),))
-        for j, p in enumerate(basis[a.source]):
-            comp = algebra.compose(p, arrow_path)
-            if comp is not None:
-                m.data[pos[a.target][comp]][j] = algebra.field.one
+        for j, p in enumerate(algebra.paths_between(v, a.source)):
+            i = algebra.place(p.arrows + (ai,))
+            if i is not None:
+                m.data[i][j] = algebra.field.one
         mats.append(m)
     rep = Rep(algebra, dims, mats)
     cache[v] = rep
@@ -381,33 +386,58 @@ def radical_spans(m: Rep) -> List[Mat]:
 
 
 class Presentation:
-    """A fixed-layout projective presentation p1 -> p0 -> m -> 0.
+    """A minimal projective presentation P1 -> P0 -> m -> 0, in the path
+    coordinates of P0.
 
-    p0_vertices / p1_vertices list the projective summands in block order, so
-    generators and path coefficients can be read off positionally.  The
-    syzygy is the kernel of the cover p0 -> m; it is zero exactly when m is
-    projective.  coeffs holds the map's path coefficients once
-    ``ar.presentation_path_coefficients`` has read them.
+    p0_vertices / p1_vertices list the projective summands in block order.
+    The basis of P0 at a vertex w is, block after block, the paths
+    u_i -> w of P(u_i) (``paths_between``).  coeffs[j][i] lists the pairs
+    (path, scalar) of the image of the generator of block j of P1 in block
+    i of P0: a combination of paths u_i -> v_j.  kernel[w] spans the syzygy
+    K = ker(P0 -> m) at w in those coordinates; K is zero exactly when m is
+    projective, and ``syzygy`` builds it as a Rep on its first read.
     """
 
-    __slots__ = ("p0", "p1", "p0_vertices", "p1_vertices", "map", "cover",
-                 "syzygy", "coeffs")
+    __slots__ = ("algebra", "p0_vertices", "p1_vertices", "coeffs", "kernel", "_syzygy")
 
-    def __init__(self, p0, p1, p0_vertices, p1_vertices, map_mor, cover, syzygy):
-        self.p0 = p0
-        self.p1 = p1
-        self.p0_vertices = p0_vertices
-        self.p1_vertices = p1_vertices
-        self.map = map_mor          # p1 -> p0
-        self.cover = cover          # p0 -> m
-        self.syzygy = syzygy        # ker(p0 -> m), the image of p1
-        self.coeffs = None
+    def __init__(self, algebra, p0_vertices, p1_vertices, coeffs, kernel):
+        self.algebra = algebra
+        self.p0_vertices: List[int] = p0_vertices
+        self.p1_vertices: List[int] = p1_vertices
+        self.coeffs: List[List[List[Tuple[Path, object]]]] = coeffs
+        self.kernel: List[Mat] = kernel
+        self._syzygy: Optional[Rep] = None
+
+    @property
+    def syzygy(self) -> Rep:
+        if self._syzygy is None:
+            p0 = projective_sum(self.algebra, self.p0_vertices)
+            self._syzygy, _ = _submodule_on_bases(p0, self.kernel)
+        return self._syzygy
 
 
 def projective_sum(algebra: BoundQuiverAlgebra, vertices: Sequence[int]) -> Rep:
     if not vertices:
         return zero_rep(algebra)
     return block_sum([projective(algebra, v) for v in vertices])
+
+
+def _path_images(target: Rep, v: int, vec: list) -> List[Tuple[Path, Mat]]:
+    """The image in target of each path v -> w of P(v), in global path
+    order, when the generator e_v goes to vec: the image of u.a is target_a
+    times the image of u, and every prefix of an alive path is alive and
+    comes before it."""
+    algebra = target.algebra
+    cols = {}
+    out = []
+    for path in algebra.paths_from(v):
+        if path.arrows:
+            col = target.mats[path.arrows[-1]].mul(cols[path.arrows[:-1]])
+        else:
+            col = Mat.column(algebra.field, vec)
+        cols[path.arrows] = col
+        out.append((path, col))
+    return out
 
 
 def morphism_from_generator_images(p: Rep, p_vertices: Sequence[int],
@@ -424,45 +454,43 @@ def morphism_from_generator_images(p: Rep, p_vertices: Sequence[int],
     maps = [Mat.zeros(f, target.dims[w], p.dims[w]) for w in range(nv)]
     offsets = [0] * nv
     for v, vec in zip(p_vertices, images):
-        # the image of the path u.a is target_a times the image of u; paths
-        # come shortest first and every prefix of an alive path is alive
-        cols = {(): Mat.column(f, vec)}
-        for path in algebra.paths_from(v):
+        for path, col in _path_images(target, v, vec):
             w = path.target(q)
-            if path.arrows:
-                col = cols[path.arrows] = \
-                    target.mats[path.arrows[-1]].mul(cols[path.arrows[:-1]])
-            else:
-                col = cols[()]
             for i in range(target.dims[w]):
                 maps[w].data[i][offsets[w]] = col.data[i][0]
             offsets[w] += 1
     return RepMorphism(p, target, maps)
 
 
-def projective_cover(m: Rep) -> Tuple[Rep, RepMorphism, List[int]]:
-    """Projective cover p ->> m; returns (p, cover map, summand vertices).
-
-    The cover is assembled from lifts of a basis of top(m): complement
-    vectors are chosen deterministically against the radical spans.
-    """
-    algebra = m.algebra
-    f = algebra.field
-    q = algebra.quiver
-    nv = q.num_vertices
-    rad = radical_spans(m)
-    summand_vertices: List[int] = []
-    lifts: List[list] = []
-    for v in range(nv):
-        # standard complement: unit vectors at the non-pivot coordinates of
-        # rad^T, whose row space is the radical at v
-        pivots = set(linalg.rref(rad[v].transpose())[1])
+def _top(m: Rep) -> Tuple[List[int], List[list]]:
+    """A basis of a complement of rad m, as (vertices, vectors): at each
+    vertex the unit vectors at the non-pivot coordinates of rad^T, whose row
+    space is the radical there, so the choice is deterministic."""
+    f = m.algebra.field
+    vertices: List[int] = []
+    vectors: List[list] = []
+    for v, span in enumerate(radical_spans(m)):
+        if not m.dims[v]:
+            continue
+        pivots = set(linalg.rref(span.transpose())[1]) if span.cols else ()
         for i in range(m.dims[v]):
             if i not in pivots:
                 vec = [f.zero] * m.dims[v]
                 vec[i] = f.one
-                summand_vertices.append(v)
-                lifts.append(vec)
+                vertices.append(v)
+                vectors.append(vec)
+    return vertices, vectors
+
+
+def projective_cover(m: Rep) -> Tuple[Rep, RepMorphism, List[int]]:
+    """Projective cover p ->> m; returns (p, cover map, summand vertices).
+
+    The cover is assembled from lifts of a basis of top(m) (``_top``).
+    """
+    algebra = m.algebra
+    f = algebra.field
+    nv = algebra.n
+    summand_vertices, lifts = _top(m)
     if not summand_vertices:
         p = zero_rep(algebra)
         cover = RepMorphism(p, m, [Mat.zeros(f, m.dims[v], 0) for v in range(nv)],
@@ -478,11 +506,80 @@ def projective_cover(m: Rep) -> Tuple[Rep, RepMorphism, List[int]]:
 
 
 def min_presentation(m: Rep) -> Presentation:
-    p0, cover, v0 = projective_cover(m)
-    k, incl = kernel(cover)
-    p1, cover_k, v1 = projective_cover(k)
-    f_mor = incl.compose(cover_k)
-    return Presentation(p0, p1, v0, v1, f_mor, cover, k)
+    """The minimal presentation of m in the path coordinates of P0.
+
+    P0 covers m on the top of m (``_top``), the generator of block i going
+    to the top vector g_i at u_i.  At each vertex w the syzygy K_w is the
+    kernel of the cover's matrix there, whose columns are the images
+    m(p) g_i of the paths p: u_i -> w.  rad K_w is spanned by the kernel
+    vectors at the sources of the arrows a into w, each moved along a by
+    p -> p.a, which on a monomial algebra only re-indexes the coordinates.
+    The generators of P1 at w are the kernel vectors that stay independent
+    after rad K_w, so a complement of it in K_w, and their coordinates are
+    the path coefficients.  A simple S_v needs no special case: its
+    generators are the arrows leaving v.
+    """
+    algebra = m.algebra
+    f = algebra.field
+    q = algebra.quiver
+    nv = algebra.n
+    p0_vertices, lifts = _top(m)
+    columns: List[List[list]] = [[] for _ in range(nv)]
+    for u, vec in zip(p0_vertices, lifts):
+        for path, col in _path_images(m, u, vec):
+            columns[path.target(q)].append([row[0] for row in col.data])
+    kernel = []
+    for w in range(nv):
+        k = linalg.solve_kernel(linalg.from_columns(f, m.dims[w], columns[w]))
+        # Nakayama guarantees surjectivity; keep the check as an internal guard
+        if len(columns[w]) - k.cols != m.dims[w]:
+            raise AssertionError("projective cover failed to surject")
+        kernel.append(k)
+    # offsets[w][i]: where block i starts in P0's basis at w
+    offsets = []
+    for w in range(nv):
+        row, start = [], 0
+        for u in p0_vertices:
+            row.append(start)
+            start += len(algebra.paths_between(u, w))
+        offsets.append(row)
+    p1_vertices: List[int] = []
+    coeffs: List[List[List[Tuple[Path, object]]]] = []
+    for w in range(nv):
+        kw = kernel[w]
+        if not kw.cols:
+            continue
+        size = kw.rows
+        radical = []
+        for a, arrow in enumerate(q.arrows):
+            if arrow.target != w or not kernel[arrow.source].cols:
+                continue
+            s = arrow.source
+            # where p -> p.a sends P0's basis at s, block by block
+            moves = []
+            for i, u in enumerate(p0_vertices):
+                for k, p in enumerate(algebra.paths_between(u, s)):
+                    t = algebra.place(p.arrows + (a,))
+                    if t is not None:
+                        moves.append((offsets[s][i] + k, offsets[w][i] + t))
+            for x in kernel[s].columns():
+                y = [f.zero] * size
+                for src, dst in moves:
+                    y[dst] = x[src]
+                radical.append(y)
+        own = kw.columns()
+        # the kernel basis is independent, so with no radical it is all top
+        pivots = linalg.rref(linalg.from_columns(f, size, radical + own))[1] if radical \
+            else range(len(own))
+        for piv in pivots:
+            if piv < len(radical):
+                continue
+            g = own[piv - len(radical)]
+            p1_vertices.append(w)
+            coeffs.append([[(p, c) for p, c in zip(algebra.paths_between(u, w), g[o:])
+                            if c != 0]
+                           for u, o in zip(p0_vertices, offsets[w])])
+    return Presentation(algebra, p0_vertices, p1_vertices, coeffs, kernel)
 
 
 # -- a monomial algebra's simples, read off its paths --
@@ -525,27 +622,6 @@ def dual_arrow_ideals(algebra: BoundQuiverAlgebra, v: int) -> List[Rep]:
     algebra's P(v), so I(v) / soc I(v) is the dual of its radical, the sum
     of the opposite algebra's arrow ideals at v."""
     return [dualize(ideal) for ideal in arrow_ideals(opposite(algebra), v)]
-
-
-def simple_presentation(algebra: BoundQuiverAlgebra, v: int) -> Presentation:
-    """The minimal presentation of S_v: the sum of P(t a) over the arrows a
-    leaving v maps to P(v), each generator to its arrow a, and its image,
-    the syzygy, is rad P(v), spanned by the paths of positive length."""
-    q = algebra.quiver
-    arrows = q.arrows_from(v)
-    p0 = projective(algebra, v)
-    p1_vertices = [q.arrows[a].target for a in arrows]
-    p1 = projective_sum(algebra, p1_vertices)
-    images = []
-    for a, w in zip(arrows, p1_vertices):
-        vec = [algebra.field.zero] * p0.dims[w]
-        vec[algebra.paths_between(v, w).index(Path((a,)))] = algebra.field.one
-        images.append(vec)
-    map_mor = morphism_from_generator_images(p1, p1_vertices, p0, images)
-    s = simple(algebra, v)
-    cover = morphism_from_generator_images(p0, [v], s, [[algebra.field.one]])
-    syzygy = _coordinate_submodule(p0, _path_coords(algebra, v, lambda path: path.arrows))
-    return Presentation(p0, p1, [v], p1_vertices, map_mor, cover, syzygy)
 
 
 def _zero_tails(algebra: BoundQuiverAlgebra) -> List[List[Tuple[int, ...]]]:

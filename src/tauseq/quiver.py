@@ -117,10 +117,22 @@ class BoundQuiverAlgebra:
         self.path_basis: Tuple[Path, ...] = tuple(path_basis)
         self.n = quiver.num_vertices
         self.dim = len(self.path_basis)
-        # paths grouped by source vertex, in global basis order
-        self._paths_from: List[List[Path]] = [[] for _ in range(self.n)]
+        # paths grouped by source vertex, by both ends and by target, in
+        # global basis order; _place maps the arrows of an alive path to its
+        # place among the paths with its ends
+        n = self.n
+        self._paths_from: List[List[Path]] = [[] for _ in range(n)]
+        self._paths_between: List[List[List[Path]]] = [[[] for _ in range(n)]
+                                                       for _ in range(n)]
+        self._paths_into: List[List[Path]] = [[] for _ in range(n)]
+        self._place: Dict[Tuple[int, ...], int] = {}
         for p in self.path_basis:
-            self._paths_from[p.source(quiver)].append(p)
+            v, w = p.source(quiver), p.target(quiver)
+            self._paths_from[v].append(p)
+            if p.arrows:
+                self._place[p.arrows] = len(self._paths_between[v][w])
+            self._paths_between[v][w].append(p)
+            self._paths_into[w].append(p)
         self._opposite: Optional["BoundQuiverAlgebra"] = None
         self._cache: Dict = {}  # misc per-algebra memo space used by other modules
 
@@ -128,26 +140,18 @@ class BoundQuiverAlgebra:
         return self._paths_from[v]
 
     def paths_between(self, v: int, w: int) -> List[Path]:
-        return [p for p in self._paths_from[v] if p.target(self.quiver) == w]
+        """The paths v -> w in global basis order, the stationary one first:
+        the basis of the projective P(v) at w."""
+        return self._paths_between[v][w]
 
-    def path_is_alive(self, arrows: Tuple[int, ...]) -> bool:
-        for rel in self.relations:
-            m = len(rel)
-            for i in range(len(arrows) - m + 1):
-                if arrows[i:i + m] == rel:
-                    return False
-        return True
+    def paths_into(self, w: int) -> List[Path]:
+        """The paths ending at w, shortest first."""
+        return self._paths_into[w]
 
-    def compose(self, p: Path, q: Path) -> Optional[Path]:
-        """First p, then q; None if the composite is dead or non-composable."""
-        if p.target(self.quiver) != q.source(self.quiver):
-            return None
-        arrows = p.arrows + q.arrows
-        if not arrows:
-            return Path((), p.vertex)
-        if not self.path_is_alive(arrows):
-            return None
-        return Path(arrows)
+    def place(self, arrows: Tuple[int, ...]) -> Optional[int]:
+        """The place in ``paths_between`` of the path with these arrows, or
+        None when it is dead; a stationary path (no arrows) is first."""
+        return self._place.get(arrows) if arrows else 0
 
     def __repr__(self):
         return "BoundQuiverAlgebra(n=%d, dim=%d, %r)" % (self.n, self.dim, self.field)

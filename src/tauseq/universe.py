@@ -37,31 +37,34 @@ image, testing only a module outside it for injectivity, and gives the stop
 test, the tau table, the injective flags and the certificate.  One top test
 reads projectivity, and injectivity on the dual over the opposite algebra,
 whose top is the socle; each non-projective module has one minimal
-projective presentation, which gives its tau and its Ext row.  On a
-monomial algebra the simples need no linear algebra (``modules``): a
-simple's presentation is read off the paths, the summands of rad P(v) are
-the arrow ideals at v and those of I(v) / soc I(v) their duals over the
-opposite algebra, so the closure builds no radical or socle quotient and
-decomposes neither, and the sweep reads dim Ext^1(S, M) off the minimal
-zero paths.  The schema-1 certificate keys keep their meaning:
-the sweep completed, the count is stable up to the cap plus one (nothing
-the sweep could still add), no indecomposable touches the cap, and the set
-is closed under tau, tau-minus, radicals of projectives and socle quotients
-of injectives.
+projective presentation, in path coordinates, which gives its tau and its
+Ext row.  tau X is never built: its dimension vector and a Hom test through
+the Nakayama functor (``ar.tau_dims``, ``ar.is_tau_of``) find it among the
+catalogue modules with that dimension vector.  On a monomial algebra the
+summands of rad P(v) are the arrow ideals at v and those of I(v) / soc I(v)
+their duals over the opposite algebra (``modules``), so the closure builds
+no radical or socle quotient and decomposes neither, and the sweep reads
+dim Ext^1(S, M) off the minimal zero paths.  The schema-1 certificate keys
+keep their meaning: the sweep completed, the count is stable up to the cap
+plus one (nothing the sweep could still add), no indecomposable touches the
+cap, and the set is closed under tau, tau-minus, radicals of projectives and
+socle quotients of injectives.
 
 The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
 already decides the closure keys with the least work: the first module, in
 sorted order, whose tau is not found makes both translate keys false, and
-only the radical key is still computed in full.  A build that is kept
-computes the flags and tau-rigidity, one Hom(X, tau X) per module whose tau
-was found; the hom and Ext tables are filled on their first read and are
-plain attributes from then on, so ``inspect`` never computes them.
-One ``Catalogue`` tells modules apart, by the Fitting test of
-``decompose``, for the sweep's new modules, the closure, ``identify`` and
-``identify_parts``.  Counts pinned downstream all sit on top of this
-certificate.  No trace table is kept: ``gen_set`` and ``filtgen_*`` compute
-from traces, as the oracle for the verify suites and the tests.
+only the radical key is still computed in full.  The stop test ends its
+walk at that module too.  A build that is kept computes the flags and
+tau-rigidity, one Hom(X, tau X) per module whose tau was found; the hom and
+Ext tables are filled on their first read and are plain attributes from
+then on, so ``inspect`` never computes them.  One ``Catalogue`` tells
+modules apart, by the Fitting test of ``decompose``, for the sweep's new
+modules, the closure's neighbour summands, ``identify`` and
+``identify_parts``; its buckets by dimension vector hold the candidates for
+tau X.  Counts pinned downstream all sit on top of this certificate.  No
+trace table is kept: ``gen_set`` and ``filtgen_*`` compute from traces, as
+the oracle for the verify suites and the tests.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -77,15 +80,14 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequen
 from tauseq import linalg
 from tauseq.ar import (
     Ext1From, almost_split_middle, class_forms, extension_cocycle_space,
-    extension_middle, flat_cocycle, tau,
+    extension_middle, flat_cocycle, is_tau_of, tau_dims,
 )
 from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecomposable
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
     Presentation, Rep, arrow_ideals, block_sum, dual_arrow_ideals, dualize, hom_dim,
-    min_presentation, projective, quotient, radical_spans, simple,
-    simple_ext_dim, simple_presentation, trace,
+    min_presentation, projective, quotient, radical_spans, simple, simple_ext_dim, trace,
 )
 
 
@@ -156,14 +158,6 @@ def _projective_vertex(m: Rep) -> Optional[int]:
     return v if v in candidates else None
 
 
-def _presentation(m: Rep) -> Presentation:
-    """The minimal presentation of m; a module of dimension one is a simple
-    S_v, whose presentation is read off the paths."""
-    if m.total_dim == 1:
-        return simple_presentation(m.algebra, m.dims.index(1))
-    return min_presentation(m)
-
-
 class Catalogue:
     """Pairwise non-isomorphic indecomposables, bucketed by dimension vector;
     a module's position in ``modules`` is its id here."""
@@ -178,12 +172,16 @@ class Catalogue:
         self._by_dims.setdefault(m.dims, []).append(len(self.modules))
         self.modules.append(m)
 
+    def bucket(self, dims: Tuple[int, ...]) -> Sequence[int]:
+        """The positions of the modules with the dimension vector dims."""
+        return self._by_dims.get(dims, ())
+
     def find(self, rep: Rep) -> Optional[int]:
         """The position of the module isomorphic to rep, or None.  The
         module is indecomposable, so by Fitting's lemma the two are
         isomorphic exactly when some Hom basis element is, whether or not
         rep is."""
-        return next((i for i in self._by_dims.get(rep.dims, ())
+        return next((i for i in self.bucket(rep.dims)
                      if _basis_has_iso(rep, self.modules[i])), None)
 
     def find_all(self, parts: Sequence[Rep]) -> Optional[List[int]]:
@@ -207,22 +205,24 @@ class Closure(NamedTuple):
 
 
 class ARNeighbours:
-    """Each module's minimal projective presentation, its translate, its
-    injectivity and its neighbours in the Auslander-Reiten quiver, as lists
-    of indecomposable summands, each computed once per module.
+    """Each module's minimal projective presentation, its translate's place
+    in a catalogue, its injectivity and its neighbours in the
+    Auslander-Reiten quiver, as lists of indecomposable summands, each
+    computed once per module.
 
-    The presentation serves the module's tau and its Ext row; a simple's is
-    read off the paths (``modules.simple_presentation``).
-    ``projective_vertex`` reads the top (``_projective_vertex``), so a
-    projective gets no presentation here and no transpose.  ``translate``
-    keeps tau X whole, as one rep: for X indecomposable and not projective,
-    tau X is indecomposable (Auslander-Reiten-Smalo, ch. IV), so it is never
-    decomposed, and ``Catalogue.find`` identifies it directly.
-    ``injective_vertex`` runs the same top test on the dual over the
-    opposite algebra, whose top is the socle, and builds no projective
-    cover there.  ``closure`` reads
-    these, and the neighbour lists, for the sweep's stop test, the
-    translate table and the closure certificate:
+    The presentation (``modules.min_presentation``) serves the module's tau
+    and its Ext row.  ``projective_vertex`` reads the top
+    (``_projective_vertex``), so a projective gets no presentation here.
+    tau X is never built: ``translate_in`` looks for it in the catalogue
+    bucket with the dimension vector of tau X (``ar.tau_dims``), by the
+    test of ``ar.is_tau_of``, which reads Hom(Z, tau X) through the
+    Nakayama functor.  For X indecomposable and not projective, tau X is
+    indecomposable (Auslander-Reiten-Smalo, ch. IV), and a catalogue holds
+    pairwise non-isomorphic modules, so at most one candidate passes.
+    ``injective_vertex`` runs the top test on the dual over the opposite
+    algebra, whose top is the socle, and builds no projective cover there.
+    ``closure`` reads these, and the neighbour lists, for the sweep's stop
+    test, the translate table and the closure certificate:
       "before"  the sources of the irreducible maps into X: the summands of
                 the middle of the almost split sequence ending at X, or for
                 X = P(v) the summands of rad P(v), its arrow ideals
@@ -232,10 +232,11 @@ class ARNeighbours:
                 the targets of the irreducible maps out of X (for any other
                 X they are the "before" of tau^- X).
     The stop test ``closed`` builds "before" of a non-projective X only on a
-    tau-periodic orbit; when the list holds every indecomposable projective,
-    the other orbits need no middle (the proof is in its docstring).  It
-    returns the closure it computed, over the list in canonical order, and
-    the certificate reads that closure without permuting it.
+    tau-periodic orbit, from the catalogue module found isomorphic to
+    tau X; when the list holds every indecomposable projective, the other
+    orbits need no middle (the proof is in its docstring).  It returns the
+    closure it computed, over the list in canonical order, and the
+    certificate reads that closure without permuting it.
 
     tau^- is never built.  tau is a bijection from the non-projective
     indecomposables onto the non-injective ones, with inverse tau^-
@@ -257,15 +258,15 @@ class ARNeighbours:
         return hit[1]
 
     def presentation(self, m: Rep) -> Presentation:
-        return self._cached("presentation", m, _presentation)
+        return self._cached("presentation", m, min_presentation)
 
-    def translate(self, m: Rep) -> Optional[Rep]:
-        """tau m, or None when m is projective."""
-        def make(m: Rep) -> Optional[Rep]:
-            if self.projective_vertex(m) is not None:
-                return None
-            return tau(m, self.presentation(m))
-        return self._cached("tau", m, make)
+    def translate_in(self, m: Rep, catalogue: Catalogue) -> Optional[int]:
+        """The position in the catalogue of the module isomorphic to tau m,
+        or None when there is none; m is not projective."""
+        pres = self.presentation(m)
+        dims = self._cached("tau_dims", m, lambda m: tau_dims(pres))
+        return next((i for i in catalogue.bucket(dims)
+                     if is_tau_of(catalogue.modules[i], pres)), None)
 
     def projective_vertex(self, m: Rep) -> Optional[int]:
         """v when m is the projective P(v), else None."""
@@ -276,20 +277,42 @@ class ARNeighbours:
         ``_projective_vertex`` on the dual over the opposite algebra."""
         return self._cached("injective", m, lambda m: _projective_vertex(dualize(m)))
 
-    def parts(self, kind: str, m: Rep) -> List[Rep]:
-        return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m))
+    def parts(self, kind: str, m: Rep, tau_m: Optional[Rep] = None) -> List[Rep]:
+        """The "before" or "after" summands of m; tau_m is a module
+        isomorphic to tau m, needed for "before" of a non-projective m."""
+        return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m, tau_m))
 
-    def _neighbour_parts(self, kind: str, m: Rep) -> List[Rep]:
+    def _neighbour_parts(self, kind: str, m: Rep, tau_m: Optional[Rep]) -> List[Rep]:
         if kind == "after":
             return dual_arrow_ideals(m.algebra, self.injective_vertex(m))
-        translate = self.translate(m)
-        if translate is None:
-            return arrow_ideals(m.algebra, self.projective_vertex(m))
-        return indecomposable_parts(almost_split_middle(m, translate))
+        v = self.projective_vertex(m)
+        if v is not None:
+            return arrow_ideals(m.algebra, v)
+        return indecomposable_parts(almost_split_middle(m, tau_m))
+
+    def _translates(self, catalogue: Catalogue) -> Iterator[Tuple[Optional[int], bool]]:
+        """For each module X of the catalogue in order, the position of
+        tau X, None for a projective or an unresolved tau X, and whether
+        tau X is unresolved: not one found module."""
+        for m in catalogue.modules:
+            if self.projective_vertex(m) is not None:
+                yield None, False
+            else:
+                i = self.translate_in(m, catalogue)
+                yield i, i is None
 
     def closure(self, catalogue: Catalogue) -> Closure:
         """The translate table, the injective flags and the two closure
-        flags of the catalogue's modules.
+        flags of the catalogue's modules."""
+        tau_of, unresolved = [], []
+        for i, lost in self._translates(catalogue):
+            tau_of.append(i)
+            unresolved.append(lost)
+        return self._closure(catalogue, tau_of, unresolved)
+
+    def _closure(self, catalogue: Catalogue, tau_of: List[Optional[int]],
+                 unresolved: List[bool]) -> Closure:
+        """The closure from the translate table.
 
         tau is closed when every tau X is one found module and every Y is
         injective or some found tau X, which is then tau^- Y (see the class
@@ -298,13 +321,6 @@ class ARNeighbours:
         projective P and injective I.
         """
         mods = catalogue.modules
-        tau_of: List[Optional[int]] = []
-        unresolved: List[bool] = []
-        for m in mods:
-            translate = self.translate(m)
-            i = None if translate is None else catalogue.find(translate)
-            tau_of.append(i)
-            unresolved.append(translate is not None and i is None)
         # tau X is never injective; outside the tau image the test is exact
         image = set(tau_of)
         is_inj = [i not in image and self.injective_vertex(m) is not None
@@ -333,8 +349,7 @@ class ARNeighbours:
         translate keys false, so the walk stops there; the radical key
         reads projectivity off the top, injectivity off the socle and the
         summands off the paths."""
-        if all(t is None or catalogue.find(t) is not None
-               for t in map(self.translate, catalogue.modules)):
+        if not any(lost for _, lost in self._translates(catalogue)):
             return None
         return {"translate_table_complete": False, "closed_under_translates": False,
                 "closed_under_radical_and_socle_quotients": self.radical_closed(
@@ -345,7 +360,9 @@ class ARNeighbours:
         """The closure of the list in canonical order (``_canonical``) when
         every neighbour of every module in it, tau^- X included, is
         isomorphic to one in the list, else None; the modules must be
-        indecomposable and pairwise non-isomorphic.
+        indecomposable and pairwise non-isomorphic.  The walk stops at the
+        first module whose tau X is not in the list, and only a list whose
+        every tau X is found gets its injective flags and radical closure.
 
         That is: the list holds as many projectives as the algebra has
         vertices, so every indecomposable projective; the two closure flags
@@ -362,16 +379,22 @@ class ARNeighbours:
         components of the AR quiver, one per block, so by Auslander's
         theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
         """
-        if not modules or sum(self.translate(m) is None for m in modules) \
+        if not modules or sum(self.projective_vertex(m) is not None for m in modules) \
                 != modules[0].algebra.n:
             return None
         catalogue = Catalogue(_canonical(modules))
-        c = self.closure(catalogue)
+        tau_of = []
+        for i, lost in self._translates(catalogue):
+            if lost:
+                return None
+            tau_of.append(i)
+        c = self._closure(catalogue, tau_of, [False] * len(tau_of))
         if not (c.closed_under_translates and c.closed_under_radical_and_socle_quotients):
             return None
-        for i, m in enumerate(catalogue.modules):
-            if c.tau_of[i] is not None and _tau_periodic(c.tau_of, i) and \
-                    catalogue.find_all(self.parts("before", m)) is None:
+        mods = catalogue.modules
+        for i, m in enumerate(mods):
+            if tau_of[i] is not None and _tau_periodic(tau_of, i) and \
+                    catalogue.find_all(self.parts("before", m, mods[tau_of[i]])) is None:
                 return None
         return c
 

@@ -150,7 +150,9 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
             bridge.count(lhs == rhs, {"m": u.labels[m], "n": u.labels[n],
                                       "hom_vanishes": lhs, "ext_vanishes": rhs})
 
-    # one presentation per module, built here, not taken from the tables
+    # one presentation per module, built here, not taken from the build:
+    # dim Hom(N, tau M) read off it must match the hom table into the module
+    # that the build identified as tau M
     surrogate = Check("presentation cokernel equals hom into the translate")
     for m in range(len(u.modules)):
         pres = min_presentation(u.modules[m])

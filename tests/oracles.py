@@ -17,7 +17,8 @@ from tauseq.decompose import AlgebraCore, indecomposable_parts, is_isomorphic
 from tauseq.errors import Mismatch, NotTauRigid
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Rep, RepMorphism, hom_dim, min_presentation, quotient, submodule_from_spans, trace,
+    Presentation, Rep, RepMorphism, hom_dim, kernel, min_presentation, projective_cover,
+    quotient, submodule_from_spans, trace,
 )
 from tauseq.quiver import BoundQuiverAlgebra
 from tauseq.universe import (
@@ -36,13 +37,43 @@ from tauseq.wide import (
 def closed_with_every_middle(neighbours: ARNeighbours, modules: Sequence[Rep]) -> bool:
     """``ARNeighbours.closed`` without the tau-orbit argument: the two
     closure flags plus the middle of the almost split sequence ending at
-    every non-projective module, whatever its orbit."""
+    every non-projective module, whatever its orbit, each built from
+    tau X itself."""
     catalogue = Catalogue(modules)
     c = neighbours.closure(catalogue)
     return c.closed_under_translates and \
         c.closed_under_radical_and_socle_quotients and \
-        all(catalogue.find_all(neighbours.parts("before", m)) is not None
-            for m in modules if neighbours.translate(m) is not None)
+        all(catalogue.find_all(neighbours.parts("before", m, tau(m))) is not None
+            for m in modules if neighbours.projective_vertex(m) is None)
+
+
+# --------------------------------------------------------------------------
+# the minimal presentation
+# --------------------------------------------------------------------------
+
+def presentation_by_covers(m: Rep) -> Presentation:
+    """The minimal presentation by module constructions: the projective
+    cover P0 -> m, its kernel K as a module, and the cover P1 -> K.  The
+    path coefficients are read off the composite P1 -> P0 at each generator
+    of P1, and the kernel bases are the inclusion of K."""
+    algebra = m.algebra
+    q = algebra.quiver
+    _, cover, p0_vertices = projective_cover(m)
+    k, incl = kernel(cover)
+    _, cover_k, p1_vertices = projective_cover(k)
+    composite = incl.compose(cover_k)
+    # where each P1 generator sits in P1's basis at its vertex
+    starts, seen = [], [0] * algebra.n
+    for v in p1_vertices:
+        starts.append(seen[v])
+        for p in algebra.paths_from(v):
+            seen[p.target(q)] += 1
+    coeffs = []
+    for v, start in zip(p1_vertices, starts):
+        column = iter([row[start] for row in composite.maps[v].data])
+        coeffs.append([[(p, c) for p, c in zip(algebra.paths_between(u, v), column) if c != 0]
+                       for u in p0_vertices])
+    return Presentation(algebra, p0_vertices, p1_vertices, coeffs, list(incl.maps))
 
 
 # --------------------------------------------------------------------------

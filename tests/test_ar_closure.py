@@ -8,9 +8,11 @@ reads tau^- and injectivity off the tau image; the direct routes, Tr D and
 the projective cover of the dual, are the oracle for those.  Projectivity
 is read off the top, against the projective cover, and injectivity off the
 top of the dual, against the socle.  The stop test hands the closure it
-computed to the certificate, which must equal the closure computed afresh.
-A build refused by its sweep keys stops at the first tau it cannot find;
-its certificate must be the one the whole closure gives.
+computed to the certificate, which must equal the closure computed afresh;
+it ends its walk at the first tau it cannot find.  A build refused by its
+sweep keys stops there too; its certificate must be the one the whole
+closure gives.  tau X is identified off the module's presentation and never
+built: the spies count presentations, identifications and translates.
 """
 
 import itertools
@@ -166,13 +168,14 @@ def test_a_periodic_orbit_needs_its_middle():
 
 
 @pytest.mark.parametrize("name,middles,isos", [
-    ("a4", 0, 16), ("a5", 0, 23), ("d4", 0, 28),
+    ("a4", 0, 10), ("a5", 0, 13), ("d4", 0, 17),
     ("nakayama2_rad2", 2, None), ("nakayama3_rad3", 6, None)])
 def test_a_cold_build_builds_middles_only_on_periodic_orbits(name, middles, isos,
                                                               monkeypatch):
-    # the stop test hands its closure to the certificate, and
-    # proj_of_vertex reads the projectives off the top test, so neither
-    # makes an isomorphism test of its own
+    # the stop test hands its closure to the certificate, proj_of_vertex
+    # reads the projectives off the top test and tau X is identified
+    # through the Nakayama functor, so none of them makes a Hom-basis
+    # isomorphism test; those left are the sweep's and the radical flag's
     counts = {"almost_split_middle": 0, "_basis_has_iso": 0}
     for original in (ar.almost_split_middle, decompose._basis_has_iso):
         def spy(*args, _original=original):
@@ -362,17 +365,18 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-def test_a_cold_build_shares_one_presentation_per_module(monkeypatch):
-    counts = _count_calls(monkeypatch, ["tau_minus", "min_presentation", "transpose",
-                                        "projective_cover"])
+def test_a_cold_build_computes_one_presentation_per_non_projective(monkeypatch):
+    counts = _count_calls(monkeypatch, ["tau", "tau_minus", "transpose", "min_presentation",
+                                        "projective_cover", "is_tau_of"])
     u = ModuleUniverse(_bench("a5")())
     assert len(u.modules) == 15 and u.certified
-    assert counts["tau_minus"] == 0
-    # one transpose per non-projective; a simple's presentation is read off
-    # the paths, so 6 of the 10 are computed, with two covers each
-    assert counts["transpose"] == 10
-    assert counts["min_presentation"] == 6
-    assert counts["projective_cover"] == 12
+    # tau X is identified off the presentation, never built; the
+    # presentation is read in path coordinates, with no cover of its own
+    assert counts["tau"] == counts["tau_minus"] == counts["transpose"] == 0
+    assert counts["projective_cover"] == 0
+    assert counts["min_presentation"] == 10 == sum(not p for p in u.is_proj)
+    # A5 has one module per dimension vector: one test per non-projective
+    assert counts["is_tau_of"] == 10
 
 
 def _spy_on(monkeypatch, original, spy):
@@ -383,7 +387,8 @@ def _spy_on(monkeypatch, original, spy):
 
 
 @pytest.mark.parametrize("name", ["a5", "kronecker_2"])
-def test_a_cold_build_keeps_tau_whole_and_reads_injectivity_off_the_socle(name, monkeypatch):
+def test_a_cold_build_builds_no_translate_and_reads_injectivity_off_the_socle(name,
+                                                                             monkeypatch):
     translates, decomposed = [], []
     tau_, parts_ = ar.tau, decompose.indecomposable_parts
 
@@ -406,7 +411,7 @@ def test_a_cold_build_keeps_tau_whole_and_reads_injectivity_off_the_socle(name, 
     else:
         with pytest.raises(NotCertifiablyComplete):
             ModuleUniverse(_bench("kronecker")(), (2, 2))
-    assert translates
+    assert translates == []
     # rad P and I / soc I are read off the paths and P(v) is local, so
     # nothing is decomposed
     assert decomposed == []
@@ -449,16 +454,65 @@ def test_the_top_test_of_projectivity_matches_the_cover(name):
                for m, v in zip(u.modules, vertices) if v is not None)
 
 
-def test_the_kronecker_refusal_builds_one_translate(monkeypatch, capsys):
+def test_the_kronecker_refusal_identifies_one_translate(monkeypatch, capsys):
     # the first module in sorted order that is not projective is S1, whose
-    # tau lies above the cap: that settles both translate keys; S1's
-    # presentation and the sweep's Ext rows are read off the paths, so no
-    # presentation is computed
-    counts = _count_calls(monkeypatch, ["tau", "min_presentation"])
+    # tau lies above the cap: that settles both translate keys.  Its one
+    # presentation gives the dimension vector of tau S1, which no found
+    # module has, so no candidate is tested and no translate is built
+    counts = _count_calls(monkeypatch, ["tau", "min_presentation", "is_tau_of"])
+    identified = []
+    translate_in = ARNeighbours.translate_in
+
+    def spy(self, m, catalogue):
+        identified.append(m.dims)
+        return translate_in(self, m, catalogue)
+
+    monkeypatch.setattr(ARNeighbours, "translate_in", spy)
     code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate",
                  "--dim-bound", "2"])
     assert code == 2 and "closed_under_translates': False" in capsys.readouterr().err
-    assert counts == {"tau": 1, "min_presentation": 0}
+    assert identified == [(1, 0)]
+    assert counts == {"tau": 0, "min_presentation": 1, "is_tau_of": 0}
+
+
+def test_the_stop_test_ends_at_the_first_translate_it_cannot_identify(monkeypatch, capsys):
+    # at the default bound the guard stops the Kronecker sweep and the stop
+    # test runs on the found list: its walk in canonical order ends at the
+    # first module whose tau X is not found, and the list gets no injective
+    # flags and no radical closure
+    walks = []
+    inside = []
+    closed, translate_in, closure = (ARNeighbours.closed, ARNeighbours.translate_in,
+                                     ARNeighbours._closure)
+
+    def closed_spy(self, modules):
+        walks.append([])
+        inside.append(True)
+        try:
+            return closed(self, modules)
+        finally:
+            inside.pop()
+
+    def translate_spy(self, m, catalogue):
+        i = translate_in(self, m, catalogue)
+        if inside:
+            walks[-1].append(i)
+        return i
+
+    def closure_spy(self, *args):
+        assert not inside, "the stop test closed a list with an unresolved tau"
+        return closure(self, *args)
+
+    monkeypatch.setattr(ARNeighbours, "closed", closed_spy)
+    monkeypatch.setattr(ARNeighbours, "translate_in", translate_spy)
+    monkeypatch.setattr(ARNeighbours, "_closure", closure_spy)
+    counts = _count_calls(monkeypatch, ["min_presentation"])
+    code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate"])
+    assert code == 2 and "exceeds the sweep guard" in capsys.readouterr().err
+    assert walks and all(walk and walk[-1] is None and None not in walk[:-1]
+                         for walk in walks)
+    # far fewer presentations than the 23 non-projective modules found
+    assert counts["min_presentation"] == 6
 
 
 @pytest.mark.parametrize("name,bound", [("kronecker", (2, 2)), ("kronecker", (3, 3)),

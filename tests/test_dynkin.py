@@ -27,8 +27,6 @@ import pytest
 
 from tauseq import universe
 from tauseq.cli import load_algebra_file
-from tauseq.fields import FieldSpec
-from tauseq.quiver import Quiver, build_algebra
 from tauseq.sequences import enumerate_tau_es, mutate
 from tauseq.universe import ARNeighbours, ModuleUniverse
 from tauseq.wide import all_torsion_classes
@@ -39,12 +37,6 @@ GUARD = "extension space of dimension %d exceeds the sweep guard"
 
 def _file(path):
     return lambda: load_algebra_file(os.path.join(ROOT, path))
-
-
-def _d5():
-    q = Quiver(["1", "2", "3", "4", "5"],
-               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "3", "5")])
-    return build_algebra(q, FieldSpec(0))
 
 
 def _type_a(n):
@@ -63,7 +55,7 @@ DYNKIN = {
     "a4_gf2": (_file("perfbench/algebras/a4_gf2.json"), _type_a(4)),
     "a5": (_file("perfbench/algebras/a5.json"), _type_a(5)),
     "d4": (_file("algebras/d4.json"), _type_d(4)),
-    "d5": (_d5, _type_d(5)),
+    "d5": (_file("algebras/scale/d5.json"), _type_d(5)),
 }
 
 

@@ -111,14 +111,12 @@ def test_min_presentation_of_simple(a2):
     pres = min_presentation(simple(a2, 0))
     assert pres.p0_vertices == [0]
     assert pres.p1_vertices == [1]
-    # exactness: p1 surjects onto the kernel of the cover
-    k, _ = kernel(pres.cover)
-    assert k.total_dim == pres.p1.total_dim - _kernel_dim(pres.map)
-
-
-def _kernel_dim(f):
-    k, _ = kernel(f)
-    return k.total_dim
+    # the generator of P1 = P(2) goes to the arrow, and the syzygy is its
+    # image, rad P(1) = P(2)
+    assert [[[(p.arrows, c) for p, c in entry] for entry in row] for row in pres.coeffs] \
+        == [[[((0,), 1)]]]
+    assert pres.syzygy.dims == (0, 1)
+    assert pres.syzygy == projective(a2, 1)
 
 
 def test_dualize_involution(a2):

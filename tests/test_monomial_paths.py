@@ -2,10 +2,11 @@
 routes.
 
 rad P(v) is the sum of the arrow ideals aA, I(v) / soc I(v) the sum of the
-duals of the opposite algebra's arrow ideals at v, and S_v is presented by
-the sum of P(t a) -> P(v).  dim Ext^1(S_v, M) follows from the minimal zero
-paths.  The oracles are the routes the build took before: the projective
-cover and its kernel, Ext1From on that syzygy, and indecomposable_parts of
+duals of the opposite algebra's arrow ideals at v, and the one presentation
+routine presents S_v by the sum of P(t a) -> P(v), with no special case.
+dim Ext^1(S_v, M) follows from the minimal zero paths.  The oracles are the
+routes the build took before: the projective cover and its kernel, Ext1From
+on that syzygy, the presentation by covers, and indecomposable_parts of
 rad P and of I / soc I.
 """
 
@@ -23,11 +24,11 @@ from tauseq.decompose import is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.modules import (
     arrow_ideals, direct_sum, dual_arrow_ideals, dualize, min_presentation, projective,
-    radical_spans, simple, simple_ext_dim, simple_presentation, submodule_from_spans,
+    radical_spans, simple, simple_ext_dim, submodule_from_spans,
 )
 from tauseq.quiver import Quiver, build_algebra, opposite
 from tauseq.universe import ModuleUniverse
-from oracles import socle_quotient
+from oracles import presentation_by_covers, socle_quotient
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FILES = sorted(glob.glob(os.path.join(ROOT, "algebras", "*.json")) +
@@ -81,14 +82,19 @@ def test_the_ext_of_a_simple_read_off_the_paths_matches_its_syzygy(name):
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_a_simple_presentation_read_off_the_paths_matches_the_cover(name):
+def test_the_presentation_of_a_simple_has_the_arrows_as_its_relations(name):
+    # the one presentation routine needs no special case for S_v: its P1
+    # generators are the arrows leaving v, each mapped to itself
     u = _universe(name)
     for v in range(u.n):
         s = simple(u.algebra, v)
-        pres, oracle = simple_presentation(u.algebra, v), min_presentation(s)
-        assert sorted(pres.p0_vertices) == sorted(oracle.p0_vertices) == [v]
-        assert sorted(pres.p1_vertices) == sorted(oracle.p1_vertices)
-        assert all(m.is_zero() for m in pres.cover.compose(pres.map).maps)
+        pres, oracle = min_presentation(s), presentation_by_covers(s)
+        arrows = u.algebra.quiver.arrows_from(v)
+        assert pres.p0_vertices == oracle.p0_vertices == [v]
+        assert sorted(pres.p1_vertices) == sorted(oracle.p1_vertices) == \
+            sorted(u.algebra.quiver.arrows[a].target for a in arrows)
+        assert sorted(row[0][0][0].arrows for row in pres.coeffs) == [(a,) for a in arrows]
+        assert all(len(row[0]) == 1 and row[0][0][1] == 1 for row in pres.coeffs)
         syzygy = u.identify_parts(pres.syzygy)
         assert syzygy is not None and syzygy == u.identify_parts(oracle.syzygy)
         # the translate reads the map's path coefficients
