@@ -15,9 +15,9 @@ the image of Hom(P0, Z); ``tau_hom_dim`` counts them, which is
 dim Hom(Z, tau X).  ``tau`` and ``transpose`` still build tau X = D Tr X
 over the opposite algebra, and ``tau_minus`` = Tr D, as oracles for the
 tests.  Ext1From / ext1_dim give the honest Ext^1 via the syzygy
-K = ker(P0 -> M); each routine takes the presentation when the caller
-already has one, so one presentation per module serves all of them, and its
-syzygy is zero exactly when M is projective.
+K = ker(P0 -> M) of the minimal presentation; Ext1From takes it from the
+caller, so one presentation per module serves all of these routines, and
+its syzygy is zero exactly when M is projective (``is_projective_rep``).
 
 For an indecomposable non-projective X the almost split sequence
 
@@ -39,8 +39,8 @@ from tauseq.decompose import EndAlgebra
 from tauseq.errors import Mismatch
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, cokernel, dualize, hom_dim, kernel, min_presentation,
-    morphism_from_generator_images, projective_cover, projective_sum,
+    Presentation, Rep, cokernel, dualize, hom_dim, min_presentation,
+    morphism_from_generator_images, projective_sum,
 )
 from tauseq.quiver import Path, opposite
 
@@ -199,9 +199,8 @@ def is_tau_of(z: Rep, pres: Presentation) -> bool:
 
 
 def is_projective_rep(m: Rep) -> bool:
-    _, cover, _ = projective_cover(m)
-    k, _ = kernel(cover)
-    return k.total_dim == 0
+    """Whether the syzygy of m is zero: its minimal presentation has no P1."""
+    return not min_presentation(m).p1_vertices
 
 
 def is_injective_rep(m: Rep) -> bool:
@@ -209,23 +208,19 @@ def is_injective_rep(m: Rep) -> bool:
 
 
 class Ext1From:
-    """dim Ext^1(m, -) from one projective cover 0 -> K -> P -> m -> 0.
+    """dim Ext^1(m, -) from a minimal presentation of m, whose syzygy K is
+    the kernel of its cover P0 -> m.
 
-    Ext^1(m, n) = coker(Hom(P, n) -> Hom(K, n)) and Hom(P_v, n) = n_v, so
+    Ext^1(m, n) = coker(Hom(P0, n) -> Hom(K, n)) and Hom(P_v, n) = n_v, so
     dim Ext^1(m, n) = dim Hom(K, n) - sum_(v in top m) dim n_v
     + dim Hom(m, n): one hom solve per target once the syzygy K is built.
-    Given a minimal presentation of m, its cover and syzygy are used.
     """
 
     __slots__ = ("module", "syzygy", "top")
 
-    def __init__(self, m: Rep, pres: Optional[Presentation] = None):
+    def __init__(self, m: Rep, pres: Presentation):
         self.module = m
-        if pres is None:
-            _, cover, self.top = projective_cover(m)
-            self.syzygy, _ = kernel(cover)
-        else:
-            self.top, self.syzygy = pres.p0_vertices, pres.syzygy
+        self.top, self.syzygy = pres.p0_vertices, pres.syzygy
 
     def dim(self, n: Rep, hom_mn: Optional[int] = None) -> int:
         """dim Ext^1(m, n); hom_mn is dim Hom(m, n) when already known."""
@@ -237,7 +232,7 @@ class Ext1From:
 def ext1_dim(m: Rep, n: Rep) -> int:
     """dim Ext^1(m, n), from 0 -> K -> P0 -> m -> 0:
     Ext^1 = coker(Hom(P0, n) -> Hom(K, n))."""
-    return Ext1From(m).dim(n)
+    return Ext1From(m, min_presentation(m)).dim(n)
 
 
 # --------------------------------------------------------------------------

@@ -486,6 +486,8 @@ def projective_cover(m: Rep) -> Tuple[Rep, RepMorphism, List[int]]:
     """Projective cover p ->> m; returns (p, cover map, summand vertices).
 
     The cover is assembled from lifts of a basis of top(m) (``_top``).
+    The library reads covers in path coordinates (``min_presentation``);
+    this one, with ``kernel``, stays as the oracle of that route.
     """
     algebra = m.algebra
     f = algebra.field

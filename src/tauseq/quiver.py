@@ -2,7 +2,9 @@
 
 Only zero relations are supported: that keeps the path basis and the
 finite-dimensionality check purely combinatorial, and already covers
-hereditary algebras, Nakayama algebras and radical powers.
+hereditary algebras, Nakayama algebras and radical powers.  One depth-first
+walk over the alive paths gives both: it lists the basis, and it stops at
+the first cycle that the relations never kill.
 
 Path convention: a path (a, b) means "first traverse a, then b".  A relation
 (a, b) therefore kills the composite "b after a".
@@ -173,84 +175,40 @@ def _validate_relations(quiver: Quiver, relations: Sequence[Sequence[str]]) -> L
 def _enumerate_alive_paths(quiver: Quiver, relations: List[Tuple[int, ...]]) -> List[Path]:
     """All relation-free paths, or raise InfiniteDimensional.
 
-    Finiteness is decided on the suffix automaton whose states are (vertex,
-    last R-1 arrows) with R the longest relation: the language of alive paths
-    is infinite exactly when that automaton has a reachable cycle.
+    Whether an alive path stays alive when extended depends only on its
+    state: its end vertex and its last R-1 arrows, R the longest relation.
+    One depth-first walk visits every alive path and keeps the states of the
+    current one; a state repeated along it closes a cycle that the
+    relations never kill, so the alive paths are infinitely many.
     """
-    max_rel = max((len(r) for r in relations), default=1)
-    keep = max_rel - 1
-
-    def suffix_alive(arrows: Tuple[int, ...]) -> bool:
-        # only relations ending at the last arrow need checking incrementally
-        for rel in relations:
-            m = len(rel)
-            if m <= len(arrows) and arrows[-m:] == rel:
-                return False
-        return True
-
-    # state graph over (vertex, suffix)
-    states = set()
-    edges: Dict[tuple, List[tuple]] = {}
-    stack = [(v, ()) for v in range(quiver.num_vertices)]
-    for s in stack:
-        states.add(s)
-    while stack:
-        v, suf = stack.pop()
-        key = (v, suf)
-        outs = []
-        for ai in quiver.arrows_from(v):
-            a = quiver.arrows[ai]
-            ext = suf + (ai,)
-            if not suffix_alive(ext):
+    keep = max((len(r) for r in relations), default=1) - 1
+    paths: List[Path] = []
+    for v in range(quiver.num_vertices):
+        paths.append(Path((), v))
+        on_path = {(v, ())}
+        # one frame per arrow of the current path: its arrows, its state and
+        # the arrows still to try at its end
+        walk = [((), (v, ()), iter(quiver.arrows_from(v)))]
+        while walk:
+            arrows, state, todo = walk[-1]
+            ai = next(todo, None)
+            if ai is None:
+                walk.pop()
+                on_path.remove(state)
                 continue
-            nsuf = ext[-keep:] if keep > 0 else ()
-            ns = (a.target, nsuf)
-            outs.append(ns)
-            if ns not in states:
-                states.add(ns)
-                stack.append(ns)
-        edges[key] = outs
-
-    # cycle detection (iterative three-color DFS)
-    color = {s: 0 for s in states}
-    for start in states:
-        if color[start] != 0:
-            continue
-        dfs = [(start, 0)]
-        while dfs:
-            node, ei = dfs.pop()
-            if ei == 0:
-                if color[node] == 2:
-                    continue
-                color[node] = 1
-            outs = edges.get(node, [])
-            advanced = False
-            for k in range(ei, len(outs)):
-                nxt = outs[k]
-                if color[nxt] == 1:
-                    raise InfiniteDimensional(
-                        "the relations leave an unbounded path family through vertex %r"
-                        % quiver.vertex_labels[nxt[0]])
-                if color[nxt] == 0:
-                    dfs.append((node, k + 1))
-                    dfs.append((nxt, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-
-    # acyclic: enumerate the (finite) path tree breadth first
-    paths: List[Path] = [Path((), v) for v in range(quiver.num_vertices)]
-    frontier: List[Tuple[int, Tuple[int, ...]]] = [(v, ()) for v in range(quiver.num_vertices)]
-    while frontier:
-        nxt: List[Tuple[int, Tuple[int, ...]]] = []
-        for v, arrows in frontier:
-            for ai in quiver.arrows_from(v):
-                ext = arrows + (ai,)
-                if suffix_alive(ext):
-                    nxt.append((quiver.arrows[ai].target, ext))
-                    paths.append(Path(ext))
-        frontier = nxt
+            ext = arrows + (ai,)
+            # only relations ending at the new arrow can kill the extension
+            if any(ext[-len(rel):] == rel for rel in relations):
+                continue
+            target = quiver.arrows[ai].target
+            nxt = (target, ext[-keep:] if keep else ())
+            if nxt in on_path:
+                raise InfiniteDimensional(
+                    "the relations leave an unbounded path family through vertex %r"
+                    % quiver.vertex_labels[target])
+            on_path.add(nxt)
+            paths.append(Path(ext))
+            walk.append((ext, nxt, iter(quiver.arrows_from(target))))
     paths.sort(key=Path.key)
     return paths
 

@@ -57,8 +57,8 @@ sorted order, whose tau is not found makes both translate keys false, and
 only the radical key is still computed in full.  The stop test ends its
 walk at that module too.  A build that is kept computes the flags and
 tau-rigidity, one Hom(X, tau X) per module whose tau was found; the hom and
-Ext tables are filled on their first read and are plain attributes from
-then on, so ``inspect`` never computes them.  One ``Catalogue`` tells
+Ext tables are read-only properties that fill both tables on the first read
+of either, so ``inspect`` never computes them.  One ``Catalogue`` tells
 modules apart, by the Fitting test of ``decompose``, for the sweep's new
 modules, the closure's neighbour summands, ``identify`` and
 ``identify_parts``; its buckets by dimension vector hold the candidates for
@@ -522,41 +522,6 @@ def _holds(certificate: Dict[str, object]) -> bool:
                if k not in ("dim_bound", "sweep_aborted_because"))
 
 
-class _TableOnFirstRead:
-    """``hom`` or ``ext`` of a universe until either table is first read:
-    indexing, iterating, ``len`` or ``==`` fills both tables
-    (``ModuleUniverse._build_tables``), which replace the stand-ins on the
-    universe as plain lists.  A hook for missing attributes on the universe
-    would do the same, but would slow every attribute read of it."""
-
-    __slots__ = ("_universe", "_name")
-
-    def __init__(self, universe: "ModuleUniverse", name: str):
-        self._universe = universe
-        self._name = name
-
-    def _table(self) -> List[List[int]]:
-        # getattr, not vars(): materializing the instance dict would slow
-        # every later attribute read of the universe
-        table = getattr(self._universe, self._name)
-        if table is self:
-            self._universe._build_tables()
-            table = getattr(self._universe, self._name)
-        return table
-
-    def __getitem__(self, i):
-        return self._table()[i]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return len(self._table())
-
-    def __eq__(self, other) -> bool:
-        return self._table() == other
-
-
 class _Budget:
     # guard rails so a runaway enumeration fails loudly instead of hanging
     MAX_MODULES = 400
@@ -577,8 +542,9 @@ class ModuleUniverse:
     with hom, extension and translate tables keyed by canonical id.
 
     The translate table, the projective and injective flags, tau_rigid and
-    the certificate are built with the universe; ``hom`` and ``ext`` are
-    filled on the first read of either (``_build_tables``)."""
+    the certificate are built with the universe; the properties ``hom``
+    and ``ext`` fill both tables on the first read of either
+    (``_build_tables``)."""
 
     def __init__(self, algebra, dim_bound: Optional[Sequence[int]] = None,
                  require_certificate: bool = True):
@@ -626,8 +592,7 @@ class ModuleUniverse:
         vertex_of = [neighbours.projective_vertex(m) for m in self.modules]
         self.is_proj: List[bool] = [v is not None for v in vertex_of]
         # the minimal presentation that gave a module its tau gives its Ext
-        # row when ``ext`` is first read; a projective has none built, and
-        # Ext1From reads its zero syzygy off a cover then
+        # row when ``ext`` is first read; a projective has none built yet
         self._pres: List[Optional[Presentation]] = [
             None if proj else neighbours.presentation(m)
             for m, proj in zip(self.modules, self.is_proj)]
@@ -641,8 +606,8 @@ class ModuleUniverse:
         self.tau_rigid: List[bool] = [
             not unresolved and (t is None or hom_dim(m, self.modules[t]) == 0)
             for m, t, unresolved in zip(self.modules, self.tau_of, self.tau_unresolved)]
-        self.hom: List[List[int]] = _TableOnFirstRead(self, "hom")
-        self.ext: List[List[int]] = _TableOnFirstRead(self, "ext")
+        self._hom: Optional[List[List[int]]] = None
+        self._ext: Optional[List[List[int]]] = None
         self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
         self.cache: Dict = {}  # shared memo space for the layers above
@@ -827,18 +792,33 @@ class ModuleUniverse:
         self.certificate["closed_under_radical_and_socle_quotients"] = \
             c.closed_under_radical_and_socle_quotients
 
+    @property
+    def hom(self) -> List[List[int]]:
+        """hom[i][j] = dim Hom(M_i, M_j), filled with ``ext`` on the first
+        read of either."""
+        if self._hom is None:
+            self._build_tables()
+        return self._hom
+
+    @property
+    def ext(self) -> List[List[int]]:
+        """ext[i][j] = dim Ext^1(M_i, M_j), filled with ``hom`` on the first
+        read of either."""
+        if self._ext is None:
+            self._build_tables()
+        return self._ext
+
     def _build_tables(self):
-        """The hom and Ext tables, filled in place of their stand-ins
-        (``_TableOnFirstRead``) on the first read of either: hom[i][j] =
-        dim Hom(M_i, M_j) and ext[i][j] = dim Ext^1(M_i, M_j), the Ext row
-        of M_i from the syzygy of its minimal presentation, or of its cover
-        for a projective.  A build whose caller reads neither, as
-        ``inspect`` does, never computes them."""
+        """The hom and Ext tables, the Ext row of M_i from the syzygy of its
+        minimal presentation; a projective gets its presentation, whose
+        syzygy is zero, only now.  A build whose caller reads neither
+        table, as ``inspect`` does, never computes them."""
         mods = self.modules
-        ext_from = [Ext1From(m, p) for m, p in zip(mods, self._pres)]
-        self.hom = [[hom_dim(m, n) for n in mods] for m in mods]
-        self.ext = [[e.dim(n, h) for n, h in zip(mods, row)]
-                    for e, row in zip(ext_from, self.hom)]
+        ext_from = [Ext1From(m, min_presentation(m) if p is None else p)
+                    for m, p in zip(mods, self._pres)]
+        self._hom = [[hom_dim(m, n) for n in mods] for m in mods]
+        self._ext = [[e.dim(n, h) for n, h in zip(mods, row)]
+                     for e, row in zip(ext_from, self._hom)]
         del self._pres
 
     # ------------------------------------------------------------------

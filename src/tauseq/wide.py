@@ -124,11 +124,7 @@ def _context(u: ModuleUniverse, mask: int,
     ctx = cache.get(mask)
     if ctx is None:
         ids = ids_of(mask)
-        if mask == _full(u):
-            # the relative projectives of the whole category are the projectives
-            rel = tuple(sorted(u.proj_of_vertex))
-        else:
-            rel = rel_ext_projectives(u, ids)
+        rel = rel_ext_projectives(u, ids)
         ctx = cache[mask] = Context(frozenset(ids), rel, len(rel), mask)
     if expected_rank is not None and ctx.rank != expected_rank:
         raise RankMismatch("wide subcategory has %d relative projectives, expected "

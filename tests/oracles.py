@@ -9,18 +9,18 @@ reachable from the package, the command line or the benchmark.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tauseq import linalg
-from tauseq.ar import Ext1From, extension_cocycle_space, tau
+from tauseq.ar import Ext1From, almost_split_middle, extension_cocycle_space, tau
 from tauseq.decompose import AlgebraCore, indecomposable_parts, is_isomorphic
 from tauseq.errors import Mismatch, NotTauRigid
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, RepMorphism, hom_dim, kernel, min_presentation, projective_cover,
-    quotient, submodule_from_spans, trace,
+    Presentation, Rep, RepMorphism, arrow_ideals, hom_dim, kernel, min_presentation,
+    projective_cover, quotient, submodule_from_spans, trace,
 )
-from tauseq.quiver import BoundQuiverAlgebra
+from tauseq.quiver import BoundQuiverAlgebra, Quiver
 from tauseq.universe import (
     SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj,
 )
@@ -135,6 +135,32 @@ def eager_tables(u: ModuleUniverse) -> Tuple[List[List[int]], List[List[int]]]:
     ext = [[ext_from[i].dim(mods[j], hom[i][j]) for j in range(len(mods))]
            for i in range(len(mods))]
     return hom, ext
+
+
+def meshes(u: ModuleUniverse) -> List[Tuple[Optional[int], List[int], int]]:
+    """One mesh per indecomposable X, as ids (tau X, the summands of E, X):
+    the almost split sequence 0 -> tau X -> E -> X -> 0 for a non-projective
+    X, its middle split by ``identify_parts``, and rad P(v) -> P(v) for
+    X = P(v), with no tau X and the arrow ideals as the summands of E."""
+    vertex_of = {x: v for v, x in enumerate(u.proj_of_vertex)}
+    out = []
+    for x, m in enumerate(u.modules):
+        if x in vertex_of:
+            middle = sorted(u.identify(i) for i in arrow_ideals(u.algebra, vertex_of[x]))
+            out.append((None, middle, x))
+        else:
+            t = u.tau_of[x]
+            out.append((t, u.identify_parts(almost_split_middle(m, u.modules[t])), x))
+    return out
+
+
+def mesh_violations(mesh_list, hom: List[List[int]]) -> List[Tuple[int, int]]:
+    """The pairs (M, X) that break Auslander's defect formula
+    dim Hom(M, tau X) - dim Hom(M, E) + dim Hom(M, X) = [M = X] in the hom
+    table, for End X / rad End X = k."""
+    return [(m, x) for t, middle, x in mesh_list for m in range(len(hom))
+            if (hom[m][t] if t is not None else 0) - sum(hom[m][e] for e in middle)
+            + hom[m][x] != (m == x)]
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +306,37 @@ def image(f_mor: RepMorphism) -> Tuple[Rep, RepMorphism, RepMorphism]:
         maps.append(sol)
     onto = RepMorphism(f_mor.source, img, maps, validate=False)
     return img, incl, onto
+
+
+# --------------------------------------------------------------------------
+# the path basis
+# --------------------------------------------------------------------------
+
+def alive_words(quiver: Quiver, relations: Sequence[Sequence[str]]):
+    """The nonempty paths that contain no relation, as tuples of arrow
+    indices, or None when there are infinitely many: the words are extended
+    one arrow at a time, breadth first, and the family is infinite when
+    some word longer than n a^(R-1) + R - 2 is alive, n the vertices, a the
+    arrows and R the longest relation.  Such a word repeats a state (end
+    vertex, last R-1 arrows) that decides every extension, so its loop
+    between the repeats can be pumped; with a^(R-1) such states, n when
+    R = 1, no word of a finite family is that long."""
+    rels = [tuple(quiver.arrow_index(a) for a in r) for r in relations]
+    longest = max((len(r) for r in rels), default=1)
+    bound = quiver.num_vertices * len(quiver.arrows) ** (longest - 1) + longest - 2
+    words: List[Tuple[int, ...]] = []
+    level = [(a,) for a in range(len(quiver.arrows))]
+    while level:
+        if len(level[0]) > bound:
+            return None
+        words += level
+        level = [w + (a,) for w in level for a in quiver.arrows_from(quiver.arrows[w[-1]].target)
+                 if not any(_contains(w + (a,), r) for r in rels)]
+    return words
+
+
+def _contains(word: Tuple[int, ...], sub: Tuple[int, ...]) -> bool:
+    return any(word[i:i + len(sub)] == sub for i in range(len(word) - len(sub) + 1))
 
 
 def structurally_equal(a: BoundQuiverAlgebra, b: BoundQuiverAlgebra) -> bool:

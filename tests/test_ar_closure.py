@@ -33,7 +33,7 @@ from tauseq.linalg import Mat, inverse
 from tauseq.modules import Rep, direct_sum, dualize, min_presentation, projective, simple
 from tauseq.quiver import Quiver, build_algebra, opposite
 from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse
-from oracles import closed_with_every_middle, socle_spans
+from oracles import closed_with_every_middle, presentation_by_covers, socle_spans
 from test_wide import _linear, _loop_rad2, _nakayama2
 
 BENCH_ALGEBRAS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras")
@@ -386,6 +386,23 @@ def _spy_on(monkeypatch, original, spy):
             monkeypatch.setattr(mod, original.__name__, spy)
 
 
+@pytest.mark.parametrize("name", ["a3", "a5", "nakayama2_rad3"])
+def test_no_library_path_reaches_the_cover_route(name, monkeypatch):
+    # the Ext rows and the projectivity test read the minimal presentation;
+    # the projective cover and the kernel module stay for the oracles
+    calls = []
+    for original in (modules.projective_cover, modules.kernel):
+        def spy(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        _spy_on(monkeypatch, original, spy)
+    u = ModuleUniverse(ORACLE_ALGEBRAS[name]())
+    assert len(u.ext) == len(u.modules)
+    assert verify.suite_enumeration(u).ok
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["a5", "kronecker_2"])
 def test_a_cold_build_builds_no_translate_and_reads_injectivity_off_the_socle(name,
                                                                              monkeypatch):
@@ -448,7 +465,10 @@ def test_the_top_test_of_projectivity_matches_the_cover(name):
         u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
     vertices = [universe._projective_vertex(m) for m in u.modules]
     flags = [v is not None for v in vertices]
-    assert flags == [ar.is_projective_rep(m) for m in u.modules]
+    # the syzygy of the cover is zero; the library reads the same off its
+    # minimal presentation (``ar.is_projective_rep``)
+    assert flags == [not presentation_by_covers(m).p1_vertices for m in u.modules] == \
+        [ar.is_projective_rep(m) for m in u.modules]
     assert any(flags) and not all(flags)
     assert all(is_isomorphic(m, projective(u.algebra, v))
                for m, v in zip(u.modules, vertices) if v is not None)
@@ -571,7 +591,7 @@ def test_the_refused_keys_match_the_closure_without_any_one_module(build):
 def test_ext_rows_from_a_presentation_match_those_from_a_cover():
     u = ModuleUniverse(_linear(4))
     for m in u.modules:
-        given, own = Ext1From(m, min_presentation(m)), Ext1From(m)
+        given, own = Ext1From(m, min_presentation(m)), Ext1From(m, presentation_by_covers(m))
         assert list(given.top) == list(own.top)
         assert given.syzygy.dims == own.syzygy.dims
         assert [given.dim(n) for n in u.modules] == [own.dim(n) for n in u.modules]

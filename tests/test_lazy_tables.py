@@ -4,9 +4,9 @@
 projective and injective flags and the certificate.  So a cold build
 followed by ``cli.algebra_summary`` solves no hom space outside the sweep but
 Hom(X, tau X) for each module whose tau was found, and no Ext row.  The hom
-and Ext tables are filled on their first read and are plain lists on the
-universe from then on.  The oracle is the eager loop every build once ran
-(``oracles.eager_tables``), on every corpus file that builds certified.
+and Ext tables are properties that fill both on the first read of either.
+The oracle is the eager loop every build once ran (``oracles.eager_tables``),
+on every corpus file that builds certified.
 """
 
 import glob
@@ -27,8 +27,8 @@ FILES = sorted(path for path in glob.glob(os.path.join(ROOT, "algebras", "*.json
 
 
 def _filled(u):
-    """Whether hom and ext are plain lists on the universe."""
-    return type(u.hom) is list and type(u.ext) is list
+    """Whether the hom and Ext tables behind the properties are filled."""
+    return u._hom is not None and u._ext is not None
 
 
 def test_the_corpus_is_covered():

@@ -5,9 +5,9 @@ rad P(v) is the sum of the arrow ideals aA, I(v) / soc I(v) the sum of the
 duals of the opposite algebra's arrow ideals at v, and the one presentation
 routine presents S_v by the sum of P(t a) -> P(v), with no special case.
 dim Ext^1(S_v, M) follows from the minimal zero paths.  The oracles are the
-routes the build took before: the projective cover and its kernel, Ext1From
-on that syzygy, the presentation by covers, and indecomposable_parts of
-rad P and of I / soc I.
+routes the build took before: the presentation by covers, the projective
+cover and its kernel, with Ext1From on its syzygy, and indecomposable_parts
+of rad P and of I / soc I.
 """
 
 import functools
@@ -76,7 +76,8 @@ def test_the_ext_of_a_simple_read_off_the_paths_matches_its_syzygy(name):
     targets = list(u.modules) + [direct_sum([a, b])[0] for a, b in
                                  itertools.combinations_with_replacement(u.modules, 2)]
     for v in range(u.n):
-        oracle = Ext1From(simple(u.algebra, v))
+        s = simple(u.algebra, v)
+        oracle = Ext1From(s, presentation_by_covers(s))
         assert [simple_ext_dim(u.algebra, v, m) for m in targets] == \
             [oracle.dim(m) for m in targets], v
 
