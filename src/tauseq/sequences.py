@@ -5,6 +5,11 @@ sequence of length L over an algebra of rank n occupies positions
 n-L+1, ..., n, and mutation indices are the absolute positions, matching the
 usual indexing of complete sequences by 1..n.
 
+A sequence is omega of a TF-ordered tau-rigid module (Buan-Marsh).
+``tf_orderings`` walks the orderings of a rigid set entry by entry, and
+``omega`` reads TF-ness off the reduction: E_T(X) is shifted exactly when X
+lies in Gen T.
+
 Mutation is computed per pair context: all pairs of a context are grouped by
 their perpendicular subcategory, the left formula is evaluated on every
 left-regular pair, and in each group the (at most one) remaining pair is
@@ -22,7 +27,6 @@ is built once and is plain data; it is checked by whoever applies it (the
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from tauseq.emap import engine_for
@@ -44,30 +48,28 @@ Pair = Tuple[int, int]
 # orderings and the correspondence with sequences
 # --------------------------------------------------------------------------
 
-def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:
-    """No entry is generated by the ones after it (and the sum is rigid)."""
-    ids = tuple(ids)
-    if len(set(ids)) != len(ids):
-        return False
-    if not rel_tau_rigid(u, ambient_context(u), ids):
-        return False
-    for i in range(len(ids) - 1):
-        if gen_mask(u, ids[i + 1:]) >> ids[i] & 1:
-            return False
-    return True
-
-
 def tf_orderings(u: ModuleUniverse, ids: Sequence[int]) -> List[Tuple[int, ...]]:
-    """The TF-ordered permutations of a rigid set, in itertools.permutations
-    order."""
-    return [perm for perm in itertools.permutations(ids) if is_tf_ordered(u, perm)]
+    """The TF-orderings of a basic tau-rigid set, in itertools.permutations
+    order, walked left to right: an entry may come next exactly when the
+    entries still to place do not generate it.  The callers take the set
+    from the rigid list, so its rigidity is not tested again."""
+    ids = tuple(ids)
+    if not ids:
+        return [()]
+    out = []
+    for k, x in enumerate(ids):
+        rest = ids[:k] + ids[k + 1:]
+        if not gen_mask(u, rest) >> x & 1:
+            out.extend((x,) + tail for tail in tf_orderings(u, rest))
+    return out
 
 
 def omega(u: ModuleUniverse, tf: Sequence[int]) -> Seq:
     """The sequence attached to an ordered rigid module: each entry is the
-    reduction of itself against the sum of its successors."""
-    if not is_tf_ordered(u, tf):
-        raise NotTFOrdered("%r is not TF-ordered" % (list(tf),))
+    reduction of itself against the sum of its successors.  A reduction is
+    shifted exactly when the entry is generated by its successors, so the
+    first shifted one raises NotTFOrdered; E's compatibility test raises
+    Incompatible on a sum that is not basic and tau-rigid."""
     ctx = ambient_context(u)
     e = engine_for(u)
     out = []
@@ -75,7 +77,7 @@ def omega(u: ModuleUniverse, tf: Sequence[int]) -> Seq:
         t = StrObj.make(tf[i + 1:])
         y = e.e_map(ctx, t, StrIndec(tf[i], 0))
         if y.shift:
-            raise Mismatch("omega produced a shifted object")
+            raise NotTFOrdered("%r is not TF-ordered" % (list(tf),))
         out.append(y.mod)
     return tuple(out)
 
@@ -107,33 +109,9 @@ def tail_context(u: ModuleUniverse, tail: Seq) -> Context:
 # pairs, regularity, and the mutation tables
 # --------------------------------------------------------------------------
 
-def enumerate_pairs(u: ModuleUniverse, ctx: Context) -> List[Pair]:
-    cache = u.cache.setdefault("pairs", {})
-    if ctx.members in cache:
-        return cache[ctx.members]
-    out = []
-    for c in rel_str_indecs(u, ctx):
-        if c.shift:
-            continue
-        sub = context_of(u, ctx, StrObj.make([c.mod]))
-        for b in rel_str_indecs(u, sub):
-            if b.shift == 0:
-                out.append((b.mod, c.mod))
-    cache[ctx.members] = out
-    return out
-
-
-def pair_cell(u: ModuleUniverse, ctx: Context, pair: Pair) -> FrozenSet[int]:
-    sub = context_of(u, ctx, StrObj.make([pair[1]]))
-    return context_of(u, sub, StrObj.make([pair[0]])).members
-
-
 def regularity(u: ModuleUniverse, ctx: Context, pair: Pair) -> Tuple[bool, bool]:
-    """(left regular, right regular) for a pair in the given context."""
+    """(left regular, right regular) for a pair its mutation table lists."""
     b, c = pair
-    if pair not in enumerate_pairs(u, ctx):
-        raise NotAPair("%s is not a pair in the context"
-                       % (tuple(u.labels[i] for i in pair),))
     lifted = engine_for(u).e_inverse(ctx, StrObj.make([c]), StrIndec(b, 0))
     if lifted.shift:
         raise Mismatch("module should lift to a module")
@@ -179,15 +157,25 @@ def _right_formula(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
 
 
 class MutationTable:
-    """The left and right mutation bijections on all pairs of one context."""
+    """The left and right mutation bijections on all pairs of one context.
+
+    It holds the context's one list of pairs (B, C), C relatively rigid and
+    B relatively rigid in J(C), grouped into cells by J(B) inside J(C)."""
 
     def __init__(self, u: ModuleUniverse, ctx: Context):
         self.u = u
         self.ctx = ctx
-        self.pairs = enumerate_pairs(u, ctx)
+        self.pairs: List[Pair] = []
         self.cells: Dict[FrozenSet[int], List[Pair]] = {}
-        for p in self.pairs:
-            self.cells.setdefault(pair_cell(u, ctx, p), []).append(p)
+        for c in rel_str_indecs(u, ctx):
+            if c.shift:
+                continue
+            sub = context_of(u, ctx, StrObj.make([c.mod]))
+            for b in rel_str_indecs(u, sub):
+                if b.shift == 0:
+                    cell = context_of(u, sub, StrObj.make([b.mod])).members
+                    self.pairs.append((b.mod, c.mod))
+                    self.cells.setdefault(cell, []).append((b.mod, c.mod))
         self.phi: Dict[Pair, Pair] = {}
         self.psi: Dict[Pair, Pair] = {}
         self.left_irregular: List[Pair] = []
@@ -377,18 +365,23 @@ def _insertion(tf: Sequence[int], from_pos: int, to_slot: int) -> Tuple[int, ...
 
 
 def _walk_left(u: ModuleUniverse, seq: Seq, tf: Tuple[int, ...], p: int,
-               stop: int, steps: List) -> Tuple[Seq, Tuple[int, ...]]:
-    """Move entry p of tf, the preimage ordering of seq, leftward to
+               stop: int, steps: List) -> Tuple[Seq, Tuple[int, ...], int]:
+    """Move entry p of tf, the preimage ordering of seq, leftward toward
     position stop by adjacent transpositions between valid orderings,
-    appending their words to steps; returns the sequence and ordering."""
+    appending their words to steps, until it is there or the next move
+    would break the ordering, which omega reports; returns the sequence,
+    the ordering and the position reached."""
     k = first_position(u, seq)
     while p > stop:
         swapped = _insertion(tf, p, p - 1)
-        target = omega(u, swapped)
+        try:
+            target = omega(u, swapped)
+        except NotTFOrdered:
+            break
         steps.extend(transposition_word(u, seq, k + p - 1, target).steps)
         seq, tf = target, swapped
         p -= 1
-    return seq, tf
+    return seq, tf, p
 
 
 def normalize(u: ModuleUniverse, seq: Seq,
@@ -398,10 +391,10 @@ def normalize(u: ModuleUniverse, seq: Seq,
     Loop: take the ordered preimage; if its sum is gen-minimal, stop.
     Otherwise pick a non-split Ext-projective entry, move it leftward by
     single-position transpositions to the last slot where inserting it
-    breaks the ordering, and apply one left mutation there.  Each round
-    strictly enlarges the torsion class of the sequence, which bounds the
-    number of rounds by the number of torsion classes, counted from the
-    tables as support tau-tilting objects.
+    breaks the ordering, which omega reports, and apply one left mutation
+    there.  Each round strictly enlarges the torsion class of the sequence,
+    which bounds the number of rounds by the number of torsion classes,
+    counted from the tables as support tau-tilting objects.
 
     When a list is passed as ``trace`` it receives the indecomposable member
     set of the torsion class after every round.
@@ -420,14 +413,13 @@ def normalize(u: ModuleUniverse, seq: Seq,
         if not candidates:
             raise Mismatch("no non-split projective entry in a non-minimal sum")
         r_pos = min(candidates, key=lambda pos: tf[pos])
-        bad_slots = [t for t in range(r_pos)
-                     if not is_tf_ordered(u, _insertion(tf, r_pos, t))]
-        if not bad_slots:
+        # every insertion strictly right of s0, the last slot that breaks
+        # the ordering, keeps it, so each adjacent move is a transposition
+        # between two valid orderings
+        cur, _, p = _walk_left(u, cur, tf, r_pos, 0, steps)
+        if p == 0:
             raise Mismatch("expected a non-ordered insertion slot")
-        s0 = max(bad_slots)
-        # every insertion strictly right of s0 keeps the ordering, so each
-        # adjacent move is a transposition between two valid orderings
-        cur, _ = _walk_left(u, cur, tf, r_pos, s0 + 1, steps)
+        s0 = p - 1
         index = first_position(u, cur) + s0
         cur = mutate(u, cur, "phi", index)
         steps.append(("phi", index, 1))
@@ -451,7 +443,7 @@ def bridge(u: ModuleUniverse, n1: Seq, n2: Seq) -> List[Tuple[str, int, int]]:
     steps: List[Tuple[str, int, int]] = []
     cur, tf = n1, tf1
     for pos, want in enumerate(tf2):
-        cur, tf = _walk_left(u, cur, tf, tf.index(want), pos, steps)
+        cur, tf, _ = _walk_left(u, cur, tf, tf.index(want), pos, steps)
     if cur != n2:
         raise Mismatch("bridge did not reach the second normal form")
     return steps
@@ -476,9 +468,10 @@ def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
 
 def enumerate_tau_es(u: ModuleUniverse, w_members: FrozenSet[int]) -> List[Seq]:
     """All sequences whose perpendicular subcategory is the given one, by
-    running the TF-orderings of the rigid modules with that J through omega.
-    The rigid modules over each J are read off the universe's index
-    (``wide.rigid_index``), which computes J once per rigid module."""
+    running the TF-orderings of the rigid modules with that J through omega,
+    once per walked ordering.  The rigid modules over each J are read off
+    the universe's index (``wide.rigid_index``), which computes J once per
+    rigid module."""
     out = []
     for subset in rigid_index(u).over.get(w_members, ()):
         out.extend(omega(u, perm) for perm in tf_orderings(u, subset))

@@ -2,7 +2,8 @@
 
 The enumeration builds every indecomposable as the middle of an extension of
 a simple S by a direct sum U of found modules, one total dimension layer at a
-time.  It walks the combinations of a cocycle basis with coefficients in
+time, from one cocycle basis per (simple, found module), since the cocycles
+split by summand of U.  It walks their combinations with coefficients in
 {0, 1, -1} in product order, but builds one middle per extension class up to
 scaling each summand of U (``_new_class_tuples``): a class that is zero
 against some summand splits the middle, scaling a summand is an automorphism
@@ -412,31 +413,28 @@ def _tau_periodic(tau_of: Sequence[Optional[int]], i: int) -> bool:
 SWEEP_COEFFS = (0, 1, -1)
 
 
-def _summand_classes(parts: List[Rep], forms: List[Mat],
-                     cocycles: List[List[Mat]]) -> List[List[tuple]]:
-    """images[k][i]: the class of cocycles[k], a cocycle of a simple S by the
-    direct sum of the parts, against parts[i]; that is, the rows of the
-    cocycle at parts[i] in forms[i] coordinates of Ext^1(S, parts[i])."""
-    q = parts[0].algebra.quiver
-    f = parts[0].algebra.field
-    starts = []
-    offset = [0] * q.num_vertices
-    for p in parts:
-        starts.append(offset)
-        offset = [o + d for o, d in zip(offset, p.dims)]
-    images = []
-    for cocycle in cocycles:
-        classes = []
-        for p, start, fm in zip(parts, starts, forms):
-            flat = []
-            for ar, blk in zip(q.arrows, cocycle):
-                lo = start[ar.target]
-                for row in blk.data[lo:lo + p.dims[ar.target]]:
-                    flat.extend(row)
-            classes.append(tuple(f.coerce(sum(a * b for a, b in zip(frow, flat)))
-                                 for frow in fm.data))
-        images.append(classes)
-    return images
+def _sum_cocycles(s: Rep, parts: List[Rep], bases: List[tuple]
+                  ) -> Tuple[List[List[Mat]], List[List[tuple]]]:
+    """The basis of Z^1(S, U) that ``extension_cocycle_space`` gives, U the
+    block sum of the parts, and images[k][i], the class of its vector k
+    against parts[i], from bases[i] = (cocycles, classes, free unknowns) of
+    (S, parts[i]).  S is simple, so the relations split by summand and the
+    unique reduced echelon form of the sum is the union of the summands'
+    ones; so is the kernel basis, each vector in the place of its free
+    unknown, by (arrow, summand position, row, column)."""
+    f = s.algebra.field
+    arrows = s.algebra.quiver.arrows
+    placed = sorted((ai, pos, j, k) for pos, (_, _, free) in enumerate(bases)
+                    for k, (ai, j) in enumerate(free))
+    cocycles, images = [], []
+    for _, pos, _, k in placed:
+        own, own_classes, _ = bases[pos]
+        cocycles.append([linalg.block_diag(f, [
+            own[k][ai] if i == pos else Mat.zeros(f, p.dims[ar.target], 0)
+            for i, p in enumerate(parts)]) for ai, ar in enumerate(arrows)])
+        images.append([own_classes[k] if i == pos else (f.zero,) * len(classes[0])
+                       for i, (_, classes, _) in enumerate(bases)])
+    return cocycles, images
 
 
 def _class_key(p: int, vec: list) -> Optional[tuple]:
@@ -466,7 +464,7 @@ def _new_class_tuples(field, images: List[List[tuple]]) -> Iterator[Tuple[int, .
     whose combination of the basis cocycles can give a new indecomposable.
 
     images[k][i] is the class of basis cocycle k against summand U_i of U
-    (``_summand_classes``).  A tuple is dropped when its class against some
+    (``_sum_cocycles``).  A tuple is dropped when its class against some
     U_i is zero, since U_i then splits off the middle, or when its classes
     equal those of an earlier tuple up to one nonzero scalar per summand:
     scaling U_i is an automorphism of U and adding a coboundary changes no
@@ -624,9 +622,10 @@ class ModuleUniverse:
 
         For each simple S and each bounded multiset of found modules with
         direct sum U, it takes a basis of the cocycles Z^1(S, U) and walks
-        its {0, +-1} combinations in product order.  Each combination is
-        read against every summand U_i as a class in Ext^1(S, U_i), through
-        forms computed once per (simple, found module) whose rank must be
+        its {0, +-1} combinations in product order.  That basis and each
+        vector's class against every summand U_i, in Ext^1(S, U_i), are
+        assembled (``_sum_cocycles``) from one basis per (simple, found
+        module) and its classes, read through forms whose rank must be
         dim Ext^1(S, U_i); only the first combination of each class, up to
         one scalar per summand and with no zero component, is built and
         tested.
@@ -661,7 +660,7 @@ class ModuleUniverse:
         # U, with multiplicity at most dim Ext^1(S, that summand).
         simples = [simple(algebra, v) for v in range(self.n)]
         ext_cache: Dict[Tuple[int, int], int] = {}
-        forms_cache: Dict[Tuple[int, int], Mat] = {}
+        basis_cache: Dict[Tuple[int, int], tuple] = {}
 
         def ext_to(sv: int, idx: int) -> int:
             key = (sv, idx)
@@ -669,14 +668,13 @@ class ModuleUniverse:
                 ext_cache[key] = simple_ext_dim(algebra, sv, found[idx])
             return ext_cache[key]
 
-        def forms_to(sv: int, idx: int, space=None) -> Mat:
-            # ext_to(sv, idx) linear forms on the flattened cocycles of
-            # (S_sv, found[idx]) whose common kernel on Z^1 is B^1, chosen
-            # among class_forms(B^1); space is extension_cocycle_space of
-            # the pair when the caller already has it
+        def cocycles_to(sv: int, idx: int) -> tuple:
+            # a basis of Z^1(S_sv, found[idx]), each vector's class under
+            # ext_to(sv, idx) forms among class_forms(B^1) whose common
+            # kernel on Z^1 is B^1, and each vector's free unknown
             key = (sv, idx)
-            if key not in forms_cache:
-                cocycles, cob = space or extension_cocycle_space(simples[sv], found[idx])
+            if key not in basis_cache:
+                cocycles, cob = extension_cocycle_space(simples[sv], found[idx])
                 forms = class_forms(cob)
                 images = forms.mul(linalg.from_columns(
                     self.field, forms.cols, [flat_cocycle(c) for c in cocycles]))
@@ -685,9 +683,14 @@ class ModuleUniverse:
                     raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the paths"
                                    % (sv + 1, found[idx].dims, len(independent),
                                       ext_to(sv, idx)))
-                forms_cache[key] = Mat.trusted(self.field, len(independent), forms.cols,
-                                               [forms.data[r] for r in independent])
-            return forms_cache[key]
+                classes = [tuple(images.data[r][k] for r in independent)
+                           for k in range(len(cocycles))]
+                # solve_kernel's last nonzero entry: (arrow, row-major place)
+                free = [max((ai, j) for ai, blk in enumerate(c)
+                            for j, x in enumerate(itertools.chain(*blk.data)) if x != 0)
+                        for c in cocycles]
+                basis_cache[key] = (cocycles, classes, free)
+            return basis_cache[key]
 
         closure = None
         try:
@@ -709,16 +712,13 @@ class ModuleUniverse:
                         u = parts[0] if len(parts) == 1 else block_sum(parts)
                         if not _dims_leq([a + b for a, b in zip(u.dims, s.dims)], cap):
                             continue
-                        cocycles, cob = extension_cocycle_space(s, u)
-                        e = len(cocycles)
-                        if e == 0:
-                            continue
+                        # every summand has Ext^1(S, U_i) != 0, so e > 0
+                        bases = [cocycles_to(sv, idx) for idx in combo]
+                        e = sum(len(b[0]) for b in bases)
                         if e > _Budget.MAX_COCYCLE_BASIS:
                             raise _GuardAbort("extension space of dimension %d "
                                               "exceeds the sweep guard" % e)
-                        reuse = (cocycles, cob) if len(combo) == 1 else None
-                        images = _summand_classes(
-                            parts, [forms_to(sv, idx, reuse) for idx in combo], cocycles)
+                        cocycles, images = _sum_cocycles(s, parts, bases)
                         # every middle has total dimension t, so a proper
                         # summand is never new: test it, do not decompose it
                         for coeffs in _new_class_tuples(self.field, images):

@@ -32,11 +32,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from tauseq.ar import is_injective_rep, tau_hom_dim
 from tauseq.emap import engine_for
-from tauseq.errors import TauSeqError
+from tauseq.errors import NotTFOrdered, TauSeqError
 from tauseq.modules import min_presentation
 from tauseq.sequences import (
     apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
-    first_position, is_gen_minimal, is_tf_ordered, mutate, mutation_graph,
+    first_position, is_gen_minimal, mutate, mutation_graph,
     mutation_table, normalize, omega, omega_inverse, tail_context,
     tf_orderings, transposition_word,
 )
@@ -249,7 +249,8 @@ def suite_bijections(u: ModuleUniverse) -> SuiteReport:
             gen_eq, perp_eq, j_eq = votes
             two_imply_third = not (sum(votes) == 2)
             all_iff_equal = (all(votes) == (a == b))
-            rigid_unique.count(two_imply_third and all_iff_equal,
+            ok = two_imply_third and all_iff_equal
+            rigid_unique.count(ok, None if ok else
                                {"a": _labels(u, a), "b": _labels(u, b),
                                 "gen": gen_eq, "perp": perp_eq, "j": j_eq})
 
@@ -570,9 +571,10 @@ def _check_serre_chain(u: ModuleUniverse, v_mod: int, u_mod: int) -> bool:
     end at the sequence of (U, V).  Each Gen is a torsion class, so a chain
     that descends strictly has at most as many steps as there are support
     tau-tilting objects."""
-    if not is_tf_ordered(u, (v_mod, u_mod)):
+    try:
+        seq = omega(u, (v_mod, u_mod))
+    except NotTFOrdered:
         return True  # not an ordering; nothing to trace
-    seq = omega(u, (v_mod, u_mod))
     target = omega(u, (u_mod, v_mod))
     k = first_position(u, seq)
     prev_gen = None

@@ -236,6 +236,22 @@ def indec_compatible(u: ModuleUniverse, x: StrIndec, y: StrIndec) -> bool:
     return u.tau_hom_vanishes(x.mod, y.mod) and u.tau_hom_vanishes(y.mod, x.mod)
 
 
+def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:
+    """The definition, checked whole: the entries are distinct, their sum
+    is tau-rigid, and no entry is generated by the ones after it.  The
+    library walks the orderings of a rigid set (``tf_orderings``) and reads
+    TF-ness off the reduction (``omega``)."""
+    ids = tuple(ids)
+    if len(set(ids)) != len(ids):
+        return False
+    if not rel_tau_rigid(u, ambient_context(u), ids):
+        return False
+    for i in range(len(ids) - 1):
+        if gen_mask(u, ids[i + 1:]) >> ids[i] & 1:
+            return False
+    return True
+
+
 # --------------------------------------------------------------------------
 # module-level routes: tau-rigidity, Ext, decomposition, images
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from tauseq.emap import engine_for
 from tauseq.sequences import (
     apply_steps, enumerate_tau_es, enumerate_tau_es_recursive, first_position,
-    is_tf_ordered, mutation_graph, mutation_table, normalize, omega,
+    mutation_graph, mutation_table, normalize, omega,
     transitivity_path, transposition_word,
 )
 from tauseq.universe import ModuleUniverse, StrObj
@@ -22,6 +22,7 @@ from tauseq.verify import run_suites, suite_emap, suite_transitivity
 from tauseq.wide import (
     all_torsion_classes, ambient_context, context_of, rel_str_indecs,
 )
+from oracles import is_tf_ordered
 
 
 @pytest.fixture(scope="module")

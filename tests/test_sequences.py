@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 from collections import Counter
@@ -7,22 +8,23 @@ import pytest
 from tauseq import modules, wide
 from tauseq.cli import load_algebra_file
 from tauseq.errors import (
-    DifferentJ, IndexOutOfRange, Mismatch, NotTauRigid, NotTFOrdered,
+    DifferentJ, Incompatible, IndexOutOfRange, Mismatch, NotTauRigid, NotTFOrdered,
 )
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
 from tauseq import sequences
 from tauseq.sequences import (
     apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
-    first_position, is_gen_minimal, is_tf_ordered, mutate, mutation_distance,
+    first_position, is_gen_minimal, mutate, mutation_distance,
     mutation_graph, mutation_table, normalize, omega, omega_inverse, regularity,
-    tail_context, transitivity_path, transposition_word,
+    tail_context, tf_orderings, transitivity_path, transposition_word,
 )
 from tauseq.universe import ModuleUniverse, StrObj
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context, j_in_context,
     rigid_j,
 )
+from oracles import is_tf_ordered
 
 HERE = os.path.dirname(__file__)
 
@@ -62,6 +64,38 @@ def test_omega_a2(u2):
     assert omega(u2, (s2,)) == (s2,)
     with pytest.raises(NotTFOrdered):
         omega(u2, (s1, p1))
+
+
+def test_omega_of_a_non_basic_or_non_rigid_ordering_is_incompatible(u2):
+    # omega has no TF pass of its own: the first reduction's compatibility
+    # test rejects the sum before any reduction is read
+    s1, s2, p1 = ids(u2, "S1", "S2", "P1")
+    with pytest.raises(Incompatible):
+        omega(u2, (s1, s2))  # the sum is not rigid
+    with pytest.raises(Incompatible):
+        omega(u2, (p1, p1))  # not basic
+
+
+TF_FILES = ["algebras/a2.json", "algebras/a3.json", "algebras/a3rad2.json",
+            "perfbench/algebras/a3rad2_gf3.json", "perfbench/algebras/nakayama2_rad2.json",
+            "perfbench/algebras/a4.json", "algebras/d4.json", "perfbench/algebras/a5.json"]
+
+
+@pytest.mark.parametrize("path", TF_FILES)
+def test_tf_orderings_and_omega_match_the_definition(path):
+    # on every rigid set, the walk lists exactly the permutations that the
+    # whole-ordering definition accepts, in itertools.permutations order,
+    # and omega raises NotTFOrdered exactly on the others
+    u = ModuleUniverse(_algebra_file(*path.split("/")))
+    for rigid in u.all_tau_rigid_subsets():
+        perms = list(itertools.permutations(rigid))
+        assert tf_orderings(u, rigid) == [p for p in perms if is_tf_ordered(u, p)]
+        for p in perms:
+            if is_tf_ordered(u, p):
+                assert omega_inverse(u, omega(u, p)) == p
+            else:
+                with pytest.raises(NotTFOrdered):
+                    omega(u, p)
 
 
 def test_omega_inverse_round_trip(u2):

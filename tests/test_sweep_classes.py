@@ -24,7 +24,7 @@ from tauseq.cli import load_algebra_file
 from tauseq.decompose import is_indecomposable, is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
-from tauseq.modules import direct_sum, projective, simple
+from tauseq.modules import block_sum, direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse, _new_class_tuples
 from oracles import new_class_tuples_by_product
@@ -91,6 +91,35 @@ def test_kronecker_refusal_tests_few_middles(monkeypatch):
     assert not u.certified
     # the full product sweep tests 556 middles
     assert len(calls) <= 100
+
+
+SCALE = os.path.join(ROOT, "algebras", "scale")
+BASIS_CASES = dict(CASES)
+BASIS_CASES["e6"] = (lambda: load_algebra_file(os.path.join(SCALE, "e6.json")), (4,) * 6)
+BASIS_CASES["d5"] = (lambda: load_algebra_file(os.path.join(SCALE, "d5.json")), None)
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_CASES))
+def test_assembled_cocycle_basis_is_the_block_sum_basis(name, monkeypatch):
+    # the sweep assembles the basis of Z^1(S, U) from one basis per summand;
+    # on every combination it visits, that is the basis the block sum's own
+    # solve gives, matrix for matrix and in the same order
+    build, bound = BASIS_CASES[name]
+    seen = []
+    assemble = universe_mod._sum_cocycles
+
+    def spy(s, parts, bases):
+        cocycles, images = assemble(s, parts, bases)
+        seen.append((s, list(parts), cocycles))
+        return cocycles, images
+
+    monkeypatch.setattr(universe_mod, "_sum_cocycles", spy)
+    ModuleUniverse(build(), bound, require_certificate=False)
+    monkeypatch.undo()
+    assert seen
+    for s, parts, cocycles in seen:
+        u = parts[0] if len(parts) == 1 else block_sum(parts)
+        assert cocycles == extension_cocycle_space(s, u)[0]
 
 
 @pytest.mark.parametrize("characteristic", [0, 3])
