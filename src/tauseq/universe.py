@@ -10,13 +10,16 @@ against some summand splits the middle, scaling a summand is an automorphism
 of U, and cohomologous cocycles give isomorphic middles, so every skipped
 middle is decomposable or isomorphic to one built before it.  The kept
 middles, and so the found modules and their order, are those of the full
-product sweep.  After a layer that adds no module the sweep asks whether the
-found set is closed in the Auslander-Reiten quiver: closed under tau and
-tau-minus, under the summands of rad P and I / soc I, and under the summands
-of the middle term of the almost split sequence ending at each
-non-projective module (``ARNeighbours``).  The found set holds every simple,
-so once it is closed it is every indecomposable (Auslander's theorem,
-Auslander-Reiten-Smalo ch. VI), and the sweep stops there as completed.
+product sweep.  Once the projectives are added, and again after every new
+module, the sweep asks whether the found set is closed in the
+Auslander-Reiten quiver: closed under tau and tau-minus, under the summands
+of rad P and I / soc I, and under the summands of the middle term of the
+almost split sequence ending at each non-projective module
+(``ARNeighbours``).  The found set holds every simple, so once it is closed
+it is every indecomposable (Auslander's theorem, Auslander-Reiten-Smalo
+ch. VI), and the sweep stops there as completed, building no middle after
+its last new module.  The stop test keeps its state across these calls, so
+each call tests only what is new since the last one.
 Once the set holds every indecomposable projective and is closed under tau,
 tau-minus, rad P and I / soc I, only a module on a tau-periodic orbit needs
 its almost split middle built: for any other X an irreducible map Y -> X
@@ -27,8 +30,8 @@ The stop test closes the list in canonical order, and the certificate takes
 that closure as it is instead of computing it a second time.  The sweep
 adds each P(v) as it is, since End P(v) = e_v A e_v is local, so it
 decomposes no projective.  When the guard on the size of a cocycle space
-stops the sweep, the stop test still runs on the found list, which is
-every indecomposable if it is closed; an abort above the cap runs none.
+or the cap stops the sweep, the stop test has already found the list as it
+stands not closed.
 tau-minus is never built: tau is a bijection from the non-projective
 indecomposables onto the non-injective ones with inverse tau-minus
 (Auslander-Reiten-Smalo ch. IV), so once tau X is found for every found X,
@@ -53,19 +56,21 @@ socle quotients of injectives.
 
 The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
-already decides the closure keys with the least work: the first module, in
-sorted order, whose tau is not found makes both translate keys false, and
-only the radical key is still computed in full.  The stop test ends its
-walk at that module too.  A build that is kept computes the flags and
-tau-rigidity, one Hom(X, tau X) per module whose tau was found; the hom and
-Ext tables are read-only properties that fill both tables on the first read
-of either, so ``inspect`` never computes them.  One ``Catalogue`` tells
-modules apart, by the Fitting test of ``decompose``, for the sweep's new
-modules, the closure's neighbour summands, ``identify`` and
-``identify_parts``; its buckets by dimension vector hold the candidates for
-tau X.  Counts pinned downstream all sit on top of this certificate.  No
-trace table is kept: ``gen_set`` and ``filtgen_*`` compute from traces, as
-the oracle for the verify suites and the tests.
+already decides the closure keys with the least work: a module whose tau is
+not found makes both translate keys false, and only the radical key is
+still computed in full.  The stop test has usually kept that module as the
+witness of its last failure; otherwise the walk in sorted order stops at
+the first one.  A build that is kept computes the flags and tau-rigidity,
+one Hom(X, tau X) per module whose tau was found; the hom and Ext tables
+are read-only properties that fill both tables on the first read of
+either, so ``inspect`` never computes them.  One ``Catalogue`` tells
+modules apart, on the nose when a module equals the rep and otherwise by
+the Fitting test of ``decompose``, for the sweep's new modules, the
+closure's neighbour summands, ``identify`` and ``identify_parts``; its
+buckets by dimension vector hold the candidates for tau X.  Counts pinned
+downstream all sit on top of this certificate.  No trace table is kept:
+``gen_set`` and ``filtgen_*`` compute from traces, as the oracle for the
+verify suites and the tests.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -177,13 +182,19 @@ class Catalogue:
         """The positions of the modules with the dimension vector dims."""
         return self._by_dims.get(dims, ())
 
-    def find(self, rep: Rep) -> Optional[int]:
-        """The position of the module isomorphic to rep, or None.  The
-        module is indecomposable, so by Fitting's lemma the two are
-        isomorphic exactly when some Hom basis element is, whether or not
-        rep is."""
-        return next((i for i in self.bucket(rep.dims)
-                     if _basis_has_iso(rep, self.modules[i])), None)
+    def find(self, rep: Rep, iso=None) -> Optional[int]:
+        """The position of the module isomorphic to rep, or None.  A module
+        equal to rep (``Rep.__eq__``) is returned before any Hom solve: the
+        modules are pairwise non-isomorphic.  Otherwise iso(rep, module)
+        decides; the module is indecomposable, so by Fitting's lemma the two
+        are isomorphic exactly when some Hom basis element is, whether or
+        not rep is (``_basis_has_iso``, the default iso)."""
+        bucket = self.bucket(rep.dims)
+        i = next((i for i in bucket if self.modules[i] == rep), None)
+        if i is None:
+            iso = iso or _basis_has_iso
+            i = next((i for i in bucket if iso(rep, self.modules[i])), None)
+        return i
 
     def find_all(self, parts: Sequence[Rep]) -> Optional[List[int]]:
         """The sorted positions of the parts, or None if one is not found."""
@@ -239,6 +250,17 @@ class ARNeighbours:
     closure it computed, over the list in canonical order, and the
     certificate reads that closure without permuting it.
 
+    The sweep runs the stop test after every module it adds, so the state
+    is kept across calls, by module identity: each verdict of a tau test
+    (``translate_in``) or of an isomorphism test of a neighbour summand
+    (``parts_found``) is kept with its candidate, so a later call tests
+    only the modules that reached the bucket since.  The list itself is
+    read afresh on every call, so the verdict holds for any list.  A tau X
+    or summand not found is kept as the witness of the failure, and
+    ``closed`` returns None at once while it still stands: its module is in
+    the list and every module there with the missing dimension vector was
+    tested and failed.
+
     tau^- is never built.  tau is a bijection from the non-projective
     indecomposables onto the non-injective ones, with inverse tau^-
     (Auslander-Reiten-Smalo, ch. IV).  So for a list C of pairwise
@@ -248,7 +270,9 @@ class ARNeighbours:
     """
 
     def __init__(self):
-        self._memo: Dict[Tuple[str, int], tuple] = {}
+        self._memo: Dict[tuple, tuple] = {}
+        # (owner, kind, target, dimension vector) of the last target not found
+        self._witness: Optional[tuple] = None
 
     def _cached(self, kind: str, m: Rep, make):
         key = (kind, id(m))
@@ -258,16 +282,43 @@ class ARNeighbours:
             hit = self._memo[key] = (m, make(m))
         return hit[1]
 
+    def _verdict(self, kind: str, target: Rep, z: Rep) -> bool:
+        """Whether z is tau of the target ("tau") or isomorphic to it
+        ("iso"); the verdict is kept with the pair, so their ids name no
+        other modules."""
+        key = (kind, id(target), id(z))
+        hit = self._memo.get(key)
+        if hit is None:
+            verdict = is_tau_of(z, self.presentation(target)) if kind == "tau" \
+                else _basis_has_iso(target, z)
+            hit = self._memo[key] = ((target, z), verdict)
+        return hit[1]
+
+    def _witness_stands(self, modules: Sequence[Rep], kind: str = "") -> bool:
+        """Whether the witness, of the given kind if one is given, still
+        stands in the list: its owner is there, and every module there at
+        its dimension vector was tested against its target and failed."""
+        if self._witness is None:
+            return False
+        owner, witness_kind, target, dims = self._witness
+        return kind in ("", witness_kind) and any(m is owner for m in modules) and all(
+            not self._memo.get((witness_kind, id(target), id(m)), (None, True))[1]
+            for m in modules if m.dims == dims)
+
     def presentation(self, m: Rep) -> Presentation:
         return self._cached("presentation", m, min_presentation)
 
     def translate_in(self, m: Rep, catalogue: Catalogue) -> Optional[int]:
         """The position in the catalogue of the module isomorphic to tau m,
-        or None when there is none; m is not projective."""
+        or None when there is none; m is not projective.  Only the
+        candidates not tested before are tested."""
         pres = self.presentation(m)
         dims = self._cached("tau_dims", m, lambda m: tau_dims(pres))
-        return next((i for i in catalogue.bucket(dims)
-                     if is_tau_of(catalogue.modules[i], pres)), None)
+        i = next((i for i in catalogue.bucket(dims)
+                  if self._verdict("tau", m, catalogue.modules[i])), None)
+        if i is None:
+            self._witness = (m, "tau", m, dims)
+        return i
 
     def projective_vertex(self, m: Rep) -> Optional[int]:
         """v when m is the projective P(v), else None."""
@@ -290,6 +341,16 @@ class ARNeighbours:
         if v is not None:
             return arrow_ideals(m.algebra, v)
         return indecomposable_parts(almost_split_middle(m, tau_m))
+
+    def parts_found(self, kind: str, m: Rep, catalogue: Catalogue,
+                    tau_m: Optional[Rep] = None) -> bool:
+        """Whether every "before" or "after" summand of m is in the
+        catalogue; the first one that is not becomes the witness."""
+        for part in self.parts(kind, m, tau_m):
+            if catalogue.find(part, lambda rep, z: self._verdict("iso", rep, z)) is None:
+                self._witness = (m, "iso", part, part.dims)
+                return False
+        return True
 
     def _translates(self, catalogue: Catalogue) -> Iterator[Tuple[Optional[int], bool]]:
         """For each module X of the catalogue in order, the position of
@@ -334,11 +395,9 @@ class ARNeighbours:
     def radical_closed(self, catalogue: Catalogue, is_inj: Sequence[bool]) -> bool:
         """Whether the summands of rad P and of I / soc I are found for
         every found projective P and every found I with is_inj."""
-        def found(kind: str, m: Rep) -> bool:
-            return catalogue.find_all(self.parts(kind, m)) is not None
-
-        return all((self.projective_vertex(m) is None or found("before", m)) and
-                   (not is_inj[i] or found("after", m))
+        return all((self.projective_vertex(m) is None or
+                    self.parts_found("before", m, catalogue)) and
+                   (not is_inj[i] or self.parts_found("after", m, catalogue))
                    for i, m in enumerate(catalogue.modules))
 
     def refused_closure_keys(self, catalogue: Catalogue) -> Optional[Dict[str, bool]]:
@@ -346,11 +405,13 @@ class ARNeighbours:
         with the least work, or None when every tau X is found and only the
         whole closure decides them.
 
-        The first module in the list whose tau X is not found makes both
-        translate keys false, so the walk stops there; the radical key
-        reads projectivity off the top, injectivity off the socle and the
-        summands off the paths."""
-        if not any(lost for _, lost in self._translates(catalogue)):
+        A tau X not found makes both translate keys false.  The kept state
+        shows one when the witness of the last failed stop test is such a
+        tau X and still stands; otherwise the walk stops at the first module
+        whose tau X is not found.  The radical key reads projectivity off
+        the top, injectivity off the socle and the summands off the paths."""
+        if not self._witness_stands(catalogue.modules, "tau") and \
+                not any(lost for _, lost in self._translates(catalogue)):
             return None
         return {"translate_table_complete": False, "closed_under_translates": False,
                 "closed_under_radical_and_socle_quotients": self.radical_closed(
@@ -361,9 +422,11 @@ class ARNeighbours:
         """The closure of the list in canonical order (``_canonical``) when
         every neighbour of every module in it, tau^- X included, is
         isomorphic to one in the list, else None; the modules must be
-        indecomposable and pairwise non-isomorphic.  The walk stops at the
-        first module whose tau X is not in the list, and only a list whose
-        every tau X is found gets its injective flags and radical closure.
+        indecomposable and pairwise non-isomorphic.  A call returns None at
+        once while the witness of an earlier failure stands in the list
+        (see the class docstring).  Otherwise the walk stops at the first
+        module whose tau X is not in the list, and only a list whose every
+        tau X is found gets its injective flags and radical closure.
 
         That is: the list holds as many projectives as the algebra has
         vertices, so every indecomposable projective; the two closure flags
@@ -381,7 +444,7 @@ class ARNeighbours:
         theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
         """
         if not modules or sum(self.projective_vertex(m) is not None for m in modules) \
-                != modules[0].algebra.n:
+                != modules[0].algebra.n or self._witness_stands(modules):
             return None
         catalogue = Catalogue(_canonical(modules))
         tau_of = []
@@ -395,7 +458,7 @@ class ARNeighbours:
         mods = catalogue.modules
         for i, m in enumerate(mods):
             if tau_of[i] is not None and _tau_periodic(tau_of, i) and \
-                    catalogue.find_all(self.parts("before", m, mods[tau_of[i]])) is None:
+                    not self.parts_found("before", m, catalogue, mods[tau_of[i]]):
                 return None
         return c
 
@@ -435,6 +498,28 @@ def _sum_cocycles(s: Rep, parts: List[Rep], bases: List[tuple]
         images.append([own_classes[k] if i == pos else (f.zero,) * len(classes[0])
                        for i, (_, classes, _) in enumerate(bases)])
     return cocycles, images
+
+
+def _cocycle_basis(s: Rep, m: Rep, ext_dim: int) -> tuple:
+    """(cocycles, classes, free unknowns) of (S, M), S simple, as
+    ``_sum_cocycles`` reads them: a basis of Z^1(S, M), each vector's class
+    under the ext_dim forms among class_forms(B^1) whose common kernel on
+    Z^1 is B^1, and each vector's free unknown.  ext_dim is dim Ext^1(S, M)
+    read off the paths, which the rank of the forms must equal."""
+    cocycles, cob = extension_cocycle_space(s, m)
+    forms = class_forms(cob)
+    images = forms.mul(linalg.from_columns(
+        m.algebra.field, forms.cols, [flat_cocycle(c) for c in cocycles]))
+    _, independent = linalg.rref(images.transpose())
+    if len(independent) != ext_dim:
+        raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the paths"
+                       % (s.dims.index(1) + 1, m.dims, len(independent), ext_dim))
+    classes = [tuple(images.data[r][k] for r in independent) for k in range(len(cocycles))]
+    # solve_kernel's last nonzero entry: (arrow, row-major place)
+    free = [max((ai, j) for ai, blk in enumerate(c)
+                for j, x in enumerate(itertools.chain(*blk.data)) if x != 0)
+            for c in cocycles]
+    return cocycles, classes, free
 
 
 def _class_key(p: int, vec: list) -> Optional[tuple]:
@@ -528,11 +613,6 @@ class _Budget:
 
 class _Abort(Exception):
     """The sweep stops uncompleted; the argument is the reason."""
-
-
-class _GuardAbort(_Abort):
-    """The cocycle guard stops the sweep, which completes after all if the
-    found list is closed; the argument is the reason."""
 
 
 class ModuleUniverse:
@@ -630,29 +710,32 @@ class ModuleUniverse:
         one scalar per summand and with no zero component, is built and
         tested.
 
-        The sweep completes early, after a dimension layer that adds no
-        module, once the found set is closed in the AR quiver: it holds every
-        simple from the start, so by Auslander's theorem it is then every
-        indecomposable, and the layers up to the cap could add nothing.  It
-        aborts as soon as an indecomposable enters the shell above dim_bound,
-        since at that point the stability certificate is already forfeit and
-        further work cannot restore it.  When the cocycle guard aborts it
-        instead, the stop test still runs on the found list, and a list that
-        is closed completes the sweep by the same theorem.
+        The stop test runs once the projectives are added and again after
+        every new module, and the sweep completes as soon as the found set
+        is closed in the AR quiver: it holds every simple from the start, so
+        by Auslander's theorem it is then every indecomposable, and the rest
+        of the sweep could add nothing and meet no cap or guard.  So the
+        sweep builds no middle after its last new module.  It aborts as
+        soon as an indecomposable enters the shell above dim_bound, since at
+        that point the stability certificate is already forfeit and further
+        work cannot restore it, or when the cocycle guard stops it; the
+        stop test has then already found the list as it stands not closed.
         """
         algebra = self.algebra
         catalogue = Catalogue()
         found = catalogue.modules
 
-        def add(rep: Rep):
+        def add(rep: Rep) -> bool:
+            """Whether rep is new; it is then added."""
             if catalogue.find(rep) is not None:
-                return
+                return False
             catalogue.add(rep)
             if len(found) > _Budget.MAX_MODULES:
                 raise _Abort("more than %d indecomposables" % _Budget.MAX_MODULES)
             if not _dims_leq(rep.dims, self.dim_bound):
                 raise _Abort("indecomposable with dimension vector %r above the cap %r"
                              % (rep.dims, self.dim_bound))
+            return True
 
         # A new indecomposable E of total dimension t is the middle of some
         # 0 -> U -> E -> S -> 0 with S simple and U its maximal submodule;
@@ -669,40 +752,15 @@ class ModuleUniverse:
             return ext_cache[key]
 
         def cocycles_to(sv: int, idx: int) -> tuple:
-            # a basis of Z^1(S_sv, found[idx]), each vector's class under
-            # ext_to(sv, idx) forms among class_forms(B^1) whose common
-            # kernel on Z^1 is B^1, and each vector's free unknown
             key = (sv, idx)
             if key not in basis_cache:
-                cocycles, cob = extension_cocycle_space(simples[sv], found[idx])
-                forms = class_forms(cob)
-                images = forms.mul(linalg.from_columns(
-                    self.field, forms.cols, [flat_cocycle(c) for c in cocycles]))
-                _, independent = linalg.rref(images.transpose())
-                if len(independent) != ext_to(sv, idx):
-                    raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the paths"
-                                   % (sv + 1, found[idx].dims, len(independent),
-                                      ext_to(sv, idx)))
-                classes = [tuple(images.data[r][k] for r in independent)
-                           for k in range(len(cocycles))]
-                # solve_kernel's last nonzero entry: (arrow, row-major place)
-                free = [max((ai, j) for ai, blk in enumerate(c)
-                            for j, x in enumerate(itertools.chain(*blk.data)) if x != 0)
-                        for c in cocycles]
-                basis_cache[key] = (cocycles, classes, free)
+                basis_cache[key] = _cocycle_basis(simples[sv], found[idx], ext_to(sv, idx))
             return basis_cache[key]
 
-        closure = None
-        try:
-            for s in simples:
-                add(s)
-            # P(v) is indecomposable, its End ring e_v A e_v being e_v plus
-            # nilpotent cycles, and __init__ has checked it under the cap
-            for v in range(self.n):
-                add(projective(algebra, v))
+        def middles() -> Iterator[Rep]:
+            # the indecomposable middles, layer by layer, in the sweep's order
             total_cap = sum(cap)
             for t in range(2, total_cap + 1):
-                layer_start = len(found)
                 for sv, s in enumerate(simples):
                     allowed = [(idx, ext_to(sv, idx)) for idx in range(len(found))
                                if found[idx].total_dim <= t - 1]
@@ -716,8 +774,8 @@ class ModuleUniverse:
                         bases = [cocycles_to(sv, idx) for idx in combo]
                         e = sum(len(b[0]) for b in bases)
                         if e > _Budget.MAX_COCYCLE_BASIS:
-                            raise _GuardAbort("extension space of dimension %d "
-                                              "exceeds the sweep guard" % e)
+                            raise _Abort("extension space of dimension %d "
+                                         "exceeds the sweep guard" % e)
                         cocycles, images = _sum_cocycles(s, parts, bases)
                         # every middle has total dimension t, so a proper
                         # summand is never new: test it, do not decompose it
@@ -727,15 +785,22 @@ class ModuleUniverse:
                                 continue
                             middle = extension_middle(s, u, blocks)
                             if is_indecomposable(middle):
-                                add(middle)
-                if len(found) == layer_start:
-                    closure = self._neighbours.closed(found)
-                    if closure is not None:
-                        break
-        except _GuardAbort as abort:
+                                yield middle
+
+        try:
+            for s in simples:
+                add(s)
+            # P(v) is indecomposable, its End ring e_v A e_v being e_v plus
+            # nilpotent cycles, and __init__ has checked it under the cap
+            for v in range(self.n):
+                add(projective(algebra, v))
             closure = self._neighbours.closed(found)
             if closure is None:
-                return found, False, str(abort), None
+                for middle in middles():
+                    if add(middle):
+                        closure = self._neighbours.closed(found)
+                        if closure is not None:
+                            break
         except _Abort as abort:
             return found, False, str(abort), None
         return found, True, "", closure
@@ -772,9 +837,9 @@ class ModuleUniverse:
         sweep that the stop test ends found no module above the cap, so its
         list is exactly these modules, and the stop test closed them in
         this same canonical order.  Without c, a build that is ``refused``
-        stops at the first module whose tau is not found
-        (``ARNeighbours.refused_closure_keys``) and sets only the
-        certificate, which is all its refusal reports.
+        stops at a module whose tau is not found, read off the stop test's
+        kept state when it can be (``ARNeighbours.refused_closure_keys``),
+        and sets only the certificate, which is all its refusal reports.
         """
         if c is None and refused:
             keys = self._neighbours.refused_closure_keys(self._catalogue)

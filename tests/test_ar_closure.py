@@ -17,6 +17,7 @@ built: the spies count presentations, identifications and translates.
 
 import itertools
 import os
+import random
 
 import pytest
 
@@ -92,14 +93,17 @@ def test_early_stop_matches_the_full_sweep(name, monkeypatch):
     monkeypatch.setattr(ARNeighbours, "closed", spy)
     stopped = ModuleUniverse(algebra)
     assert verdicts and isinstance(verdicts[-1], universe.Closure)
+    # the full sweep runs to the cap, and the certificate computes the
+    # closure afresh
     monkeypatch.setattr(ARNeighbours, "closed", lambda self, modules: None)
     full = ModuleUniverse(algebra)
     assert stopped.modules == full.modules
     assert stopped.labels == full.labels
     assert stopped.hom == full.hom
     assert stopped.ext == full.ext
-    assert stopped.tau_of == full.tau_of
-    assert stopped.certificate == full.certificate
+    for table in ("tau_of", "tau_unresolved", "is_proj", "is_inj", "tau_rigid"):
+        assert getattr(stopped, table) == getattr(full, table), table
+    assert list(stopped.certificate.items()) == list(full.certificate.items())
     assert stopped.certified
 
 
@@ -113,6 +117,39 @@ def test_dropping_any_module_breaks_the_closure(build):
     assert neighbours.closed(u.modules)
     for i in range(len(u.modules)):
         assert not neighbours.closed(u.modules[:i] + u.modules[i + 1:]), u.labels[i]
+
+
+@pytest.mark.parametrize("build", [lambda: _linear(4), _d4,
+                                   lambda: _nakayama2([["a", "b"], ["b", "a"]]),
+                                   _loop_rad2, ORACLE_ALGEBRAS["nakayama3_rad3"]],
+                         ids=["a4", "d4", "nakayama2_rad2", "loop_rad2", "nakayama3_rad3"])
+def test_the_kept_state_gives_the_fresh_verdict_on_any_list(build):
+    # one ARNeighbours meets lists that grow, shrink and reorder, as a
+    # caller other than the sweep may hand it; each verdict, and each
+    # refused key set, must be the one a fresh ARNeighbours gives
+    u = ModuleUniverse(build())
+    rng = random.Random(7)
+    kept = ARNeighbours()
+    lists = [u.modules[:k] for k in range(len(u.modules) + 1)]
+    # the walk without tau X stops at X; without X as well, when X is
+    # injective, every tau is found, though the list left by the last
+    # call still lacks tau X
+    for x, t in enumerate(u.tau_of):
+        if t is not None and u.is_inj[x]:
+            lists.append([m for i, m in enumerate(u.modules) if i != t])
+            lists.append([m for i, m in enumerate(u.modules) if i not in (t, x)])
+    for _ in range(40):
+        mods = [m for m in u.modules if rng.random() < 0.9]
+        rng.shuffle(mods)
+        lists.append(mods)
+    closed = 0
+    for mods in lists:
+        got = kept.closed(mods)
+        assert got == ARNeighbours().closed(mods)
+        closed += got is not None
+        assert kept.refused_closure_keys(Catalogue(mods)) == \
+            ARNeighbours().refused_closure_keys(Catalogue(mods))
+    assert closed
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
@@ -168,14 +205,16 @@ def test_a_periodic_orbit_needs_its_middle():
 
 
 @pytest.mark.parametrize("name,middles,isos", [
-    ("a4", 0, 10), ("a5", 0, 13), ("d4", 0, 17),
-    ("nakayama2_rad2", 2, None), ("nakayama3_rad3", 6, None)])
+    ("a4", 0, 0), ("a5", 0, 0), ("d4", 0, 0),
+    ("nakayama2_rad2", 2, 1), ("nakayama3_rad3", 6, 3)])
 def test_a_cold_build_builds_middles_only_on_periodic_orbits(name, middles, isos,
                                                               monkeypatch):
     # the stop test hands its closure to the certificate, proj_of_vertex
     # reads the projectives off the top test and tau X is identified
     # through the Nakayama functor, so none of them makes a Hom-basis
-    # isomorphism test; those left are the sweep's and the radical flag's
+    # isomorphism test; a rep equal to a catalogue module is found without
+    # one, so those left are the sweep's and the stop test's for reps that
+    # are isomorphic to a found module but not equal to it
     counts = {"almost_split_middle": 0, "_basis_has_iso": 0}
     for original in (ar.almost_split_middle, decompose._basis_has_iso):
         def spy(*args, _original=original):
@@ -185,8 +224,68 @@ def test_a_cold_build_builds_middles_only_on_periodic_orbits(name, middles, isos
         _spy_on(monkeypatch, original, spy)
     assert ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]()).certified
     assert counts["almost_split_middle"] == middles
-    if isos is not None:
-        assert counts["_basis_has_iso"] == isos
+    assert counts["_basis_has_iso"] == isos
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+# file: (extension middles, Hom-basis isomorphism tests) of its cold build;
+# E6 at --dim-bound 4, since the default cap refuses it
+SWEEP_WORK = {
+    "algebras/a2.json": (0, 0), "algebras/a3.json": (1, 0), "algebras/a3rad2.json": (0, 0),
+    "algebras/d4.json": (20, 0), "algebras/loop_rad2.json": (0, 1),
+    "algebras/nakayama2_rad3.json": (2, 3), "algebras/nakayama3_rad3.json": (3, 3),
+    "perfbench/algebras/a2.json": (0, 0), "perfbench/algebras/a3.json": (1, 0),
+    "perfbench/algebras/a3rad2.json": (0, 0), "perfbench/algebras/a3rad2_gf3.json": (0, 0),
+    "perfbench/algebras/a4.json": (4, 0), "perfbench/algebras/a4_gf2.json": (4, 0),
+    "perfbench/algebras/a4_gf3.json": (4, 0), "perfbench/algebras/a4_gf5.json": (4, 0),
+    "perfbench/algebras/a4rad2.json": (0, 0), "perfbench/algebras/a5.json": (9, 0),
+    "perfbench/algebras/a5_gf2.json": (9, 0), "perfbench/algebras/a5_gf3.json": (9, 0),
+    "perfbench/algebras/a5_gf5.json": (9, 0), "perfbench/algebras/nakayama2_rad2.json": (0, 1),
+    "algebras/scale/d5.json": (40, 2), "algebras/scale/e6.json": (270, 11),
+}
+
+
+def test_the_sweep_work_cases_cover_the_corpus():
+    files = {"%s/%s" % (folder, n) for folder in ("algebras", "perfbench/algebras")
+             for n in os.listdir(os.path.join(ROOT, folder)) if n.endswith(".json")}
+    refused = {"algebras/loop.json", "perfbench/algebras/loop.json",
+               "perfbench/algebras/kronecker.json"}
+    assert refused <= files
+    assert set(SWEEP_WORK) == files - refused | {"algebras/scale/d5.json",
+                                                 "algebras/scale/e6.json"}
+
+
+@pytest.mark.parametrize("path", sorted(SWEEP_WORK))
+def test_a_certified_sweep_builds_no_middle_after_its_last_new_module(path, monkeypatch):
+    # the stop test runs after the projectives and after every new module,
+    # and the first list it finds closed ends the sweep
+    events, isos = [], []
+    closed, build, iso = ARNeighbours.closed, universe.extension_middle, decompose._basis_has_iso
+
+    def closed_spy(self, mods):
+        events.append((len(mods), closed(self, mods)))
+        return events[-1][1]
+
+    def middle_spy(*args):
+        events.append("middle")
+        return build(*args)
+
+    def iso_spy(*args):
+        isos.append(args)
+        return iso(*args)
+
+    _spy_on(monkeypatch, iso, iso_spy)
+    monkeypatch.setattr(ARNeighbours, "closed", closed_spy)
+    monkeypatch.setattr(universe, "extension_middle", middle_spy)
+    bound = (4,) * 6 if path.endswith("e6.json") else None
+    u = ModuleUniverse(load_algebra_file(os.path.join(ROOT, path)), bound)
+    assert u.certified
+    tests = [event for event in events if event != "middle"]
+    sizes = [size for size, _ in tests]
+    assert sizes == list(range(sizes[0], len(u.modules) + 1))
+    assert all(verdict is None for _, verdict in tests[:-1])
+    assert isinstance(tests[-1][1], universe.Closure) and events[-1] == tests[-1]
+    assert (events.count("middle"), len(isos)) == SWEEP_WORK[path]
 
 
 def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():
@@ -496,10 +595,12 @@ def test_the_kronecker_refusal_identifies_one_translate(monkeypatch, capsys):
 
 
 def test_the_stop_test_ends_at_the_first_translate_it_cannot_identify(monkeypatch, capsys):
-    # at the default bound the guard stops the Kronecker sweep and the stop
-    # test runs on the found list: its walk in canonical order ends at the
-    # first module whose tau X is not found, and the list gets no injective
-    # flags and no radical closure
+    # at the default bound the stop test runs after every module the
+    # Kronecker sweep adds, until the guard stops it: a walk in canonical
+    # order ends at the first module whose tau X is not found, and the list
+    # gets no injective flags and no radical closure.  A call walks nothing
+    # while that module's tau X has no new candidate, and the translates
+    # found before are not tested again
     walks = []
     inside = []
     closed, translate_in, closure = (ARNeighbours.closed, ARNeighbours.translate_in,
@@ -529,8 +630,9 @@ def test_the_stop_test_ends_at_the_first_translate_it_cannot_identify(monkeypatc
     counts = _count_calls(monkeypatch, ["min_presentation"])
     code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate"])
     assert code == 2 and "exceeds the sweep guard" in capsys.readouterr().err
-    assert walks and all(walk and walk[-1] is None and None not in walk[:-1]
-                         for walk in walks)
+    walked = [walk for walk in walks if walk]
+    assert all(walk[-1] is None and None not in walk[:-1] for walk in walked)
+    assert 1 < len(walked) < len(walks)
     # far fewer presentations than the 23 non-projective modules found
     assert counts["min_presentation"] == 6
 

@@ -1,5 +1,5 @@
 """Path algebras of Dynkin quivers against closed formulas, and the sweep's
-stop test after its cocycle guard.
+stop test beside its cocycle guard.
 
 Over a Dynkin quiver of rank n with Coxeter number h, Weyl group W and
 exponents e_1, ..., e_n, whatever the orientation and the field:
@@ -14,10 +14,12 @@ The braid group on n strands acts on the complete exceptional sequences,
 sigma_i mutating the pair at positions i and i + 1 (Crawley-Boevey, 1993;
 Ringel, 1994), so the left mutations satisfy the braid relations.
 
-E6 is the first Dynkin quiver whose sweep meets a cocycle space above the
-guard (``universe._Budget.MAX_COCYCLE_BASIS``).  The guard then stops the
-sweep, and the stop test decides whether the list found so far is closed in
-the AR quiver, hence every indecomposable.  A cap abort runs no stop test.
+E6 is the first Dynkin quiver whose full sweep meets a cocycle space above
+the guard (``universe._Budget.MAX_COCYCLE_BASIS``).  The stop test runs
+after the projectives and after every new module, so it finds E6's list
+closed in the AR quiver, hence every indecomposable, before the sweep gets
+there.  A guard or cap abort meets a list the stop test has already found
+not closed.
 """
 
 import math
@@ -113,36 +115,57 @@ def test_left_mutations_satisfy_the_braid_relations(name):
 
 
 def _spy_on_the_stop_test(monkeypatch):
-    """The verdicts of the stop test, and the guard aborts raised."""
-    verdicts, guards = [], []
-    closed = ARNeighbours.closed
+    """The verdicts of the stop test, whether each call walked the list (a
+    call returns at once while the witness of an earlier failure stands),
+    and the aborts raised."""
+    verdicts, walked, aborts, inside = [], [], [], []
+    closed, translate_in = ARNeighbours.closed, ARNeighbours.translate_in
 
     def spy(self, modules):
-        verdicts.append(closed(self, modules))
+        walked.append(False)
+        inside.append(True)
+        try:
+            verdicts.append(closed(self, modules))
+        finally:
+            inside.pop()
         return verdicts[-1]
 
-    class Guard(universe._GuardAbort):
+    def translate_spy(self, m, catalogue):
+        if inside:
+            walked[-1] = True
+        return translate_in(self, m, catalogue)
+
+    class Abort(universe._Abort):
         def __init__(self, *args):
             super().__init__(*args)
-            guards.append(str(self))
+            aborts.append(str(self))
 
     monkeypatch.setattr(ARNeighbours, "closed", spy)
-    monkeypatch.setattr(universe, "_GuardAbort", Guard)
-    return verdicts, guards
+    monkeypatch.setattr(ARNeighbours, "translate_in", translate_spy)
+    monkeypatch.setattr(universe, "_Abort", Abort)
+    return verdicts, walked, aborts
 
 
-def test_e6_is_certified_when_the_guard_stops_a_closed_list(monkeypatch):
-    verdicts, guards = _spy_on_the_stop_test(monkeypatch)
+def test_e6_at_bound_4_is_closed_before_the_guard(monkeypatch):
+    verdicts, _, aborts = _spy_on_the_stop_test(monkeypatch)
     u = ModuleUniverse(_file("algebras/scale/e6.json")(), (4,) * 6)
-    # the guard stopped the sweep, and the stop test then closed the list
-    assert guards == [GUARD % 7]
-    assert verdicts and isinstance(verdicts[-1], universe.Closure)
+    # the stop test closed the list after its last new module
+    assert aborts == []
+    assert isinstance(verdicts[-1], universe.Closure)
+    assert all(verdict is None for verdict in verdicts[:-1])
     assert u.certified and len(u.modules) == 36
     assert "sweep_aborted_because" not in u.certificate
     assert len(all_torsion_classes(u)) == 833
     # the closure handed on is the one the certificate would compute
     c = ARNeighbours().closure(universe.Catalogue(u.modules))
     assert (u.tau_of, u.tau_unresolved, u.is_inj) == (c.tau_of, c.tau_unresolved, c.is_inj)
+    # without the stop test the sweep goes on to the guard
+    monkeypatch.undo()
+    verdicts, _, aborts = _spy_on_the_stop_test(monkeypatch)
+    monkeypatch.setattr(ARNeighbours, "closed", lambda self, modules: None)
+    u = ModuleUniverse(_file("algebras/scale/e6.json")(), (4,) * 6, require_certificate=False)
+    assert aborts == [GUARD % 7] and u.certificate["sweep_aborted_because"] == GUARD % 7
+    assert not u.certified and len(u.modules) == 36
 
 
 def test_e6_at_the_default_bound_touches_the_cap():
@@ -154,20 +177,36 @@ def test_e6_at_the_default_bound_touches_the_cap():
     assert not u.certificate["no_indecomposable_on_boundary"]
 
 
-def test_a_guard_stopped_list_that_is_not_closed_stays_uncertified(monkeypatch):
-    verdicts, guards = _spy_on_the_stop_test(monkeypatch)
+def test_a_guard_abort_meets_a_list_the_stop_test_found_not_closed(monkeypatch):
+    verdicts, walked, aborts = _spy_on_the_stop_test(monkeypatch)
+    sizes = []
+    closed = ARNeighbours.closed
+
+    def sized(self, modules):
+        sizes.append(len(modules))
+        return closed(self, modules)
+
+    monkeypatch.setattr(ARNeighbours, "closed", sized)
     u = ModuleUniverse(_file("perfbench/algebras/kronecker.json")(), require_certificate=False)
-    assert guards == [GUARD % 8] and verdicts == [None]
+    assert aborts == [GUARD % 8]
+    # the last list tested is the one the guard stopped: every module the
+    # sweep found, all under the cap
+    assert verdicts and all(verdict is None for verdict in verdicts)
+    assert sizes[-1] == len(u.modules)
+    assert walked[0] and not all(walked)
     assert not u.certified
     assert u.certificate["sweep_completed"] is False
     assert u.certificate["sweep_aborted_because"] == GUARD % 8
 
 
-def test_a_cap_abort_runs_no_stop_test(monkeypatch):
-    verdicts, guards = _spy_on_the_stop_test(monkeypatch)
+def test_a_cap_abort_meets_a_list_the_stop_test_walked_once(monkeypatch):
+    # the walk after the projectives ends at S1, whose tau lies above the
+    # cap; that witness stands through the sweep, so no later call walks
+    verdicts, walked, aborts = _spy_on_the_stop_test(monkeypatch)
     u = ModuleUniverse(_file("perfbench/algebras/kronecker.json")(), (2, 2),
                        require_certificate=False)
-    assert verdicts == [] and guards == []
-    assert u.certificate["sweep_aborted_because"].startswith(
-        "indecomposable with dimension vector")
+    assert len(aborts) == 1 and aborts[0].startswith("indecomposable with dimension vector")
+    assert len(verdicts) > 1 and all(verdict is None for verdict in verdicts)
+    assert walked == [True] + [False] * (len(walked) - 1)
+    assert u.certificate["sweep_aborted_because"] == aborts[0]
     assert u.certificate["stable_under_cap_plus_one"] is False

@@ -24,7 +24,7 @@ from tauseq.cli import load_algebra_file
 from tauseq.decompose import is_indecomposable, is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
-from tauseq.modules import block_sum, direct_sum, projective, simple
+from tauseq.modules import block_sum, direct_sum, projective, simple, simple_ext_dim
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse, _new_class_tuples
 from oracles import new_class_tuples_by_product
@@ -103,7 +103,9 @@ BASIS_CASES["d5"] = (lambda: load_algebra_file(os.path.join(SCALE, "d5.json")), 
 def test_assembled_cocycle_basis_is_the_block_sum_basis(name, monkeypatch):
     # the sweep assembles the basis of Z^1(S, U) from one basis per summand;
     # on every combination it visits, that is the basis the block sum's own
-    # solve gives, matrix for matrix and in the same order
+    # solve gives, matrix for matrix and in the same order.  The sweep stops
+    # at its last new module and may visit few combinations or none, so
+    # every sum of one or two built modules is assembled directly as well
     build, bound = BASIS_CASES[name]
     seen = []
     assemble = universe_mod._sum_cocycles
@@ -114,8 +116,19 @@ def test_assembled_cocycle_basis_is_the_block_sum_basis(name, monkeypatch):
         return cocycles, images
 
     monkeypatch.setattr(universe_mod, "_sum_cocycles", spy)
-    ModuleUniverse(build(), bound, require_certificate=False)
+    built = ModuleUniverse(build(), bound, require_certificate=False)
     monkeypatch.undo()
+    for v in range(built.n):
+        s = simple(built.algebra, v)
+        ext = [simple_ext_dim(built.algebra, v, m) for m in built.modules]
+        reached = [i for i, e in enumerate(ext) if e]
+        for combo in itertools.chain(((i,) for i in reached),
+                                     itertools.combinations_with_replacement(reached, 2)):
+            if combo.count(combo[0]) > ext[combo[0]]:
+                continue
+            parts = [built.modules[i] for i in combo]
+            bases = [universe_mod._cocycle_basis(s, p, ext[i]) for i, p in zip(combo, parts)]
+            seen.append((s, parts, assemble(s, parts, bases)[0]))
     assert seen
     for s, parts, cocycles in seen:
         u = parts[0] if len(parts) == 1 else block_sum(parts)
