@@ -45,7 +45,8 @@ class IdempotentSplitFailure(TauSeqError):
 # --- enumeration ---
 
 class BoundTooSmall(TauSeqError):
-    """The dimension cap does not even contain the projectives."""
+    """The dimension cap does not name one bound per vertex, or does not
+    even contain the projectives."""
 
 
 class NotCertifiablyComplete(TauSeqError):

@@ -19,17 +19,21 @@ Zacharia, Projective resolutions over Artin algebras with zero relations,
 leaving v, each spanned by the paths that start with a; I(v) / soc I(v) is
 the sum of the duals of the opposite algebra's arrow ideals at v.  The
 presentation of S_v comes out as the sum of the P(t a) -> P(v), and aA is
-P(t a) modulo the paths u with a.u a minimal zero path, which gives
-dim Ext^1(S_v, M).  The generic routes serve every other module and stay as
-the oracles.
+P(t a) modulo the paths u with a.u a minimal zero path.  So Ext^1(S_v, M)
+is read off those paths in one routine (``SimpleExt``): its cocycles, one
+vector of M at t a for each arrow a leaving v that every such u kills, its
+coboundaries, the image of M_v under the arrows, its dimension and its
+classes.  The generic routes serve every other module and stay as the
+oracles.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from tauseq import linalg
-from tauseq.errors import AlgebraMismatch, UnknownVertex
+from tauseq.errors import AlgebraMismatch, Mismatch, UnknownVertex
 from tauseq.linalg import Mat
 from tauseq.quiver import BoundQuiverAlgebra, Path, opposite
 
@@ -645,31 +649,65 @@ def _zero_tails(algebra: BoundQuiverAlgebra) -> List[List[Tuple[int, ...]]]:
     return tails
 
 
-def _stacked_rank(mats: Sequence[Mat], cols: int, field) -> int:
-    """The rank of the matrices stacked vertically, each with cols columns."""
-    rows = [row for m in mats for row in m.data]
-    return linalg.rank(Mat.trusted(field, len(rows), cols, rows)) if rows else 0
+class SimpleExt:
+    """Ext^1(S_v, m) read off the paths, in the cocycle layout of
+    ``ar.extension_cocycle_space(S_v, m)``: one block per arrow, with one
+    column x_a in m at t a for an arrow a leaving v and none elsewhere.
 
-
-def simple_ext_dim(algebra: BoundQuiverAlgebra, v: int, m: Rep) -> int:
-    """dim Ext^1(S_v, m), read off the paths.
-
-    From 0 -> rad P(v) -> P(v) -> S_v -> 0, dim Ext^1(S_v, m) is
-    dim Hom(rad P(v), m) - dim m_v + dim Hom(S_v, m).  rad P(v) is the sum
-    of the arrow ideals aA, and aA is P(t a) modulo the paths u with a.u a
-    minimal zero path, so Hom(aA, m) is the x in m_(t a) that every such u
-    kills; Hom(S_v, m) is the common kernel of the arrows leaving v.
+    A listed relation a.w leaving v asks m(w) x_a = 0.  Some minimal zero
+    path a.u is a prefix of a.w, or m(w) is zero, so the tails u of a
+    (``_zero_tails``) span the same equations: Z^1 is the kernel of the
+    stacked m(u) at each arrow, with the basis of the relation solve, read
+    off the one reduced echelon form, and each vector's free unknown
+    (arrow, row) is its last nonzero entry.  S_v has zero arrow actions, so
+    the coboundary of h in m_v is (-m_a h)_a.  ``cocycles`` and ``classes``
+    are computed on their first read.  A vector of Z^1 has its entries at
+    the free unknowns as its coordinates, so ``classes`` takes the forms on
+    those coordinates that vanish on the coboundaries; there are
+    dim Ext^1 = dim Z^1 - rank B^1 of them.
     """
-    q = algebra.quiver
-    f = algebra.field
-    arrows = q.arrows_from(v)
-    tails = _zero_tails(algebra)
-    ext = 0
-    for a in arrows:
-        w = q.arrows[a].target
-        ext += m.dims[w] - _stacked_rank(
-            [m.path_action_arrows(u) for u in tails[a]], m.dims[w], f)
-    return ext - _stacked_rank([m.mats[a] for a in arrows], m.dims[v], f)
+
+    def __init__(self, m: Rep, v: int):
+        f = m.algebra.field
+        arrows = m.algebra.quiver.arrows
+        tails = _zero_tails(m.algebra)
+        self.module, self.vertex = m, v
+        # (a, x_a) for each basis vector of Z^1
+        self._vectors: List[Tuple[int, list]] = []
+        cob: List[list] = []
+        for a in m.algebra.quiver.arrows_from(v):
+            rows = [row for u in tails[a] for row in m.path_action_arrows(u).data]
+            size = m.dims[arrows[a].target]
+            ker = linalg.solve_kernel(Mat.trusted(f, len(rows), size, rows)) if rows \
+                else Mat.identity(f, size)
+            self._vectors.extend((a, x) for x in ker.columns())
+            cob.extend([f.neg(c) for c in row] for row in m.mats[a].data)
+        self.free: List[Tuple[int, int]] = [
+            (a, max(r for r, c in enumerate(x) if c != 0)) for a, x in self._vectors]
+        self.coboundaries = Mat.trusted(f, len(cob), m.dims[v], cob)
+        self.dim = len(self.free) - linalg.rank(self.coboundaries)
+
+    @cached_property
+    def cocycles(self) -> List[List[Mat]]:
+        """The basis of Z^1, one block per arrow of the quiver."""
+        m = self.module
+        f = m.algebra.field
+        return [[Mat.trusted(f, len(x), 1, [[c] for c in x]) if b == a
+                 else Mat.zeros(f, m.dims[arrow.target], int(arrow.source == self.vertex))
+                 for b, arrow in enumerate(m.algebra.quiver.arrows)]
+                for a, x in self._vectors]
+
+    @cached_property
+    def classes(self) -> List[tuple]:
+        """The class in Ext^1 of each basis vector, as coordinates."""
+        mats = self.module.mats
+        coords = Mat.trusted(self.coboundaries.field, len(self.free), self.coboundaries.cols,
+                             [mats[a].data[r] for a, r in self.free])
+        forms = linalg.solve_kernel(coords.transpose())
+        if forms.cols != self.dim:
+            raise Mismatch("dim Ext^1(S%d, %r) is %d by its classes, %d by ranks"
+                           % (self.vertex + 1, self.module.dims, forms.cols, self.dim))
+        return [tuple(row) for row in forms.data]
 
 
 # -- duality --

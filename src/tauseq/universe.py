@@ -2,15 +2,17 @@
 
 The enumeration builds every indecomposable as the middle of an extension of
 a simple S by a direct sum U of found modules, one total dimension layer at a
-time, from one cocycle basis per (simple, found module), since the cocycles
-split by summand of U.  It walks their combinations with coefficients in
-{0, 1, -1} in product order, but builds one middle per extension class up to
-scaling each summand of U (``_new_class_tuples``): a class that is zero
-against some summand splits the middle, scaling a summand is an automorphism
-of U, and cohomologous cocycles give isomorphic middles, so every skipped
-middle is decomposable or isomorphic to one built before it.  The kept
-middles, and so the found modules and their order, are those of the full
-product sweep.  Once the projectives are added, and again after every new
+time.  Ext^1(S, M) is read off the paths once per (simple, found module)
+(``modules.SimpleExt``), and the cocycles split by summand of U.  For each
+summand the sweep keeps the first combination with coefficients in
+{0, 1, -1} of each nonzero class up to a scalar (``_class_tuples``), and it
+builds one middle per choice of those across the summands, in the product
+order of the whole tuple (``_sum_tuples``): a class that is zero against
+some summand splits the middle, scaling a summand is an automorphism of U,
+and cohomologous cocycles give isomorphic middles, so every skipped middle
+is decomposable or isomorphic to one built before it.  The kept middles,
+and so the found modules and their order, are those of the full product
+sweep.  Once the projectives are added, and again after every new
 module, the sweep asks whether the found set is closed in the
 Auslander-Reiten quiver: closed under tau and tau-minus, under the summands
 of rad P and I / soc I, and under the summands of the middle term of the
@@ -47,12 +49,11 @@ the Nakayama functor (``ar.tau_dims``, ``ar.is_tau_of``) find it among the
 catalogue modules with that dimension vector.  On a monomial algebra the
 summands of rad P(v) are the arrow ideals at v and those of I(v) / soc I(v)
 their duals over the opposite algebra (``modules``), so the closure builds
-no radical or socle quotient and decomposes neither, and the sweep reads
-dim Ext^1(S, M) off the minimal zero paths.  The schema-1 certificate keys
-keep their meaning: the sweep completed, the count is stable up to the cap
-plus one (nothing the sweep could still add), no indecomposable touches the
-cap, and the set is closed under tau, tau-minus, radicals of projectives and
-socle quotients of injectives.
+no radical or socle quotient and decomposes neither.  The schema-1
+certificate keys keep their meaning: the sweep completed, the count is
+stable up to the cap plus one (nothing the sweep could still add), no
+indecomposable touches the cap, and the set is closed under tau, tau-minus,
+radicals of projectives and socle quotients of injectives.
 
 The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
@@ -79,21 +80,18 @@ disambiguating ordinal, for example "11#1".
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq import linalg
-from tauseq.ar import (
-    Ext1From, almost_split_middle, class_forms, extension_cocycle_space,
-    extension_middle, flat_cocycle, is_tau_of, tau_dims,
-)
+from tauseq.ar import Ext1From, almost_split_middle, extension_middle, is_tau_of, tau_dims
 from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecomposable
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
-    Presentation, Rep, arrow_ideals, block_sum, dual_arrow_ideals, dualize, hom_dim,
-    min_presentation, projective, quotient, radical_spans, simple, simple_ext_dim, trace,
+    Presentation, Rep, SimpleExt, arrow_ideals, block_sum, dual_arrow_ideals, dualize,
+    hom_dim, min_presentation, projective, quotient, radical_spans, simple, trace,
 )
 
 
@@ -476,127 +474,59 @@ def _tau_periodic(tau_of: Sequence[Optional[int]], i: int) -> bool:
 SWEEP_COEFFS = (0, 1, -1)
 
 
-def _sum_cocycles(s: Rep, parts: List[Rep], bases: List[tuple]
-                  ) -> Tuple[List[List[Mat]], List[List[tuple]]]:
-    """The basis of Z^1(S, U) that ``extension_cocycle_space`` gives, U the
-    block sum of the parts, and images[k][i], the class of its vector k
-    against parts[i], from bases[i] = (cocycles, classes, free unknowns) of
-    (S, parts[i]).  S is simple, so the relations split by summand and the
-    unique reduced echelon form of the sum is the union of the summands'
-    ones; so is the kernel basis, each vector in the place of its free
-    unknown, by (arrow, summand position, row, column)."""
-    f = s.algebra.field
-    arrows = s.algebra.quiver.arrows
-    placed = sorted((ai, pos, j, k) for pos, (_, _, free) in enumerate(bases)
-                    for k, (ai, j) in enumerate(free))
-    cocycles, images = [], []
-    for _, pos, _, k in placed:
-        own, own_classes, _ = bases[pos]
-        cocycles.append([linalg.block_diag(f, [
-            own[k][ai] if i == pos else Mat.zeros(f, p.dims[ar.target], 0)
-            for i, p in enumerate(parts)]) for ai, ar in enumerate(arrows)])
-        images.append([own_classes[k] if i == pos else (f.zero,) * len(classes[0])
-                       for i, (_, classes, _) in enumerate(bases)])
-    return cocycles, images
-
-
-def _cocycle_basis(s: Rep, m: Rep, ext_dim: int) -> tuple:
-    """(cocycles, classes, free unknowns) of (S, M), S simple, as
-    ``_sum_cocycles`` reads them: a basis of Z^1(S, M), each vector's class
-    under the ext_dim forms among class_forms(B^1) whose common kernel on
-    Z^1 is B^1, and each vector's free unknown.  ext_dim is dim Ext^1(S, M)
-    read off the paths, which the rank of the forms must equal."""
-    cocycles, cob = extension_cocycle_space(s, m)
-    forms = class_forms(cob)
-    images = forms.mul(linalg.from_columns(
-        m.algebra.field, forms.cols, [flat_cocycle(c) for c in cocycles]))
-    _, independent = linalg.rref(images.transpose())
-    if len(independent) != ext_dim:
-        raise Mismatch("dim Ext^1(S%d, %r) is %d by cocycles, %d by the paths"
-                       % (s.dims.index(1) + 1, m.dims, len(independent), ext_dim))
-    classes = [tuple(images.data[r][k] for r in independent) for k in range(len(cocycles))]
-    # solve_kernel's last nonzero entry: (arrow, row-major place)
-    free = [max((ai, j) for ai, blk in enumerate(c)
-                for j, x in enumerate(itertools.chain(*blk.data)) if x != 0)
-            for c in cocycles]
-    return cocycles, classes, free
-
-
-def _class_key(p: int, vec: list) -> Optional[tuple]:
-    """vec up to a nonzero scalar, or None when vec is zero: over GF(p)
-    reduced and scaled so that its first nonzero entry is 1, over Q (p = 0)
-    its primitive integer form with a positive first nonzero entry."""
-    if p:
-        vec = [x % p for x in vec]
-        pivot = next((x for x in vec if x), 0)
-        if not pivot:
-            return None
-        inv = pow(pivot, p - 2, p)
-        return tuple(x * inv % p for x in vec)
-    if any(type(x) is not int for x in vec):  # a Fraction: clear denominators
-        den = math.lcm(*(x.denominator for x in vec))
-        vec = [x.numerator * (den // x.denominator) for x in vec]
-    g = math.gcd(*vec)
-    if not g:
-        return None
-    if next(x for x in vec if x) < 0:
-        g = -g
-    return tuple(x // g for x in vec)
-
-
-def _new_class_tuples(field, images: List[List[tuple]]) -> Iterator[Tuple[int, ...]]:
+def _class_tuples(field, classes: Sequence[tuple]) -> List[Tuple[int, ...]]:
     """The coefficient tuples over SWEEP_COEFFS, in itertools.product order,
-    whose combination of the basis cocycles can give a new indecomposable.
-
-    images[k][i] is the class of basis cocycle k against summand U_i of U
-    (``_sum_cocycles``).  A tuple is dropped when its class against some
-    U_i is zero, since U_i then splits off the middle, or when its classes
-    equal those of an earlier tuple up to one nonzero scalar per summand:
-    scaling U_i is an automorphism of U and adding a coboundary changes no
-    middle, so both middles are isomorphic.  Each class is keyed up to a
-    nonzero scalar (``_class_key``), and that key is looked up.
-
-    The walk is the product tree, first coefficient outermost, and carries
-    the prefix sum of c_k * images[k] down it: one vector add or subtract
-    per node with a nonzero coefficient, reduced only at a leaf.
-    """
-    # every class of one basis cocycle, flattened summand after summand
-    flat = [[x for coords in image for x in coords] for image in images]
-    bounds = []
-    start = 0
-    for coords in images[0]:
-        bounds.append((start, start + len(coords)))
-        start += len(coords)
-    depth = len(images)
-    p = field.characteristic
+    that the sweep combines for one summand U_i of U, classes[k] being the
+    class in Ext^1(S, U_i) of its basis cocycle k: the first tuple of each
+    nonzero class up to a nonzero scalar, keyed by the class scaled so that
+    its first nonzero coordinate is 1.  A zero class splits U_i off the
+    middle, and scaling U_i is an automorphism of U, so every other tuple
+    gives a decomposable middle or one isomorphic to a middle of a kept
+    tuple."""
     seen = set()
-    coeffs: List[int] = []
-
-    def walk(k: int, total: list) -> Iterator[Tuple[int, ...]]:
-        if k == depth:
-            key = []
-            for lo, hi in bounds:
-                part = _class_key(p, total[lo:hi])
-                if part is None:
-                    return
-                key.append(part)
-            key = tuple(key)
+    out = []
+    for coeffs in itertools.product(SWEEP_COEFFS, repeat=len(classes)):
+        vec = [field.coerce(sum(c * x[j] for c, x in zip(coeffs, classes)))
+               for j in range(len(classes[0]))]
+        pivot = next((x for x in vec if x != 0), None)
+        if pivot is not None:
+            key = tuple(field.div(x, pivot) for x in vec)
             if key not in seen:
                 seen.add(key)
-                yield tuple(coeffs)
-            return
-        image = flat[k]
-        for c in SWEEP_COEFFS:
-            coeffs.append(c)
-            if c == 0:
-                yield from walk(k + 1, total)
-            elif c == 1:
-                yield from walk(k + 1, [a + b for a, b in zip(total, image)])
-            else:
-                yield from walk(k + 1, [a - b for a, b in zip(total, image)])
-            coeffs.pop()
+                out.append(coeffs)
+    return out
 
-    yield from walk(0, [0] * start)
+
+def _sum_tuples(kept: Sequence[Sequence[Tuple[int, ...]]],
+                free: Sequence[Sequence[Tuple[int, int]]]) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The combinations of one kept tuple per summand of U (kept[i], from
+    ``_class_tuples``), in itertools.product order of the tuple they make
+    on the basis of Z^1(S, U), skipping the zero tuple.
+
+    S is simple, so that basis is the union of the summands' ones, each
+    vector at its free unknown (arrow, row) of summand i (free[i]), ordered
+    by arrow, summand and row.  A class against U_i depends only on the
+    coefficients of U_i's vectors, so the first tuple in product order of
+    any classes up to scalars is made of the first tuple of each summand:
+    two tuples compare at the first coordinate where they differ."""
+    order = sorted((a, i, r, k) for i, rows in enumerate(free)
+                   for k, (a, r) in enumerate(rows))
+    ranked = []
+    for tuples in itertools.product(*kept):
+        # each coefficient by its place in SWEEP_COEFFS, which puts 0 first
+        flat = [SWEEP_COEFFS.index(tuples[i][k]) for _, i, _, k in order]
+        if any(flat):  # the zero tuple comes only from a full product walk
+            ranked.append((flat, tuples))
+    return [tuples for _, tuples in sorted(ranked, key=lambda pair: pair[0])]
+
+
+def _sum_cocycle(exts: Sequence[SimpleExt], tuples: Sequence[Tuple[int, ...]]) -> List[Mat]:
+    """The cocycle of S by the block sum of the summands of exts whose rows
+    at each arrow are the combination tuples[i] of summand i's basis; a
+    zero tuple, which only a full product walk keeps, gives zero rows."""
+    blocks = [linalg.combine(t, x.cocycles) or [b.scale(0) for b in x.cocycles[0]]
+              for x, t in zip(exts, tuples)]
+    return [functools.reduce(Mat.vstack, col) for col in zip(*blocks)]
 
 
 def _holds(certificate: Dict[str, object]) -> bool:
@@ -608,6 +538,8 @@ def _holds(certificate: Dict[str, object]) -> bool:
 class _Budget:
     # guard rails so a runaway enumeration fails loudly instead of hanging
     MAX_MODULES = 400
+    # on dim Z^1(S, U); the class walk costs 3^dim Z^1(S, U_i) per summand,
+    # not 3^dim Z^1(S, U), so this could be relaxed
     MAX_COCYCLE_BASIS = 6
 
 
@@ -634,6 +566,9 @@ class ModuleUniverse:
             peak = max(max(p.dims) for p in projs)
             dim_bound = tuple(3 * max(peak, 1) for _ in range(self.n))
         self.dim_bound: Tuple[int, ...] = tuple(dim_bound)
+        if len(self.dim_bound) != self.n:
+            raise BoundTooSmall("the cap %r names %d bounds for %d vertices"
+                                % (self.dim_bound, len(self.dim_bound), self.n))
         for p in projs:
             if not _dims_leq(p.dims, self.dim_bound):
                 raise BoundTooSmall("projective with dimension vector %r exceeds the cap %r"
@@ -701,14 +636,14 @@ class ModuleUniverse:
         the sweep, else None).
 
         For each simple S and each bounded multiset of found modules with
-        direct sum U, it takes a basis of the cocycles Z^1(S, U) and walks
-        its {0, +-1} combinations in product order.  That basis and each
-        vector's class against every summand U_i, in Ext^1(S, U_i), are
-        assembled (``_sum_cocycles``) from one basis per (simple, found
-        module) and its classes, read through forms whose rank must be
-        dim Ext^1(S, U_i); only the first combination of each class, up to
-        one scalar per summand and with no zero component, is built and
-        tested.
+        direct sum U, it builds the middle of the first {0, +-1} combination
+        of the basis of Z^1(S, U), in product order, of each class up to one
+        scalar per summand and with no zero component.  The combination is
+        one kept tuple per summand (``_class_tuples``, ``_sum_tuples``), and
+        its cocycle stacks the summands' combinations at each arrow
+        (``_sum_cocycle``).  The guard bounds dim Z^1(S, U); the walk costs
+        the sum of 3^dim Z^1(S, U_i) over the summands plus the product of
+        their kept tuple counts.
 
         The stop test runs once the projectives are added and again after
         every new module, and the sweep completes as soon as the found set
@@ -742,27 +677,21 @@ class ModuleUniverse:
         # indecomposability forces a nonzero class against every summand of
         # U, with multiplicity at most dim Ext^1(S, that summand).
         simples = [simple(algebra, v) for v in range(self.n)]
-        ext_cache: Dict[Tuple[int, int], int] = {}
-        basis_cache: Dict[Tuple[int, int], tuple] = {}
 
-        def ext_to(sv: int, idx: int) -> int:
-            key = (sv, idx)
-            if key not in ext_cache:
-                ext_cache[key] = simple_ext_dim(algebra, sv, found[idx])
-            return ext_cache[key]
+        @functools.cache
+        def ext_to(sv: int, idx: int) -> SimpleExt:
+            return SimpleExt(found[idx], sv)
 
-        def cocycles_to(sv: int, idx: int) -> tuple:
-            key = (sv, idx)
-            if key not in basis_cache:
-                basis_cache[key] = _cocycle_basis(simples[sv], found[idx], ext_to(sv, idx))
-            return basis_cache[key]
+        @functools.cache
+        def kept_to(sv: int, idx: int) -> List[Tuple[int, ...]]:
+            return _class_tuples(self.field, ext_to(sv, idx).classes)
 
         def middles() -> Iterator[Rep]:
             # the indecomposable middles, layer by layer, in the sweep's order
             total_cap = sum(cap)
             for t in range(2, total_cap + 1):
                 for sv, s in enumerate(simples):
-                    allowed = [(idx, ext_to(sv, idx)) for idx in range(len(found))
+                    allowed = [(idx, ext_to(sv, idx).dim) for idx in range(len(found))
                                if found[idx].total_dim <= t - 1]
                     allowed = [(idx, e) for idx, e in allowed if e > 0]
                     for combo in self._bounded_multisets(found, allowed, t - 1):
@@ -771,19 +700,16 @@ class ModuleUniverse:
                         if not _dims_leq([a + b for a, b in zip(u.dims, s.dims)], cap):
                             continue
                         # every summand has Ext^1(S, U_i) != 0, so e > 0
-                        bases = [cocycles_to(sv, idx) for idx in combo]
-                        e = sum(len(b[0]) for b in bases)
+                        own = [ext_to(sv, idx) for idx in combo]
+                        e = sum(len(x.free) for x in own)
                         if e > _Budget.MAX_COCYCLE_BASIS:
                             raise _Abort("extension space of dimension %d "
                                          "exceeds the sweep guard" % e)
-                        cocycles, images = _sum_cocycles(s, parts, bases)
                         # every middle has total dimension t, so a proper
                         # summand is never new: test it, do not decompose it
-                        for coeffs in _new_class_tuples(self.field, images):
-                            blocks = linalg.combine(coeffs, cocycles)
-                            if blocks is None:  # the zero tuple of a full product walk
-                                continue
-                            middle = extension_middle(s, u, blocks)
+                        for tuples in _sum_tuples([kept_to(sv, idx) for idx in combo],
+                                                  [x.free for x in own]):
+                            middle = extension_middle(s, u, _sum_cocycle(own, tuples))
                             if is_indecomposable(middle):
                                 yield middle
 

@@ -98,10 +98,19 @@ def trace_form_radical(core: AlgebraCore) -> List[list]:
 # the sweep's extension classes
 # --------------------------------------------------------------------------
 
+def every_class_tuple(field, classes: List[tuple]) -> List[Tuple[int, ...]]:
+    """``universe._class_tuples`` without the skip: every tuple of one
+    summand, the zero tuple included, so that the sweep walks the whole
+    product."""
+    return list(itertools.product(SWEEP_COEFFS, repeat=len(classes)))
+
+
 def new_class_tuples_by_product(field, images: List[List[tuple]]) -> Iterator[Tuple[int, ...]]:
-    """``universe._new_class_tuples`` one tuple at a time: each class from
-    all terms of its tuple, scaled in the field so that its first nonzero
-    coordinate is 1."""
+    """The tuples of ``universe._class_tuples`` combined by
+    ``universe._sum_tuples``, one tuple of the whole product at a time:
+    images[k][i] is the class of basis cocycle k against summand i, and
+    each class is computed from all terms of its tuple, scaled in the field
+    so that its first nonzero coordinate is 1."""
     seen = set()
     for coeffs in itertools.product(SWEEP_COEFFS, repeat=len(images)):
         terms = [(c, image) for c, image in zip(coeffs, images) if c]

@@ -22,6 +22,7 @@ from tauseq.decompose import indecomposable_parts, is_indecomposable
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, block_sum, direct_sum, projective, simple, zero_rep
 from tauseq.universe import ModuleUniverse
+from oracles import every_class_tuple
 from test_wide import LATTICE_ALGEBRAS, _linear
 
 
@@ -59,8 +60,7 @@ def sweep_middles(algebra, monkeypatch):
     monkeypatch.setattr(universe_mod, "is_indecomposable",
                         lambda m: len(indecomposable_parts(m)) == 1)
     monkeypatch.setattr(universe_mod.ARNeighbours, "closed", lambda self, modules: None)
-    monkeypatch.setattr(universe_mod, "_new_class_tuples", lambda field, images:
-                        itertools.product(universe_mod.SWEEP_COEFFS, repeat=len(images)))
+    monkeypatch.setattr(universe_mod, "_class_tuples", every_class_tuple)
     u = ModuleUniverse(algebra)
     monkeypatch.undo()
     assert u.certified

@@ -11,6 +11,12 @@ bound is pinned the same way in ``golden/inspect_kronecker.json``: the
 Kronecker quiver is representation-infinite, so the report is uncertified
 and carries the tau-rigid and injective flags of a found list that is not
 closed, and the reason the sweep stopped, with exit code 0.
+
+``golden/inspect_scale.json`` pins ``tauseq inspect algebras/scale/<key>
+--json`` the same way for D5, for E6 at the default bound, where the
+largest root touches the cap and the report is uncertified, and for E6 at
+``--dim-bound 4``, where the sweep tries the most extension classes.  Each
+key is the file name followed by any further arguments.
 """
 
 import json
@@ -25,6 +31,8 @@ with open(os.path.join(os.path.dirname(__file__), "golden", "inspect_algebras.js
     GOLDEN = json.load(fh)
 with open(os.path.join(os.path.dirname(__file__), "golden", "inspect_kronecker.json")) as fh:
     KRONECKER = json.load(fh)
+with open(os.path.join(os.path.dirname(__file__), "golden", "inspect_scale.json")) as fh:
+    SCALE = json.load(fh)
 
 
 def test_every_algebra_file_has_a_record():
@@ -50,3 +58,18 @@ def test_uncertified_kronecker_inspect_is_byte_identical(capsys, monkeypatch):
     assert code == 0 and report["certified"] is False
     assert report["certificate"]["sweep_aborted_because"] == \
         "extension space of dimension 8 exceeds the sweep guard"
+
+
+def test_the_scale_records_cover_d5_and_e6_at_two_bounds():
+    assert sorted(SCALE) == ["d5.json", "e6.json", "e6.json --dim-bound 4"]
+    certified = {key: json.loads(r["stdout"])["algebra"]["certified"] for key, r in SCALE.items()}
+    assert certified == {"d5.json": True, "e6.json": False, "e6.json --dim-bound 4": True}
+
+
+@pytest.mark.parametrize("key", sorted(SCALE))
+def test_scale_inspect_json_is_byte_identical(key, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    name, *rest = key.split()
+    code = main(["inspect", "algebras/scale/" + name, "--json"] + rest)
+    captured = capsys.readouterr()
+    assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == SCALE[key]

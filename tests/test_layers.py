@@ -18,7 +18,9 @@ MODULE_LEVEL = {"modules", "linalg", "decompose", "ar", "transport"}
 def _imported_modules(path):
     """The tauseq submodules a source file imports, by any import form."""
     out = set()
-    for node in ast.walk(ast.parse(open(path).read())):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:
             if node.module == "tauseq":
                 out.update(a.name for a in node.names)

@@ -4,10 +4,12 @@ routes.
 rad P(v) is the sum of the arrow ideals aA, I(v) / soc I(v) the sum of the
 duals of the opposite algebra's arrow ideals at v, and the one presentation
 routine presents S_v by the sum of P(t a) -> P(v), with no special case.
-dim Ext^1(S_v, M) follows from the minimal zero paths.  The oracles are the
-routes the build took before: the presentation by covers, the projective
-cover and its kernel, with Ext1From on its syzygy, and indecomposable_parts
-of rad P and of I / soc I.
+Ext^1(S_v, M) follows from the minimal zero paths: its cocycles and
+coboundaries are those of the solve on the listed relations,
+``ar.extension_cocycle_space``, matrix for matrix, and its dimension is
+that of Ext1From on the syzygy.  The other oracles are the routes the build
+took before: the presentation by covers, the projective cover and its
+kernel, and indecomposable_parts of rad P and of I / soc I.
 """
 
 import functools
@@ -18,13 +20,13 @@ import os
 import pytest
 
 from tauseq import modules
-from tauseq.ar import Ext1From, tau
+from tauseq.ar import Ext1From, extension_cocycle_space, tau
 from tauseq.cli import InputError, load_algebra_file
 from tauseq.decompose import is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.modules import (
-    arrow_ideals, direct_sum, dual_arrow_ideals, dualize, min_presentation, projective,
-    radical_spans, simple, simple_ext_dim, submodule_from_spans,
+    SimpleExt, arrow_ideals, block_sum, direct_sum, dual_arrow_ideals, dualize,
+    min_presentation, projective, radical_spans, simple, submodule_from_spans,
 )
 from tauseq.quiver import Quiver, build_algebra, opposite
 from tauseq.universe import ModuleUniverse
@@ -41,6 +43,12 @@ def _a4rad2_redundant():
     return build_algebra(q, FieldSpec(0), [["a", "b"], ["b", "c"], ["a", "b", "c"]])
 
 
+def _branch_rad2():
+    # a leads to a vertex with two arrows out, so a has two zero tails
+    q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")])
+    return build_algebra(q, FieldSpec(0), [["a", "b"], ["a", "c"]])
+
+
 def _builds(path):
     try:
         load_algebra_file(path)
@@ -52,6 +60,7 @@ def _builds(path):
 ALGEBRAS = {os.path.relpath(path, ROOT): functools.partial(load_algebra_file, path)
             for path in FILES if _builds(path)}
 ALGEBRAS["a4rad2_redundant"] = _a4rad2_redundant
+ALGEBRAS["branch_rad2"] = _branch_rad2
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,8 +87,36 @@ def test_the_ext_of_a_simple_read_off_the_paths_matches_its_syzygy(name):
     for v in range(u.n):
         s = simple(u.algebra, v)
         oracle = Ext1From(s, presentation_by_covers(s))
-        assert [simple_ext_dim(u.algebra, v, m) for m in targets] == \
+        assert [SimpleExt(m, v).dim for m in targets] == \
             [oracle.dim(m) for m in targets], v
+
+
+SCALE = {os.path.relpath(path, ROOT): functools.partial(load_algebra_file, path)
+         for path in sorted(glob.glob(os.path.join(ROOT, "algebras", "scale", "*.json")))}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(SCALE))
+def test_the_cocycles_read_off_the_paths_are_those_of_the_relation_solve(name):
+    # Z^1(S_v, M) from the tails of the minimal zero paths and B^1 from the
+    # arrows leaving v, against the solve on the listed relations, for every
+    # module and every sum of two modules
+    u = _universe(name) if name in ALGEBRAS else \
+        ModuleUniverse(SCALE[name](), require_certificate=False)
+    targets = list(u.modules) + [block_sum([a, b]) for a, b in
+                                 itertools.combinations_with_replacement(u.modules, 2)]
+    reached = 0
+    for v in range(u.n):
+        s = simple(u.algebra, v)
+        for m in targets:
+            ext = SimpleExt(m, v)
+            cocycles, coboundaries = extension_cocycle_space(s, m)
+            assert ext.cocycles == cocycles
+            # with no cocycle unknowns the relation solve returns a 0 x 0 matrix
+            assert ext.coboundaries == coboundaries or \
+                not (ext.coboundaries.rows or coboundaries.rows or cocycles)
+            assert [len(c) for c in ext.classes] == [ext.dim] * len(cocycles)
+            reached += ext.dim > 0
+    assert reached
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

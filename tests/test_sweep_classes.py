@@ -1,13 +1,16 @@
 """The enumeration sweep tries each extension class once, up to scaling each
 summand.
 
-``universe._new_class_tuples`` walks the {0, +-1} coefficient tuples in
-``itertools.product`` order and keeps a tuple only when its class is nonzero
-against every summand of U and new up to one nonzero scalar per summand.
-The oracle is the full product sweep, got by patching that helper into
-``itertools.product``: the modules, their matrices and order, the labels and
-the certificate must not change.  The Hypothesis tests check, over Q, GF(3)
-and GF(5), the three facts the skip rests on.
+For each summand U_i of U, ``universe._class_tuples`` keeps the first
+{0, +-1} coefficient tuple, in ``itertools.product`` order, of each class in
+Ext^1(S, U_i) that is nonzero, up to a nonzero scalar; ``_sum_tuples``
+combines one kept tuple per summand and sorts the combinations in product
+order of the tuple they make on the basis of Z^1(S, U).  The oracle is the
+full product sweep, got by patching ``_class_tuples`` to return every tuple:
+the modules, their matrices and order, the labels and the certificate must
+not change.  A Hypothesis test checks the combination against the walk over
+the whole product on zero-padded class data, and three more check, over Q,
+GF(3) and GF(5), the three facts the skip rests on.
 """
 
 import functools
@@ -23,11 +26,11 @@ from tauseq.ar import extension_cocycle_space, extension_middle, flat_cocycle
 from tauseq.cli import load_algebra_file
 from tauseq.decompose import is_indecomposable, is_isomorphic
 from tauseq.fields import FieldSpec
-from tauseq.linalg import Mat
-from tauseq.modules import block_sum, direct_sum, projective, simple, simple_ext_dim
+from tauseq.linalg import Mat, combine
+from tauseq.modules import SimpleExt, block_sum, direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
-from tauseq.universe import ModuleUniverse, _new_class_tuples
-from oracles import new_class_tuples_by_product
+from tauseq.universe import SWEEP_COEFFS, ModuleUniverse, _class_tuples, _sum_tuples
+from oracles import every_class_tuple, new_class_tuples_by_product
 from test_ar_closure import BENCH_ALGEBRAS, ORACLE_ALGEBRAS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -37,6 +40,9 @@ CASES["d4"] = (lambda: load_algebra_file(os.path.join(ROOT, "algebras", "d4.json
 for _bound in ((2, 2), (3, 3)):
     CASES["kronecker_%d%d" % _bound] = (
         lambda: load_algebra_file(os.path.join(BENCH_ALGEBRAS, "kronecker.json")), _bound)
+SCALE = os.path.join(ROOT, "algebras", "scale")
+CASES["e6"] = (lambda: load_algebra_file(os.path.join(SCALE, "e6.json")), (4,) * 6)
+CASES["d5"] = (lambda: load_algebra_file(os.path.join(SCALE, "d5.json")), None)
 
 
 def _sweep(algebra, bound, monkeypatch, full):
@@ -51,8 +57,7 @@ def _sweep(algebra, bound, monkeypatch, full):
 
     monkeypatch.setattr(universe_mod, "extension_middle", spy)
     if full:
-        monkeypatch.setattr(universe_mod, "_new_class_tuples", lambda field, images:
-                            itertools.product(universe_mod.SWEEP_COEFFS, repeat=len(images)))
+        monkeypatch.setattr(universe_mod, "_class_tuples", every_class_tuple)
     u = ModuleUniverse(algebra, bound, require_certificate=False)
     monkeypatch.undo()
     return u, len(calls)
@@ -60,8 +65,8 @@ def _sweep(algebra, bound, monkeypatch, full):
 
 def test_the_cases_cover_the_corpus():
     assert {"a5", "d4", "loop_rad2", "nakayama2_rad3", "nakayama3_rad3",
-            "kronecker_22", "kronecker_33"} <= set(CASES)
-    assert len(CASES) >= 14 + 6
+            "kronecker_22", "kronecker_33", "d5", "e6"} <= set(CASES)
+    assert len(CASES) >= 14 + 8
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -93,80 +98,112 @@ def test_kronecker_refusal_tests_few_middles(monkeypatch):
     assert len(calls) <= 100
 
 
-SCALE = os.path.join(ROOT, "algebras", "scale")
-BASIS_CASES = dict(CASES)
-BASIS_CASES["e6"] = (lambda: load_algebra_file(os.path.join(SCALE, "e6.json")), (4,) * 6)
-BASIS_CASES["d5"] = (lambda: load_algebra_file(os.path.join(SCALE, "d5.json")), None)
+def _coordinates(blocks, basis):
+    """The coordinates of a cocycle in the reduced echelon basis of Z^1: its
+    entries at the basis vectors' free unknowns, each vector's last nonzero
+    entry."""
+    flat = flat_cocycle(blocks)
+    return tuple(flat[max(j for j, x in enumerate(flat_cocycle(c)) if x != 0)] for c in basis)
 
 
-@pytest.mark.parametrize("name", sorted(BASIS_CASES))
-def test_assembled_cocycle_basis_is_the_block_sum_basis(name, monkeypatch):
-    # the sweep assembles the basis of Z^1(S, U) from one basis per summand;
-    # on every combination it visits, that is the basis the block sum's own
-    # solve gives, matrix for matrix and in the same order.  The sweep stops
-    # at its last new module and may visit few combinations or none, so
-    # every sum of one or two built modules is assembled directly as well
-    build, bound = BASIS_CASES[name]
+def _rank(coeffs):
+    return [SWEEP_COEFFS.index(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_middle_cocycle_combines_the_block_sum_basis(name, monkeypatch):
+    # the sweep stacks the summands' combinations at each arrow; the result
+    # is the combination of the block sum's own basis of Z^1(S, U) with a
+    # nonzero {0, +-1} tuple, and the tuples of one U come in product order.
+    # The sweep stops at its last new module and may visit few combinations
+    # or none, so the first combinations of every sum of one or two built
+    # modules are stacked directly as well
+    build, bound = CASES[name]
     seen = []
-    assemble = universe_mod._sum_cocycles
+    middle = universe_mod.extension_middle
 
-    def spy(s, parts, bases):
-        cocycles, images = assemble(s, parts, bases)
-        seen.append((s, list(parts), cocycles))
-        return cocycles, images
+    def spy(s, u, blocks):
+        seen.append((s, u, blocks))
+        return middle(s, u, blocks)
 
-    monkeypatch.setattr(universe_mod, "_sum_cocycles", spy)
+    monkeypatch.setattr(universe_mod, "extension_middle", spy)
     built = ModuleUniverse(build(), bound, require_certificate=False)
     monkeypatch.undo()
+    last = None
+    for s, u, blocks in seen:
+        same = last is not None and last[0] is s and last[1] is u
+        if not same:
+            basis = extension_cocycle_space(s, u)[0]
+        coeffs = _coordinates(blocks, basis)
+        assert set(coeffs) <= set(SWEEP_COEFFS) and any(coeffs)
+        assert combine(coeffs, basis) == blocks
+        assert not same or last[2] < _rank(coeffs)
+        last = (s, u, _rank(coeffs))
+    combined = 0
     for v in range(built.n):
         s = simple(built.algebra, v)
-        ext = [simple_ext_dim(built.algebra, v, m) for m in built.modules]
-        reached = [i for i, e in enumerate(ext) if e]
+        exts = [SimpleExt(m, v) for m in built.modules]
+        reached = [i for i, x in enumerate(exts) if x.dim]
         for combo in itertools.chain(((i,) for i in reached),
                                      itertools.combinations_with_replacement(reached, 2)):
-            if combo.count(combo[0]) > ext[combo[0]]:
+            if combo.count(combo[0]) > exts[combo[0]].dim:
                 continue
-            parts = [built.modules[i] for i in combo]
-            bases = [universe_mod._cocycle_basis(s, p, ext[i]) for i, p in zip(combo, parts)]
-            seen.append((s, parts, assemble(s, parts, bases)[0]))
-    assert seen
-    for s, parts, cocycles in seen:
-        u = parts[0] if len(parts) == 1 else block_sum(parts)
-        assert cocycles == extension_cocycle_space(s, u)[0]
+            own = [exts[i] for i in combo]
+            u = block_sum([built.modules[i] for i in combo])
+            basis = extension_cocycle_space(s, u)[0]
+            for tuples in _sum_tuples([_class_tuples(built.field, x.classes) for x in own],
+                                      [x.free for x in own])[:10]:
+                blocks = universe_mod._sum_cocycle(own, tuples)
+                assert combine(_coordinates(blocks, basis), basis) == blocks
+                combined += 1
+    assert combined
 
 
 @pytest.mark.parametrize("characteristic", [0, 3])
-def test_new_class_tuples_in_product_order(characteristic):
+def test_class_tuples_in_product_order(characteristic):
     field = FieldSpec(characteristic)
     # one summand with a two-dimensional Ext: one tuple per point of the
     # projective line the coefficients reach, the first in product order
-    images = [[(1, 0)], [(0, 1)]]
-    assert list(_new_class_tuples(field, images)) == [(0, 1), (1, 0), (1, 1), (1, -1)]
+    assert _class_tuples(field, [(1, 0), (0, 1)]) == [(0, 1), (1, 0), (1, 1), (1, -1)]
+    # a class the coefficients reach only as a zero combination is skipped
+    assert _class_tuples(field, [(1,), (1,)]) == [(0, 1)]
     # two summands with one-dimensional Exts: both classes must be nonzero,
     # and any two such tuples differ by scaling the summands
-    images = [[(1,), (0,)], [(0,), (1,)]]
-    assert list(_new_class_tuples(field, images)) == [(1, 1)]
-    # a class the coefficients reach only as a zero combination is skipped
-    images = [[(1,)], [(1,)]]
-    assert list(_new_class_tuples(field, images)) == [(0, 1)]
+    one = _class_tuples(field, [(1,)])
+    assert _sum_tuples([one, one], [[(0, 0)], [(0, 0)]]) == [((1,), (1,))]
+    # the basis of Z^1(S, U) is ordered by arrow, then summand, then row, so
+    # summand 1's vector sits between summand 0's two, and the combinations
+    # follow the product order of (x0, y0, x1)
+    kept = [[(1, 0), (0, 1)], [(1,), (-1,)]]
+    assert _sum_tuples(kept, [[(0, 0), (1, 0)], [(0, 0)]]) == [
+        ((0, 1), (1,)), ((0, 1), (-1,)), ((1, 0), (1,)), ((1, 0), (-1,))]
 
 
 @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_prefix_sums_keep_the_tuples_and_their_order(characteristic, data):
-    # up to six basis cocycles against up to three summands, with Fraction
-    # coordinates over Q; the oracle computes each tuple's classes afresh
+def test_summand_tuples_combine_to_the_full_product_walk(characteristic, data):
+    # one to three summands, each with one to three basis cocycles whose
+    # classes lie in an Ext^1 of dimension one to three, Fraction
+    # coordinates over Q; the basis of Z^1(S, U) interleaves the summands'
+    # vectors by their free unknowns (arrow, row), and the oracle walks the
+    # whole product on the classes padded with zeros at the other summands
     field = FieldSpec(characteristic)
-    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     if characteristic:
         scalar = st.integers(0, characteristic - 1)
     else:
         scalar = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
-    images = data.draw(st.lists(
-        st.tuples(*[st.tuples(*[scalar] * size) for size in sizes]).map(list),
-        min_size=1, max_size=6))
-    assert list(_new_class_tuples(field, images)) == \
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                min_size=1, max_size=3))
+    classes = [data.draw(st.lists(st.tuples(*[scalar] * ext), min_size=n, max_size=n))
+               for n, ext in shapes]
+    cells = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    free = [sorted(data.draw(st.sets(cells, min_size=n, max_size=n))) for n, _ in shapes]
+    order = sorted((a, i, r, k) for i, rows in enumerate(free) for k, (a, r) in enumerate(rows))
+    images = [[classes[i][k] if j == i else (0,) * ext for j, (_, ext) in enumerate(shapes)]
+              for _, i, _, k in order]
+    got = _sum_tuples([_class_tuples(field, c) for c in classes], free)
+    assert [tuple(tuples[i][k] for _, i, _, k in order) for tuples in got] == \
         list(new_class_tuples_by_product(field, images))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tauseq.errors import NotCertifiablyComplete
+from tauseq.errors import BoundTooSmall, NotCertifiablyComplete
 from tauseq.fields import FieldSpec
 from tauseq.modules import direct_sum, hom_dim
 from tauseq.quiver import Quiver, build_algebra
@@ -18,6 +18,14 @@ def test_kronecker_is_not_certifiable():
         ModuleUniverse(alg, dim_bound=(2, 2))
     u = ModuleUniverse(alg, dim_bound=(2, 2), require_certificate=False)
     assert not u.certified
+
+
+@pytest.mark.parametrize("bound", [(3,), (3, 3), (3, 3, 3, 3), ()])
+def test_a_cap_must_name_one_bound_per_vertex(a3, bound):
+    # a cap compared through zip would read a short one as complete
+    with pytest.raises(BoundTooSmall, match="for 3 vertices"):
+        ModuleUniverse(a3, bound, require_certificate=False)
+    assert ModuleUniverse(a3, (3, 3, 3)).certified
 
 
 def test_universe_is_deterministic_across_builds(a3rad2):
