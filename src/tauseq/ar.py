@@ -287,7 +287,7 @@ def extension_cocycle_space(b: Rep, a: Rep) -> Tuple[List[List[Mat]], Mat]:
                 if any(x != 0 for x in row):
                     rows.append(row)
     if total == 0:
-        return [], Mat.zeros(f, 0, 0)
+        return [], _coboundary_matrix(b, a)
     if rows:
         ker = linalg.solve_kernel(Mat(f, len(rows), total, rows))
     else:

@@ -2,8 +2,13 @@
 
 A module M splits one way, by Fitting's lemma: for an endomorphism f and
 N >= dim M, M = ker f^N + im f^N, and both summands are nonzero exactly when
-f is neither nilpotent nor invertible.  Each basis element of End(M) is
-tried first.  When none splits M, End(M) is reduced modulo its radical
+f is neither nilpotent nor invertible.  Over Q the trace form
+(x, y) -> tr_M(x y) of End(M) is read first: M is a faithful End(M)-module,
+so the kernel of the form is rad End(M) (Dickson's criterion), and a Gram
+matrix of rank 1 proves End(M) / rad = k, so M indecomposable, before any
+structure constants are built.  Over GF(p) the kernel can be larger than
+the radical, and the test is skipped.  Then each basis element of End(M) is
+tried.  When none splits M, End(M) is reduced modulo its radical
 (lifted traces of the regular representation, which stop at the trace form
 in characteristic 0) and the semisimple quotient is searched for a
 nontrivial idempotent: the left identity of yA for a zero divisor y = g(x),
@@ -536,6 +541,21 @@ class EndAlgebra:
             maps = [Mat.zeros(self.field, d, d) for d in m.dims]
         return RepMorphism(m, m, maps, validate=False)
 
+    def trace_form_rank(self) -> int:
+        """The rank of the Gram matrix tr_M(b_i b_j) of the basis, the trace
+        taken on M vertex by vertex: tr(x y) at a vertex pairs x row-major
+        with y column-major.  In characteristic 0 it is dim End(M) minus
+        dim rad End(M) (Dickson's criterion, M being a faithful
+        End(M)-module)."""
+        f = self.field
+        rows, cols = [], []
+        for b in self.basis:
+            rows.append([x for blk in b.maps for row in blk.data for x in row])
+            cols.append([x for blk in b.maps for col in zip(*blk.data) for x in col])
+        n = len(rows[0])
+        return linalg.rank(Mat.trusted(f, self.dim, n, rows).mul(
+            Mat.trusted(f, n, self.dim, [list(r) for r in zip(*cols)])))
+
     def core(self) -> AlgebraCore:
         """Structure constants: column i k + j of one batch holds the
         flattened product b_i b_j, and a last column the identity."""
@@ -572,8 +592,6 @@ def _idempotent_mod_radical(m: Rep, end: Optional[EndAlgebra] = None) -> Optiona
     since its class is neither 0 nor 1, so it splits m by Fitting's lemma.
     """
     end = end or EndAlgebra(m)
-    if end.dim == 1:
-        return None
     core = end.core()
     rad = core.radical_basis()
     quot, comp = core.quotient_by(rad)
@@ -606,19 +624,31 @@ def _fitting_power(f: RepMorphism) -> Optional[List[Mat]]:
     return powers if 0 < rank < total else None
 
 
+def _local_by_trace_form(end: EndAlgebra) -> bool:
+    """Whether the trace form certifies End(M) local: over Q a Gram matrix
+    of rank 1 makes End(M) / rad End(M) one-dimensional, so k, and M
+    indecomposable.  Over GF(p) the kernel of the trace form can be larger
+    than the radical (tr(1) = dim M vanishes when p divides it), so there a
+    rank of 1 certifies nothing."""
+    return end.field.characteristic == 0 and end.trace_form_rank() == 1
+
+
 def _splitting_maps(m: Rep) -> Optional[List[Mat]]:
     """The maps f_v^N of an endomorphism f that splits a nonzero m by
     Fitting's lemma, or None when m is certified indecomposable.
 
-    Each basis element of End(m) is tried first; only when none splits m
-    does the idempotent search run, and only it certifies m indecomposable.
+    Over Q a trace form of rank 1 certifies m indecomposable at once
+    (``_local_by_trace_form``).  Otherwise each basis element of End(m) is
+    tried; only when none splits m does the idempotent search run, and
+    only it certifies m indecomposable then.
     """
     end = EndAlgebra(m)
-    if end.dim > 1:
-        for b in end.basis:
-            powers = _fitting_power(b)
-            if powers is not None:
-                return powers
+    if end.dim == 1 or _local_by_trace_form(end):
+        return None
+    for b in end.basis:
+        powers = _fitting_power(b)
+        if powers is not None:
+            return powers
     e0 = _idempotent_mod_radical(m, end)
     if e0 is None:
         return None

@@ -709,6 +709,24 @@ class SimpleExt:
                            % (self.vertex + 1, self.module.dims, forms.cols, self.dim))
         return [tuple(row) for row in forms.data]
 
+    def pushed_classes(self, source: "SimpleExt", g: RepMorphism) -> List[list]:
+        """For each basis cocycle of source, the class here of its push
+        forward along g: source.module -> self.module, the same vertex v.
+        The push forward of (a, x) is (a, g x) at t a, and its entries at
+        the free unknowns are its coordinates in Z^1."""
+        f = self.coboundaries.field
+        arrows = self.module.algebra.quiver.arrows
+        out = []
+        for a, x in source._vectors:
+            rows = g.maps[arrows[a].target].data
+            vec = [f.zero] * self.dim
+            for (b, r), cls in zip(self.free, self.classes):
+                c = f.coerce(sum(y * z for y, z in zip(rows[r], x))) if b == a else 0
+                if c:
+                    vec = [f.add(y, f.mul(c, z)) for y, z in zip(vec, cls)]
+            out.append(vec)
+        return out
+
 
 # -- duality --
 

@@ -10,8 +10,15 @@ builds one middle per choice of those across the summands, in the product
 order of the whole tuple (``_sum_tuples``): a class that is zero against
 some summand splits the middle, scaling a summand is an automorphism of U,
 and cohomologous cocycles give isomorphic middles, so every skipped middle
-is decomposable or isomorphic to one built before it.  The kept middles,
-and so the found modules and their order, are those of the full product
+is decomposable or isomorphic to one built before it.  Of the combinations
+left, the sweep builds no middle when an automorphism of U splits it: when
+the class against some U_i lies in the span of the push forwards g_* of
+the classes against the other summands, g running over a basis of
+Hom(U_j, U_i), the unipotent automorphism 1 - sum c g of U kills it, and
+U_i splits off (``_automorphism_splits``).  A middle it builds with the
+dimension vector and the simple top of P(v) is P(v), found from the
+start, so it gets no End test (``_may_be_new``).  The kept middles, and so
+the found modules and their order, are those of the full product
 sweep.  Once the projectives are added, and again after every new
 module, the sweep asks whether the found set is closed in the
 Auslander-Reiten quiver: closed under tau and tau-minus, under the summands
@@ -65,8 +72,9 @@ the first one.  A build that is kept computes the flags and tau-rigidity,
 one Hom(X, tau X) per module whose tau was found; the hom and Ext tables
 are read-only properties that fill both tables on the first read of
 either, so ``inspect`` never computes them.  One ``Catalogue`` tells
-modules apart, on the nose when a module equals the rep and otherwise by
-the Fitting test of ``decompose``, for the sweep's new modules, the
+modules apart, on the nose when a module equals the rep, then by the ranks
+of the arrow matrices, an isomorphism invariant, and otherwise by the
+Fitting test of ``decompose``, for the sweep's new modules, the
 closure's neighbour summands, ``identify`` and ``identify_parts``; its
 buckets by dimension vector hold the candidates for tau X.  Counts pinned
 downstream all sit on top of this certificate.  No trace table is kept:
@@ -91,7 +99,7 @@ from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
 from tauseq.modules import (
     Presentation, Rep, SimpleExt, arrow_ideals, block_sum, dual_arrow_ideals, dualize,
-    hom_dim, min_presentation, projective, quotient, radical_spans, simple, trace,
+    hom_basis, hom_dim, min_presentation, projective, quotient, radical_spans, simple, trace,
 )
 
 
@@ -145,6 +153,11 @@ def _canonical(modules: Sequence[Rep]) -> List[Rep]:
     return sorted(modules, key=lambda m: (m.total_dim, m.dims))
 
 
+def _arrow_ranks(m: Rep) -> Tuple[int, ...]:
+    """The ranks of the arrow matrices of m, an isomorphism invariant."""
+    return tuple(linalg.rank(x) for x in m.mats)
+
+
 def _projective_vertex(m: Rep) -> Optional[int]:
     """v when the indecomposable m is the projective P(v), else None: m is
     projective exactly when top m is one simple S_v and m has the dimension
@@ -169,6 +182,7 @@ class Catalogue:
     def __init__(self, modules: Sequence[Rep] = ()):
         self.modules: List[Rep] = []
         self._by_dims: Dict[tuple, List[int]] = {}
+        self._ranks: Dict[int, Tuple[int, ...]] = {}
         for m in modules:
             self.add(m)
 
@@ -180,18 +194,29 @@ class Catalogue:
         """The positions of the modules with the dimension vector dims."""
         return self._by_dims.get(dims, ())
 
+    def ranks(self, i: int) -> Tuple[int, ...]:
+        """The arrow ranks of module i (``_arrow_ranks``), on first read."""
+        r = self._ranks.get(i)
+        if r is None:
+            r = self._ranks[i] = _arrow_ranks(self.modules[i])
+        return r
+
     def find(self, rep: Rep, iso=None) -> Optional[int]:
         """The position of the module isomorphic to rep, or None.  A module
         equal to rep (``Rep.__eq__``) is returned before any Hom solve: the
-        modules are pairwise non-isomorphic.  Otherwise iso(rep, module)
-        decides; the module is indecomposable, so by Fitting's lemma the two
-        are isomorphic exactly when some Hom basis element is, whether or
-        not rep is (``_basis_has_iso``, the default iso)."""
+        modules are pairwise non-isomorphic.  Otherwise a module whose arrow
+        ranks differ from rep's is turned away, the ranks being an
+        isomorphism invariant, and iso(rep, module) decides for the rest;
+        the module is indecomposable, so by Fitting's lemma the two are
+        isomorphic exactly when some Hom basis element is, whether or not
+        rep is (``_basis_has_iso``, the default iso)."""
         bucket = self.bucket(rep.dims)
         i = next((i for i in bucket if self.modules[i] == rep), None)
-        if i is None:
+        if i is None and bucket:
             iso = iso or _basis_has_iso
-            i = next((i for i in bucket if iso(rep, self.modules[i])), None)
+            ranks = _arrow_ranks(rep)
+            i = next((i for i in bucket
+                      if self.ranks(i) == ranks and iso(rep, self.modules[i])), None)
         return i
 
     def find_all(self, parts: Sequence[Rep]) -> Optional[List[int]]:
@@ -253,11 +278,12 @@ class ARNeighbours:
     (``translate_in``) or of an isomorphism test of a neighbour summand
     (``parts_found``) is kept with its candidate, so a later call tests
     only the modules that reached the bucket since.  The list itself is
-    read afresh on every call, so the verdict holds for any list.  A tau X
-    or summand not found is kept as the witness of the failure, and
-    ``closed`` returns None at once while it still stands: its module is in
-    the list and every module there with the missing dimension vector was
-    tested and failed.
+    read afresh on every call, so the verdict holds for any list; a
+    candidate that ``Catalogue.find`` turns away by its arrow ranks is kept
+    as a failed isomorphism test.  A tau X or summand not found is kept as
+    the witness of the failure, and ``closed`` returns None at once while it
+    still stands: its module is in the list and every module there with the
+    missing dimension vector was tested and failed.
 
     tau^- is never built.  tau is a bijection from the non-projective
     indecomposables onto the non-injective ones, with inverse tau^-
@@ -346,6 +372,11 @@ class ARNeighbours:
         catalogue; the first one that is not becomes the witness."""
         for part in self.parts(kind, m, tau_m):
             if catalogue.find(part, lambda rep, z: self._verdict("iso", rep, z)) is None:
+                # a candidate the catalogue turned away by its arrow ranks
+                # was tested too, and failed
+                for i in catalogue.bucket(part.dims):
+                    z = catalogue.modules[i]
+                    self._memo.setdefault(("iso", id(part), id(z)), ((part, z), False))
                 self._witness = (m, "iso", part, part.dims)
                 return False
         return True
@@ -529,6 +560,51 @@ def _sum_cocycle(exts: Sequence[SimpleExt], tuples: Sequence[Tuple[int, ...]]) -
     return [functools.reduce(Mat.vstack, col) for col in zip(*blocks)]
 
 
+def _combination(field, coeffs: Sequence[int], vectors: Sequence[Sequence]) -> list:
+    """sum c_k vectors[k] for coefficients c_k in SWEEP_COEFFS."""
+    out = [field.zero] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [field.add(x, y) if c == 1 else field.sub(x, y) for x, y in zip(out, vec)]
+    return out
+
+
+def _automorphism_splits(exts: Sequence[SimpleExt], tuples: Sequence[Tuple[int, ...]],
+                         pushed) -> bool:
+    """Whether an automorphism of U splits the middle of the cocycle that
+    ``_sum_cocycle(exts, tuples)`` builds on U = U_1 + ... + U_r.
+
+    Its class is (xi_i), xi_i in Ext^1(S, U_i).  For g: U_j -> U_i with
+    j != i, the unipotent automorphism 1 + g of U sends the class to the one
+    with xi_i + g_* xi_j in place i.  So when xi_i = sum c_(j,g) g_* xi_j
+    over j != i and g in a basis of Hom(U_j, U_i), the automorphism
+    1 - sum c_(j,g) g kills the component at U_i, and U_i splits off the
+    middle.  With g the identity of a repeated summand, this covers
+    dependent classes on repeated summands.  pushed(j, i) lists, per basis
+    element g of Hom(U_j, U_i), the classes in Ext^1(S, U_i) of g_* of the
+    basis cocycles of Z^1(S, U_j) (``SimpleExt.pushed_classes``)."""
+    field = exts[0].coboundaries.field
+    for i, (x, t) in enumerate(zip(exts, tuples)):
+        span = [v for j, u in enumerate(tuples) if j != i for classes in pushed(j, i)
+                for v in [_combination(field, u, classes)] if any(v)]
+        if span:
+            # xi_i lies in the span when the last column is not a pivot
+            cols = span + [_combination(field, t, x.classes)]
+            _, pivots = linalg.rref(Mat.trusted(field, x.dim, len(cols),
+                                                [list(r) for r in zip(*cols)]))
+            if pivots[-1] != len(span):
+                return True
+    return False
+
+
+def _may_be_new(middle: Rep) -> bool:
+    """Whether a sweep middle is indecomposable and not projective.  A
+    middle with the dimension vector of P(v) and the simple top S_v is P(v)
+    (``_projective_vertex``), which the sweep holds from the start, so it
+    needs neither an End test nor a Hom solve."""
+    return _projective_vertex(middle) is None and is_indecomposable(middle)
+
+
 def _holds(certificate: Dict[str, object]) -> bool:
     """Whether every key of the certificate so far holds."""
     return all(bool(v) for k, v in certificate.items()
@@ -645,6 +721,15 @@ class ModuleUniverse:
         the sum of 3^dim Z^1(S, U_i) over the summands plus the product of
         their kept tuple counts.
 
+        Two skips are theorems, so they change no found module.  A
+        combination whose class an automorphism of U kills at some summand
+        builds no middle (``_automorphism_splits``): that summand splits
+        off.  It reads Hom(U_j, U_i) between found modules and the class
+        forms of ``SimpleExt``, pushed forward once per (simple, U_j, U_i).
+        A middle that is P(v) by its dimension vector and top gets no End
+        test and no Hom solve (``_may_be_new``): P(v) is found from the
+        start.
+
         The stop test runs once the projectives are added and again after
         every new module, and the sweep completes as soon as the found set
         is closed in the AR quiver: it holds every simple from the start, so
@@ -686,6 +771,11 @@ class ModuleUniverse:
         def kept_to(sv: int, idx: int) -> List[Tuple[int, ...]]:
             return _class_tuples(self.field, ext_to(sv, idx).classes)
 
+        @functools.cache
+        def pushed(sv: int, src: int, dst: int) -> List[List[list]]:
+            return [ext_to(sv, dst).pushed_classes(ext_to(sv, src), g)
+                    for g in hom_basis(found[src], found[dst])]
+
         def middles() -> Iterator[Rep]:
             # the indecomposable middles, layer by layer, in the sweep's order
             total_cap = sum(cap)
@@ -709,8 +799,11 @@ class ModuleUniverse:
                         # summand is never new: test it, do not decompose it
                         for tuples in _sum_tuples([kept_to(sv, idx) for idx in combo],
                                                   [x.free for x in own]):
+                            if _automorphism_splits(
+                                    own, tuples, lambda j, i: pushed(sv, combo[j], combo[i])):
+                                continue
                             middle = extension_middle(s, u, _sum_cocycle(own, tuples))
-                            if is_indecomposable(middle):
+                            if _may_be_new(middle):
                                 yield middle
 
         try:

@@ -9,7 +9,7 @@ reachable from the package, the command line or the benchmark.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tauseq import linalg
 from tauseq.ar import Ext1From, almost_split_middle, extension_cocycle_space, tau
@@ -25,8 +25,8 @@ from tauseq.universe import (
     SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj,
 )
 from tauseq.wide import (
-    ambient_context, gen_mask, ids_of, perp_tau_members, rel_ext_projectives,
-    rel_tau_rigid, torsion_handle,
+    Context, ambient_context, context_of, gen_mask, ids_of, perp_tau_members,
+    rel_ext_projectives, rel_tau_rigid, torsion_handle,
 )
 
 
@@ -259,6 +259,34 @@ def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:
         if gen_mask(u, ids[i + 1:]) >> ids[i] & 1:
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# sequence counts over the wide lattice
+# --------------------------------------------------------------------------
+
+def sequence_count(u: ModuleUniverse, w_members: FrozenSet[int] = frozenset()) -> int:
+    """The number of tau-exceptional sequences whose perpendicular category
+    is w_members, counted without listing one.  A sequence in a wide
+    subcategory W ends with a tau_W-rigid indecomposable U, and the rest is
+    a sequence in J_W(U), so
+
+        count(W) = [W = w] + sum over U of count(J_W(U)),
+
+    memoized per wide subcategory and started at the ambient one; only a
+    J_W(U) that holds w can lead to w.  With w = 0 it counts the complete
+    sequences."""
+    memo: Dict[int, int] = {}
+
+    def count(ctx: Context) -> int:
+        if ctx.mask not in memo:
+            subs = [context_of(u, ctx, StrObj.make([x])) for x in sorted(ctx.members)
+                    if rel_tau_rigid(u, ctx, (x,))]
+            memo[ctx.mask] = (ctx.members == w_members) + sum(
+                count(sub) for sub in subs if w_members <= sub.members)
+        return memo[ctx.mask]
+
+    return count(ambient_context(u))
 
 
 # --------------------------------------------------------------------------
