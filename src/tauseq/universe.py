@@ -27,20 +27,23 @@ almost split sequence ending at each non-projective module
 (``ARNeighbours``).  The found set holds every simple, so once it is closed
 it is every indecomposable (Auslander's theorem, Auslander-Reiten-Smalo
 ch. VI), and the sweep stops there as completed, building no middle after
-its last new module.  The stop test keeps its state across these calls, so
-each call tests only what is new since the last one.
+its last new module.  The sweep appends to one ``Catalogue``, and the stop
+test keeps every fact by catalogue position, each search of a bucket
+resuming where it stopped, so each call tests only what is new since the
+last one.
 Once the set holds every indecomposable projective and is closed under tau,
 tau-minus, rad P and I / soc I, only a module on a tau-periodic orbit needs
 its almost split middle built: for any other X an irreducible map Y -> X
 moves down the tau orbit of X as tau^j Y -> tau^j X (Auslander-Reiten-Smalo
 ch. VII) until tau^j Y is projective or a summand of rad P for a projective
 tau^j X = P, so found either way, and tau-minus closure walks back up to Y.
-The stop test closes the list in canonical order, and the certificate takes
-that closure as it is instead of computing it a second time.  The sweep
-adds each P(v) as it is, since End P(v) = e_v A e_v is local, so it
-decomposes no projective.  When the guard on the size of a cocycle space
-or the cap stops the sweep, the stop test has already found the list as it
-stands not closed.
+The stop test walks the catalogue in canonical order and gives canonical
+ids, and the certificate takes that closure as it is instead of computing
+it a second time.  The sweep adds each P(v) as it is, since
+End P(v) = e_v A e_v is local, so it decomposes no projective.  It adds no
+module above the cap but aborts there, so the list it found is the list
+the build keeps.  When the guard on the size of a cocycle space or the cap
+stops the sweep, the stop test has already found that list not closed.
 tau-minus is never built: tau is a bijection from the non-projective
 indecomposables onto the non-injective ones with inverse tau-minus
 (Auslander-Reiten-Smalo ch. IV), so once tau X is found for every found X,
@@ -66,17 +69,18 @@ The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
 already decides the closure keys with the least work: a module whose tau is
 not found makes both translate keys false, and only the radical key is
-still computed in full.  The stop test has usually kept that module as the
-witness of its last failure; otherwise the walk in sorted order stops at
-the first one.  A build that is kept computes the flags and tau-rigidity,
-one Hom(X, tau X) per module whose tau was found; the hom and Ext tables
-are read-only properties that fill both tables on the first read of
-either, so ``inspect`` never computes them.  One ``Catalogue`` tells
-modules apart, on the nose when a module equals the rep, then by the ranks
-of the arrow matrices, an isomorphism invariant, and otherwise by the
-Fitting test of ``decompose``, for the sweep's new modules, the
-closure's neighbour summands, ``identify`` and ``identify_parts``; its
-buckets by dimension vector hold the candidates for tau X.  Counts pinned
+still computed in full.  The walk in canonical order stops at the first
+one, resuming the stop test's searches, so it repeats no test.  A build
+that is kept computes the flags and tau-rigidity, one Hom(X, tau X) per
+module whose tau was found; the hom and Ext tables are read-only
+properties that fill both tables on the first read of either, so
+``inspect`` never computes them.  A ``Catalogue`` tells modules apart, on
+the nose when a module equals the rep, then by the ranks of the arrow
+matrices, an isomorphism invariant, and otherwise by the Fitting test of
+``decompose``: the sweep's for its new modules and the closure's neighbour
+summands, its buckets by dimension vector holding the candidates for
+tau X, and one over the canonical list for ``identify`` and
+``identify_parts``.  Counts pinned
 downstream all sit on top of this certificate.  No trace table is kept:
 ``gen_set`` and ``filtgen_*`` compute from traces, as the oracle for the
 verify suites and the tests.
@@ -147,12 +151,6 @@ def _label(dims: Sequence[int], ordinal: int) -> str:
     return "%s#%d" % (body, ordinal)
 
 
-def _canonical(modules: Sequence[Rep]) -> List[Rep]:
-    """The modules in the order of canonical ids: by total dimension, then
-    dimension vector, then their order in the list."""
-    return sorted(modules, key=lambda m: (m.total_dim, m.dims))
-
-
 def _arrow_ranks(m: Rep) -> Tuple[int, ...]:
     """The ranks of the arrow matrices of m, an isomorphism invariant."""
     return tuple(linalg.rank(x) for x in m.mats)
@@ -177,7 +175,8 @@ def _projective_vertex(m: Rep) -> Optional[int]:
 
 class Catalogue:
     """Pairwise non-isomorphic indecomposables, bucketed by dimension vector;
-    a module's position in ``modules`` is its id here."""
+    a module's position in ``modules`` is its id here.  Modules are only
+    appended, so a position names one module for good."""
 
     def __init__(self, modules: Sequence[Rep] = ()):
         self.modules: List[Rep] = []
@@ -194,6 +193,12 @@ class Catalogue:
         """The positions of the modules with the dimension vector dims."""
         return self._by_dims.get(dims, ())
 
+    def canonical_order(self) -> List[int]:
+        """The positions in the order of canonical ids: by total dimension,
+        then dimension vector, then position."""
+        mods = self.modules
+        return sorted(range(len(mods)), key=lambda i: (mods[i].total_dim, mods[i].dims))
+
     def ranks(self, i: int) -> Tuple[int, ...]:
         """The arrow ranks of module i (``_arrow_ranks``), on first read."""
         r = self._ranks.get(i)
@@ -201,22 +206,21 @@ class Catalogue:
             r = self._ranks[i] = _arrow_ranks(self.modules[i])
         return r
 
-    def find(self, rep: Rep, iso=None) -> Optional[int]:
-        """The position of the module isomorphic to rep, or None.  A module
-        equal to rep (``Rep.__eq__``) is returned before any Hom solve: the
-        modules are pairwise non-isomorphic.  Otherwise a module whose arrow
-        ranks differ from rep's is turned away, the ranks being an
-        isomorphism invariant, and iso(rep, module) decides for the rest;
-        the module is indecomposable, so by Fitting's lemma the two are
-        isomorphic exactly when some Hom basis element is, whether or not
-        rep is (``_basis_has_iso``, the default iso)."""
-        bucket = self.bucket(rep.dims)
+    def find(self, rep: Rep, start: int = 0) -> Optional[int]:
+        """The position of the module isomorphic to rep among the entries of
+        its bucket from start on, or None.  A module equal to rep
+        (``Rep.__eq__``) is returned before any Hom solve: the modules are
+        pairwise non-isomorphic.  Otherwise a module whose arrow ranks
+        differ from rep's is turned away, the ranks being an isomorphism
+        invariant; the module is indecomposable, so by Fitting's lemma the
+        two are isomorphic exactly when some Hom basis element is, whether
+        or not rep is (``_basis_has_iso``)."""
+        bucket = self.bucket(rep.dims)[start:]
         i = next((i for i in bucket if self.modules[i] == rep), None)
         if i is None and bucket:
-            iso = iso or _basis_has_iso
             ranks = _arrow_ranks(rep)
-            i = next((i for i in bucket
-                      if self.ranks(i) == ranks and iso(rep, self.modules[i])), None)
+            i = next((i for i in bucket if self.ranks(i) == ranks and
+                      _basis_has_iso(rep, self.modules[i])), None)
         return i
 
     def find_all(self, parts: Sequence[Rep]) -> Optional[List[int]]:
@@ -231,7 +235,7 @@ class Catalogue:
 
 
 class Closure(NamedTuple):
-    """What ``ARNeighbours.closure`` reads off a catalogue, per position."""
+    """What ``ARNeighbours.closure`` reads off a catalogue, by canonical id."""
     tau_of: List[Optional[int]]  # None for a projective or an unresolved tau
     tau_unresolved: List[bool]   # tau X is not one found module
     is_inj: List[bool]
@@ -239,16 +243,26 @@ class Closure(NamedTuple):
     closed_under_radical_and_socle_quotients: bool
 
 
+class _Search:
+    """A search of one catalogue bucket that resumes where it stopped:
+    find(start) tests the bucket's entries from start on; found is the
+    position it found, tested how many entries it has tested."""
+    __slots__ = ("dims", "find", "found", "tested")
+
+    def __init__(self, dims: Tuple[int, ...], find):
+        self.dims, self.find, self.found, self.tested = dims, find, None, 0
+
+
 class ARNeighbours:
-    """Each module's minimal projective presentation, its translate's place
-    in a catalogue, its injectivity and its neighbours in the
-    Auslander-Reiten quiver, as lists of indecomposable summands, each
-    computed once per module.
+    """Each catalogue module's minimal projective presentation, its
+    translate's place in the catalogue, its injectivity and its neighbours
+    in the Auslander-Reiten quiver, as lists of indecomposable summands,
+    each computed once per catalogue position.
 
     The presentation (``modules.min_presentation``) serves the module's tau
     and its Ext row.  ``projective_vertex`` reads the top
     (``_projective_vertex``), so a projective gets no presentation here.
-    tau X is never built: ``translate_in`` looks for it in the catalogue
+    tau X is never built: ``translate`` looks for it in the catalogue
     bucket with the dimension vector of tau X (``ar.tau_dims``), by the
     test of ``ar.is_tau_of``, which reads Hom(Z, tau X) through the
     Nakayama functor.  For X indecomposable and not projective, tau X is
@@ -266,24 +280,18 @@ class ARNeighbours:
                 opposite algebra's paths (``modules.dual_arrow_ideals``):
                 the targets of the irreducible maps out of X (for any other
                 X they are the "before" of tau^- X).
-    The stop test ``closed`` builds "before" of a non-projective X only on a
+    The stop test builds "before" of a non-projective X only on a
     tau-periodic orbit, from the catalogue module found isomorphic to
-    tau X; when the list holds every indecomposable projective, the other
-    orbits need no middle (the proof is in its docstring).  It returns the
-    closure it computed, over the list in canonical order, and the
-    certificate reads that closure without permuting it.
+    tau X; when the catalogue holds every indecomposable projective, the
+    other orbits need no middle (the proof is in ``closure``).
 
-    The sweep runs the stop test after every module it adds, so the state
-    is kept across calls, by module identity: each verdict of a tau test
-    (``translate_in``) or of an isomorphism test of a neighbour summand
-    (``parts_found``) is kept with its candidate, so a later call tests
-    only the modules that reached the bucket since.  The list itself is
-    read afresh on every call, so the verdict holds for any list; a
-    candidate that ``Catalogue.find`` turns away by its arrow ranks is kept
-    as a failed isomorphism test.  A tau X or summand not found is kept as
-    the witness of the failure, and ``closed`` returns None at once while it
-    still stands: its module is in the list and every module there with the
-    missing dimension vector was tested and failed.
+    The sweep appends to the catalogue and runs the stop test after every
+    module it adds, so every fact is kept by catalogue position.  Each tau X
+    and each neighbour summand has one search of its bucket (``_Search``),
+    which keeps the position it found and how many bucket entries it
+    tested, so a later call tests only the modules that reached the bucket
+    since.  The last search that failed is the witness, and the stop test
+    returns None at once while its bucket has not grown.
 
     tau^- is never built.  tau is a bijection from the non-projective
     indecomposables onto the non-injective ones, with inverse tau^-
@@ -293,202 +301,164 @@ class ARNeighbours:
     in C; only the Y outside that tau image need the injectivity test.
     """
 
-    def __init__(self):
-        self._memo: Dict[tuple, tuple] = {}
-        # (owner, kind, target, dimension vector) of the last target not found
-        self._witness: Optional[tuple] = None
+    def __init__(self, catalogue: Catalogue):
+        self.catalogue = catalogue
+        self._facts: Dict[Tuple[str, int], object] = {}
+        self._witness: Optional[_Search] = None
 
-    def _cached(self, kind: str, m: Rep, make):
-        key = (kind, id(m))
-        hit = self._memo.get(key)
-        if hit is None:
-            # the module is kept with its entry, so its id names no other module
-            hit = self._memo[key] = (m, make(m))
-        return hit[1]
+    def _fact(self, kind: str, i: int, make):
+        """make(module i), computed once per position."""
+        key = (kind, i)
+        if key not in self._facts:
+            self._facts[key] = make(self.catalogue.modules[i])
+        return self._facts[key]
 
-    def _verdict(self, kind: str, target: Rep, z: Rep) -> bool:
-        """Whether z is tau of the target ("tau") or isomorphic to it
-        ("iso"); the verdict is kept with the pair, so their ids name no
-        other modules."""
-        key = (kind, id(target), id(z))
-        hit = self._memo.get(key)
-        if hit is None:
-            verdict = is_tau_of(z, self.presentation(target)) if kind == "tau" \
-                else _basis_has_iso(target, z)
-            hit = self._memo[key] = ((target, z), verdict)
-        return hit[1]
+    def _resume(self, search: _Search) -> Optional[int]:
+        """The position the search found, testing only the bucket entries
+        it has not tested; a search that fails becomes the witness."""
+        if search.found is None:
+            start, search.tested = search.tested, len(self.catalogue.bucket(search.dims))
+            if start < search.tested:
+                search.found = search.find(start)
+            if search.found is None:
+                self._witness = search
+        return search.found
 
-    def _witness_stands(self, modules: Sequence[Rep], kind: str = "") -> bool:
-        """Whether the witness, of the given kind if one is given, still
-        stands in the list: its owner is there, and every module there at
-        its dimension vector was tested against its target and failed."""
-        if self._witness is None:
-            return False
-        owner, witness_kind, target, dims = self._witness
-        return kind in ("", witness_kind) and any(m is owner for m in modules) and all(
-            not self._memo.get((witness_kind, id(target), id(m)), (None, True))[1]
-            for m in modules if m.dims == dims)
+    def _witness_stands(self) -> bool:
+        """Whether the last search that failed has no new bucket entry."""
+        w = self._witness
+        return w is not None and w.found is None and \
+            w.tested == len(self.catalogue.bucket(w.dims))
 
-    def presentation(self, m: Rep) -> Presentation:
-        return self._cached("presentation", m, min_presentation)
+    def presentation(self, i: int) -> Presentation:
+        return self._fact("presentation", i, min_presentation)
 
-    def translate_in(self, m: Rep, catalogue: Catalogue) -> Optional[int]:
-        """The position in the catalogue of the module isomorphic to tau m,
-        or None when there is none; m is not projective.  Only the
-        candidates not tested before are tested."""
-        pres = self.presentation(m)
-        dims = self._cached("tau_dims", m, lambda m: tau_dims(pres))
-        i = next((i for i in catalogue.bucket(dims)
-                  if self._verdict("tau", m, catalogue.modules[i])), None)
-        if i is None:
-            self._witness = (m, "tau", m, dims)
-        return i
+    def projective_vertex(self, i: int) -> Optional[int]:
+        """v when module i is the projective P(v), else None."""
+        return self._fact("projective", i, _projective_vertex)
 
-    def projective_vertex(self, m: Rep) -> Optional[int]:
-        """v when m is the projective P(v), else None."""
-        return self._cached("projective", m, _projective_vertex)
-
-    def injective_vertex(self, m: Rep) -> Optional[int]:
-        """v when m is the injective I(v), else None: the top test of
+    def injective_vertex(self, i: int) -> Optional[int]:
+        """v when module i is the injective I(v), else None: the top test of
         ``_projective_vertex`` on the dual over the opposite algebra."""
-        return self._cached("injective", m, lambda m: _projective_vertex(dualize(m)))
+        return self._fact("injective", i, lambda m: _projective_vertex(dualize(m)))
 
-    def parts(self, kind: str, m: Rep, tau_m: Optional[Rep] = None) -> List[Rep]:
-        """The "before" or "after" summands of m; tau_m is a module
-        isomorphic to tau m, needed for "before" of a non-projective m."""
-        return self._cached(kind, m, lambda m: self._neighbour_parts(kind, m, tau_m))
+    def translate(self, i: int) -> Optional[int]:
+        """The position of the module isomorphic to tau of module i, or None
+        when there is none; module i is not projective."""
+        def search(m: Rep) -> _Search:
+            pres, mods = self.presentation(i), self.catalogue.modules
+            dims = tau_dims(pres)
+            return _Search(dims, lambda start: next(
+                (j for j in self.catalogue.bucket(dims)[start:] if is_tau_of(mods[j], pres)),
+                None))
 
-    def _neighbour_parts(self, kind: str, m: Rep, tau_m: Optional[Rep]) -> List[Rep]:
-        if kind == "after":
-            return dual_arrow_ideals(m.algebra, self.injective_vertex(m))
-        v = self.projective_vertex(m)
-        if v is not None:
-            return arrow_ideals(m.algebra, v)
-        return indecomposable_parts(almost_split_middle(m, tau_m))
+        return self._resume(self._fact("tau", i, search))
 
-    def parts_found(self, kind: str, m: Rep, catalogue: Catalogue,
-                    tau_m: Optional[Rep] = None) -> bool:
-        """Whether every "before" or "after" summand of m is in the
-        catalogue; the first one that is not becomes the witness."""
-        for part in self.parts(kind, m, tau_m):
-            if catalogue.find(part, lambda rep, z: self._verdict("iso", rep, z)) is None:
-                # a candidate the catalogue turned away by its arrow ranks
-                # was tested too, and failed
-                for i in catalogue.bucket(part.dims):
-                    z = catalogue.modules[i]
-                    self._memo.setdefault(("iso", id(part), id(z)), ((part, z), False))
-                self._witness = (m, "iso", part, part.dims)
-                return False
-        return True
-
-    def _translates(self, catalogue: Catalogue) -> Iterator[Tuple[Optional[int], bool]]:
-        """For each module X of the catalogue in order, the position of
-        tau X, None for a projective or an unresolved tau X, and whether
-        tau X is unresolved: not one found module."""
-        for m in catalogue.modules:
-            if self.projective_vertex(m) is not None:
-                yield None, False
+    def parts_found(self, kind: str, i: int, tau_i: Optional[int] = None) -> bool:
+        """Whether every "before" or "after" summand of module i is in the
+        catalogue; tau_i is the position of tau of module i, needed for
+        "before" of a non-projective module."""
+        def searches(m: Rep) -> List[_Search]:
+            if kind == "after":
+                parts = dual_arrow_ideals(m.algebra, self.injective_vertex(i))
+            elif self.projective_vertex(i) is not None:
+                parts = arrow_ideals(m.algebra, self.projective_vertex(i))
             else:
-                i = self.translate_in(m, catalogue)
-                yield i, i is None
+                parts = indecomposable_parts(
+                    almost_split_middle(m, self.catalogue.modules[tau_i]))
+            return [_Search(p.dims, functools.partial(self.catalogue.find, p)) for p in parts]
 
-    def closure(self, catalogue: Catalogue) -> Closure:
+        return all(self._resume(s) is not None for s in self._fact(kind, i, searches))
+
+    def radical_closed(self, order: Sequence[int], is_inj: Sequence[bool]) -> bool:
+        """Whether the summands of rad P and of I / soc I are found for
+        every projective P and every I with is_inj, walking the positions
+        in order."""
+        return all((self.projective_vertex(i) is None or self.parts_found("before", i)) and
+                   (not inj or self.parts_found("after", i))
+                   for i, inj in zip(order, is_inj))
+
+    def refused_closure_keys(self) -> Optional[Dict[str, bool]]:
+        """The closure keys of a certificate that already fails, decided
+        with the least work, or None when every tau X is found and only the
+        whole closure decides them.
+
+        A tau X not found makes both translate keys false, so the walk in
+        canonical order stops at the first module whose tau X is not found;
+        the searches the stop test made are resumed, not repeated.  The
+        radical key reads projectivity off the top, injectivity off the
+        socle and the summands off the paths."""
+        order = self.catalogue.canonical_order()
+        if all(self.projective_vertex(i) is not None or self.translate(i) is not None
+               for i in order):
+            return None
+        return {"translate_table_complete": False, "closed_under_translates": False,
+                "closed_under_radical_and_socle_quotients": self.radical_closed(
+                    order, [self.injective_vertex(i) is not None for i in order])}
+
+    def closure(self, stop: bool = False) -> Optional[Closure]:
         """The translate table, the injective flags and the two closure
-        flags of the catalogue's modules."""
-        tau_of, unresolved = [], []
-        for i, lost in self._translates(catalogue):
-            tau_of.append(i)
-            unresolved.append(lost)
-        return self._closure(catalogue, tau_of, unresolved)
-
-    def _closure(self, catalogue: Catalogue, tau_of: List[Optional[int]],
-                 unresolved: List[bool]) -> Closure:
-        """The closure from the translate table.
+        flags of the catalogue, walking its positions in canonical order
+        (``Catalogue.canonical_order``) and giving canonical ids.
 
         tau is closed when every tau X is one found module and every Y is
         injective or some found tau X, which is then tau^- Y (see the class
         docstring); the radicals and socle quotients are closed when the
         summands of rad P and of I / soc I are found for every found
         projective P and injective I.
-        """
-        mods = catalogue.modules
-        # tau X is never injective; outside the tau image the test is exact
-        image = set(tau_of)
-        is_inj = [i not in image and self.injective_vertex(m) is not None
-                  for i, m in enumerate(mods)]
-        translates = not any(unresolved) and all(
-            is_inj[i] or i in image for i in range(len(mods)))
-        return Closure(tau_of, unresolved, is_inj, translates,
-                       self.radical_closed(catalogue, is_inj))
 
-    def radical_closed(self, catalogue: Catalogue, is_inj: Sequence[bool]) -> bool:
-        """Whether the summands of rad P and of I / soc I are found for
-        every found projective P and every found I with is_inj."""
-        return all((self.projective_vertex(m) is None or
-                    self.parts_found("before", m, catalogue)) and
-                   (not is_inj[i] or self.parts_found("after", m, catalogue))
-                   for i, m in enumerate(catalogue.modules))
+        With stop, this is the sweep's stop test, which returns the closure
+        only when every neighbour of every module, tau^- X included, is
+        isomorphic to a catalogue module, and None otherwise.  It returns
+        None at once while the witness of its last failure stands (see the
+        class docstring); its walk stops at the first module whose tau X is
+        not found, and only a catalogue whose every tau X is found gets its
+        injective flags and radical closure.
 
-    def refused_closure_keys(self, catalogue: Catalogue) -> Optional[Dict[str, bool]]:
-        """The closure keys of a certificate that already fails, decided
-        with the least work, or None when every tau X is found and only the
-        whole closure decides them.
-
-        A tau X not found makes both translate keys false.  The kept state
-        shows one when the witness of the last failed stop test is such a
-        tau X and still stands; otherwise the walk stops at the first module
-        whose tau X is not found.  The radical key reads projectivity off
-        the top, injectivity off the socle and the summands off the paths."""
-        if not self._witness_stands(catalogue.modules, "tau") and \
-                not any(lost for _, lost in self._translates(catalogue)):
-            return None
-        return {"translate_table_complete": False, "closed_under_translates": False,
-                "closed_under_radical_and_socle_quotients": self.radical_closed(
-                    catalogue, [self.injective_vertex(m) is not None
-                                for m in catalogue.modules])}
-
-    def closed(self, modules: Sequence[Rep]) -> Optional[Closure]:
-        """The closure of the list in canonical order (``_canonical``) when
-        every neighbour of every module in it, tau^- X included, is
-        isomorphic to one in the list, else None; the modules must be
-        indecomposable and pairwise non-isomorphic.  A call returns None at
-        once while the witness of an earlier failure stands in the list
-        (see the class docstring).  Otherwise the walk stops at the first
-        module whose tau X is not in the list, and only a list whose every
-        tau X is found gets its injective flags and radical closure.
-
-        That is: the list holds as many projectives as the algebra has
+        That is: the catalogue holds as many projectives as the algebra has
         vertices, so every indecomposable projective; the two closure flags
         hold; and the middle of the almost split sequence ending at X is
         found for each non-projective X on a tau-periodic orbit.  No other
-        middle needs building.  Let the tau orbit of X in the list reach a
-        projective, and let Y -> X be irreducible.  Then tau^j Y -> tau^j X
-        is irreducible (Auslander-Reiten-Smalo, ch. VII) down the orbit
-        until tau^j Y is projective, so in the list, or tau^j X = P is, and
-        then tau^j Y is a summand of rad P, in the list by the radical
-        flag.  tau^j Y lies in the tau image, so it is not injective, nor is
-        any module between it and Y, and tau^- closure walks back up to Y.
-        A list that is closed and holds every simple is a union of finite
-        components of the AR quiver, one per block, so by Auslander's
-        theorem it is every indecomposable (Auslander-Reiten-Smalo, ch. VI).
+        middle needs building.  Let the tau orbit of X in the catalogue
+        reach a projective, and let Y -> X be irreducible.  Then
+        tau^j Y -> tau^j X is irreducible (Auslander-Reiten-Smalo, ch. VII)
+        down the orbit until tau^j Y is projective, so found, or
+        tau^j X = P is, and then tau^j Y is a summand of rad P, found by the
+        radical flag.  tau^j Y lies in the tau image, so it is not
+        injective, nor is any module between it and Y, and tau^- closure
+        walks back up to Y.  A catalogue that is closed and holds every
+        simple is a union of finite components of the AR quiver, one per
+        block, so by Auslander's theorem it is every indecomposable
+        (Auslander-Reiten-Smalo, ch. VI).
         """
-        if not modules or sum(self.projective_vertex(m) is not None for m in modules) \
-                != modules[0].algebra.n or self._witness_stands(modules):
+        mods = self.catalogue.modules
+        if stop and (not mods or sum(self.projective_vertex(i) is not None
+                                     for i in range(len(mods))) != mods[0].algebra.n
+                     or self._witness_stands()):
             return None
-        catalogue = Catalogue(_canonical(modules))
-        tau_of = []
-        for i, lost in self._translates(catalogue):
-            if lost:
+        order = self.catalogue.canonical_order()
+        canonical_id = {i: k for k, i in enumerate(order)}
+        tau_of, unresolved = [], []
+        for i in order:
+            proj = self.projective_vertex(i) is not None
+            t = None if proj else self.translate(i)
+            lost = not proj and t is None
+            if lost and stop:
                 return None
-            tau_of.append(i)
-        c = self._closure(catalogue, tau_of, [False] * len(tau_of))
-        if not (c.closed_under_translates and c.closed_under_radical_and_socle_quotients):
+            tau_of.append(None if t is None else canonical_id[t])
+            unresolved.append(lost)
+        # tau X is never injective; outside the tau image the test is exact
+        image = set(tau_of)
+        is_inj = [k not in image and self.injective_vertex(i) is not None
+                  for k, i in enumerate(order)]
+        translates = not any(unresolved) and all(
+            inj or k in image for k, inj in enumerate(is_inj))
+        c = Closure(tau_of, unresolved, is_inj, translates, self.radical_closed(order, is_inj))
+        if stop and not (c.closed_under_translates and c.closed_under_radical_and_socle_quotients
+                         and all(t is None or not _tau_periodic(tau_of, k) or
+                                 self.parts_found("before", i, order[t])
+                                 for k, (i, t) in enumerate(zip(order, tau_of)))):
             return None
-        mods = catalogue.modules
-        for i, m in enumerate(mods):
-            if tau_of[i] is not None and _tau_periodic(tau_of, i) and \
-                    not self.parts_found("before", m, catalogue, mods[tau_of[i]]):
-                return None
         return c
 
 
@@ -505,6 +475,15 @@ def _tau_periodic(tau_of: Sequence[Optional[int]], i: int) -> bool:
 SWEEP_COEFFS = (0, 1, -1)
 
 
+def _combination(field, coeffs: Sequence[int], vectors: Sequence[Sequence]) -> list:
+    """sum c_k vectors[k] for coefficients c_k in SWEEP_COEFFS."""
+    out = [field.zero] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [field.add(x, y) if c == 1 else field.sub(x, y) for x, y in zip(out, vec)]
+    return out
+
+
 def _class_tuples(field, classes: Sequence[tuple]) -> List[Tuple[int, ...]]:
     """The coefficient tuples over SWEEP_COEFFS, in itertools.product order,
     that the sweep combines for one summand U_i of U, classes[k] being the
@@ -513,12 +492,15 @@ def _class_tuples(field, classes: Sequence[tuple]) -> List[Tuple[int, ...]]:
     its first nonzero coordinate is 1.  A zero class splits U_i off the
     middle, and scaling U_i is an automorphism of U, so every other tuple
     gives a decomposable middle or one isomorphic to a middle of a kept
-    tuple."""
+    tuple.  A tuple whose first nonzero coefficient is -1 is skipped before
+    any arithmetic: its negation comes earlier in product order and keys
+    the same class, over every field."""
     seen = set()
     out = []
     for coeffs in itertools.product(SWEEP_COEFFS, repeat=len(classes)):
-        vec = [field.coerce(sum(c * x[j] for c, x in zip(coeffs, classes)))
-               for j in range(len(classes[0]))]
+        if next((c for c in coeffs if c), -1) != 1:
+            continue
+        vec = _combination(field, coeffs, classes)
         pivot = next((x for x in vec if x != 0), None)
         if pivot is not None:
             key = tuple(field.div(x, pivot) for x in vec)
@@ -558,15 +540,6 @@ def _sum_cocycle(exts: Sequence[SimpleExt], tuples: Sequence[Tuple[int, ...]]) -
     blocks = [linalg.combine(t, x.cocycles) or [b.scale(0) for b in x.cocycles[0]]
               for x, t in zip(exts, tuples)]
     return [functools.reduce(Mat.vstack, col) for col in zip(*blocks)]
-
-
-def _combination(field, coeffs: Sequence[int], vectors: Sequence[Sequence]) -> list:
-    """sum c_k vectors[k] for coefficients c_k in SWEEP_COEFFS."""
-    out = [field.zero] * len(vectors[0])
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            out = [field.add(x, y) if c == 1 else field.sub(x, y) for x, y in zip(out, vec)]
-    return out
 
 
 def _automorphism_splits(exts: Sequence[SimpleExt], tuples: Sequence[Tuple[int, ...]],
@@ -614,8 +587,9 @@ def _holds(certificate: Dict[str, object]) -> bool:
 class _Budget:
     # guard rails so a runaway enumeration fails loudly instead of hanging
     MAX_MODULES = 400
-    # on dim Z^1(S, U); the class walk costs 3^dim Z^1(S, U_i) per summand,
-    # not 3^dim Z^1(S, U), so this could be relaxed
+    # on dim Z^1(S, U); the class walk combines (3^e - 1) / 2 tuples per
+    # summand, e = dim Z^1(S, U_i), not 3^dim Z^1(S, U), so this could be
+    # relaxed
     MAX_COCYCLE_BASIS = 6
 
 
@@ -649,20 +623,21 @@ class ModuleUniverse:
             if not _dims_leq(p.dims, self.dim_bound):
                 raise BoundTooSmall("projective with dimension vector %r exceeds the cap %r"
                                     % (p.dims, self.dim_bound))
-        self._neighbours = ARNeighbours()
+        self._neighbours = ARNeighbours(Catalogue())
         found, complete, reason, closure = self._enumerate(
             tuple(b + 1 for b in self.dim_bound))
-        inside = [m for m in found if _dims_leq(m.dims, self.dim_bound)]
         self.certificate: Dict[str, object] = {
             "dim_bound": list(self.dim_bound),
             "sweep_completed": complete,
-            "stable_under_cap_plus_one": complete and len(inside) == len(found),
+            # the sweep aborts at the first module above the cap
+            "stable_under_cap_plus_one": complete,
             "no_indecomposable_on_boundary": all(
-                all(d < b for d, b in zip(m.dims, self.dim_bound)) for m in inside),
+                all(d < b for d, b in zip(m.dims, self.dim_bound)) for m in found),
         }
         if reason:
             self.certificate["sweep_aborted_because"] = reason
-        self.modules: List[Rep] = _canonical(inside)
+        order = self._neighbours.catalogue.canonical_order()
+        self.modules: List[Rep] = [found[i] for i in order]
         self.labels: List[str] = []
         seen: Dict[tuple, int] = {}
         for m in self.modules:
@@ -678,13 +653,13 @@ class ModuleUniverse:
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
         neighbours = self._neighbours
         del self._neighbours
-        vertex_of = [neighbours.projective_vertex(m) for m in self.modules]
+        vertex_of = [neighbours.projective_vertex(i) for i in order]
         self.is_proj: List[bool] = [v is not None for v in vertex_of]
         # the minimal presentation that gave a module its tau gives its Ext
         # row when ``ext`` is first read; a projective has none built yet
         self._pres: List[Optional[Presentation]] = [
-            None if proj else neighbours.presentation(m)
-            for m, proj in zip(self.modules, self.is_proj)]
+            None if proj else neighbours.presentation(i)
+            for i, proj in zip(order, self.is_proj)]
         self.proj_of_vertex: List[int] = []
         for v in range(self.n):
             if v not in vertex_of:
@@ -707,9 +682,10 @@ class ModuleUniverse:
 
     def _enumerate(self, cap: Tuple[int, ...]) -> Tuple[List[Rep], bool, str,
                                                         Optional[Closure]]:
-        """Sweep up to the cap; returns (found, sweep completed, abort reason,
-        the closure of found in canonical order when the stop test ended
-        the sweep, else None).
+        """Sweep up to the cap into the catalogue of ``self._neighbours``;
+        returns (found, sweep completed, abort reason, the closure of found
+        when the stop test ended the sweep, else None), found being the
+        catalogue's modules in the order the sweep added them.
 
         For each simple S and each bounded multiset of found modules with
         direct sum U, it builds the middle of the first {0, +-1} combination
@@ -718,8 +694,8 @@ class ModuleUniverse:
         one kept tuple per summand (``_class_tuples``, ``_sum_tuples``), and
         its cocycle stacks the summands' combinations at each arrow
         (``_sum_cocycle``).  The guard bounds dim Z^1(S, U); the walk costs
-        the sum of 3^dim Z^1(S, U_i) over the summands plus the product of
-        their kept tuple counts.
+        the sum of (3^dim Z^1(S, U_i) - 1) / 2 combinations over the
+        summands plus the product of their kept tuple counts.
 
         Two skips are theorems, so they change no found module.  A
         combination whose class an automorphism of U kills at some summand
@@ -736,23 +712,28 @@ class ModuleUniverse:
         by Auslander's theorem it is then every indecomposable, and the rest
         of the sweep could add nothing and meet no cap or guard.  So the
         sweep builds no middle after its last new module.  It aborts as
-        soon as an indecomposable enters the shell above dim_bound, since at
-        that point the stability certificate is already forfeit and further
-        work cannot restore it, or when the cocycle guard stops it; the
-        stop test has then already found the list as it stands not closed.
+        soon as an indecomposable enters the shell above dim_bound, adding
+        no module there, since at that point the stability certificate is
+        already forfeit and further work cannot restore it, or when the
+        cocycle guard stops it; the stop test has then already found the
+        list not closed.  Either way found is the list the build keeps.
         """
         algebra = self.algebra
-        catalogue = Catalogue()
+        catalogue = self._neighbours.catalogue
         found = catalogue.modules
 
         def add(rep: Rep) -> bool:
-            """Whether rep is new; it is then added."""
+            """Whether rep is new; it is then added, unless it lies above
+            the cap, where the sweep aborts."""
             if catalogue.find(rep) is not None:
                 return False
-            catalogue.add(rep)
-            if len(found) > _Budget.MAX_MODULES:
+            above = not _dims_leq(rep.dims, self.dim_bound)
+            if not above:
+                catalogue.add(rep)
+            # a module above the cap counts against the limit, though not kept
+            if len(found) + above > _Budget.MAX_MODULES:
                 raise _Abort("more than %d indecomposables" % _Budget.MAX_MODULES)
-            if not _dims_leq(rep.dims, self.dim_bound):
+            if above:
                 raise _Abort("indecomposable with dimension vector %r above the cap %r"
                              % (rep.dims, self.dim_bound))
             return True
@@ -813,11 +794,11 @@ class ModuleUniverse:
             # nilpotent cycles, and __init__ has checked it under the cap
             for v in range(self.n):
                 add(projective(algebra, v))
-            closure = self._neighbours.closed(found)
+            closure = self._neighbours.closure(stop=True)
             if closure is None:
                 for middle in middles():
                     if add(middle):
-                        closure = self._neighbours.closed(found)
+                        closure = self._neighbours.closure(stop=True)
                         if closure is not None:
                             break
         except _Abort as abort:
@@ -852,21 +833,21 @@ class ModuleUniverse:
     def _check_closure(self, refused: bool, c: Optional[Closure]):
         """The tau table, the injective flags and the closure certificate.
 
-        c is the closure of the stop test that ended the sweep, or None.  A
-        sweep that the stop test ends found no module above the cap, so its
-        list is exactly these modules, and the stop test closed them in
-        this same canonical order.  Without c, a build that is ``refused``
-        stops at a module whose tau is not found, read off the stop test's
-        kept state when it can be (``ARNeighbours.refused_closure_keys``),
-        and sets only the certificate, which is all its refusal reports.
+        c is the closure of the stop test that ended the sweep, or None.
+        Either way the closure is read off the sweep's one catalogue by
+        canonical id, the order of ``self.modules``.  Without c, a build
+        that is ``refused`` stops at the first module in canonical order
+        whose tau is not found, resuming the stop test's searches
+        (``ARNeighbours.refused_closure_keys``), and sets only the
+        certificate, which is all its refusal reports.
         """
         if c is None and refused:
-            keys = self._neighbours.refused_closure_keys(self._catalogue)
+            keys = self._neighbours.refused_closure_keys()
             if keys is not None:
                 self.certificate.update(keys)
                 return
         if c is None:
-            c = self._neighbours.closure(self._catalogue)
+            c = self._neighbours.closure()
         self.tau_of: List[Optional[int]] = c.tau_of
         self.tau_unresolved: List[bool] = c.tau_unresolved
         self.is_inj: List[bool] = c.is_inj

@@ -34,17 +34,26 @@ from tauseq.wide import (
 # the sweep's stop test
 # --------------------------------------------------------------------------
 
-def closed_with_every_middle(neighbours: ARNeighbours, modules: Sequence[Rep]) -> bool:
-    """``ARNeighbours.closed`` without the tau-orbit argument: the two
-    closure flags plus the middle of the almost split sequence ending at
-    every non-projective module, whatever its orbit, each built from
-    tau X itself."""
+def closed_with_every_middle(modules: Sequence[Rep]) -> bool:
+    """The stop test (``ARNeighbours.closure(stop=True)``) without the
+    tau-orbit argument: the two closure flags plus the middle of the almost
+    split sequence ending at every non-projective module, whatever its
+    orbit, each built from tau X itself."""
     catalogue = Catalogue(modules)
-    c = neighbours.closure(catalogue)
+    neighbours = ARNeighbours(catalogue)
+    c = neighbours.closure()
     return c.closed_under_translates and \
         c.closed_under_radical_and_socle_quotients and \
-        all(catalogue.find_all(neighbours.parts("before", m, tau(m))) is not None
-            for m in modules if neighbours.projective_vertex(m) is None)
+        all(catalogue.find_all(indecomposable_parts(almost_split_middle(m, tau(m)))) is not None
+            for i, m in enumerate(modules) if neighbours.projective_vertex(i) is None)
+
+
+def sweep_to_the_cap(monkeypatch):
+    """Patch the stop test out of the sweep, which then runs to the cap or
+    its guard, while the certificate still computes the whole closure."""
+    closure = ARNeighbours.closure
+    monkeypatch.setattr(ARNeighbours, "closure",
+                        lambda self, stop=False: None if stop else closure(self))
 
 
 # --------------------------------------------------------------------------

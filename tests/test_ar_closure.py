@@ -34,7 +34,7 @@ from tauseq.linalg import Mat, inverse
 from tauseq.modules import Rep, direct_sum, dualize, min_presentation, projective, simple
 from tauseq.quiver import Quiver, build_algebra, opposite
 from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse
-from oracles import closed_with_every_middle, presentation_by_covers, socle_spans
+from oracles import closed_with_every_middle, presentation_by_covers, socle_spans, sweep_to_the_cap
 from test_wide import _linear, _loop_rad2, _nakayama2
 
 BENCH_ALGEBRAS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras")
@@ -80,22 +80,46 @@ def test_the_oracle_covers_the_benchmark_corpus():
     assert len(BENCH_NAMES) == len(files) - len(UNBUILT) >= 14
 
 
+def _spy_on_the_stop_test(monkeypatch):
+    """The (catalogue size, verdict) of each stop test the sweep runs."""
+    verdicts = []
+    closure = ARNeighbours.closure
+
+    def spy(self, stop=False):
+        c = closure(self, stop)
+        if stop:
+            verdicts.append((len(self.catalogue.modules), c))
+        return c
+
+    monkeypatch.setattr(ARNeighbours, "closure", spy)
+    return verdicts
+
+
+def _spy_on_the_found_list(monkeypatch):
+    """The modules ``_enumerate`` returns, in the order the sweep found
+    them."""
+    found = []
+    enumerate_ = ModuleUniverse._enumerate
+
+    def spy(self, cap):
+        result = enumerate_(self, cap)
+        found.extend(result[0])
+        return result
+
+    monkeypatch.setattr(ModuleUniverse, "_enumerate", spy)
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
 def test_early_stop_matches_the_full_sweep(name, monkeypatch):
     algebra = ORACLE_ALGEBRAS[name]()
-    verdicts = []
-    closed = ARNeighbours.closed
-
-    def spy(self, modules):
-        verdicts.append(closed(self, modules))
-        return verdicts[-1]
-
-    monkeypatch.setattr(ARNeighbours, "closed", spy)
+    verdicts = _spy_on_the_stop_test(monkeypatch)
     stopped = ModuleUniverse(algebra)
-    assert verdicts and isinstance(verdicts[-1], universe.Closure)
+    assert verdicts and isinstance(verdicts[-1][1], universe.Closure)
     # the full sweep runs to the cap, and the certificate computes the
     # closure afresh
-    monkeypatch.setattr(ARNeighbours, "closed", lambda self, modules: None)
+    monkeypatch.undo()
+    sweep_to_the_cap(monkeypatch)
     full = ModuleUniverse(algebra)
     assert stopped.modules == full.modules
     assert stopped.labels == full.labels
@@ -113,43 +137,39 @@ def test_early_stop_matches_the_full_sweep(name, monkeypatch):
                          ids=["a4", "d4", "nakayama2_rad2", "loop_rad2"])
 def test_dropping_any_module_breaks_the_closure(build):
     u = ModuleUniverse(build())
-    neighbours = ARNeighbours()
-    assert neighbours.closed(u.modules)
+    assert ARNeighbours(Catalogue(u.modules)).closure(stop=True)
     for i in range(len(u.modules)):
-        assert not neighbours.closed(u.modules[:i] + u.modules[i + 1:]), u.labels[i]
+        rest = Catalogue(u.modules[:i] + u.modules[i + 1:])
+        assert not ARNeighbours(rest).closure(stop=True), u.labels[i]
 
 
 @pytest.mark.parametrize("build", [lambda: _linear(4), _d4,
                                    lambda: _nakayama2([["a", "b"], ["b", "a"]]),
-                                   _loop_rad2, ORACLE_ALGEBRAS["nakayama3_rad3"]],
-                         ids=["a4", "d4", "nakayama2_rad2", "loop_rad2", "nakayama3_rad3"])
-def test_the_kept_state_gives_the_fresh_verdict_on_any_list(build):
-    # one ARNeighbours meets lists that grow, shrink and reorder, as a
-    # caller other than the sweep may hand it; each verdict, and each
-    # refused key set, must be the one a fresh ARNeighbours gives
-    u = ModuleUniverse(build())
-    rng = random.Random(7)
-    kept = ARNeighbours()
-    lists = [u.modules[:k] for k in range(len(u.modules) + 1)]
-    # the walk without tau X stops at X; without X as well, when X is
-    # injective, every tau is found, though the list left by the last
-    # call still lacks tau X
-    for x, t in enumerate(u.tau_of):
-        if t is not None and u.is_inj[x]:
-            lists.append([m for i, m in enumerate(u.modules) if i != t])
-            lists.append([m for i, m in enumerate(u.modules) if i not in (t, x)])
-    for _ in range(40):
-        mods = [m for m in u.modules if rng.random() < 0.9]
-        rng.shuffle(mods)
-        lists.append(mods)
-    closed = 0
-    for mods in lists:
-        got = kept.closed(mods)
-        assert got == ARNeighbours().closed(mods)
-        closed += got is not None
-        assert kept.refused_closure_keys(Catalogue(mods)) == \
-            ARNeighbours().refused_closure_keys(Catalogue(mods))
-    assert closed
+                                   _loop_rad2, ORACLE_ALGEBRAS["nakayama3_rad3"],
+                                   ORACLE_ALGEBRAS["nakayama2_rad3"]],
+                         ids=["a4", "d4", "nakayama2_rad2", "loop_rad2", "nakayama3_rad3",
+                              "nakayama2_rad3"])
+def test_the_kept_state_gives_the_fresh_verdict_as_the_catalogue_grows(build, monkeypatch):
+    # one ARNeighbours over a catalogue grown module by module, in the
+    # sweep's discovery order and in three shuffles, must give after every
+    # add the stop-test verdict and the refused keys a fresh one gives; the
+    # catalogue is append-only, so no list shrinks or reorders.  Over the
+    # Nakayama 2-cycle with rad^3 = 0 some tau X shares its dimension
+    # vector with another module, so a search resumes on a grown bucket
+    found = _spy_on_the_found_list(monkeypatch)
+    assert ModuleUniverse(build()).certified
+    orders = [found] + [random.Random(seed).sample(found, len(found)) for seed in range(3)]
+    for order in orders:
+        catalogue = Catalogue()
+        kept = ARNeighbours(catalogue)
+        for m in order:
+            catalogue.add(m)
+            got = kept.closure(stop=True)
+            assert got == ARNeighbours(Catalogue(catalogue.modules)).closure(stop=True)
+            # the algebra is connected: only the whole list is closed
+            assert (got is not None) == (len(catalogue.modules) == len(found))
+            assert kept.refused_closure_keys() == \
+                ARNeighbours(Catalogue(catalogue.modules)).refused_closure_keys()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
@@ -157,19 +177,20 @@ def test_the_stop_test_agrees_with_every_middle(name, monkeypatch):
     # the tau-orbit argument changes no verdict, and the closure the stop
     # test hands to the build is the one it would compute afresh
     verdicts, closures = [], []
-    closed = ARNeighbours.closed
+    closure = ARNeighbours.closure
 
-    def spy(self, modules):
-        closures.append(closed(self, modules))
-        verdicts.append((closures[-1] is not None,
-                         closed_with_every_middle(ARNeighbours(), modules)))
-        return closures[-1]
+    def spy(self, stop=False):
+        c = closure(self, stop)
+        if stop:
+            closures.append(c)
+            verdicts.append((c is not None, closed_with_every_middle(self.catalogue.modules)))
+        return c
 
-    monkeypatch.setattr(ARNeighbours, "closed", spy)
+    monkeypatch.setattr(ARNeighbours, "closure", spy)
     u = ModuleUniverse(ORACLE_ALGEBRAS[name]())
     assert verdicts and verdicts[-1] == (True, True)
     assert all(new == old for new, old in verdicts)
-    c = ARNeighbours().closure(Catalogue(u.modules))
+    c = ARNeighbours(Catalogue(u.modules)).closure()
     assert closures[-1] == c
     assert (u.tau_of, u.tau_unresolved, u.is_inj) == (c.tau_of, c.tau_unresolved, c.is_inj)
 
@@ -181,13 +202,13 @@ def test_a_missing_projective_injective_is_caught_by_the_projective_count():
     u = ModuleUniverse(_linear(4))
     i = u.labels.index("1111#1")
     rest = u.modules[:i] + u.modules[i + 1:]
-    neighbours = ARNeighbours()
-    c = neighbours.closure(Catalogue(rest))
+    neighbours = ARNeighbours(Catalogue(rest))
+    c = neighbours.closure()
     assert c.closed_under_translates and c.closed_under_radical_and_socle_quotients
     assert not any(t is not None and universe._tau_periodic(c.tau_of, j)
                    for j, t in enumerate(c.tau_of))
-    assert not neighbours.closed(rest)
-    assert not closed_with_every_middle(neighbours, rest)
+    assert not neighbours.closure(stop=True)
+    assert not closed_with_every_middle(rest)
 
 
 def test_a_periodic_orbit_needs_its_middle():
@@ -197,11 +218,12 @@ def test_a_periodic_orbit_needs_its_middle():
     # has the missing k[x]/(x^2) as its middle
     algebra = _loop(4)
     mods = [_uniserial(algebra, length) for length in (1, 3, 4)]
-    neighbours = ARNeighbours()
-    c = neighbours.closure(Catalogue(mods))
+    neighbours = ARNeighbours(Catalogue(mods))
+    c = neighbours.closure()
     assert c.closed_under_translates and c.closed_under_radical_and_socle_quotients
-    assert not neighbours.closed(mods)
-    assert neighbours.closed(mods + [_uniserial(algebra, 2)])
+    assert not neighbours.closure(stop=True)
+    neighbours.catalogue.add(_uniserial(algebra, 2))
+    assert neighbours.closure(stop=True)
 
 
 @pytest.mark.parametrize("name,middles,isos", [
@@ -260,12 +282,8 @@ def test_the_sweep_work_cases_cover_the_corpus():
 def test_a_certified_sweep_builds_no_middle_after_its_last_new_module(path, monkeypatch):
     # the stop test runs after the projectives and after every new module,
     # and the first list it finds closed ends the sweep
-    events, isos = [], []
-    closed, build, iso = ARNeighbours.closed, universe.extension_middle, decompose._basis_has_iso
-
-    def closed_spy(self, mods):
-        events.append((len(mods), closed(self, mods)))
-        return events[-1][1]
+    events, isos = _spy_on_the_stop_test(monkeypatch), []
+    build, iso = universe.extension_middle, decompose._basis_has_iso
 
     def middle_spy(*args):
         events.append("middle")
@@ -276,7 +294,6 @@ def test_a_certified_sweep_builds_no_middle_after_its_last_new_module(path, monk
         return iso(*args)
 
     _spy_on(monkeypatch, iso, iso_spy)
-    monkeypatch.setattr(ARNeighbours, "closed", closed_spy)
     monkeypatch.setattr(universe, "extension_middle", middle_spy)
     bound = (4,) * 6 if path.endswith("e6.json") else None
     u = ModuleUniverse(load_algebra_file(os.path.join(ROOT, path)), bound)
@@ -563,7 +580,8 @@ def test_the_socle_test_of_injectivity_matches_the_dual_cover(name):
         u = ModuleUniverse(_bench("kronecker")(), (3, 3), require_certificate=False)
     else:
         u = ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]())
-    vertices = [ARNeighbours().injective_vertex(m) for m in u.modules]
+    neighbours = ARNeighbours(Catalogue(u.modules))
+    vertices = [neighbours.injective_vertex(i) for i in range(len(u.modules))]
     flags = [v is not None for v in vertices]
     assert flags == [is_injective_rep(m) for m in u.modules]
     assert any(flags) and not all(flags)
@@ -600,20 +618,22 @@ def test_the_kronecker_refusal_identifies_one_translate(monkeypatch, capsys):
     # the first module in sorted order that is not projective is S1, whose
     # tau lies above the cap: that settles both translate keys.  Its one
     # presentation gives the dimension vector of tau S1, which no found
-    # module has, so no candidate is tested and no translate is built
+    # module has, so no candidate is tested and no translate is built.  The
+    # stop test's first walk and the refusal's walk each end at S1; the
+    # second resumes the first one's search and tests nothing
     counts = _count_calls(monkeypatch, ["tau", "min_presentation", "is_tau_of"])
     identified = []
-    translate_in = ARNeighbours.translate_in
+    translate = ARNeighbours.translate
 
-    def spy(self, m, catalogue):
-        identified.append(m.dims)
-        return translate_in(self, m, catalogue)
+    def spy(self, i):
+        identified.append(self.catalogue.modules[i].dims)
+        return translate(self, i)
 
-    monkeypatch.setattr(ARNeighbours, "translate_in", spy)
+    monkeypatch.setattr(ARNeighbours, "translate", spy)
     code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate",
                  "--dim-bound", "2"])
     assert code == 2 and "closed_under_translates': False" in capsys.readouterr().err
-    assert identified == [(1, 0)]
+    assert identified == [(1, 0), (1, 0)]
     assert counts == {"tau": 0, "min_presentation": 1, "is_tau_of": 0}
 
 
@@ -626,30 +646,31 @@ def test_the_stop_test_ends_at_the_first_translate_it_cannot_identify(monkeypatc
     # found before are not tested again
     walks = []
     inside = []
-    closed, translate_in, closure = (ARNeighbours.closed, ARNeighbours.translate_in,
-                                     ARNeighbours._closure)
+    closure, translate, radical_closed = (ARNeighbours.closure, ARNeighbours.translate,
+                                          ARNeighbours.radical_closed)
 
-    def closed_spy(self, modules):
+    def closure_spy(self, stop=False):
+        assert stop, "the refused build computed the whole closure"
         walks.append([])
         inside.append(True)
         try:
-            return closed(self, modules)
+            return closure(self, stop)
         finally:
             inside.pop()
 
-    def translate_spy(self, m, catalogue):
-        i = translate_in(self, m, catalogue)
+    def translate_spy(self, i):
+        t = translate(self, i)
         if inside:
-            walks[-1].append(i)
-        return i
+            walks[-1].append(t)
+        return t
 
-    def closure_spy(self, *args):
+    def radical_spy(self, *args):
         assert not inside, "the stop test closed a list with an unresolved tau"
-        return closure(self, *args)
+        return radical_closed(self, *args)
 
-    monkeypatch.setattr(ARNeighbours, "closed", closed_spy)
-    monkeypatch.setattr(ARNeighbours, "translate_in", translate_spy)
-    monkeypatch.setattr(ARNeighbours, "_closure", closure_spy)
+    monkeypatch.setattr(ARNeighbours, "closure", closure_spy)
+    monkeypatch.setattr(ARNeighbours, "translate", translate_spy)
+    monkeypatch.setattr(ARNeighbours, "radical_closed", radical_spy)
     counts = _count_calls(monkeypatch, ["min_presentation"])
     code = main(["tes", os.path.join(BENCH_ALGEBRAS, "kronecker.json"), "enumerate"])
     assert code == 2 and "exceeds the sweep guard" in capsys.readouterr().err
@@ -658,6 +679,29 @@ def test_the_stop_test_ends_at_the_first_translate_it_cannot_identify(monkeypatc
     assert 1 < len(walked) < len(walks)
     # far fewer presentations than the 23 non-projective modules found
     assert counts["min_presentation"] == 6
+
+
+@pytest.mark.parametrize("name,bound", [("kronecker", (2, 2)), ("kronecker", (3, 3)),
+                                        ("a3", (1, 1, 1)), ("e6", None)]
+                         + [(name, None) for name in sorted(ORACLE_ALGEBRAS)])
+def test_the_sweep_adds_no_module_above_the_cap(name, bound, monkeypatch):
+    # the sweep aborts at a module above the cap instead of adding it, so
+    # the list it returns is the list the build keeps, and the count is
+    # stable up to the cap plus one exactly when the sweep completed
+    if name == "e6":
+        algebra = load_algebra_file(os.path.join(ROOT, "algebras", "scale", "e6.json"))
+    else:
+        algebra = _linear(3) if name == "a3" else ORACLE_ALGEBRAS.get(name, _bench(name))()
+    found = _spy_on_the_found_list(monkeypatch)
+    u = ModuleUniverse(algebra, bound, require_certificate=False)
+    assert all(universe._dims_leq(m.dims, u.dim_bound) for m in found)
+    assert sorted(found, key=lambda m: (m.total_dim, m.dims)) == u.modules
+    assert u.certificate["stable_under_cap_plus_one"] == u.certificate["sweep_completed"]
+    reason = u.certificate.get("sweep_aborted_because", "")
+    if bound == (2, 2):
+        # the Kronecker sweep meets a module above this cap
+        assert reason.startswith("indecomposable with dimension vector")
+    assert u.certified == (bound is None and name != "e6")
 
 
 @pytest.mark.parametrize("name,bound", [("kronecker", (2, 2)), ("kronecker", (3, 3)),
@@ -678,7 +722,7 @@ def test_a_refused_certificate_equals_the_whole_closure(name, bound, monkeypatch
         ModuleUniverse(algebra, bound)
     monkeypatch.undo()
     (u,) = built
-    c = ARNeighbours().closure(Catalogue(u.modules))
+    c = ARNeighbours(Catalogue(u.modules)).closure()
     expected = [("translate_table_complete", False)] if any(c.tau_unresolved) else []
     expected += [("closed_under_translates", c.closed_under_translates),
                  ("closed_under_radical_and_socle_quotients",
@@ -700,9 +744,9 @@ def test_the_refused_keys_match_the_closure_without_any_one_module(build):
     u = ModuleUniverse(build())
     radical_fails = 0
     for i in range(len(u.modules)):
-        rest = Catalogue(u.modules[:i] + u.modules[i + 1:])
-        keys = ARNeighbours().refused_closure_keys(rest)
-        c = ARNeighbours().closure(rest)
+        rest = u.modules[:i] + u.modules[i + 1:]
+        keys = ARNeighbours(Catalogue(rest)).refused_closure_keys()
+        c = ARNeighbours(Catalogue(rest)).closure()
         if not any(c.tau_unresolved):
             assert keys is None
             continue

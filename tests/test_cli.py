@@ -254,3 +254,16 @@ def test_unknown_label_is_reported_without_stray_quotes(argv, capsys):
     a2 = os.path.join(HERE, "..", "perfbench", "algebras", "a2.json")
     code, out, err = run(capsys, "tes", a2, *argv)
     assert (code, out, err) == (2, "", "error: unknown module label 'S9'\n")
+
+
+def test_a_traced_inspect_bench_run_is_correct():
+    # the tracer rebinds tauseq functions by name and reads return values
+    # (its universe.enumerate hook counts the found list), so only a traced
+    # run notices a renamed target or a changed return shape
+    bench = os.path.join(HERE, "..", "perfbench", "run.py")
+    proc = subprocess.run([sys.executable, bench, "--workload", "inspect", "--seed", "1",
+                           "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stdout

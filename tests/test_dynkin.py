@@ -32,6 +32,7 @@ from tauseq.cli import load_algebra_file
 from tauseq.sequences import enumerate_tau_es, mutate
 from tauseq.universe import ARNeighbours, ModuleUniverse
 from tauseq.wide import all_torsion_classes
+from oracles import sweep_to_the_cap
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GUARD = "extension space of dimension %d exceeds the sweep guard"
@@ -119,29 +120,31 @@ def _spy_on_the_stop_test(monkeypatch):
     call returns at once while the witness of an earlier failure stands),
     and the aborts raised."""
     verdicts, walked, aborts, inside = [], [], [], []
-    closed, translate_in = ARNeighbours.closed, ARNeighbours.translate_in
+    closure, translate = ARNeighbours.closure, ARNeighbours.translate
 
-    def spy(self, modules):
+    def spy(self, stop=False):
+        if not stop:
+            return closure(self)
         walked.append(False)
         inside.append(True)
         try:
-            verdicts.append(closed(self, modules))
+            verdicts.append(closure(self, stop))
         finally:
             inside.pop()
         return verdicts[-1]
 
-    def translate_spy(self, m, catalogue):
+    def translate_spy(self, i):
         if inside:
             walked[-1] = True
-        return translate_in(self, m, catalogue)
+        return translate(self, i)
 
     class Abort(universe._Abort):
         def __init__(self, *args):
             super().__init__(*args)
             aborts.append(str(self))
 
-    monkeypatch.setattr(ARNeighbours, "closed", spy)
-    monkeypatch.setattr(ARNeighbours, "translate_in", translate_spy)
+    monkeypatch.setattr(ARNeighbours, "closure", spy)
+    monkeypatch.setattr(ARNeighbours, "translate", translate_spy)
     monkeypatch.setattr(universe, "_Abort", Abort)
     return verdicts, walked, aborts
 
@@ -157,12 +160,12 @@ def test_e6_at_bound_4_is_closed_before_the_guard(monkeypatch):
     assert "sweep_aborted_because" not in u.certificate
     assert len(all_torsion_classes(u)) == 833
     # the closure handed on is the one the certificate would compute
-    c = ARNeighbours().closure(universe.Catalogue(u.modules))
+    c = ARNeighbours(universe.Catalogue(u.modules)).closure()
     assert (u.tau_of, u.tau_unresolved, u.is_inj) == (c.tau_of, c.tau_unresolved, c.is_inj)
     # without the stop test the sweep goes on to the guard
     monkeypatch.undo()
     verdicts, _, aborts = _spy_on_the_stop_test(monkeypatch)
-    monkeypatch.setattr(ARNeighbours, "closed", lambda self, modules: None)
+    sweep_to_the_cap(monkeypatch)
     u = ModuleUniverse(_file("algebras/scale/e6.json")(), (4,) * 6, require_certificate=False)
     assert aborts == [GUARD % 7] and u.certificate["sweep_aborted_because"] == GUARD % 7
     assert not u.certified and len(u.modules) == 36
@@ -180,13 +183,14 @@ def test_e6_at_the_default_bound_touches_the_cap():
 def test_a_guard_abort_meets_a_list_the_stop_test_found_not_closed(monkeypatch):
     verdicts, walked, aborts = _spy_on_the_stop_test(monkeypatch)
     sizes = []
-    closed = ARNeighbours.closed
+    closure = ARNeighbours.closure
 
-    def sized(self, modules):
-        sizes.append(len(modules))
-        return closed(self, modules)
+    def sized(self, stop=False):
+        if stop:
+            sizes.append(len(self.catalogue.modules))
+        return closure(self, stop)
 
-    monkeypatch.setattr(ARNeighbours, "closed", sized)
+    monkeypatch.setattr(ARNeighbours, "closure", sized)
     u = ModuleUniverse(_file("perfbench/algebras/kronecker.json")(), require_certificate=False)
     assert aborts == [GUARD % 8]
     # the last list tested is the one the guard stopped: every module the

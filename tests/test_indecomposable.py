@@ -22,7 +22,7 @@ from tauseq.decompose import indecomposable_parts, is_indecomposable
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, block_sum, direct_sum, projective, simple, zero_rep
 from tauseq.universe import ModuleUniverse
-from oracles import every_class_tuple
+from oracles import every_class_tuple, sweep_to_the_cap
 from test_wide import LATTICE_ALGEBRAS, _linear
 
 
@@ -59,7 +59,7 @@ def sweep_middles(algebra, monkeypatch):
     monkeypatch.setattr(universe_mod, "extension_middle", spy)
     monkeypatch.setattr(universe_mod, "is_indecomposable",
                         lambda m: len(indecomposable_parts(m)) == 1)
-    monkeypatch.setattr(universe_mod.ARNeighbours, "closed", lambda self, modules: None)
+    sweep_to_the_cap(monkeypatch)
     monkeypatch.setattr(universe_mod, "_class_tuples", every_class_tuple)
     u = ModuleUniverse(algebra)
     monkeypatch.undo()

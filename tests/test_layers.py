@@ -3,7 +3,8 @@
 After the build, ``wide``, ``emap`` and ``sequences`` answer every question
 from the hom, Ext and tau tables of the universe.  This pins it at the
 import level: none of the three imports module-level code, at the top of
-the file or inside a function.
+the file or inside a function.  The universe keeps the stop test's state
+by catalogue position, so it calls no ``id()``.
 """
 
 import ast
@@ -36,3 +37,11 @@ def _imported_modules(path):
 def test_table_core_imports_no_module_code(name):
     imported = _imported_modules(os.path.join(SRC, name + ".py"))
     assert not imported & MODULE_LEVEL, sorted(imported & MODULE_LEVEL)
+
+
+def test_the_universe_keys_nothing_by_object_identity():
+    with open(os.path.join(SRC, "universe.py")) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == []

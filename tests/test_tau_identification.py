@@ -67,7 +67,7 @@ def test_the_identification_matches_the_built_translate(name):
     u = _universe(name)
     assert u.certified == CASES[name][2]
     catalogue = Catalogue(u.modules)
-    neighbours = ARNeighbours()
+    neighbours = ARNeighbours(catalogue)
     refused = 0
     for i, m in enumerate(u.modules):
         if u.is_proj[i]:
@@ -76,7 +76,7 @@ def test_the_identification_matches_the_built_translate(name):
         built = tau(m, oracle)
         assert tau_dims(pres) == tau_dims(oracle) == built.dims, u.labels[i]
         found = u.identify(built)
-        assert neighbours.translate_in(m, catalogue) == found, u.labels[i]
+        assert neighbours.translate(i) == found, u.labels[i]
         assert u.tau_of[i] == found
         for j in catalogue.bucket(built.dims):
             z = u.modules[j]
