@@ -27,7 +27,8 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 from tauseq.errors import TauSeqError
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
-from tauseq.universe import ModuleUniverse, StrObj
+from tauseq.tables import StrObj
+from tauseq.universe import ModuleUniverse
 
 SCHEMA = 1
 

@@ -23,17 +23,17 @@ from typing import Dict, List
 from tauseq.errors import (
     Incompatible, Mismatch, MultiplePreimages, NoPreimage, NoUniqueMatch,
 )
-from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.tables import StrIndec, StrObj, Tables, ids_of, reach
 from tauseq.wide import (
-    Context, compatible_in_context, context_of, gen_mask, ids_of, j_mask,
-    mask_tables, reach, rel_str_indecs, rel_tau_rigid,
+    Context, compatible_in_context, context_of, gen_mask, j_mask, rel_str_indecs,
+    rel_tau_rigid,
 )
 
 
 class EMapEngine:
     """Computes and memoizes E and its inverse; supports fault injection."""
 
-    def __init__(self, u: ModuleUniverse):
+    def __init__(self, u: Tables):
         self.u = u
         self.memo: Dict[tuple, StrIndec] = {}
         self.faults: Dict[tuple, StrIndec] = {}
@@ -80,7 +80,7 @@ class EMapEngine:
         rad(-, Z) -> 0 on F reads the multiplicity of each Z off a row."""
         u = self.u
         hom = u.hom
-        cls = ids_of(ctx.mask & ~reach(mask_tables(u).hom_out, t.mods))
+        cls = ids_of(ctx.mask & ~reach(u.hom_out, t.mods))
         row = [hom[x.mod][z] for z in cls]
         parts = [y for y in cls if [hom[y][z] for z in cls] == row]
         if len(parts) != 1:
@@ -96,7 +96,7 @@ class EMapEngine:
                       target: Context) -> StrIndec:
         u = self.u
         wanted = j_mask(u, ctx, t.with_indec(x))
-        hom_out = mask_tables(u).hom_out
+        hom_out = u.hom_out
         matches = [r for r in target.rel_proj
                    if target.mask & ~hom_out[r] == wanted]
         if len(matches) != 1:
@@ -140,7 +140,7 @@ class EMapEngine:
         return table
 
 
-def engine_for(u: ModuleUniverse) -> EMapEngine:
+def engine_for(u: Tables) -> EMapEngine:
     if "emap_engine" not in u.cache:
         u.cache["emap_engine"] = EMapEngine(u)
     return u.cache["emap_engine"]

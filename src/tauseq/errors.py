@@ -93,6 +93,10 @@ class NotAPair(TauSeqError):
     pass
 
 
+class UnknownMutation(TauSeqError):
+    """A mutation was asked for by a name other than "phi" or "psi"."""
+
+
 class IrregularAmbiguity(TauSeqError):
     """Leftover matching for an irregular mutation found != 1 candidate."""
 

@@ -32,11 +32,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from tauseq.emap import engine_for
 from tauseq.errors import (
     DifferentJ, IndexOutOfRange, IrregularAmbiguity, Mismatch, NoStrictIncrease,
-    NotAPair, NotTauRigid, NotTFOrdered, OrbitExhausted,
+    NotAPair, NotTauRigid, NotTFOrdered, OrbitExhausted, UnknownMutation,
 )
-from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.tables import StrIndec, StrObj, Tables, ids_of
 from tauseq.wide import (
-    Context, ambient_context, context_of, gen_mask, ids_of, rel_ext_projectives,
+    Context, ambient_context, context_of, gen_mask, rel_ext_projectives,
     rel_perp_tau, rel_str_indecs, rel_tau_rigid, rigid_index, torsion_handle,
 )
 
@@ -48,7 +48,7 @@ Pair = Tuple[int, int]
 # orderings and the correspondence with sequences
 # --------------------------------------------------------------------------
 
-def tf_orderings(u: ModuleUniverse, ids: Sequence[int]) -> List[Tuple[int, ...]]:
+def tf_orderings(u: Tables, ids: Sequence[int]) -> List[Tuple[int, ...]]:
     """The TF-orderings of a basic tau-rigid set, in itertools.permutations
     order, walked left to right: an entry may come next exactly when the
     entries still to place do not generate it.  The callers take the set
@@ -64,7 +64,7 @@ def tf_orderings(u: ModuleUniverse, ids: Sequence[int]) -> List[Tuple[int, ...]]
     return out
 
 
-def omega(u: ModuleUniverse, tf: Sequence[int]) -> Seq:
+def omega(u: Tables, tf: Sequence[int]) -> Seq:
     """The sequence attached to an ordered rigid module: each entry is the
     reduction of itself against the sum of its successors.  A reduction is
     shifted exactly when the entry is generated by its successors, so the
@@ -82,7 +82,7 @@ def omega(u: ModuleUniverse, tf: Sequence[int]) -> Seq:
     return tuple(out)
 
 
-def omega_inverse(u: ModuleUniverse, seq: Seq) -> Tuple[int, ...]:
+def omega_inverse(u: Tables, seq: Seq) -> Tuple[int, ...]:
     """Right-to-left preimages under the reduction maps."""
     ctx = ambient_context(u)
     e = engine_for(u)
@@ -96,7 +96,7 @@ def omega_inverse(u: ModuleUniverse, seq: Seq) -> Tuple[int, ...]:
     return tuple(ys)
 
 
-def tail_context(u: ModuleUniverse, tail: Seq) -> Context:
+def tail_context(u: Tables, tail: Seq) -> Context:
     """The wide subcategory left by a sequence: J of each entry in turn,
     from the right."""
     c = ambient_context(u)
@@ -109,7 +109,7 @@ def tail_context(u: ModuleUniverse, tail: Seq) -> Context:
 # pairs, regularity, and the mutation tables
 # --------------------------------------------------------------------------
 
-def regularity(u: ModuleUniverse, ctx: Context, pair: Pair) -> Tuple[bool, bool]:
+def regularity(u: Tables, ctx: Context, pair: Pair) -> Tuple[bool, bool]:
     """(left regular, right regular) for a pair its mutation table lists."""
     b, c = pair
     lifted = engine_for(u).e_inverse(ctx, StrObj.make([c]), StrIndec(b, 0))
@@ -127,7 +127,7 @@ def regularity(u: ModuleUniverse, ctx: Context, pair: Pair) -> Tuple[bool, bool]
     return left, right
 
 
-def _left_formula(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
+def _left_formula(u: Tables, ctx: Context, pair: Pair) -> Pair:
     b, c = pair
     e = engine_for(u)
     if c in ctx.rel_proj:
@@ -143,7 +143,7 @@ def _left_formula(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
     return (first.mod, b_up.mod)
 
 
-def _right_formula(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
+def _right_formula(u: Tables, ctx: Context, pair: Pair) -> Pair:
     x, y = pair
     e = engine_for(u)
     sub = context_of(u, ctx, StrObj.make([y]))
@@ -159,13 +159,12 @@ def _right_formula(u: ModuleUniverse, ctx: Context, pair: Pair) -> Pair:
 class MutationTable:
     """The left and right mutation bijections on all pairs of one context.
 
-    It holds the context's one list of pairs (B, C), C relatively rigid and
-    B relatively rigid in J(C), grouped into cells by J(B) inside J(C)."""
+    It holds the context's pairs (B, C), C relatively rigid and B relatively
+    rigid in J(C), grouped into cells by J(B) inside J(C)."""
 
-    def __init__(self, u: ModuleUniverse, ctx: Context):
+    def __init__(self, u: Tables, ctx: Context):
         self.u = u
         self.ctx = ctx
-        self.pairs: List[Pair] = []
         self.cells: Dict[FrozenSet[int], List[Pair]] = {}
         for c in rel_str_indecs(u, ctx):
             if c.shift:
@@ -174,7 +173,6 @@ class MutationTable:
             for b in rel_str_indecs(u, sub):
                 if b.shift == 0:
                     cell = context_of(u, sub, StrObj.make([b.mod])).members
-                    self.pairs.append((b.mod, c.mod))
                     self.cells.setdefault(cell, []).append((b.mod, c.mod))
         self.phi: Dict[Pair, Pair] = {}
         self.psi: Dict[Pair, Pair] = {}
@@ -231,7 +229,9 @@ class MutationTable:
         self.psi.update(psi_known)
 
     def apply(self, op: str, pair: Pair) -> Pair:
-        table = self.phi if op == "phi" else self.psi
+        table = self.phi if op == "phi" else self.psi if op == "psi" else None
+        if table is None:
+            raise UnknownMutation("unknown mutation %r: expected 'phi' or 'psi'" % (op,))
         if pair not in table:
             raise NotAPair("%r is not a pair of this context" % (pair,))
         return table[pair]
@@ -243,7 +243,7 @@ class MutationTable:
         raise NotAPair("%r is not a pair of this context" % (pair,))
 
 
-def mutation_table(u: ModuleUniverse, ctx: Context) -> MutationTable:
+def mutation_table(u: Tables, ctx: Context) -> MutationTable:
     cache = u.cache.setdefault("mutation_tables", {})
     if ctx.members not in cache:
         cache[ctx.members] = MutationTable(u, ctx)
@@ -254,11 +254,11 @@ def mutation_table(u: ModuleUniverse, ctx: Context) -> MutationTable:
 # mutation of sequences
 # --------------------------------------------------------------------------
 
-def first_position(u: ModuleUniverse, seq: Seq) -> int:
+def first_position(u: Tables, seq: Seq) -> int:
     return u.n - len(seq) + 1
 
 
-def _split_at(u: ModuleUniverse, seq: Seq, index: int) -> Tuple[Seq, Pair, Seq]:
+def _split_at(u: Tables, seq: Seq, index: int) -> Tuple[Seq, Pair, Seq]:
     """The head, the adjacent pair at an absolute position, and the tail."""
     if len(seq) < 2:
         raise IndexOutOfRange("position %d not mutable: a sequence of length %d "
@@ -271,7 +271,7 @@ def _split_at(u: ModuleUniverse, seq: Seq, index: int) -> Tuple[Seq, Pair, Seq]:
     return seq[:offset], (seq[offset], seq[offset + 1]), seq[offset + 2:]
 
 
-def mutate(u: ModuleUniverse, seq: Seq, op: str, index: int) -> Seq:
+def mutate(u: Tables, seq: Seq, op: str, index: int) -> Seq:
     """Apply a left or right mutation at an absolute position."""
     head, pair, tail = _split_at(u, seq, index)
     return head + mutation_table(u, tail_context(u, tail)).apply(op, pair) + tail
@@ -304,7 +304,7 @@ class MutationWord:
         return ".".join(bits)
 
 
-def apply_steps(u: ModuleUniverse, seq: Seq,
+def apply_steps(u: Tables, seq: Seq,
                 steps: Sequence[Tuple[str, int, int]]) -> Seq:
     for op, i, power in steps:
         for _ in range(power):
@@ -316,7 +316,7 @@ def apply_steps(u: ModuleUniverse, seq: Seq,
 # gen-minimality
 # --------------------------------------------------------------------------
 
-def is_gen_minimal(u: ModuleUniverse, ids: Sequence[int]) -> bool:
+def is_gen_minimal(u: Tables, ids: Sequence[int]) -> bool:
     """No summand of the rigid module is generated by the others.  The
     bijections suite checks this against the split-projective
     characterization."""
@@ -336,7 +336,7 @@ def is_gen_minimal(u: ModuleUniverse, ids: Sequence[int]) -> bool:
 # transpositions, normalization, transitivity
 # --------------------------------------------------------------------------
 
-def transposition_word(u: ModuleUniverse, seq: Seq, index: int,
+def transposition_word(u: Tables, seq: Seq, index: int,
                        target: Seq) -> MutationWord:
     """The minimal power of a single mutation at one position carrying seq to
     target; exponents are searched in the order +1, -1, +2, -2, ..., along
@@ -364,7 +364,7 @@ def _insertion(tf: Sequence[int], from_pos: int, to_slot: int) -> Tuple[int, ...
     return tuple(ys)
 
 
-def _walk_left(u: ModuleUniverse, seq: Seq, tf: Tuple[int, ...], p: int,
+def _walk_left(u: Tables, seq: Seq, tf: Tuple[int, ...], p: int,
                stop: int, steps: List) -> Tuple[Seq, Tuple[int, ...], int]:
     """Move entry p of tf, the preimage ordering of seq, leftward toward
     position stop by adjacent transpositions between valid orderings,
@@ -384,7 +384,7 @@ def _walk_left(u: ModuleUniverse, seq: Seq, tf: Tuple[int, ...], p: int,
     return seq, tf, p
 
 
-def normalize(u: ModuleUniverse, seq: Seq,
+def normalize(u: Tables, seq: Seq,
               trace: Optional[list] = None) -> Tuple[Seq, MutationWord]:
     """Mutate a sequence until the preimage sum is gen-minimal.
 
@@ -432,7 +432,7 @@ def normalize(u: ModuleUniverse, seq: Seq,
     raise NoStrictIncrease("normalization exceeded the torsion-class bound")
 
 
-def bridge(u: ModuleUniverse, n1: Seq, n2: Seq) -> List[Tuple[str, int, int]]:
+def bridge(u: Tables, n1: Seq, n2: Seq) -> List[Tuple[str, int, int]]:
     """The transpositions carrying one normal form to another.  Both
     preimages order the same gen-minimal sum; position by position, the
     entry the second ordering wants there is walked leftward into place."""
@@ -449,7 +449,7 @@ def bridge(u: ModuleUniverse, n1: Seq, n2: Seq) -> List[Tuple[str, int, int]]:
     return steps
 
 
-def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
+def transitivity_path(u: Tables, seq1: Seq, seq2: Seq) -> MutationWord:
     """A mutation word carrying seq1 to seq2: the normalization word of
     seq1, the bridge between the two normal forms, and the inverse of the
     normalization word of seq2."""
@@ -466,7 +466,7 @@ def transitivity_path(u: ModuleUniverse, seq1: Seq, seq2: Seq) -> MutationWord:
 # enumeration of sequences and the mutation graph
 # --------------------------------------------------------------------------
 
-def enumerate_tau_es(u: ModuleUniverse, w_members: FrozenSet[int]) -> List[Seq]:
+def enumerate_tau_es(u: Tables, w_members: FrozenSet[int]) -> List[Seq]:
     """All sequences whose perpendicular subcategory is the given one, by
     running the TF-orderings of the rigid modules with that J through omega,
     once per walked ordering.  The rigid modules over each J are read off
@@ -478,7 +478,7 @@ def enumerate_tau_es(u: ModuleUniverse, w_members: FrozenSet[int]) -> List[Seq]:
     return sorted(set(out))
 
 
-def enumerate_tau_es_recursive(u: ModuleUniverse,
+def enumerate_tau_es_recursive(u: Tables,
                                w_members: FrozenSet[int]) -> List[Seq]:
     """Independent enumeration straight from the recursive definition: pick a
     relatively rigid last entry, recurse into its perpendicular subcategory.
@@ -539,7 +539,7 @@ class MutationGraph:
         return _bfs(start, self.adjacent.__getitem__)
 
 
-def mutation_distance(u: ModuleUniverse, src: Seq, dst: Seq) -> Optional[int]:
+def mutation_distance(u: Tables, src: Seq, dst: Seq) -> Optional[int]:
     """Fewest single mutations from src to dst, or None if dst is out of
     reach.  Breadth-first over every phi_i and psi_i: psi_i inverts phi_i, so
     these are the undirected edges of the mutation graph."""
@@ -551,7 +551,7 @@ def mutation_distance(u: ModuleUniverse, src: Seq, dst: Seq) -> Optional[int]:
     return _bfs(src, neighbours, dst).get(dst)
 
 
-def mutation_graph(u: ModuleUniverse, w_members: FrozenSet[int]) -> MutationGraph:
+def mutation_graph(u: Tables, w_members: FrozenSet[int]) -> MutationGraph:
     """Vertices are the sequences over the given wide subcategory, edges the
     single left mutations (each doubling as its inverse right mutation)."""
     vertices = enumerate_tau_es(u, w_members)

@@ -105,38 +105,7 @@ from tauseq.modules import (
     Presentation, Rep, SimpleExt, arrow_ideals, block_sum, dual_arrow_ideals, dualize,
     hom_basis, hom_dim, min_presentation, projective, quotient, radical_spans, simple, trace,
 )
-
-
-class StrIndec(NamedTuple):
-    """An indecomposable object: a module id, possibly shifted (projectives only)."""
-    mod: int
-    shift: int
-
-
-class StrObj(NamedTuple):
-    """A basic support object: sorted module ids plus sorted shifted projective ids."""
-    mods: Tuple[int, ...]
-    shifts: Tuple[int, ...]
-
-    @staticmethod
-    def make(mods: Sequence[int] = (), shifts: Sequence[int] = ()) -> "StrObj":
-        # most calls pass at most one id, which needs no sort; tuple.__new__
-        # is what NamedTuple._make calls, minus the Python-level wrapper
-        return tuple.__new__(StrObj, (
-            tuple(sorted(mods)) if len(mods) > 1 else tuple(mods),
-            tuple(sorted(shifts)) if len(shifts) > 1 else tuple(shifts)))
-
-    def with_indec(self, x: StrIndec) -> "StrObj":
-        if x.shift:
-            return StrObj.make(self.mods, self.shifts + (x.mod,))
-        return StrObj.make(self.mods + (x.mod,), self.shifts)
-
-    @property
-    def delta(self) -> int:
-        return len(self.mods) + len(self.shifts)
-
-
-ZERO_OBJ = StrObj((), ())
+from tauseq.tables import Tables
 
 
 def _dims_leq(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -597,28 +566,28 @@ class _Abort(Exception):
     """The sweep stops uncompleted; the argument is the reason."""
 
 
-class ModuleUniverse:
+class ModuleUniverse(Tables):
     """All indecomposables of a representation-finite bound quiver algebra,
-    with hom, extension and translate tables keyed by canonical id.
+    and the ``tables.Tables`` of them that the table core reads.
 
     The translate table, the projective and injective flags, tau_rigid and
-    the certificate are built with the universe; the properties ``hom``
-    and ``ext`` fill both tables on the first read of either
-    (``_build_tables``)."""
+    the certificate are built with the universe; ``hom`` and ``ext`` are
+    filled on the first read of either (``_build_tables``).  The modules
+    stay for ``identify``, ``id_of_label`` and the module-level oracles."""
 
     def __init__(self, algebra, dim_bound: Optional[Sequence[int]] = None,
                  require_certificate: bool = True):
         self.algebra = algebra
-        self.n = algebra.n
+        n = algebra.n
         self.field = algebra.field
-        projs = [projective(algebra, v) for v in range(self.n)]
+        projs = [projective(algebra, v) for v in range(n)]
         if dim_bound is None:
             peak = max(max(p.dims) for p in projs)
-            dim_bound = tuple(3 * max(peak, 1) for _ in range(self.n))
+            dim_bound = tuple(3 * max(peak, 1) for _ in range(n))
         self.dim_bound: Tuple[int, ...] = tuple(dim_bound)
-        if len(self.dim_bound) != self.n:
+        if len(self.dim_bound) != n:
             raise BoundTooSmall("the cap %r names %d bounds for %d vertices"
-                                % (self.dim_bound, len(self.dim_bound), self.n))
+                                % (self.dim_bound, len(self.dim_bound), n))
         for p in projs:
             if not _dims_leq(p.dims, self.dim_bound):
                 raise BoundTooSmall("projective with dimension vector %r exceeds the cap %r"
@@ -638,11 +607,11 @@ class ModuleUniverse:
             self.certificate["sweep_aborted_because"] = reason
         order = self._neighbours.catalogue.canonical_order()
         self.modules: List[Rep] = [found[i] for i in order]
-        self.labels: List[str] = []
+        labels: List[str] = []
         seen: Dict[tuple, int] = {}
         for m in self.modules:
             seen[m.dims] = seen.get(m.dims, 0) + 1
-            self.labels.append(_label(m.dims, seen[m.dims]))
+            labels.append(_label(m.dims, seen[m.dims]))
         self._catalogue = Catalogue(self.modules)
         # a refused build stops at its certificate, and one that the sweep
         # keys refuse already decides the closure keys with the least work
@@ -654,27 +623,23 @@ class ModuleUniverse:
         neighbours = self._neighbours
         del self._neighbours
         vertex_of = [neighbours.projective_vertex(i) for i in order]
-        self.is_proj: List[bool] = [v is not None for v in vertex_of]
+        is_proj = [v is not None for v in vertex_of]
         # the minimal presentation that gave a module its tau gives its Ext
         # row when ``ext`` is first read; a projective has none built yet
         self._pres: List[Optional[Presentation]] = [
             None if proj else neighbours.presentation(i)
-            for i, proj in zip(order, self.is_proj)]
-        self.proj_of_vertex: List[int] = []
-        for v in range(self.n):
+            for i, proj in zip(order, is_proj)]
+        for v in range(n):
             if v not in vertex_of:
                 raise Mismatch("projective at vertex %d missing from the enumeration" % v)
-            self.proj_of_vertex.append(vertex_of.index(v))
         # an unresolved tau is tolerated only on an uncertified sweep; the
         # module is treated as not rigid
-        self.tau_rigid: List[bool] = [
-            not unresolved and (t is None or hom_dim(m, self.modules[t]) == 0)
-            for m, t, unresolved in zip(self.modules, self.tau_of, self.tau_unresolved)]
-        self._hom: Optional[List[List[int]]] = None
-        self._ext: Optional[List[List[int]]] = None
+        tau_rigid = [not unresolved and (t is None or hom_dim(m, self.modules[t]) == 0)
+                     for m, t, unresolved in zip(self.modules, self.tau_of, self.tau_unresolved)]
+        super().__init__(n, labels, None, None, self.tau_of, tau_rigid, is_proj,
+                         [vertex_of.index(v) for v in range(n)])
         self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
-        self.cache: Dict = {}  # shared memo space for the layers above
 
     # ------------------------------------------------------------------
     # enumeration
@@ -742,7 +707,7 @@ class ModuleUniverse:
         # 0 -> U -> E -> S -> 0 with S simple and U its maximal submodule;
         # indecomposability forces a nonzero class against every summand of
         # U, with multiplicity at most dim Ext^1(S, that summand).
-        simples = [simple(algebra, v) for v in range(self.n)]
+        simples = [simple(algebra, v) for v in range(algebra.n)]
 
         @functools.cache
         def ext_to(sv: int, idx: int) -> SimpleExt:
@@ -792,7 +757,7 @@ class ModuleUniverse:
                 add(s)
             # P(v) is indecomposable, its End ring e_v A e_v being e_v plus
             # nilpotent cycles, and __init__ has checked it under the cap
-            for v in range(self.n):
+            for v in range(algebra.n):
                 add(projective(algebra, v))
             closure = self._neighbours.closure(stop=True)
             if closure is None:
@@ -857,22 +822,6 @@ class ModuleUniverse:
         self.certificate["closed_under_radical_and_socle_quotients"] = \
             c.closed_under_radical_and_socle_quotients
 
-    @property
-    def hom(self) -> List[List[int]]:
-        """hom[i][j] = dim Hom(M_i, M_j), filled with ``ext`` on the first
-        read of either."""
-        if self._hom is None:
-            self._build_tables()
-        return self._hom
-
-    @property
-    def ext(self) -> List[List[int]]:
-        """ext[i][j] = dim Ext^1(M_i, M_j), filled with ``hom`` on the first
-        read of either."""
-        if self._ext is None:
-            self._build_tables()
-        return self._ext
-
     def _build_tables(self):
         """The hom and Ext tables, the Ext row of M_i from the syzygy of its
         minimal presentation; a projective gets its presentation, whose
@@ -897,14 +846,6 @@ class ModuleUniverse:
     def identify_parts(self, rep: Rep) -> Optional[List[int]]:
         """Sorted canonical ids (with multiplicity) of the summands, or None."""
         return self._catalogue.find_all(indecomposable_parts(rep))
-
-    def label_of_indec(self, x: StrIndec) -> str:
-        return self.labels[x.mod] + ("[1]" if x.shift else "")
-
-    def label_of_obj(self, t: StrObj) -> str:
-        parts = [self.labels[i] for i in t.mods] + \
-                ["%s[1]" % self.labels[i] for i in t.shifts]
-        return "(" + ",".join(parts) + ")" if parts else "(0)"
 
     def id_of_label(self, label: str) -> int:
         label = label.strip()
@@ -971,62 +912,3 @@ class ModuleUniverse:
     def filtgen_set(self, ids) -> FrozenSet[int]:
         return frozenset(j for j in range(len(self.modules))
                          if self.filtgen_contains(ids, j))
-
-    # ------------------------------------------------------------------
-    # support objects
-    # ------------------------------------------------------------------
-
-    def tau_hom_vanishes(self, a: int, b: int) -> bool:
-        """Hom(M_a, tau M_b) == 0, from the tables."""
-        tb = self.tau_of[b]
-        return tb is None or self.hom[a][tb] == 0
-
-    def all_tau_rigid_subsets(self) -> List[Tuple[int, ...]]:
-        """All basic tau-rigid modules, as sorted id tuples (including ())."""
-        key = "tau_rigid_subsets"
-        if key in self.cache:
-            return self.cache[key]
-        rigid_ids = [i for i in range(len(self.modules)) if self.tau_rigid[i]]
-        out: List[Tuple[int, ...]] = [()]
-
-        def compatible_pair(a: int, b: int) -> bool:
-            return self.tau_hom_vanishes(a, b) and self.tau_hom_vanishes(b, a)
-
-        def rec(start: int, acc: List[int]):
-            for k in range(start, len(rigid_ids)):
-                c = rigid_ids[k]
-                if all(compatible_pair(c, a) for a in acc):
-                    acc.append(c)
-                    out.append(tuple(acc))
-                    rec(k + 1, acc)
-                    acc.pop()
-
-        rec(0, [])
-        out.sort()
-        self.cache[key] = out
-        return out
-
-    def all_support_objects(self) -> List[StrObj]:
-        """All basic support objects (tau-rigid module plus shifted projectives)."""
-        key = "support_objects"
-        if key in self.cache:
-            return self.cache[key]
-        out: List[StrObj] = []
-        projs = [i for i in range(len(self.modules)) if self.is_proj[i]]
-        for mods in self.all_tau_rigid_subsets():
-            free = [p for p in projs if all(self.hom[p][m] == 0 for m in mods)]
-            for r in range(len(free) + 1):
-                for shifts in itertools.combinations(free, r):
-                    out.append(StrObj.make(mods, shifts))
-        out.sort()
-        self.cache[key] = out
-        return out
-
-    def support_tilting_count(self) -> int:
-        """The number of support tau-tilting objects, which is the number of
-        torsion classes (Adachi-Iyama-Reiten)."""
-        key = "support_tilting_count"
-        if key not in self.cache:
-            self.cache[key] = sum(1 for t in self.all_support_objects()
-                                  if t.delta == self.n)
-        return self.cache[key]

@@ -19,6 +19,8 @@ trace quotients) is read by the checks on Ext vanishing on Gen, Gen of the
 gen-minimal modules, split projectives, torsion closure, the wide map's
 inverse, "two of Gen, perp-translate, J", the Gen-then-J factorization,
 generation passing down E, FiltGen of a sequence, and the Serre chain.
+The perp-translate class is read here off Hom into the translate
+(``perp_tau_members``), where the library reads Ext^1 on Gen.
 
 The transitivity suite normalizes each sequence once and assembles each
 pair's word from the two normalizations and one bridge per pair of normal
@@ -28,7 +30,7 @@ forms; the pairs of a wide subcategory over PAIR_BUDGET are counted as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 from tauseq.ar import is_injective_rep, tau_hom_dim
 from tauseq.emap import engine_for
@@ -40,11 +42,11 @@ from tauseq.sequences import (
     mutation_table, normalize, omega, omega_inverse, tail_context,
     tf_orderings, transposition_word,
 )
-from tauseq.universe import ZERO_OBJ, ModuleUniverse, StrIndec, StrObj
+from tauseq.tables import ZERO_OBJ, StrIndec, StrObj, ids_of, left_perp, mask_of
+from tauseq.universe import ModuleUniverse
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context,
-    compatible_in_context, context_from_members, context_of, ids_of,
-    j_in_context, left_perp, mask_of, mask_tables, perp_tau_members,
+    compatible_in_context, context_from_members, context_of, j_in_context,
     rel_str_indecs, rel_tau_rigid, rigid_j, torsion_handle,
 )
 
@@ -119,6 +121,13 @@ def _labels(u: ModuleUniverse, ids) -> List[str]:
     return [u.labels[i] for i in sorted(ids)]
 
 
+def perp_tau_members(u: ModuleUniverse, ids: Sequence[int]) -> FrozenSet[int]:
+    """The modules with no nonzero map into tau of the sum, off the hom
+    rows; the library reads Ext^1 on Gen instead (``wide.rel_perp_tau``)."""
+    taus = mask_of(u.tau_of[m] for m in ids if u.tau_of[m] is not None)
+    return frozenset(ids_of(left_perp(u.hom_out, taus)))
+
+
 # --------------------------------------------------------------------------
 # enumeration suite
 # --------------------------------------------------------------------------
@@ -176,7 +185,7 @@ def suite_enumeration(u: ModuleUniverse) -> SuiteReport:
 
 def suite_bijections(u: ModuleUniverse) -> SuiteReport:
     amb = ambient_context(u)
-    hom_out = mask_tables(u).hom_out
+    hom_out = u.hom_out
     torsion = all_torsion_classes(u)
     wides = all_wide_subcategories(u)
     wide_set = set(wides)
@@ -521,7 +530,7 @@ def suite_transitivity(u: ModuleUniverse) -> SuiteReport:
     for w in all_wide_subcategories(u):
         if context_from_members(u, w).rank != u.n - 2:
             continue
-        handle = torsion_handle(u, ids_of(left_perp(mask_tables(u).hom_out, mask_of(w))))
+        handle = torsion_handle(u, ids_of(left_perp(u.hom_out, mask_of(w))))
         def _run(w=w, handle=handle):
             if len(handle.split) != 2:
                 return False

@@ -21,12 +21,12 @@ from tauseq.modules import (
     projective_cover, quotient, submodule_from_spans, trace,
 )
 from tauseq.quiver import BoundQuiverAlgebra, Quiver
-from tauseq.universe import (
-    SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse, StrIndec, StrObj,
-)
+from tauseq.tables import StrIndec, StrObj, ids_of
+from tauseq.universe import SWEEP_COEFFS, ARNeighbours, Catalogue, ModuleUniverse
+from tauseq.verify import perp_tau_members
 from tauseq.wide import (
-    Context, ambient_context, context_of, gen_mask, ids_of, perp_tau_members,
-    rel_ext_projectives, rel_tau_rigid, torsion_handle,
+    Context, ambient_context, context_of, gen_mask, rel_ext_projectives, rel_tau_rigid,
+    torsion_handle,
 )
 
 
@@ -241,6 +241,47 @@ def j_set_ambient_direct(u: ModuleUniverse, t: StrObj) -> FrozenSet[int]:
                      if all(u.hom[i][x] == 0 for i in t.mods + t.shifts))
 
 
+def tau_hom_vanishes(u: ModuleUniverse, a: int, b: int) -> bool:
+    """Hom(M_a, tau M_b) == 0, from the hom and translate tables."""
+    tb = u.tau_of[b]
+    return tb is None or u.hom[a][tb] == 0
+
+
+def tau_rigid_subsets_by_pairs(u: ModuleUniverse) -> List[Tuple[int, ...]]:
+    """All basic tau-rigid modules, sorted, as sets of tau-rigid
+    indecomposables with Hom(M, tau N) = 0 for every two of them, tested
+    pair by pair on the translate table.  The library reads the same
+    vanishing as Ext^1(N, Gen M) = 0 (``Tables.all_tau_rigid_subsets``)."""
+    rigid_ids = [i for i in range(len(u.labels)) if u.tau_rigid[i]]
+    out: List[Tuple[int, ...]] = [()]
+
+    def rec(start: int, acc: List[int]):
+        for k in range(start, len(rigid_ids)):
+            c = rigid_ids[k]
+            if all(tau_hom_vanishes(u, c, a) and tau_hom_vanishes(u, a, c) for a in acc):
+                acc.append(c)
+                out.append(tuple(acc))
+                rec(k + 1, acc)
+                acc.pop()
+
+    rec(0, [])
+    return sorted(out)
+
+
+def support_objects_by_pairs(u: ModuleUniverse) -> List[StrObj]:
+    """All basic support objects, sorted: each module part from
+    ``tau_rigid_subsets_by_pairs`` with every set of projectives P that
+    have Hom(P, m) = 0, read entry by entry off the hom table, for every
+    summand m."""
+    out: List[StrObj] = []
+    projs = [i for i in range(len(u.labels)) if u.is_proj[i]]
+    for mods in tau_rigid_subsets_by_pairs(u):
+        free = [p for p in projs if all(u.hom[p][m] == 0 for m in mods)]
+        for r in range(len(free) + 1):
+            out += [StrObj.make(mods, shifts) for shifts in itertools.combinations(free, r)]
+    return sorted(out)
+
+
 def indec_compatible(u: ModuleUniverse, x: StrIndec, y: StrIndec) -> bool:
     """Whether x + y is a basic support object (ambient test)."""
     if x == y:
@@ -251,7 +292,7 @@ def indec_compatible(u: ModuleUniverse, x: StrIndec, y: StrIndec) -> bool:
         return u.hom[x.mod][y.mod] == 0  # Hom(P, M) = 0
     if y.shift:
         return u.hom[y.mod][x.mod] == 0
-    return u.tau_hom_vanishes(x.mod, y.mod) and u.tau_hom_vanishes(y.mod, x.mod)
+    return tau_hom_vanishes(u, x.mod, y.mod) and tau_hom_vanishes(u, y.mod, x.mod)
 
 
 def is_tf_ordered(u: ModuleUniverse, ids: Sequence[int]) -> bool:

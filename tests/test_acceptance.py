@@ -17,7 +17,8 @@ from tauseq.sequences import (
     mutation_graph, mutation_table, normalize, omega,
     transitivity_path, transposition_word,
 )
-from tauseq.universe import ModuleUniverse, StrObj
+from tauseq.tables import StrObj
+from tauseq.universe import ModuleUniverse
 from tauseq.verify import run_suites, suite_emap, suite_transitivity
 from tauseq.wide import (
     all_torsion_classes, ambient_context, context_of, rel_str_indecs,

@@ -9,7 +9,8 @@ from tauseq.emap import engine_for
 from tauseq.fields import FieldSpec
 from tauseq.modules import quotient, trace
 from tauseq.quiver import Quiver, build_algebra
-from tauseq.universe import ModuleUniverse, StrIndec, StrObj, ZERO_OBJ
+from tauseq.tables import StrIndec, StrObj, ZERO_OBJ
+from tauseq.universe import ModuleUniverse
 from tauseq.wide import (
     ambient_context, compatible_in_context, context_of, rel_str_indecs,
     rel_tau_rigid, valid_rel_str_obj,

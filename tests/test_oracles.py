@@ -7,7 +7,8 @@ import pytest
 
 from tauseq.cli import load_algebra_file
 from tauseq.sequences import enumerate_tau_es
-from tauseq.universe import ZERO_OBJ, ModuleUniverse, StrObj
+from tauseq.tables import ZERO_OBJ, StrObj
+from tauseq.universe import ModuleUniverse
 from tauseq.wide import (
     all_wide_subcategories, ambient_context, compatible_in_context, rel_str_indecs,
 )

@@ -9,6 +9,7 @@ from tauseq import modules, wide
 from tauseq.cli import load_algebra_file
 from tauseq.errors import (
     DifferentJ, Incompatible, IndexOutOfRange, Mismatch, NotTauRigid, NotTFOrdered,
+    UnknownMutation,
 )
 from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
@@ -19,7 +20,8 @@ from tauseq.sequences import (
     mutation_graph, mutation_table, normalize, omega, omega_inverse, regularity,
     tail_context, tf_orderings, transitivity_path, transposition_word,
 )
-from tauseq.universe import ModuleUniverse, StrObj
+from tauseq.tables import StrObj
+from tauseq.universe import ModuleUniverse
 from tauseq.wide import (
     all_torsion_classes, all_wide_subcategories, ambient_context, j_in_context,
     rigid_j,
@@ -163,6 +165,18 @@ def test_mutate_indices(u2):
     assert mutate(u2, mutate(u2, (s1, s2), "phi", 1), "psi", 1) == (s1, s2)
     with pytest.raises(IndexOutOfRange):
         mutate(u2, (s1, s2), "phi", 2)
+
+
+def test_a_mutation_is_named_phi_or_psi(a3):
+    # a library caller gets no --op check: any other name is refused, not
+    # read as psi
+    u = ModuleUniverse(a3)
+    seq = ids(u, "001#1", "100#1", "011#1")
+    assert mutate(u, seq, "phi", 2) == ids(u, "001#1", "111#1", "100#1")
+    assert mutate(u, seq, "psi", 2) == ids(u, "001#1", "011#1", "111#1")
+    for op in ("PHI", "left", ""):
+        with pytest.raises(UnknownMutation, match=repr(op)):
+            mutate(u, seq, op, 2)
 
 
 def test_gen_minimality(u2):

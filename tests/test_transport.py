@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
+from tauseq.tables import StrObj
 from tauseq.transport import (
     abstract_tau, functor_image, gamma_algebra, rel_projective_oracle,
     tau_rigid_oracle,
 )
-from tauseq.universe import ModuleUniverse, StrObj
+from tauseq.universe import ModuleUniverse
 from tauseq.wide import ambient_context, context_of, rel_tau_rigid
 
 

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from tauseq.errors import BoundTooSmall
 from tauseq.modules import projective, simple
-from tauseq.universe import ModuleUniverse, StrIndec, StrObj
+from tauseq.tables import StrIndec, StrObj
+from tauseq.universe import ModuleUniverse
 from tauseq.wide import ambient_context, rel_str_indecs
 
 from oracles import indec_compatible
