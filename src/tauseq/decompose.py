@@ -8,9 +8,16 @@ so the kernel of the form is rad End(M) (Dickson's criterion), and a Gram
 matrix of rank 1 proves End(M) / rad = k, so M indecomposable, before any
 structure constants are built.  Over GF(p) the kernel can be larger than
 the radical, and the test is skipped.  Then each basis element of End(M) is
-tried.  When none splits M, End(M) is reduced modulo its radical
+tried.  When none splits M, over Q the rank r of the trace form is
+dim End(M) / rad, and the distinct irreducible factors of the
+characteristic polynomials of a basis element x at the vertices are those
+of the minimal polynomial of x modulo the radical: two of them, g and
+another, make g(x) neither nilpotent nor invertible, so a split, and one,
+of degree r, makes End(M) / rad = k[x] a field, so M indecomposable.  Only
+when these decide nothing, and always over GF(p), is End(M) reduced
+modulo its radical
 (lifted traces of the regular representation, which stop at the trace form
-in characteristic 0) and the semisimple quotient is searched for a
+in characteristic 0) and the semisimple quotient searched for a
 nontrivial idempotent: the left identity of yA for a zero divisor y = g(x),
 g a proper factor of the minimal polynomial of a candidate x.  Any preimage
 of that idempotent in End(M) splits M; no lifting is needed.  M is certified
@@ -556,6 +563,13 @@ class EndAlgebra:
         return linalg.rank(Mat.trusted(f, self.dim, n, rows).mul(
             Mat.trusted(f, n, self.dim, [list(r) for r in zip(*cols)])))
 
+    @cached_property
+    def semisimple_dim(self) -> Optional[int]:
+        """dim End(M) / rad End(M) over Q, the rank of the trace form; None
+        over GF(p), where the kernel of the form can be larger than the
+        radical (tr(1) = dim M vanishes when p divides it)."""
+        return None if self.field.characteristic else self.trace_form_rank()
+
     def core(self) -> AlgebraCore:
         """Structure constants: column i k + j of one batch holds the
         flattened product b_i b_j, and a last column the identity."""
@@ -627,10 +641,68 @@ def _fitting_power(f: RepMorphism) -> Optional[List[Mat]]:
 def _local_by_trace_form(end: EndAlgebra) -> bool:
     """Whether the trace form certifies End(M) local: over Q a Gram matrix
     of rank 1 makes End(M) / rad End(M) one-dimensional, so k, and M
-    indecomposable.  Over GF(p) the kernel of the trace form can be larger
-    than the radical (tr(1) = dim M vanishes when p divides it), so there a
-    rank of 1 certifies nothing."""
-    return end.field.characteristic == 0 and end.trace_form_rank() == 1
+    indecomposable (``EndAlgebra.semisimple_dim``)."""
+    return end.semisimple_dim == 1
+
+
+def _characteristic_polynomial(field: FieldSpec, x: Mat) -> list:
+    """det(t - x) for a 1 x 1 or 2 x 2 matrix x, coefficients low first."""
+    if x.rows == 1:
+        return [field.neg(x.data[0][0]), field.one]
+    (a, b), (c, d) = x.data
+    return [field.sub(field.mul(a, d), field.mul(b, c)), field.neg(field.add(a, d)), field.one]
+
+
+def _evaluate(g: list, x: RepMorphism) -> RepMorphism:
+    """g(x) for an endomorphism x, vertex by vertex (Horner)."""
+    maps = []
+    for blk in x.maps:
+        one = Mat.identity(blk.field, blk.rows)
+        out = one.scale(g[-1])
+        for c in reversed(g[:-1]):
+            out = out.mul(blk).add(one.scale(c))
+        maps.append(out)
+    return RepMorphism(x.source, x.target, maps, validate=False)
+
+
+def _by_characteristic_polynomials(end: EndAlgebra) -> Tuple[bool, Optional[List[Mat]]]:
+    """(True, the maps g(x)_v^N that split M by Fitting's lemma), (True,
+    None) when M is certified indecomposable, or (False, None) when the
+    test decides nothing, as it does over GF(p).
+
+    Over Q, r = ``semisimple_dim`` is dim End(M) / rad.  Take x in the basis
+    of End(M).  M is a faithful End(M)-module and rad End(M) is nilpotent,
+    so the distinct irreducible factors of the characteristic polynomials
+    of the vertex maps x_v are those of the minimal polynomial of x, and of
+    that of its class modulo the radical, which is their product since the
+    quotient is semisimple.  With two or more factors g, ..., g(x) is
+    neither nilpotent nor invertible, so it splits M.  The class of x
+    generates a subalgebra of End(M) / rad whose dimension, at most r, is
+    the sum of the degrees of the factors.  So a factor g of degree r is
+    the only one, and the class generates the field k[t]/(g), which is then
+    all of End(M) / rad: End(M) is local.  Only vertex maps of size at most
+    2 are factored, natively (``factor_poly``); the factors they show
+    decide both cases whatever the larger ones hold.
+    """
+    r = end.semisimple_dim
+    if r is None:
+        return False, None
+    f = end.field
+    for x in end.basis:
+        factors = []
+        for blk in x.maps:
+            if 0 < blk.rows <= 2:
+                for g, _ in factor_poly(f, _characteristic_polynomial(f, blk)):
+                    if g not in factors:
+                        factors.append(g)
+        if len(factors) > 1:
+            powers = _fitting_power(_evaluate(factors[0], x))
+            if powers is None:
+                raise IdempotentSplitFailure("a characteristic factor did not split the module")
+            return True, powers
+        if factors and len(factors[0]) - 1 == r:
+            return True, None
+    return False, None
 
 
 def _splitting_maps(m: Rep) -> Optional[List[Mat]]:
@@ -639,8 +711,10 @@ def _splitting_maps(m: Rep) -> Optional[List[Mat]]:
 
     Over Q a trace form of rank 1 certifies m indecomposable at once
     (``_local_by_trace_form``).  Otherwise each basis element of End(m) is
-    tried; only when none splits m does the idempotent search run, and
-    only it certifies m indecomposable then.
+    tried; when none splits m, over Q the characteristic polynomials of the
+    basis elements' vertex maps are read (``_by_characteristic_polynomials``),
+    and only when they decide nothing, and always over GF(p), does the
+    idempotent search run, and only it certifies m indecomposable then.
     """
     end = EndAlgebra(m)
     if end.dim == 1 or _local_by_trace_form(end):
@@ -649,6 +723,9 @@ def _splitting_maps(m: Rep) -> Optional[List[Mat]]:
         powers = _fitting_power(b)
         if powers is not None:
             return powers
+    decided, powers = _by_characteristic_polynomials(end)
+    if decided:
+        return powers
     e0 = _idempotent_mod_radical(m, end)
     if e0 is None:
         return None

@@ -156,6 +156,10 @@ def _right_formula(u: Tables, ctx: Context, pair: Pair) -> Pair:
     return (first.mod, x_up.mod)
 
 
+def _unknown_mutation(op: str) -> UnknownMutation:
+    return UnknownMutation("unknown mutation %r: expected 'phi' or 'psi'" % (op,))
+
+
 class MutationTable:
     """The left and right mutation bijections on all pairs of one context.
 
@@ -231,7 +235,7 @@ class MutationTable:
     def apply(self, op: str, pair: Pair) -> Pair:
         table = self.phi if op == "phi" else self.psi if op == "psi" else None
         if table is None:
-            raise UnknownMutation("unknown mutation %r: expected 'phi' or 'psi'" % (op,))
+            raise _unknown_mutation(op)
         if pair not in table:
             raise NotAPair("%r is not a pair of this context" % (pair,))
         return table[pair]
@@ -290,6 +294,9 @@ class MutationWord:
 
     def inverse_steps(self) -> Tuple[Tuple[str, int, int], ...]:
         flip = {"phi": "psi", "psi": "phi"}
+        for op, _, _ in self.steps:
+            if op not in flip:
+                raise _unknown_mutation(op)
         return tuple((flip[op], i, power) for op, i, power in reversed(self.steps))
 
     def display(self) -> str:

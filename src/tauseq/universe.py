@@ -17,7 +17,11 @@ the classes against the other summands, g running over a basis of
 Hom(U_j, U_i), the unipotent automorphism 1 - sum c g of U kills it, and
 U_i splits off (``_automorphism_splits``).  A middle it builds with the
 dimension vector and the simple top of P(v) is P(v), found from the
-start, so it gets no End test (``_may_be_new``).  The kept middles, and so
+start, so it gets no End test (``_may_be_new``).  Nor does a thin middle,
+every dimension at most 1: an endomorphism of it is one scalar per vertex,
+equal across every nonzero arrow, so it is indecomposable exactly when
+its nonzero arrows connect its support (``_thin_indecomposable``).  The
+kept middles, and so
 the found modules and their order, are those of the full product
 sweep.  Once the projectives are added, and again after every new
 module, the sweep asks whether the found set is closed in the
@@ -56,7 +60,11 @@ whose top is the socle; each non-projective module has one minimal
 projective presentation, in path coordinates, which gives its tau and its
 Ext row.  tau X is never built: its dimension vector and a Hom test through
 the Nakayama functor (``ar.tau_dims``, ``ar.is_tau_of``) find it among the
-catalogue modules with that dimension vector.  On a monomial algebra the
+catalogue modules with that dimension vector.  When that vector is thin
+and the full subquiver on its support is a tree, all indecomposables with
+it are isomorphic, by rescaling the basis along the tree, so the one
+catalogue module there, if any, is tau X with no Hom test
+(``_thin_tree``).  On a monomial algebra the
 summands of rad P(v) are the arrow ideals at v and those of I(v) / soc I(v)
 their duals over the opposite algebra (``modules``), so the closure builds
 no radical or socle quotient and decomposes neither.  The schema-1
@@ -125,19 +133,87 @@ def _arrow_ranks(m: Rep) -> Tuple[int, ...]:
     return tuple(linalg.rank(x) for x in m.mats)
 
 
+def _nonzero_arrows(m: Rep) -> Optional[List[int]]:
+    """The arrows whose matrix is nonzero, for a thin m (every dimension at
+    most 1, so each such matrix is one scalar), or None when m is not
+    thin."""
+    if any(d > 1 for d in m.dims):
+        return None
+    return [a for a, x in enumerate(m.mats) if x.rows and x.cols and x.data[0][0] != 0]
+
+
+def _connected(vertices: Sequence[int], edges: Sequence[Tuple[int, int]]) -> bool:
+    """Whether the edges, each joining two of the vertices, connect them."""
+    part = {v: {v} for v in vertices}
+    for s, t in edges:
+        if part[s] is not part[t]:
+            joined = part[s] | part[t]
+            for v in joined:
+                part[v] = joined
+    return len(part[vertices[0]]) == len(vertices)
+
+
+def _thin_indecomposable(m: Rep) -> Optional[bool]:
+    """Whether a nonzero thin m is indecomposable, or None when m is not
+    thin.  An endomorphism of m is one scalar c_v per vertex of its support,
+    and c_s = c_t across every nonzero arrow s -> t, so End(m) is k to the
+    number of parts the nonzero arrows cut the support into: m is
+    indecomposable exactly when they connect it."""
+    arrows = _nonzero_arrows(m)
+    if arrows is None:
+        return None
+    q = m.algebra.quiver
+    return _connected([v for v, d in enumerate(m.dims) if d],
+                      [(q.arrows[a].source, q.arrows[a].target) for a in arrows])
+
+
+def _thin_tree(algebra, dims: Tuple[int, ...]) -> bool:
+    """Whether dims is thin and the full subquiver on its support is a tree:
+    connected, with one arrow fewer than vertices, so no loop, no two arrows
+    between the same pair of vertices and no cycle.  Then every
+    indecomposable with the dimension vector dims has all those arrows
+    nonzero (``_thin_indecomposable``), and rescaling its basis vectors out
+    from one vertex along the tree makes every one of them 1: all are
+    isomorphic."""
+    if any(d > 1 for d in dims):
+        return False
+    support = [v for v, d in enumerate(dims) if d]
+    edges = [(a.source, a.target) for a in algebra.quiver.arrows
+             if dims[a.source] and dims[a.target]]
+    return bool(support) and len(edges) == len(support) - 1 and _connected(support, edges)
+
+
+def _top_dims(m: Rep) -> List[int]:
+    """dim (top m)_v for each vertex v.  For a thin m the top at v is zero
+    exactly when a nonzero arrow ends at v, which then spans m_v."""
+    arrows = _nonzero_arrows(m)
+    if arrows is not None:
+        q = m.algebra.quiver
+        heads = {q.arrows[a].target for a in arrows}
+        return [0 if v in heads else d for v, d in enumerate(m.dims)]
+    return [d - linalg.rank(span) for d, span in zip(m.dims, radical_spans(m))]
+
+
 def _projective_vertex(m: Rep) -> Optional[int]:
     """v when the indecomposable m is the projective P(v), else None: m is
     projective exactly when top m is one simple S_v and m has the dimension
     vector of P(v).  P(v) covers m, its projective cover, so equal
-    dimensions make the cover an isomorphism.  The top is computed only
-    when the dimension vector is that of some P(v).  Read on the dual over
-    the opposite algebra, the same test says whether m is the injective
-    I(v): soc m is the dual of top D m, and D I(v) is P(v) there."""
+    dimensions make the cover an isomorphism.  The vertices of the
+    projectives are indexed once per algebra by dimension vector, and the
+    top is computed only when the dimension vector is that of some P(v).
+    Read on the dual over the opposite algebra, the same test says whether
+    m is the injective I(v): soc m is the dual of top D m, and D I(v) is
+    P(v) there."""
     algebra = m.algebra
-    candidates = [v for v in range(algebra.n) if projective(algebra, v).dims == m.dims]
+    index = algebra._cache.get("projective_vertices")
+    if index is None:
+        index = algebra._cache["projective_vertices"] = {}
+        for v in range(algebra.n):
+            index.setdefault(projective(algebra, v).dims, []).append(v)
+    candidates = index.get(m.dims)
     if not candidates:
         return None
-    top = [d - linalg.rank(span) for d, span in zip(m.dims, radical_spans(m))]
+    top = _top_dims(m)
     v = top.index(1) if sum(top) == 1 else None
     return v if v in candidates else None
 
@@ -313,13 +389,19 @@ class ARNeighbours:
 
     def translate(self, i: int) -> Optional[int]:
         """The position of the module isomorphic to tau of module i, or None
-        when there is none; module i is not projective."""
+        when there is none; module i is not projective.  When tau X has a
+        thin dimension vector whose support spans a tree (``_thin_tree``),
+        every indecomposable with that vector is isomorphic to tau X, so the
+        bucket holds at most one module, and that one is tau X with no
+        ``is_tau_of`` test."""
         def search(m: Rep) -> _Search:
             pres, mods = self.presentation(i), self.catalogue.modules
             dims = tau_dims(pres)
+            bucket = functools.partial(self.catalogue.bucket, dims)
+            if _thin_tree(m.algebra, dims):
+                return _Search(dims, lambda start: bucket()[start])
             return _Search(dims, lambda start: next(
-                (j for j in self.catalogue.bucket(dims)[start:] if is_tau_of(mods[j], pres)),
-                None))
+                (j for j in bucket()[start:] if is_tau_of(mods[j], pres)), None))
 
         return self._resume(self._fact("tau", i, search))
 
@@ -543,8 +625,13 @@ def _may_be_new(middle: Rep) -> bool:
     """Whether a sweep middle is indecomposable and not projective.  A
     middle with the dimension vector of P(v) and the simple top S_v is P(v)
     (``_projective_vertex``), which the sweep holds from the start, so it
-    needs neither an End test nor a Hom solve."""
-    return _projective_vertex(middle) is None and is_indecomposable(middle)
+    needs neither an End test nor a Hom solve.  A thin middle is
+    indecomposable exactly when its nonzero arrows connect its support
+    (``_thin_indecomposable``), so it needs no End test either."""
+    if _projective_vertex(middle) is not None:
+        return False
+    thin = _thin_indecomposable(middle)
+    return is_indecomposable(middle) if thin is None else thin
 
 
 def _holds(certificate: Dict[str, object]) -> bool:
@@ -669,7 +756,8 @@ class ModuleUniverse(Tables):
         forms of ``SimpleExt``, pushed forward once per (simple, U_j, U_i).
         A middle that is P(v) by its dimension vector and top gets no End
         test and no Hom solve (``_may_be_new``): P(v) is found from the
-        start.
+        start.  A thin middle gets no End test either: its arrow graph
+        decides it (``_thin_indecomposable``).
 
         The stop test runs once the projectives are added and again after
         every new module, and the sweep completes as soon as the found set

@@ -309,9 +309,11 @@ def test_a_certified_sweep_builds_no_middle_after_its_last_new_module(path, monk
 def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     # (extension middles, End(M) builds, idempotent searches, Hom-basis
     # isomorphism tests) of the refused cold build: middles that an
-    # automorphism of U splits are not built, a middle that is P(v) gets no
-    # End test, over Q a trace form of rank 1 ends the End test and a
-    # catalogue module with other arrow ranks gets no isomorphism test
+    # automorphism of U splits are not built, a middle that is P(v) or thin
+    # gets no End test, over Q a trace form of rank 1 ends the End test, the
+    # characteristic polynomials of End(M)'s basis end it before the
+    # idempotent search, and a catalogue module with other arrow ranks gets
+    # no isomorphism test
     counts = {"middle": 0, "end": 0, "idempotent": 0, "iso": 0}
     for key, owner, name in (("middle", universe, "extension_middle"),
                              ("end", EndAlgebra, "__init__"),
@@ -325,7 +327,7 @@ def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     with pytest.raises(NotCertifiablyComplete):
         ModuleUniverse(load_algebra_file(os.path.join(BENCH_ALGEBRAS, "kronecker.json")),
                        (2, 2))
-    assert counts == {"middle": 46, "end": 34, "idempotent": 8, "iso": 45}
+    assert counts == {"middle": 46, "end": 30, "idempotent": 0, "iso": 45}
 
 
 def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():
@@ -504,7 +506,10 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-def test_a_cold_build_computes_one_presentation_per_non_projective(monkeypatch):
+@pytest.mark.parametrize("thin_tree", [True, False], ids=["thin_tree", "no_thin_tree"])
+def test_a_cold_build_computes_one_presentation_per_non_projective(thin_tree, monkeypatch):
+    if not thin_tree:
+        monkeypatch.setattr(universe, "_thin_tree", lambda *args: False)
     counts = _count_calls(monkeypatch, ["tau", "tau_minus", "transpose", "min_presentation",
                                         "projective_cover", "is_tau_of"])
     u = ModuleUniverse(_bench("a5")())
@@ -514,8 +519,10 @@ def test_a_cold_build_computes_one_presentation_per_non_projective(monkeypatch):
     assert counts["tau"] == counts["tau_minus"] == counts["transpose"] == 0
     assert counts["projective_cover"] == 0
     assert counts["min_presentation"] == 10 == sum(not p for p in u.is_proj)
-    # A5 has one module per dimension vector: one test per non-projective
-    assert counts["is_tau_of"] == 10
+    # A5 has one module per dimension vector: one test per non-projective,
+    # and none when each tau X, thin on a path, is the one module of its
+    # bucket
+    assert counts["is_tau_of"] == (0 if thin_tree else 10)
 
 
 def _spy_on(monkeypatch, original, spy):

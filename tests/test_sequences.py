@@ -15,7 +15,7 @@ from tauseq.fields import FieldSpec
 from tauseq.quiver import Quiver, build_algebra
 from tauseq import sequences
 from tauseq.sequences import (
-    apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
+    MutationWord, apply_steps, bridge, enumerate_tau_es, enumerate_tau_es_recursive,
     first_position, is_gen_minimal, mutate, mutation_distance,
     mutation_graph, mutation_table, normalize, omega, omega_inverse, regularity,
     tail_context, tf_orderings, transitivity_path, transposition_word,
@@ -177,6 +177,15 @@ def test_a_mutation_is_named_phi_or_psi(a3):
     for op in ("PHI", "left", ""):
         with pytest.raises(UnknownMutation, match=repr(op)):
             mutate(u, seq, op, 2)
+
+
+def test_a_word_with_an_unknown_mutation_has_no_inverse():
+    # inverting names the op as applying the word does, not a bare KeyError
+    assert MutationWord((("phi", 2, 1), ("psi", 1, 3))).inverse_steps() == \
+        (("phi", 1, 3), ("psi", 2, 1))
+    for op in ("PHI", "left", ""):
+        with pytest.raises(UnknownMutation, match=repr(op)):
+            MutationWord((("phi", 1, 1), (op, 1, 1))).inverse_steps()
 
 
 def test_gen_minimality(u2):
