@@ -731,7 +731,9 @@ class SimpleExt:
 # -- duality --
 
 def dualize(m: Rep) -> Rep:
-    """The dual module over the opposite algebra (transpose all actions)."""
+    """The dual module over the opposite algebra (transpose all actions).
+    It needs no validation: the reversed path acts by the transpose of the
+    path's action, so a relation that m satisfies holds reversed in D m."""
     algebra = m.algebra
     op = opposite(algebra)
     # arrow with the same name in op runs backwards; its action is the transpose
@@ -739,4 +741,4 @@ def dualize(m: Rep) -> Rep:
     for a_op in op.quiver.arrows:
         ai = algebra.quiver.arrow_index(a_op.name)
         mats.append(m.mats[ai].transpose())
-    return Rep(op, m.dims, mats)
+    return Rep(op, m.dims, mats, validate=False)

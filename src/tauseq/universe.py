@@ -67,7 +67,23 @@ catalogue module there, if any, is tau X with no Hom test
 (``_thin_tree``).  On a monomial algebra the
 summands of rad P(v) are the arrow ideals at v and those of I(v) / soc I(v)
 their duals over the opposite algebra (``modules``), so the closure builds
-no radical or socle quotient and decomposes neither.  The schema-1
+no radical or socle quotient and decomposes neither.  A module is dualized
+only when its dimension vector is that of some I(v).
+
+On the path algebra of a Dynkin quiver the closure reads all of this off
+the root system.  The algebra has no relations and its Tits form
+sum x_v^2 - sum over arrows s -> t of x_s x_t is positive definite, by
+Sylvester's criterion in exact arithmetic (``_tits_definite``); then there
+is one indecomposable per positive root, over every field (Gabriel).  With
+dimension vectors as columns, E = I - A the matrix of the Euler form, A
+counting the arrows s -> t, the Coxeter matrix is Phi = -E^-1 E^T, so that
+Phi(dim P(v)) = -dim I(v), and dim tau X = Phi(dim X) for X indecomposable
+and not projective (Auslander-Reiten-Smalo ch. VIII).  So (``_dynkin``) tau X
+is the one catalogue module with dimension vector Phi(dim X), with no
+presentation; P(v) and I(v) are the modules with their dimension vectors,
+with no top test and no dual; the summands of rad P(v) are the P(t a) and
+those of I(v) / soc I(v) the I(s a), the algebra being hereditary; and every
+module is tau-rigid, being exceptional.  The schema-1
 certificate keys keep their meaning: the sweep completed, the count is
 stable up to the cap plus one (nothing the sweep could still add), no
 indecomposable touches the cap, and the set is closed under tau, tau-minus,
@@ -80,18 +96,21 @@ not found makes both translate keys false, and only the radical key is
 still computed in full.  The walk in canonical order stops at the first
 one, resuming the stop test's searches, so it repeats no test.  A build
 that is kept computes the flags and tau-rigidity, one Hom(X, tau X) per
-module whose tau was found; the hom and Ext tables are read-only
-properties that fill both tables on the first read of either, so
-``inspect`` never computes them.  A ``Catalogue`` tells modules apart, on
-the nose when a module equals the rep, then by the ranks of the arrow
-matrices, an isomorphism invariant, and otherwise by the Fitting test of
-``decompose``: the sweep's for its new modules and the closure's neighbour
+module whose tau was found off the Dynkin quivers; the hom and Ext tables
+are read-only properties that fill both tables on the first read of
+either, so ``inspect`` never computes them, nor, on a Dynkin quiver, any
+presentation.  A ``Catalogue`` tells modules apart, on the nose when a
+module equals the rep, then by an isomorphism invariant, the ranks of the
+arrow matrices and the pencil determinants, and otherwise by the Fitting
+test of ``decompose``.  For parallel arrows a, b with square d x d blocks
+the pencil is the binary form det(x M_a + y M_b) up to a scalar
+(``_pencils``): a change of basis g multiplies it by det g_t / det g_s.
+The sweep's catalogue serves its new modules and the closure's neighbour
 summands, its buckets by dimension vector holding the candidates for
-tau X, and one over the canonical list for ``identify`` and
-``identify_parts``.  Counts pinned
-downstream all sit on top of this certificate.  No trace table is kept:
-``gen_set`` and ``filtgen_*`` compute from traces, as the oracle for the
-verify suites and the tests.
+tau X, and one over the canonical list serves ``identify`` and
+``identify_parts``.  Counts pinned downstream all sit on top of this
+certificate.  No trace table is kept: ``gen_set`` and ``filtgen_*``
+compute from traces, as the oracle for the verify suites and the tests.
 
 Canonical ids are indices into the sorted module list (total dimension, then
 dimension vector, then discovery order); labels are dimension vectors plus a
@@ -102,6 +121,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq import linalg
@@ -128,9 +148,127 @@ def _label(dims: Sequence[int], ordinal: int) -> str:
     return "%s#%d" % (body, ordinal)
 
 
-def _arrow_ranks(m: Rep) -> Tuple[int, ...]:
-    """The ranks of the arrow matrices of m, an isomorphism invariant."""
-    return tuple(linalg.rank(x) for x in m.mats)
+def _arrow_ranks(m: Rep) -> tuple:
+    """The ranks of the arrow matrices of m and its pencil determinants
+    (``_pencils``), an isomorphism invariant."""
+    return tuple(linalg.rank(x) for x in m.mats) + _pencils(m)
+
+
+def _det(field, rows: List[list]):
+    """The determinant of a square matrix, by elimination over the field."""
+    rows, det = [list(r) for r in rows], field.one
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if p is None:
+            return field.zero
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], field.neg(det)
+        det = field.mul(det, rows[k][k])
+        for r in rows[k + 1:]:
+            c = field.div(r[k], rows[k][k])
+            r[:] = [field.sub(x, field.mul(c, y)) for x, y in zip(r, rows[k])]
+    return det
+
+
+def _pencils(m: Rep) -> tuple:
+    """For each pair of parallel arrows a, b whose blocks in m are square,
+    d x d, the binary form det(x M_a + y M_b) up to a scalar: its values
+    det(M_a + c M_b) for c = 0..d and det M_b, scaled so that the first
+    nonzero one is 1.  A change of basis g_s, g_t at the ends sends M_a to
+    g_t M_a g_s^-1, so it multiplies every value by det g_t / det g_s."""
+    f, arrows, out = m.algebra.field, m.algebra.quiver.arrows, []
+    for a, b in itertools.combinations(range(len(arrows)), 2):
+        s, t = arrows[a].source, arrows[a].target
+        if (arrows[b].source, arrows[b].target) == (s, t) and 0 < m.dims[s] == m.dims[t]:
+            x, y = m.mats[a].data, m.mats[b].data
+            values = [_det(f, [[f.add(p, f.mul(c, q)) for p, q in zip(u, w)]
+                               for u, w in zip(x, y)]) for c in range(m.dims[s] + 1)]
+            values.append(_det(f, y))
+            pivot = next((v for v in values if v != 0), f.one)
+            out.append(tuple(f.div(v, pivot) for v in values))
+    return tuple(out)
+
+
+def _vertex_dims(algebra) -> Tuple[List[tuple], List[tuple]]:
+    """The dimension vectors of P(v), whose basis at w is the paths v -> w,
+    and of I(v), the dual of the opposite algebra's P(v), with the paths
+    w -> v at w, for each vertex v; kept per algebra."""
+    dims = algebra._cache.get("vertex_dims")
+    if dims is None:
+        n, paths = algebra.n, algebra.paths_between
+        dims = algebra._cache["vertex_dims"] = (
+            [tuple(len(paths(v, w)) for w in range(n)) for v in range(n)],
+            [tuple(len(paths(w, v)) for w in range(n)) for v in range(n)])
+    return dims
+
+
+def _vertices_with(algebra, side: int, dims: Tuple[int, ...]) -> Sequence[int]:
+    """The vertices v with dims the dimension vector of P(v) (side 0) or of
+    I(v) (side 1), indexed once per algebra."""
+    index = algebra._cache.get("vertices_with")
+    if index is None:
+        index = algebra._cache["vertices_with"] = {}
+        for end, by_vertex in enumerate(_vertex_dims(algebra)):
+            for v, d in enumerate(by_vertex):
+                index.setdefault((end, d), []).append(v)
+    return index.get((side, dims), ())
+
+
+def _positive_definite(form: Sequence[Sequence[int]]) -> bool:
+    """Sylvester's criterion, in exact arithmetic: a symmetric matrix is
+    positive definite exactly when its leading principal minors are
+    positive.  Elimination without row swaps has as its k-th pivot the
+    ratio of the k-th leading minor to the one before, so every pivot must
+    be positive."""
+    rows = [[Fraction(x) for x in row] for row in form]
+    for k, row in enumerate(rows):
+        if row[k] <= 0:
+            return False
+        for r in rows[k + 1:]:
+            c = r[k] / row[k]
+            r[:] = [x - c * y for x, y in zip(r, row)]
+    return True
+
+
+def _tits_definite(quiver) -> bool:
+    """Whether the Tits form sum x_v^2 - sum over arrows s -> t of x_s x_t
+    is positive definite, which by Gabriel's theorem is the case exactly
+    when the quiver is a disjoint union of Dynkin diagrams of type A, D and
+    E.  Twice its Gram matrix is 2I less the arrow counts both ways."""
+    n = quiver.num_vertices
+    form = [[2 * (v == w) for w in range(n)] for v in range(n)]
+    for a in quiver.arrows:
+        form[a.source][a.target] -= 1
+        form[a.target][a.source] -= 1
+    return _positive_definite(form)
+
+
+def _dynkin(algebra) -> Optional[List[Tuple[int, ...]]]:
+    """The columns of the Coxeter matrix of a Dynkin path algebra, or None
+    when the algebra has relations or its Tits form is not positive
+    definite (``_tits_definite``); kept per algebra.
+
+    The convention: dimension vectors are columns, E = I - A is the matrix
+    of the Euler form <x, y> = x^T E y, A counting the arrows s -> t, and
+    Phi = -E^-1 E^T, so Phi(dim P(v)) = -dim I(v).  E^-1 has the columns
+    dim I(v), and (E^T x)_u is x_u less x_s over the arrows s -> u, so
+    column u of Phi is the sum of dim I(t) over the arrows u -> t, less
+    dim I(u).  On a Dynkin quiver there is one indecomposable per positive
+    root, over every field (Gabriel), and dim tau X = Phi(dim X) for X
+    indecomposable and not projective (Auslander-Reiten-Smalo ch. VIII)."""
+    if "dynkin" not in algebra._cache:
+        phi = None
+        if not algebra.relations and _tits_definite(algebra.quiver):
+            n, arrows, inj = algebra.n, algebra.quiver.arrows, _vertex_dims(algebra)[1]
+            phi = [tuple(sum(inj[a.target][w] for a in arrows if a.source == u) - inj[u][w]
+                         for w in range(n)) for u in range(n)]
+        algebra._cache["dynkin"] = phi
+    return algebra._cache["dynkin"]
+
+
+def _coxeter(phi: Sequence[Tuple[int, ...]], dims: Sequence[int]) -> Tuple[int, ...]:
+    """Phi(dims), for the columns phi of ``_dynkin``."""
+    return tuple(sum(x * col[w] for x, col in zip(dims, phi)) for w in range(len(dims)))
 
 
 def _nonzero_arrows(m: Rep) -> Optional[List[int]]:
@@ -198,24 +336,45 @@ def _projective_vertex(m: Rep) -> Optional[int]:
     """v when the indecomposable m is the projective P(v), else None: m is
     projective exactly when top m is one simple S_v and m has the dimension
     vector of P(v).  P(v) covers m, its projective cover, so equal
-    dimensions make the cover an isomorphism.  The vertices of the
-    projectives are indexed once per algebra by dimension vector, and the
-    top is computed only when the dimension vector is that of some P(v).
-    Read on the dual over the opposite algebra, the same test says whether
-    m is the injective I(v): soc m is the dual of top D m, and D I(v) is
-    P(v) there."""
-    algebra = m.algebra
-    index = algebra._cache.get("projective_vertices")
-    if index is None:
-        index = algebra._cache["projective_vertices"] = {}
-        for v in range(algebra.n):
-            index.setdefault(projective(algebra, v).dims, []).append(v)
-    candidates = index.get(m.dims)
+    dimensions make the cover an isomorphism.  The dimension vectors of
+    the projectives are kept per algebra (``_vertex_dims``), and the top is
+    computed only when m has one of them (``_top_vertex``).  Read on the
+    dual over the opposite algebra, the same test says whether m is the
+    injective I(v): soc m is the dual of top D m, and D I(v) is P(v)
+    there."""
+    return _top_vertex(m, _vertices_with(m.algebra, 0, m.dims))
+
+
+def _top_vertex(m: Rep, candidates: Sequence[int]) -> Optional[int]:
+    """v when top m is the one simple S_v and v is one of the candidates,
+    else None; the top is computed only when there is a candidate."""
     if not candidates:
         return None
     top = _top_dims(m)
     v = top.index(1) if sum(top) == 1 else None
     return v if v in candidates else None
+
+
+def _projective_at(m: Rep) -> Optional[int]:
+    """v when the indecomposable m is the projective P(v), else None: on a
+    Dynkin quiver the one indecomposable with the dimension vector of P(v),
+    otherwise the top test of ``_projective_vertex``."""
+    vertices = _vertices_with(m.algebra, 0, m.dims)
+    if not vertices or _dynkin(m.algebra) is not None:
+        return vertices[0] if vertices else None
+    return _top_vertex(m, vertices)
+
+
+def _injective_at(m: Rep) -> Optional[int]:
+    """v when the indecomposable m is the injective I(v), else None.  Only a
+    module with the dimension vector of some I(v) can be I(v); on a Dynkin
+    quiver it is then the one such indecomposable, and otherwise the top
+    test runs on the dual over the opposite algebra, whose P(v) has the
+    dimension vector of I(v)."""
+    vertices = _vertices_with(m.algebra, 1, m.dims)
+    if not vertices or _dynkin(m.algebra) is not None:
+        return vertices[0] if vertices else None
+    return _top_vertex(dualize(m), vertices)
 
 
 class Catalogue:
@@ -226,7 +385,7 @@ class Catalogue:
     def __init__(self, modules: Sequence[Rep] = ()):
         self.modules: List[Rep] = []
         self._by_dims: Dict[tuple, List[int]] = {}
-        self._ranks: Dict[int, Tuple[int, ...]] = {}
+        self._ranks: Dict[int, tuple] = {}
         for m in modules:
             self.add(m)
 
@@ -244,8 +403,8 @@ class Catalogue:
         mods = self.modules
         return sorted(range(len(mods)), key=lambda i: (mods[i].total_dim, mods[i].dims))
 
-    def ranks(self, i: int) -> Tuple[int, ...]:
-        """The arrow ranks of module i (``_arrow_ranks``), on first read."""
+    def ranks(self, i: int) -> tuple:
+        """The invariant of module i (``_arrow_ranks``), on first read."""
         r = self._ranks.get(i)
         if r is None:
             r = self._ranks[i] = _arrow_ranks(self.modules[i])
@@ -255,11 +414,14 @@ class Catalogue:
         """The position of the module isomorphic to rep among the entries of
         its bucket from start on, or None.  A module equal to rep
         (``Rep.__eq__``) is returned before any Hom solve: the modules are
-        pairwise non-isomorphic.  Otherwise a module whose arrow ranks
-        differ from rep's is turned away, the ranks being an isomorphism
-        invariant; the module is indecomposable, so by Fitting's lemma the
-        two are isomorphic exactly when some Hom basis element is, whether
-        or not rep is (``_basis_has_iso``)."""
+        pairwise non-isomorphic.  Otherwise a module whose invariant
+        (``_arrow_ranks``) differs from rep's is turned away: the ranks of
+        the arrow matrices, and for each pair of parallel arrows a, b with
+        square blocks the form det(x M_a + y M_b) up to a scalar, which a
+        change of basis g multiplies by det g_t / det g_s (``_pencils``).
+        The module is indecomposable, so by Fitting's lemma the two are
+        isomorphic exactly when some Hom basis element is, whether or not
+        rep is (``_basis_has_iso``)."""
         bucket = self.bucket(rep.dims)[start:]
         i = next((i for i in bucket if self.modules[i] == rep), None)
         if i is None and bucket:
@@ -307,14 +469,18 @@ class ARNeighbours:
     The presentation (``modules.min_presentation``) serves the module's tau
     and its Ext row.  ``projective_vertex`` reads the top
     (``_projective_vertex``), so a projective gets no presentation here.
-    tau X is never built: ``translate`` looks for it in the catalogue
+    On a Dynkin quiver (``_dynkin``) no module does: tau X, P(v), I(v) and
+    the summands of rad P(v) and I(v) / soc I(v) are the modules with the
+    dimension vectors the root system gives, one each.  tau X is never
+    built: ``translate`` looks for it in the catalogue
     bucket with the dimension vector of tau X (``ar.tau_dims``), by the
     test of ``ar.is_tau_of``, which reads Hom(Z, tau X) through the
     Nakayama functor.  For X indecomposable and not projective, tau X is
     indecomposable (Auslander-Reiten-Smalo, ch. IV), and a catalogue holds
     pairwise non-isomorphic modules, so at most one candidate passes.
     ``injective_vertex`` runs the top test on the dual over the opposite
-    algebra, whose top is the socle, and builds no projective cover there.
+    algebra, whose top is the socle, and builds no projective cover there;
+    it dualizes only a module with the dimension vector of some I(v).
     ``closure`` reads these, and the neighbour lists, for the sweep's stop
     test, the translate table and the closure certificate:
       "before"  the sources of the irreducible maps into X: the summands of
@@ -378,38 +544,65 @@ class ARNeighbours:
     def presentation(self, i: int) -> Presentation:
         return self._fact("presentation", i, min_presentation)
 
+    def presentations(self, order: Sequence[int]) -> List[Optional[Presentation]]:
+        """The presentations of the positions in order that were built, and
+        None for the others."""
+        return [self._facts.get(("presentation", i)) for i in order]
+
     def projective_vertex(self, i: int) -> Optional[int]:
-        """v when module i is the projective P(v), else None."""
-        return self._fact("projective", i, _projective_vertex)
+        """v when module i is the projective P(v), else None
+        (``_projective_at``)."""
+        return self._fact("projective", i, _projective_at)
 
     def injective_vertex(self, i: int) -> Optional[int]:
-        """v when module i is the injective I(v), else None: the top test of
-        ``_projective_vertex`` on the dual over the opposite algebra."""
-        return self._fact("injective", i, lambda m: _projective_vertex(dualize(m)))
+        """v when module i is the injective I(v), else None
+        (``_injective_at``)."""
+        return self._fact("injective", i, _injective_at)
 
     def translate(self, i: int) -> Optional[int]:
         """The position of the module isomorphic to tau of module i, or None
-        when there is none; module i is not projective.  When tau X has a
-        thin dimension vector whose support spans a tree (``_thin_tree``),
-        every indecomposable with that vector is isomorphic to tau X, so the
-        bucket holds at most one module, and that one is tau X with no
-        ``is_tau_of`` test."""
+        when there is none; module i is not projective.  On a Dynkin quiver
+        tau X has the dimension vector Phi(dim X) (``_dynkin``), and when
+        tau X has a thin dimension vector whose support spans a tree
+        (``_thin_tree``), every indecomposable with that vector is
+        isomorphic to tau X.  Either way the bucket holds at most one
+        module, and that one is tau X with no presentation, in the first
+        case, and no ``is_tau_of`` test."""
         def search(m: Rep) -> _Search:
+            phi = _dynkin(m.algebra)
+            if phi is not None:
+                return self._only(_coxeter(phi, m.dims))
             pres, mods = self.presentation(i), self.catalogue.modules
             dims = tau_dims(pres)
-            bucket = functools.partial(self.catalogue.bucket, dims)
             if _thin_tree(m.algebra, dims):
-                return _Search(dims, lambda start: bucket()[start])
+                return self._only(dims)
+            bucket = functools.partial(self.catalogue.bucket, dims)
             return _Search(dims, lambda start: next(
                 (j for j in bucket()[start:] if is_tau_of(mods[j], pres)), None))
 
         return self._resume(self._fact("tau", i, search))
 
+    def _only(self, dims: Tuple[int, ...]) -> _Search:
+        """The search that takes the first module of the bucket dims, for a
+        dimension vector that has at most one indecomposable."""
+        return _Search(dims, lambda start: self.catalogue.bucket(dims)[start])
+
     def parts_found(self, kind: str, i: int, tau_i: Optional[int] = None) -> bool:
         """Whether every "before" or "after" summand of module i is in the
         catalogue; tau_i is the position of tau of module i, needed for
-        "before" of a non-projective module."""
+        "before" of a non-projective module.  On a Dynkin quiver the algebra
+        is hereditary, so rad P(v) is the sum of the P(t a) over the arrows
+        a leaving v, and I(v) / soc I(v) that of the I(s a) over the arrows
+        a ending at v, each the one module of its bucket."""
         def searches(m: Rep) -> List[_Search]:
+            if _dynkin(m.algebra) is not None:
+                (proj, inj), arrows = _vertex_dims(m.algebra), m.algebra.quiver.arrows
+                if kind == "after":
+                    v = self.injective_vertex(i)
+                    return [self._only(inj[a.source]) for a in arrows if a.target == v]
+                v = self.projective_vertex(i)
+                if v is not None:
+                    return [self._only(proj[a.target]) for a in arrows if a.source == v]
             if kind == "after":
                 parts = dual_arrow_ideals(m.algebra, self.injective_vertex(i))
             elif self.projective_vertex(i) is not None:
@@ -712,16 +905,18 @@ class ModuleUniverse(Tables):
         vertex_of = [neighbours.projective_vertex(i) for i in order]
         is_proj = [v is not None for v in vertex_of]
         # the minimal presentation that gave a module its tau gives its Ext
-        # row when ``ext`` is first read; a projective has none built yet
-        self._pres: List[Optional[Presentation]] = [
-            None if proj else neighbours.presentation(i)
-            for i, proj in zip(order, is_proj)]
+        # row when ``ext`` is first read; a projective, or a module whose tau
+        # was read off the root system, has none built yet
+        self._pres: List[Optional[Presentation]] = neighbours.presentations(order)
         for v in range(n):
             if v not in vertex_of:
                 raise Mismatch("projective at vertex %d missing from the enumeration" % v)
         # an unresolved tau is tolerated only on an uncertified sweep; the
-        # module is treated as not rigid
-        tau_rigid = [not unresolved and (t is None or hom_dim(m, self.modules[t]) == 0)
+        # module is treated as not rigid.  On a Dynkin quiver every
+        # indecomposable X is exceptional, so Hom(X, tau X) = D Ext^1(X, X)
+        # is zero
+        dynkin = _dynkin(algebra) is not None
+        tau_rigid = [not unresolved and (t is None or dynkin or hom_dim(m, self.modules[t]) == 0)
                      for m, t, unresolved in zip(self.modules, self.tau_of, self.tau_unresolved)]
         super().__init__(n, labels, None, None, self.tau_of, tau_rigid, is_proj,
                          [vertex_of.index(v) for v in range(n)])
@@ -912,8 +1107,9 @@ class ModuleUniverse(Tables):
 
     def _build_tables(self):
         """The hom and Ext tables, the Ext row of M_i from the syzygy of its
-        minimal presentation; a projective gets its presentation, whose
-        syzygy is zero, only now.  A build whose caller reads neither
+        minimal presentation; a projective, whose syzygy is zero, and a
+        module whose tau was read off the root system get their
+        presentations only now.  A build whose caller reads neither
         table, as ``inspect`` does, never computes them."""
         mods = self.modules
         ext_from = [Ext1From(m, min_presentation(m) if p is None else p)

@@ -312,8 +312,9 @@ def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     # automorphism of U splits are not built, a middle that is P(v) or thin
     # gets no End test, over Q a trace form of rank 1 ends the End test, the
     # characteristic polynomials of End(M)'s basis end it before the
-    # idempotent search, and a catalogue module with other arrow ranks gets
-    # no isomorphism test
+    # idempotent search, and a catalogue module with other arrow ranks or
+    # another pencil det(x M_a + y M_b) up to a scalar gets no isomorphism
+    # test: each of the 7 left finds the module isomorphic to the middle
     counts = {"middle": 0, "end": 0, "idempotent": 0, "iso": 0}
     for key, owner, name in (("middle", universe, "extension_middle"),
                              ("end", EndAlgebra, "__init__"),
@@ -327,7 +328,7 @@ def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     with pytest.raises(NotCertifiablyComplete):
         ModuleUniverse(load_algebra_file(os.path.join(BENCH_ALGEBRAS, "kronecker.json")),
                        (2, 2))
-    assert counts == {"middle": 46, "end": 30, "idempotent": 0, "iso": 45}
+    assert counts == {"middle": 46, "end": 30, "idempotent": 0, "iso": 7}
 
 
 def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():
@@ -506,9 +507,13 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-@pytest.mark.parametrize("thin_tree", [True, False], ids=["thin_tree", "no_thin_tree"])
-def test_a_cold_build_computes_one_presentation_per_non_projective(thin_tree, monkeypatch):
-    if not thin_tree:
+@pytest.mark.parametrize("route", ["thin_tree", "no_thin_tree", "dynkin"])
+def test_a_cold_build_computes_one_presentation_per_non_projective(route, monkeypatch):
+    # the first two routes patch the Dynkin reading off, which reads every
+    # tau X, with no presentation, off the Coxeter matrix
+    if route != "dynkin":
+        monkeypatch.setattr(universe, "_dynkin", lambda algebra: None)
+    if route == "no_thin_tree":
         monkeypatch.setattr(universe, "_thin_tree", lambda *args: False)
     counts = _count_calls(monkeypatch, ["tau", "tau_minus", "transpose", "min_presentation",
                                         "projective_cover", "is_tau_of"])
@@ -518,11 +523,13 @@ def test_a_cold_build_computes_one_presentation_per_non_projective(thin_tree, mo
     # presentation is read in path coordinates, with no cover of its own
     assert counts["tau"] == counts["tau_minus"] == counts["transpose"] == 0
     assert counts["projective_cover"] == 0
-    assert counts["min_presentation"] == 10 == sum(not p for p in u.is_proj)
+    assert counts["min_presentation"] == (0 if route == "dynkin" else 10) == \
+        sum(p is not None for p in u._pres)
+    assert sum(not p for p in u.is_proj) == 10
     # A5 has one module per dimension vector: one test per non-projective,
     # and none when each tau X, thin on a path, is the one module of its
     # bucket
-    assert counts["is_tau_of"] == (0 if thin_tree else 10)
+    assert counts["is_tau_of"] == (10 if route == "no_thin_tree" else 0)
 
 
 def _spy_on(monkeypatch, original, spy):

@@ -3,7 +3,8 @@
 ``inspect`` reads the labels, dimension vectors, ``tau_rigid``, the
 projective and injective flags and the certificate.  So a cold build
 followed by ``cli.algebra_summary`` solves no hom space outside the sweep but
-Hom(X, tau X) for each module whose tau was found, and no Ext row.  The hom
+Hom(X, tau X) for each module whose tau was found, none at all on a Dynkin
+quiver, where every indecomposable is exceptional, and no Ext row.  The hom
 and Ext tables are properties that fill both on the first read of either.
 The oracle is the eager loop every build once ran (``oracles.eager_tables``),
 on every corpus file that builds certified.
@@ -35,7 +36,9 @@ def test_the_corpus_is_covered():
     assert len(FILES) >= 18
 
 
-def test_a_cold_a5_summary_reads_no_table(monkeypatch):
+def _cold_a5_summary(monkeypatch):
+    """A cold A5 build and its summary, with the hom solves and Ext rows
+    that the build makes outside the sweep, before a table is read."""
     sweeping = []
     enumerate_ = ModuleUniverse._enumerate
 
@@ -68,15 +71,29 @@ def test_a_cold_a5_summary_reads_no_table(monkeypatch):
     summary = cli.algebra_summary(u)
     assert u.certified and len(u.modules) == 15
     assert [m["tau_rigid"] for m in summary["indecomposables"]] == u.tau_rigid
-    # one Hom(X, tau X) per non-projective X
-    assert homs == [(m, u.modules[t]) for m, t in zip(u.modules, u.tau_of)
-                    if t is not None]
-    assert len(homs) == 10
     assert ext_dims == []
     assert not _filled(u)
+    return u, homs, ext_dims
+
+
+def test_a_cold_a5_summary_reads_no_table(monkeypatch):
+    # on a Dynkin quiver every indecomposable is exceptional, so tau_rigid
+    # needs no Hom(X, tau X)
+    u, homs, ext_dims = _cold_a5_summary(monkeypatch)
+    assert homs == []
     assert len(u.hom) == 15
     assert _filled(u)
     assert len(ext_dims) == 15 * 15
+
+
+def test_a_cold_a5_summary_off_the_root_system_solves_one_hom_per_translate(monkeypatch):
+    # with the Dynkin reading patched off: one Hom(X, tau X) per
+    # non-projective X
+    monkeypatch.setattr(universe, "_dynkin", lambda algebra: None)
+    u, homs, _ = _cold_a5_summary(monkeypatch)
+    assert homs == [(m, u.modules[t]) for m, t in zip(u.modules, u.tau_of)
+                    if t is not None]
+    assert len(homs) == 10
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: os.path.relpath(p, ROOT))

@@ -1,12 +1,18 @@
+import os
+
 import pytest
 
+from tauseq.cli import load_algebra_file
 from tauseq.errors import AlgebraMismatch
 from tauseq.modules import (
     direct_sum, dualize, hom_basis, hom_dim, kernel, cokernel,
     min_presentation, projective, projective_cover, quotient, simple, trace,
 )
+from tauseq.universe import ModuleUniverse
 
 from oracles import image
+
+ALGEBRAS = os.path.join(os.path.dirname(__file__), "..", "algebras")
 
 
 def test_projective_dim_vectors(a2):
@@ -128,6 +134,18 @@ def test_dualize_involution(a2):
     assert dd.algebra is a2
     assert dd.dims == p1.dims
     assert hom_dim(dd, p1) >= 1  # in fact isomorphic
+
+
+@pytest.mark.parametrize("name", ["a3rad2", "nakayama2_rad3", "nakayama3_rad3", "loop_rad2"])
+def test_the_dual_satisfies_the_opposite_relations(name):
+    # dualize builds D M unvalidated; every module of these bound algebras,
+    # and every sum of two, validates over the opposite algebra
+    u = ModuleUniverse(load_algebra_file(os.path.join(ALGEBRAS, name + ".json")))
+    assert u.algebra.relations
+    for m in list(u.modules) + [direct_sum([a, b])[0] for a in u.modules for b in u.modules]:
+        d = dualize(m)
+        d._validate()
+        assert (d.dims, [x.transpose() for x in d.mats]) == (m.dims, list(m.mats))
 
 
 def test_dualize_simple(a2):

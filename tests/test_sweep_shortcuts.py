@@ -14,7 +14,11 @@ the same.
 - ``decompose._by_characteristic_polynomials`` splits M, or certifies
   End(M) local, over Q from the factors of its basis elements' vertex
   characteristic polynomials;
-- ``Catalogue.find`` turns a candidate away by its arrow ranks.
+- ``Catalogue.find`` turns a candidate away by its arrow ranks and its
+  pencil determinants;
+- ``universe._dynkin`` reads tau X, the projective and injective flags, the
+  summands of rad P and I / soc I and tau-rigidity off the root system of a
+  Dynkin quiver.
 
 The oracles: the modules, their matrices and order, the labels, the
 certificate and the translate table of every corpus build with and without
@@ -62,6 +66,7 @@ def _patch_out(monkeypatch):
     monkeypatch.setattr(decompose, "_local_by_trace_form", lambda end: False)
     monkeypatch.setattr(decompose, "_by_characteristic_polynomials", lambda end: (False, None))
     monkeypatch.setattr(universe, "_arrow_ranks", lambda m: ())
+    monkeypatch.setattr(universe, "_dynkin", lambda algebra: None)
 
 
 def _build(path, bound):
