@@ -135,10 +135,10 @@ def algebra_summary(u: ModuleUniverse) -> dict:
         "rank": alg.n,
         "vertices": list(alg.quiver.vertex_labels),
         "indecomposables": [
-            {"label": u.labels[i], "dim_vector": list(m.dims),
+            {"label": u.labels[i], "dim_vector": list(dims),
              "tau_rigid": u.tau_rigid[i], "projective": u.is_proj[i],
              "injective": u.is_inj[i]}
-            for i, m in enumerate(u.modules)
+            for i, dims in enumerate(u.dims)
         ],
         "certificate": {k: (list(v) if isinstance(v, (list, tuple))
                             else v if isinstance(v, str) else bool(v))
@@ -161,10 +161,10 @@ def cmd_inspect(args) -> int:
     doc = {"schema": SCHEMA, "algebra": algebra_summary(u)}
     lines = [
         "dimension %d, rank %d, %d indecomposables, %s" % (
-            algebra.dim, algebra.n, len(u.modules),
+            algebra.dim, algebra.n, len(u.dims),
             "certified" if u.certified else "NOT certified (advisory: raise --dim-bound)"),
     ]
-    for i, m in enumerate(u.modules):
+    for i, dims in enumerate(u.dims):
         flags = []
         if u.is_proj[i]:
             flags.append("projective")
@@ -173,7 +173,7 @@ def cmd_inspect(args) -> int:
         if u.tau_rigid[i]:
             flags.append("rigid")
         lines.append("  %-10s dim %-12s %s"
-                     % (u.labels[i], "(" + ",".join(map(str, m.dims)) + ")",
+                     % (u.labels[i], "(" + ",".join(map(str, dims)) + ")",
                         " ".join(flags)))
     emit(doc, args.json, lines)
     return 0
@@ -277,7 +277,7 @@ def _verify_summary(u: ModuleUniverse):
     from tauseq.wide import all_torsion_classes, all_wide_subcategories
     graph = mutation_graph(u, frozenset())
     counts = {
-        "indecomposables": len(u.modules),
+        "indecomposables": len(u.dims),
         "tau_rigid_indecomposables": sum(u.tau_rigid),
         "torsion_classes": len(all_torsion_classes(u)),
         "wide_subcategories": len(all_wide_subcategories(u)),

@@ -70,41 +70,49 @@ their duals over the opposite algebra (``modules``), so the closure builds
 no radical or socle quotient and decomposes neither.  A module is dualized
 only when its dimension vector is that of some I(v).
 
-On the path algebra of a Dynkin quiver the closure reads all of this off
-the root system.  The algebra has no relations and its Tits form
-sum x_v^2 - sum over arrows s -> t of x_s x_t is positive definite, by
-Sylvester's criterion in exact arithmetic (``_tits_definite``); then there
-is one indecomposable per positive root, over every field (Gabriel).  With
-dimension vectors as columns, E = I - A the matrix of the Euler form, A
-counting the arrows s -> t, the Coxeter matrix is Phi = -E^-1 E^T, so that
+On the path algebra of a Dynkin quiver the build reads the whole universe
+off the positive roots and sweeps for no module.  The algebra has no
+relations and its Tits form sum x_v^2 - sum over arrows s -> t of x_s x_t
+is positive definite, by Sylvester's criterion in exact arithmetic
+(``_tits_definite``); then there is one indecomposable per positive root,
+over every field (Gabriel), and the positive roots are the reflection
+closure of the simple roots (``_positive_roots``).  With dimension vectors
+as columns, E = I - A the matrix of the Euler form, A counting the arrows
+s -> t, the Coxeter matrix is Phi = -E^-1 E^T, so that
 Phi(dim P(v)) = -dim I(v), and dim tau X = Phi(dim X) for X indecomposable
-and not projective (Auslander-Reiten-Smalo ch. VIII).  So (``_dynkin``) tau X
-is the one catalogue module with dimension vector Phi(dim X), with no
-presentation; P(v) and I(v) are the modules with their dimension vectors,
-with no top test and no dual; the summands of rad P(v) are the P(t a) and
-those of I(v) / soc I(v) the I(s a), the algebra being hereditary; and every
-module is tau-rigid, being exceptional.  The schema-1
-certificate keys keep their meaning: the sweep completed, the count is
-stable up to the cap plus one (nothing the sweep could still add), no
-indecomposable touches the cap, and the set is closed under tau, tau-minus,
-radicals of projectives and socle quotients of injectives.
+and not projective (Auslander-Reiten-Smalo ch. VIII).  So when every
+positive root lies under the cap, the canonical list is the roots in
+canonical order, each with the ordinal 1; tau X is the root Phi(dim X)
+(``_dynkin``); P(v) and I(v) are the roots with their dimension vectors;
+every module is tau-rigid, being exceptional; and hom and Ext come off the
+Euler form, the algebra being hereditary and representation-directed.  The
+schema-1 certificate keys keep their meaning: the list is complete, the
+count is stable up to the cap plus one, no indecomposable touches the cap,
+and the set is closed under tau, tau-minus, radicals of projectives and
+socle quotients of injectives.  The modules are swept for only when they
+are read: that sweep stops once it holds one module per root, and builds
+no middle whose dimension vector is not a root or is a root it has found,
+so the cocycle guard alone can stop it short, with a typed error.  A Dynkin
+build with a root above the cap sweeps and closes like any other, since its
+report, an abort's text included, follows the sweep.
 
 The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
 already decides the closure keys with the least work: a module whose tau is
 not found makes both translate keys false, and only the radical key is
 still computed in full.  The walk in canonical order stops at the first
-one, resuming the stop test's searches, so it repeats no test.  A build
-that is kept computes the flags and tau-rigidity, one Hom(X, tau X) per
-module whose tau was found off the Dynkin quivers; the hom and Ext tables
-are read-only properties that fill both tables on the first read of
-either, so ``inspect`` never computes them, nor, on a Dynkin quiver, any
-presentation.  A ``Catalogue`` tells modules apart, on the nose when a
+one, resuming the stop test's searches, so it repeats no test.  A swept
+build that is kept computes the flags and tau-rigidity, one Hom(X, tau X)
+per module whose tau was found; the hom and Ext tables are read-only
+properties that fill both tables on the first read of either, so
+``inspect`` never computes them, nor, on a root-read build, any module.  A
+``Catalogue`` tells modules apart, on the nose when a
 module equals the rep, then by an isomorphism invariant, the ranks of the
 arrow matrices and the pencil determinants, and otherwise by the Fitting
 test of ``decompose``.  For parallel arrows a, b with square d x d blocks
 the pencil is the binary form det(x M_a + y M_b) up to a scalar
 (``_pencils``): a change of basis g multiplies it by det g_t / det g_s.
+A rep that ``find`` measured and the sweep then adds keeps its invariant.
 The sweep's catalogue serves its new modules and the closure's neighbour
 summands, its buckets by dimension vector holding the candidates for
 tau X, and one over the canonical list serves ``identify`` and
@@ -271,6 +279,48 @@ def _coxeter(phi: Sequence[Tuple[int, ...]], dims: Sequence[int]) -> Tuple[int, 
     return tuple(sum(x * col[w] for x, col in zip(dims, phi)) for w in range(len(dims)))
 
 
+def _positive_roots(algebra) -> Optional[List[Tuple[int, ...]]]:
+    """The positive roots of a Dynkin path algebra (``_dynkin``) in
+    canonical order, by total dimension and then as vectors, or None off
+    Dynkin input; kept per algebra.
+
+    They are the reflection closure of the simple roots.  The simple
+    reflection s_v sends x to x - (x, e_v) e_v, where (x, e_v) = 2 x_v less
+    the x_w over the arrows between v and w is the symmetric form of the
+    Tits form.  A positive root x other than a simple one has some v with
+    (x, e_v) > 0, since (x, x) = 2, and s_v x is a positive root of smaller
+    height; so the walk up from the simple roots, adding -(x, e_v) e_v to x
+    wherever that is positive, reaches every positive root and no other
+    vector."""
+    if "positive_roots" not in algebra._cache:
+        roots = None
+        if _dynkin(algebra) is not None:
+            n, arrows = algebra.n, algebra.quiver.arrows
+            ends = [[a.target for a in arrows if a.source == v] +
+                    [a.source for a in arrows if a.target == v] for v in range(n)]
+            todo = [tuple(int(v == w) for w in range(n)) for v in range(n)]
+            seen = set(todo)
+            while todo:
+                x = todo.pop()
+                for v in range(n):
+                    c = sum(x[w] for w in ends[v]) - 2 * x[v]
+                    if c > 0:
+                        y = x[:v] + (x[v] + c,) + x[v + 1:]
+                        if y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+            roots = sorted(seen, key=lambda r: (sum(r), r))
+        algebra._cache["positive_roots"] = roots
+    return algebra._cache["positive_roots"]
+
+
+def _euler_form(algebra, x: Sequence[int], y: Sequence[int]) -> int:
+    """<x, y> = sum x_v y_v - sum over arrows s -> t of x_s y_t, which is
+    dim Hom(X, Y) - dim Ext^1(X, Y) over a hereditary algebra."""
+    return sum(a * b for a, b in zip(x, y)) - \
+        sum(x[a.source] * y[a.target] for a in algebra.quiver.arrows)
+
+
 def _nonzero_arrows(m: Rep) -> Optional[List[int]]:
     """The arrows whose matrix is nonzero, for a thin m (every dimension at
     most 1, so each such matrix is one scalar), or None when m is not
@@ -355,26 +405,13 @@ def _top_vertex(m: Rep, candidates: Sequence[int]) -> Optional[int]:
     return v if v in candidates else None
 
 
-def _projective_at(m: Rep) -> Optional[int]:
-    """v when the indecomposable m is the projective P(v), else None: on a
-    Dynkin quiver the one indecomposable with the dimension vector of P(v),
-    otherwise the top test of ``_projective_vertex``."""
-    vertices = _vertices_with(m.algebra, 0, m.dims)
-    if not vertices or _dynkin(m.algebra) is not None:
-        return vertices[0] if vertices else None
-    return _top_vertex(m, vertices)
-
-
 def _injective_at(m: Rep) -> Optional[int]:
     """v when the indecomposable m is the injective I(v), else None.  Only a
-    module with the dimension vector of some I(v) can be I(v); on a Dynkin
-    quiver it is then the one such indecomposable, and otherwise the top
-    test runs on the dual over the opposite algebra, whose P(v) has the
+    module with the dimension vector of some I(v) can be I(v), and the top
+    test runs on its dual over the opposite algebra, whose P(v) has the
     dimension vector of I(v)."""
     vertices = _vertices_with(m.algebra, 1, m.dims)
-    if not vertices or _dynkin(m.algebra) is not None:
-        return vertices[0] if vertices else None
-    return _top_vertex(dualize(m), vertices)
+    return _top_vertex(dualize(m), vertices) if vertices else None
 
 
 class Catalogue:
@@ -386,10 +423,16 @@ class Catalogue:
         self.modules: List[Rep] = []
         self._by_dims: Dict[tuple, List[int]] = {}
         self._ranks: Dict[int, tuple] = {}
+        # the last rep ``find`` measured and its invariant, kept for ``add``
+        self._measured: Optional[Tuple[Rep, tuple]] = None
         for m in modules:
             self.add(m)
 
     def add(self, m: Rep):
+        """Append m; when ``find`` has just measured m, its invariant is
+        kept."""
+        if self._measured is not None and self._measured[0] is m:
+            self._ranks[len(self.modules)] = self._measured[1]
         self._by_dims.setdefault(m.dims, []).append(len(self.modules))
         self.modules.append(m)
 
@@ -426,6 +469,7 @@ class Catalogue:
         i = next((i for i in bucket if self.modules[i] == rep), None)
         if i is None and bucket:
             ranks = _arrow_ranks(rep)
+            self._measured = (rep, ranks)
             i = next((i for i in bucket if self.ranks(i) == ranks and
                       _basis_has_iso(rep, self.modules[i])), None)
         return i
@@ -469,10 +513,7 @@ class ARNeighbours:
     The presentation (``modules.min_presentation``) serves the module's tau
     and its Ext row.  ``projective_vertex`` reads the top
     (``_projective_vertex``), so a projective gets no presentation here.
-    On a Dynkin quiver (``_dynkin``) no module does: tau X, P(v), I(v) and
-    the summands of rad P(v) and I(v) / soc I(v) are the modules with the
-    dimension vectors the root system gives, one each.  tau X is never
-    built: ``translate`` looks for it in the catalogue
+    tau X is never built: ``translate`` looks for it in the catalogue
     bucket with the dimension vector of tau X (``ar.tau_dims``), by the
     test of ``ar.is_tau_of``, which reads Hom(Z, tau X) through the
     Nakayama functor.  For X indecomposable and not projective, tau X is
@@ -551,8 +592,8 @@ class ARNeighbours:
 
     def projective_vertex(self, i: int) -> Optional[int]:
         """v when module i is the projective P(v), else None
-        (``_projective_at``)."""
-        return self._fact("projective", i, _projective_at)
+        (``_projective_vertex``)."""
+        return self._fact("projective", i, _projective_vertex)
 
     def injective_vertex(self, i: int) -> Optional[int]:
         """v when module i is the injective I(v), else None
@@ -561,17 +602,12 @@ class ARNeighbours:
 
     def translate(self, i: int) -> Optional[int]:
         """The position of the module isomorphic to tau of module i, or None
-        when there is none; module i is not projective.  On a Dynkin quiver
-        tau X has the dimension vector Phi(dim X) (``_dynkin``), and when
-        tau X has a thin dimension vector whose support spans a tree
-        (``_thin_tree``), every indecomposable with that vector is
-        isomorphic to tau X.  Either way the bucket holds at most one
-        module, and that one is tau X with no presentation, in the first
-        case, and no ``is_tau_of`` test."""
+        when there is none; module i is not projective.  When tau X has a
+        thin dimension vector whose support spans a tree (``_thin_tree``),
+        every indecomposable with that vector is isomorphic to tau X, so
+        the bucket holds at most one module, and that one is tau X with no
+        ``is_tau_of`` test."""
         def search(m: Rep) -> _Search:
-            phi = _dynkin(m.algebra)
-            if phi is not None:
-                return self._only(_coxeter(phi, m.dims))
             pres, mods = self.presentation(i), self.catalogue.modules
             dims = tau_dims(pres)
             if _thin_tree(m.algebra, dims):
@@ -590,19 +626,8 @@ class ARNeighbours:
     def parts_found(self, kind: str, i: int, tau_i: Optional[int] = None) -> bool:
         """Whether every "before" or "after" summand of module i is in the
         catalogue; tau_i is the position of tau of module i, needed for
-        "before" of a non-projective module.  On a Dynkin quiver the algebra
-        is hereditary, so rad P(v) is the sum of the P(t a) over the arrows
-        a leaving v, and I(v) / soc I(v) that of the I(s a) over the arrows
-        a ending at v, each the one module of its bucket."""
+        "before" of a non-projective module."""
         def searches(m: Rep) -> List[_Search]:
-            if _dynkin(m.algebra) is not None:
-                (proj, inj), arrows = _vertex_dims(m.algebra), m.algebra.quiver.arrows
-                if kind == "after":
-                    v = self.injective_vertex(i)
-                    return [self._only(inj[a.source]) for a in arrows if a.target == v]
-                v = self.projective_vertex(i)
-                if v is not None:
-                    return [self._only(proj[a.target]) for a in arrows if a.source == v]
             if kind == "after":
                 parts = dual_arrow_ideals(m.algebra, self.injective_vertex(i))
             elif self.projective_vertex(i) is not None:
@@ -850,89 +875,181 @@ class ModuleUniverse(Tables):
     """All indecomposables of a representation-finite bound quiver algebra,
     and the ``tables.Tables`` of them that the table core reads.
 
-    The translate table, the projective and injective flags, tau_rigid and
-    the certificate are built with the universe; ``hom`` and ``ext`` are
-    filled on the first read of either (``_build_tables``).  The modules
-    stay for ``identify``, ``id_of_label`` and the module-level oracles."""
+    The dimension vectors ``dims``, the translate table, the projective and
+    injective flags, tau_rigid and the certificate are built with the
+    universe; ``hom`` and ``ext`` are filled on the first read of either
+    (``_build_tables``).  The modules serve ``identify`` and the
+    module-level oracles.
+
+    On a Dynkin path algebra whose positive roots all lie under the cap
+    (``_positive_roots``), the build reads everything off the roots and
+    builds no module (``_read_roots``): ``modules`` is then a property that
+    sweeps for them on its first read, until the sweep holds one module per
+    root (``_sweep_for_roots``).  Any other build, a Dynkin one with a root
+    above the cap included, sweeps and closes as it is built
+    (``_sweep_and_close``)."""
 
     def __init__(self, algebra, dim_bound: Optional[Sequence[int]] = None,
                  require_certificate: bool = True):
         self.algebra = algebra
         n = algebra.n
         self.field = algebra.field
-        projs = [projective(algebra, v) for v in range(n)]
+        projs = _vertex_dims(algebra)[0]
         if dim_bound is None:
-            peak = max(max(p.dims) for p in projs)
+            peak = max(max(p) for p in projs)
             dim_bound = tuple(3 * max(peak, 1) for _ in range(n))
         self.dim_bound: Tuple[int, ...] = tuple(dim_bound)
         if len(self.dim_bound) != n:
             raise BoundTooSmall("the cap %r names %d bounds for %d vertices"
                                 % (self.dim_bound, len(self.dim_bound), n))
         for p in projs:
-            if not _dims_leq(p.dims, self.dim_bound):
+            if not _dims_leq(p, self.dim_bound):
                 raise BoundTooSmall("projective with dimension vector %r exceeds the cap %r"
-                                    % (p.dims, self.dim_bound))
-        self._neighbours = ARNeighbours(Catalogue())
-        found, complete, reason, closure = self._enumerate(
-            tuple(b + 1 for b in self.dim_bound))
-        self.certificate: Dict[str, object] = {
+                                    % (p, self.dim_bound))
+        roots = _positive_roots(algebra)
+        if roots is not None and all(_dims_leq(r, self.dim_bound) for r in roots):
+            tau_rigid, vertex_of = self._read_roots(roots, require_certificate)
+        else:
+            tau_rigid, vertex_of = self._sweep_and_close(require_certificate)
+        labels: List[str] = []
+        seen: Dict[tuple, int] = {}
+        for d in self.dims:
+            seen[d] = seen.get(d, 0) + 1
+            labels.append(_label(d, seen[d]))
+        super().__init__(n, labels, None, None, self.tau_of, tau_rigid,
+                         [v is not None for v in vertex_of],
+                         [vertex_of.index(v) for v in range(n)])
+        self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
+
+    def _sweep_keys(self, complete: bool, dims: Sequence[Tuple[int, ...]]) -> Dict[str, object]:
+        """The certificate's first keys, for a list with the dimension
+        vectors dims."""
+        return {
             "dim_bound": list(self.dim_bound),
             "sweep_completed": complete,
             # the sweep aborts at the first module above the cap
             "stable_under_cap_plus_one": complete,
             "no_indecomposable_on_boundary": all(
-                all(d < b for d, b in zip(m.dims, self.dim_bound)) for m in found),
+                all(d < b for d, b in zip(x, self.dim_bound)) for x in dims),
         }
-        if reason:
-            self.certificate["sweep_aborted_because"] = reason
-        order = self._neighbours.catalogue.canonical_order()
-        self.modules: List[Rep] = [found[i] for i in order]
-        labels: List[str] = []
-        seen: Dict[tuple, int] = {}
-        for m in self.modules:
-            seen[m.dims] = seen.get(m.dims, 0) + 1
-            labels.append(_label(m.dims, seen[m.dims]))
-        self._catalogue = Catalogue(self.modules)
-        # a refused build stops at its certificate, and one that the sweep
-        # keys refuse already decides the closure keys with the least work
-        self._check_closure(require_certificate and not _holds(self.certificate), closure)
+
+    def _certify(self, require_certificate: bool):
         self.certified = _holds(self.certificate)
         if require_certificate and not self.certified:
             raise NotCertifiablyComplete(
                 "enumeration not certified: %r; raise --dim-bound" % (self.certificate,))
+
+    def _read_roots(self, roots: List[Tuple[int, ...]], require_certificate: bool
+                    ) -> Tuple[List[bool], List[Optional[int]]]:
+        """The tables of a Dynkin path algebra, read off its positive roots,
+        and (tau_rigid, the vertex of each projective, else None).
+
+        There is one indecomposable per positive root, over every field
+        (Gabriel), so the canonical list is the roots in canonical order,
+        each with the ordinal 1.  P(v) and I(v) are the modules with their
+        dimension vectors (``_vertex_dims``), tau X of a non-projective X
+        the module with the dimension vector Phi(dim X) (``_coxeter``), and
+        every module is tau-rigid, being exceptional: Hom(X, tau X) =
+        D Ext^1(X, X) = 0.  The certificate keys keep their meaning: the
+        list is complete, it is stable under the cap plus one, and it is
+        closed under tau, tau-minus, the radicals of the projectives and
+        the socle quotients of the injectives, those being indecomposables
+        too; only the cap key is computed."""
+        proj, inj = _vertex_dims(self.algebra)
+        self.dims: List[Tuple[int, ...]] = list(roots)
+        self._modules: Optional[List[Rep]] = None
+        # no presentation: hom and Ext come off the Euler form
+        self._pres: Optional[List[Optional[Presentation]]] = None
+        self.certificate = self._sweep_keys(True, roots)
+        self.certificate.update(closed_under_translates=True,
+                                closed_under_radical_and_socle_quotients=True)
+        self._certify(require_certificate)
+        phi, index = _dynkin(self.algebra), {r: k for k, r in enumerate(roots)}
+        vertex_of = [proj.index(r) if r in proj else None for r in roots]
+        self.tau_of: List[Optional[int]] = [
+            None if v is not None else index[_coxeter(phi, r)] for r, v in zip(roots, vertex_of)]
+        self.tau_unresolved: List[bool] = [False] * len(roots)
+        self.is_inj: List[bool] = [r in inj for r in roots]
+        return [True] * len(roots), vertex_of
+
+    def _sweep_and_close(self, require_certificate: bool
+                         ) -> Tuple[List[bool], List[Optional[int]]]:
+        """The sweep, its certificate and its closure; returns (tau_rigid,
+        the vertex of each projective, else None)."""
+        self._neighbours = ARNeighbours(Catalogue())
+        found, complete, reason, closure = self._enumerate(
+            tuple(b + 1 for b in self.dim_bound))
+        self.certificate = self._sweep_keys(complete, [m.dims for m in found])
+        if reason:
+            self.certificate["sweep_aborted_because"] = reason
+        order = self._neighbours.catalogue.canonical_order()
+        self._modules = [found[i] for i in order]
+        self.dims = [m.dims for m in self._modules]
+        # a refused build stops at its certificate, and one that the sweep
+        # keys refuse already decides the closure keys with the least work
+        self._check_closure(require_certificate and not _holds(self.certificate), closure)
+        self._certify(require_certificate)
         neighbours = self._neighbours
         del self._neighbours
         vertex_of = [neighbours.projective_vertex(i) for i in order]
-        is_proj = [v is not None for v in vertex_of]
         # the minimal presentation that gave a module its tau gives its Ext
-        # row when ``ext`` is first read; a projective, or a module whose tau
-        # was read off the root system, has none built yet
-        self._pres: List[Optional[Presentation]] = neighbours.presentations(order)
-        for v in range(n):
+        # row when ``ext`` is first read; a projective has none built yet
+        self._pres = neighbours.presentations(order)
+        for v in range(self.algebra.n):
             if v not in vertex_of:
                 raise Mismatch("projective at vertex %d missing from the enumeration" % v)
         # an unresolved tau is tolerated only on an uncertified sweep; the
-        # module is treated as not rigid.  On a Dynkin quiver every
-        # indecomposable X is exceptional, so Hom(X, tau X) = D Ext^1(X, X)
-        # is zero
-        dynkin = _dynkin(algebra) is not None
-        tau_rigid = [not unresolved and (t is None or dynkin or hom_dim(m, self.modules[t]) == 0)
-                     for m, t, unresolved in zip(self.modules, self.tau_of, self.tau_unresolved)]
-        super().__init__(n, labels, None, None, self.tau_of, tau_rigid, is_proj,
-                         [vertex_of.index(v) for v in range(n)])
-        self._gen_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        self._filtgen_cache: Dict[Tuple[FrozenSet[int], int], bool] = {}
+        # module is treated as not rigid
+        tau_rigid = [not unresolved and (t is None or hom_dim(m, self._modules[t]) == 0)
+                     for m, t, unresolved in zip(self._modules, self.tau_of, self.tau_unresolved)]
+        return tau_rigid, vertex_of
+
+    @property
+    def modules(self) -> List[Rep]:
+        """The indecomposables by canonical id; a build that read the roots
+        sweeps for them on the first read (``_sweep_for_roots``)."""
+        if self._modules is None:
+            self._modules = self._sweep_for_roots()
+        return self._modules
+
+    @functools.cached_property
+    def _catalogue(self) -> Catalogue:
+        """The catalogue over the canonical list, for ``identify``."""
+        return Catalogue(self.modules)
+
+    def _sweep_for_roots(self) -> List[Rep]:
+        """The modules of a build that read the roots, in canonical order.
+
+        The sweep runs as it would on this algebra, but stops once it holds
+        one module per positive root, and skips every middle whose
+        dimension vector is not a root or is one it has found (``_enumerate``
+        with roots).  It raises ``NotCertifiablyComplete`` naming the reason
+        when its cocycle guard stops it first, and ``Mismatch`` when the
+        dimension vectors it found are not the roots."""
+        found, complete, reason, _ = self._enumerate(
+            tuple(b + 1 for b in self.dim_bound), frozenset(self.dims))
+        if not complete:
+            raise NotCertifiablyComplete(
+                "the sweep for the modules of the %d positive roots stopped at %d: %s"
+                % (len(self.dims), len(found), reason))
+        mods = sorted(found, key=lambda m: (m.total_dim, m.dims))
+        if [m.dims for m in mods] != self.dims:
+            raise Mismatch("the sweep found the dimension vectors %r, not the positive roots"
+                           % ([m.dims for m in mods],))
+        return mods
 
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
 
-    def _enumerate(self, cap: Tuple[int, ...]) -> Tuple[List[Rep], bool, str,
-                                                        Optional[Closure]]:
-        """Sweep up to the cap into the catalogue of ``self._neighbours``;
-        returns (found, sweep completed, abort reason, the closure of found
-        when the stop test ended the sweep, else None), found being the
-        catalogue's modules in the order the sweep added them.
+    def _enumerate(self, cap: Tuple[int, ...], roots: Optional[FrozenSet[tuple]] = None
+                   ) -> Tuple[List[Rep], bool, str, Optional[Closure]]:
+        """Sweep up to the cap into the catalogue of ``self._neighbours``,
+        or given the positive roots of a Dynkin quiver into a catalogue of
+        its own; returns (found, sweep completed, abort reason, the closure
+        of found when the stop test ended the sweep, else None), found being
+        the catalogue's modules in the order the sweep added them.
 
         For each simple S and each bounded multiset of found modules with
         direct sum U, it builds the middle of the first {0, +-1} combination
@@ -954,9 +1071,15 @@ class ModuleUniverse(Tables):
         start.  A thin middle gets no End test either: its arrow graph
         decides it (``_thin_indecomposable``).
 
-        The stop test runs once the projectives are added and again after
-        every new module, and the sweep completes as soon as the found set
-        is closed in the AR quiver: it holds every simple from the start, so
+        Given the roots, the sweep completes once it holds one module per
+        root, and it builds no middle whose dimension vector is not a root
+        or is a root it has found: there is one indecomposable per positive
+        root (Gabriel), so such a middle is decomposable or isomorphic to a
+        found module.  The cocycle guard still comes first.
+
+        Otherwise the stop test runs once the projectives are added and
+        again after every new module, and the sweep completes as soon as
+        the found set is closed in the AR quiver: it holds every simple from the start, so
         by Auslander's theorem it is then every indecomposable, and the rest
         of the sweep could add nothing and meet no cap or guard.  So the
         sweep builds no middle after its last new module.  It aborts as
@@ -967,8 +1090,18 @@ class ModuleUniverse(Tables):
         list not closed.  Either way found is the list the build keeps.
         """
         algebra = self.algebra
-        catalogue = self._neighbours.catalogue
+        catalogue = self._neighbours.catalogue if roots is None else Catalogue()
         found = catalogue.modules
+        closure: Optional[Closure] = None
+
+        def done() -> bool:
+            """Whether the sweep can stop: it holds one module per root, or
+            the stop test finds the found set closed."""
+            nonlocal closure
+            if roots is not None:
+                return len(found) == len(roots)
+            closure = self._neighbours.closure(stop=True)
+            return closure is not None
 
         def add(rep: Rep) -> bool:
             """Whether rep is new; it is then added, unless it lies above
@@ -1016,7 +1149,8 @@ class ModuleUniverse(Tables):
                     for combo in self._bounded_multisets(found, allowed, t - 1):
                         parts = [found[idx] for idx in combo]
                         u = parts[0] if len(parts) == 1 else block_sum(parts)
-                        if not _dims_leq([a + b for a, b in zip(u.dims, s.dims)], cap):
+                        dims = tuple(a + b for a, b in zip(u.dims, s.dims))
+                        if not _dims_leq(dims, cap):
                             continue
                         # every summand has Ext^1(S, U_i) != 0, so e > 0
                         own = [ext_to(sv, idx) for idx in combo]
@@ -1028,6 +1162,9 @@ class ModuleUniverse(Tables):
                         # summand is never new: test it, do not decompose it
                         for tuples in _sum_tuples([kept_to(sv, idx) for idx in combo],
                                                   [x.free for x in own]):
+                            # no middle is new off the roots or on a found one
+                            if roots is not None and (dims not in roots or catalogue.bucket(dims)):
+                                break
                             if _automorphism_splits(
                                     own, tuples, lambda j, i: pushed(sv, combo[j], combo[i])):
                                 continue
@@ -1042,13 +1179,10 @@ class ModuleUniverse(Tables):
             # nilpotent cycles, and __init__ has checked it under the cap
             for v in range(algebra.n):
                 add(projective(algebra, v))
-            closure = self._neighbours.closure(stop=True)
-            if closure is None:
+            if not done():
                 for middle in middles():
-                    if add(middle):
-                        closure = self._neighbours.closure(stop=True)
-                        if closure is not None:
-                            break
+                    if add(middle) and done():
+                        break
         except _Abort as abort:
             return found, False, str(abort), None
         return found, True, "", closure
@@ -1106,11 +1240,19 @@ class ModuleUniverse(Tables):
             c.closed_under_radical_and_socle_quotients
 
     def _build_tables(self):
-        """The hom and Ext tables, the Ext row of M_i from the syzygy of its
-        minimal presentation; a projective, whose syzygy is zero, and a
-        module whose tau was read off the root system get their
-        presentations only now.  A build whose caller reads neither
-        table, as ``inspect`` does, never computes them."""
+        """The hom and Ext tables.  A build that read the roots reads them
+        off the Euler form <x, y> (``_euler_form``): the algebra is
+        hereditary, so <x, y> = dim Hom(X, Y) - dim Ext^1(X, Y), and
+        representation-directed, so at most one of the two is nonzero.  A
+        swept build reads the Ext row of M_i off the syzygy of its minimal
+        presentation; a projective, whose syzygy is zero, gets its
+        presentation only now.  A build whose caller reads neither table,
+        as ``inspect`` does, never computes them."""
+        if self._pres is None:
+            forms = [[_euler_form(self.algebra, x, y) for y in self.dims] for x in self.dims]
+            self._hom = [[max(f, 0) for f in row] for row in forms]
+            self._ext = [[max(-f, 0) for f in row] for row in forms]
+            return
         mods = self.modules
         ext_from = [Ext1From(m, min_presentation(m) if p is None else p)
                     for m, p in zip(mods, self._pres)]
@@ -1143,15 +1285,17 @@ class ModuleUniverse(Tables):
                    if lab.split("#")[0] == body]
         if "#" not in label and len(matches) == 1:
             return matches[0]
-        # aliases S<v> and P<v> for simples and projectives (1-based vertex)
+        # aliases S<v> and P<v> for simples and projectives (1-based vertex);
+        # the algebra is finite-dimensional, so its loops act nilpotently
+        # and S_v is the one module with the dimension vector e_v
         if label[:1] in ("S", "P") and label[1:].isdigit():
             v = int(label[1:]) - 1
             if 0 <= v < self.n:
                 if label[0] == "P":
                     return self.proj_of_vertex[v]
-                i = self.identify(simple(self.algebra, v))
-                if i is not None:
-                    return i
+                e_v = tuple(int(w == v) for w in range(self.n))
+                if e_v in self.dims:
+                    return self.dims.index(e_v)
         raise KeyError("unknown module label %r" % label)
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from tauseq import linalg
+from tauseq import linalg, universe
 from tauseq.ar import Ext1From, almost_split_middle, extension_cocycle_space, tau
 from tauseq.decompose import AlgebraCore, indecomposable_parts, is_isomorphic
 from tauseq.errors import Mismatch, NotTauRigid
@@ -48,9 +48,18 @@ def closed_with_every_middle(modules: Sequence[Rep]) -> bool:
             for i, m in enumerate(modules) if neighbours.projective_vertex(i) is None)
 
 
+def sweep_as_built(monkeypatch):
+    """Patch the root reading out of the build: a Dynkin build then sweeps
+    and closes as it is built, as one with a root above its cap does and
+    as every other build does."""
+    monkeypatch.setattr(universe, "_positive_roots", lambda algebra: None)
+
+
 def sweep_to_the_cap(monkeypatch):
-    """Patch the stop test out of the sweep, which then runs to the cap or
-    its guard, while the certificate still computes the whole closure."""
+    """Patch the stop test out of the sweep, which then runs, on every
+    build, to the cap or its guard, while the certificate still computes
+    the whole closure."""
+    sweep_as_built(monkeypatch)
     closure = ARNeighbours.closure
     monkeypatch.setattr(ARNeighbours, "closure",
                         lambda self, stop=False: None if stop else closure(self))

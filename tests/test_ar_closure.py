@@ -34,7 +34,9 @@ from tauseq.linalg import Mat, inverse
 from tauseq.modules import Rep, direct_sum, dualize, min_presentation, projective, simple
 from tauseq.quiver import Quiver, build_algebra, opposite
 from tauseq.universe import ARNeighbours, Catalogue, ModuleUniverse
-from oracles import closed_with_every_middle, presentation_by_covers, socle_spans, sweep_to_the_cap
+from oracles import (
+    closed_with_every_middle, presentation_by_covers, socle_spans, sweep_as_built, sweep_to_the_cap,
+)
 from test_wide import _linear, _loop_rad2, _nakayama2
 
 BENCH_ALGEBRAS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "algebras")
@@ -81,7 +83,9 @@ def test_the_oracle_covers_the_benchmark_corpus():
 
 
 def _spy_on_the_stop_test(monkeypatch):
-    """The (catalogue size, verdict) of each stop test the sweep runs."""
+    """The (catalogue size, verdict) of each stop test the sweep runs, on
+    every build, Dynkin ones included (``oracles.sweep_as_built``)."""
+    sweep_as_built(monkeypatch)
     verdicts = []
     closure = ARNeighbours.closure
 
@@ -97,7 +101,8 @@ def _spy_on_the_stop_test(monkeypatch):
 
 def _spy_on_the_found_list(monkeypatch):
     """The modules ``_enumerate`` returns, in the order the sweep found
-    them."""
+    them, on every build, Dynkin ones included (``oracles.sweep_as_built``)."""
+    sweep_as_built(monkeypatch)
     found = []
     enumerate_ = ModuleUniverse._enumerate
 
@@ -176,6 +181,7 @@ def test_the_kept_state_gives_the_fresh_verdict_as_the_catalogue_grows(build, mo
 def test_the_stop_test_agrees_with_every_middle(name, monkeypatch):
     # the tau-orbit argument changes no verdict, and the closure the stop
     # test hands to the build is the one it would compute afresh
+    sweep_as_built(monkeypatch)
     verdicts, closures = [], []
     closure = ARNeighbours.closure
 
@@ -245,6 +251,7 @@ def test_a_cold_build_builds_middles_only_on_periodic_orbits(name, middles, isos
             return _original(*args)
 
         _spy_on(monkeypatch, original, spy)
+    sweep_as_built(monkeypatch)
     assert ModuleUniverse(_d4() if name == "d4" else ORACLE_ALGEBRAS[name]()).certified
     assert counts["almost_split_middle"] == middles
     assert counts["_basis_has_iso"] == isos
@@ -314,12 +321,15 @@ def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     # characteristic polynomials of End(M)'s basis end it before the
     # idempotent search, and a catalogue module with other arrow ranks or
     # another pencil det(x M_a + y M_b) up to a scalar gets no isomorphism
-    # test: each of the 7 left finds the module isomorphic to the middle
-    counts = {"middle": 0, "end": 0, "idempotent": 0, "iso": 0}
+    # test: each of the 7 left finds the module isomorphic to the middle.
+    # The invariant is computed once per rep: a module the sweep adds keeps
+    # the one ``Catalogue.find`` measured
+    counts = {"middle": 0, "end": 0, "idempotent": 0, "iso": 0, "ranks": 0}
     for key, owner, name in (("middle", universe, "extension_middle"),
                              ("end", EndAlgebra, "__init__"),
                              ("idempotent", decompose, "_idempotent_mod_radical"),
-                             ("iso", universe, "_basis_has_iso")):
+                             ("iso", universe, "_basis_has_iso"),
+                             ("ranks", universe, "_arrow_ranks")):
         def spy(*args, _key=key, _original=getattr(owner, name)):
             counts[_key] += 1
             return _original(*args)
@@ -328,7 +338,7 @@ def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     with pytest.raises(NotCertifiablyComplete):
         ModuleUniverse(load_algebra_file(os.path.join(BENCH_ALGEBRAS, "kronecker.json")),
                        (2, 2))
-    assert counts == {"middle": 46, "end": 30, "idempotent": 0, "iso": 7}
+    assert counts == {"middle": 46, "end": 30, "idempotent": 0, "iso": 7, "ranks": 23}
 
 
 def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():
@@ -510,7 +520,8 @@ def _count_calls(monkeypatch, names):
 @pytest.mark.parametrize("route", ["thin_tree", "no_thin_tree", "dynkin"])
 def test_a_cold_build_computes_one_presentation_per_non_projective(route, monkeypatch):
     # the first two routes patch the Dynkin reading off, which reads every
-    # tau X, with no presentation, off the Coxeter matrix
+    # tau X, with no presentation, off the Coxeter matrix, and sweeps for
+    # the modules only when they are read
     if route != "dynkin":
         monkeypatch.setattr(universe, "_dynkin", lambda algebra: None)
     if route == "no_thin_tree":
@@ -524,7 +535,7 @@ def test_a_cold_build_computes_one_presentation_per_non_projective(route, monkey
     assert counts["tau"] == counts["tau_minus"] == counts["transpose"] == 0
     assert counts["projective_cover"] == 0
     assert counts["min_presentation"] == (0 if route == "dynkin" else 10) == \
-        sum(p is not None for p in u._pres)
+        (0 if u._pres is None else sum(p is not None for p in u._pres))
     assert sum(not p for p in u.is_proj) == 10
     # A5 has one module per dimension vector: one test per non-projective,
     # and none when each tau X, thin on a path, is the one module of its
@@ -726,6 +737,7 @@ def test_a_refused_certificate_equals_the_whole_closure(name, bound, monkeypatch
     algebra = _linear(3) if name == "a3" else _bench(name)()
     built = []
     check = ModuleUniverse._check_closure
+    sweep_as_built(monkeypatch)
 
     def spy(self, *args):
         built.append(self)

@@ -19,7 +19,8 @@ the guard (``universe._Budget.MAX_COCYCLE_BASIS``).  The stop test runs
 after the projectives and after every new module, so it finds E6's list
 closed in the AR quiver, hence every indecomposable, before the sweep gets
 there.  A guard or cap abort meets a list the stop test has already found
-not closed.
+not closed.  A Dynkin build whose roots lie under the cap reads them and
+runs no stop test, so these tests sweep as built (``oracles.sweep_as_built``).
 """
 
 import math
@@ -32,7 +33,7 @@ from tauseq.cli import load_algebra_file
 from tauseq.sequences import enumerate_tau_es, mutate
 from tauseq.universe import ARNeighbours, ModuleUniverse
 from tauseq.wide import all_torsion_classes
-from oracles import sweep_to_the_cap
+from oracles import sweep_as_built, sweep_to_the_cap
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GUARD = "extension space of dimension %d exceeds the sweep guard"
@@ -118,7 +119,9 @@ def test_left_mutations_satisfy_the_braid_relations(name):
 def _spy_on_the_stop_test(monkeypatch):
     """The verdicts of the stop test, whether each call walked the list (a
     call returns at once while the witness of an earlier failure stands),
-    and the aborts raised."""
+    and the aborts raised, on every build, Dynkin ones included
+    (``oracles.sweep_as_built``)."""
+    sweep_as_built(monkeypatch)
     verdicts, walked, aborts, inside = [], [], [], []
     closure, translate = ARNeighbours.closure, ARNeighbours.translate
 

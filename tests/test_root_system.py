@@ -4,7 +4,9 @@ On the path algebra of a Dynkin quiver there is one indecomposable per
 positive root, over every field (Gabriel), and dim tau X = Phi(dim X) for
 the Coxeter matrix Phi = -E^-1 E^T (Auslander-Reiten-Smalo ch. VIII).  So
 ``universe._dynkin`` lets the build read tau X, the projective and
-injective flags and tau-rigidity off dimension vectors.  The oracles:
+injective flags and tau-rigidity off dimension vectors, and a cold
+``inspect`` solves nothing and sweeps for no module (``test_root_read``
+compares the whole root-read universe with the swept one).  The oracles:
 
 - Phi(dim X) against ``ar.tau_dims`` of a minimal presentation, for every
   non-projective X of every hereditary Dynkin file of the corpus, each also
@@ -123,7 +125,9 @@ def _spy_calls(monkeypatch, names):
 @pytest.mark.parametrize("name", ["perfbench/algebras/a5.json", "algebras/scale/d5.json",
                                   "algebras/scale/e6.json"])
 def test_a_cold_dynkin_inspect_solves_nothing_the_roots_give(name, monkeypatch, capsys):
-    calls = _spy_calls(monkeypatch, ["min_presentation", "dualize", "opposite", "hom_dim"])
+    # nor any sweep: no extension middle, no Ext^1(S, M), no Hom basis
+    calls = _spy_calls(monkeypatch, ["min_presentation", "dualize", "opposite", "hom_dim",
+                                     "extension_middle", "SimpleExt", "hom_basis"])
     argv = ["inspect", os.path.join(ROOT, name), "--json"]
     if name.endswith("e6.json"):
         argv += ["--dim-bound", "4"]

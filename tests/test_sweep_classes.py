@@ -30,7 +30,7 @@ from tauseq.linalg import Mat, combine
 from tauseq.modules import SimpleExt, block_sum, direct_sum, projective, simple
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import SWEEP_COEFFS, ModuleUniverse, _class_tuples, _sum_tuples
-from oracles import every_class_tuple, new_class_tuples_by_product
+from oracles import every_class_tuple, new_class_tuples_by_product, sweep_as_built
 from test_ar_closure import BENCH_ALGEBRAS, ORACLE_ALGEBRAS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -46,8 +46,10 @@ CASES["d5"] = (lambda: load_algebra_file(os.path.join(SCALE, "d5.json")), None)
 
 
 def _sweep(algebra, bound, monkeypatch, full):
-    """The universe, built without the certificate gate, and the number of
-    extension middles its sweep built."""
+    """The universe, built without the certificate gate and swept as it is
+    built (``oracles.sweep_as_built``), and the number of extension middles
+    its sweep built."""
+    sweep_as_built(monkeypatch)
     calls = []
     build = universe_mod.extension_middle
 

@@ -45,6 +45,7 @@ from tauseq.linalg import Mat
 from tauseq.modules import Rep, block_sum, min_presentation, projective, radical_spans, simple
 from tauseq.quiver import Quiver, build_algebra
 from tauseq.universe import ModuleUniverse
+from oracles import sweep_as_built
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 KRONECKER = os.path.join(ROOT, "perfbench", "algebras", "kronecker.json")
@@ -129,6 +130,7 @@ def test_every_skipped_middle_is_decomposable_or_projective(name, monkeypatch):
 
     monkeypatch.setattr(universe, "_automorphism_splits", splits_spy)
     monkeypatch.setattr(universe, "_may_be_new", may_be_new_spy)
+    sweep_as_built(monkeypatch)
     ModuleUniverse(algebra, bound, require_certificate=False)
     assert (skipped["split"], skipped["projective"]) == SKIPS[name]
 
