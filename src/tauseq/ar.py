@@ -12,12 +12,15 @@ nu P(v) = I(v).  ``tau_dims`` reads the dimension vector of tau X off the
 rank of nu P1 -> nu P0 at each vertex, and ``is_tau_of`` decides whether a
 module Z is tau X from Hom(Z, tau X), the forms on Hom(P1, Z) that vanish on
 the image of Hom(P0, Z); ``tau_hom_dim`` counts them, which is
-dim Hom(Z, tau X).  ``tau`` and ``transpose`` still build tau X = D Tr X
-over the opposite algebra, and ``tau_minus`` = Tr D, as oracles for the
-tests.  Ext1From / ext1_dim give the honest Ext^1 via the syzygy
-K = ker(P0 -> M) of the minimal presentation; Ext1From takes it from the
-caller, so one presentation per module serves all of these routines, and
-its syzygy is zero exactly when M is projective (``is_projective_rep``).
+dim Hom(Z, tau X).  ``tau_minus`` = Tr D builds the inverse translate
+over the opposite algebra; it is the library's route to the modules of a
+build read off the roots, which lie on the tau-minus orbits of the
+projectives (``universe.ModuleUniverse._knit``).  ``tau`` and
+``transpose`` still build tau X = D Tr X, as oracles for the tests.
+Ext1From / ext1_dim give the honest Ext^1 via the syzygy K = ker(P0 -> M)
+of the minimal presentation; Ext1From takes it from the caller, so one
+presentation per module serves all of these routines, and its syzygy is
+zero exactly when M is projective (``is_projective_rep``).
 
 For an indecomposable non-projective X the almost split sequence
 

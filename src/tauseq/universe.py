@@ -17,12 +17,8 @@ the classes against the other summands, g running over a basis of
 Hom(U_j, U_i), the unipotent automorphism 1 - sum c g of U kills it, and
 U_i splits off (``_automorphism_splits``).  A middle it builds with the
 dimension vector and the simple top of P(v) is P(v), found from the
-start, so it gets no End test (``_may_be_new``).  Nor does a thin middle,
-every dimension at most 1: an endomorphism of it is one scalar per vertex,
-equal across every nonzero arrow, so it is indecomposable exactly when
-its nonzero arrows connect its support (``_thin_indecomposable``).  The
-kept middles, and so
-the found modules and their order, are those of the full product
+start, so it gets no End test (``_may_be_new``).  The kept middles, and
+so the found modules and their order, are those of the full product
 sweep.  Once the projectives are added, and again after every new
 module, the sweep asks whether the found set is closed in the
 Auslander-Reiten quiver: closed under tau and tau-minus, under the summands
@@ -89,12 +85,13 @@ Euler form, the algebra being hereditary and representation-directed.  The
 schema-1 certificate keys keep their meaning: the list is complete, the
 count is stable up to the cap plus one, no indecomposable touches the cap,
 and the set is closed under tau, tau-minus, radicals of projectives and
-socle quotients of injectives.  The modules are swept for only when they
-are read: that sweep stops once it holds one module per root, and builds
-no middle whose dimension vector is not a root or is a root it has found,
-so the cocycle guard alone can stop it short, with a typed error.  A Dynkin
-build with a root above the cap sweeps and closes like any other, since its
-report, an abort's text included, follows the sweep.
+socle quotients of injectives.  The modules are built only when they are
+read, and with no sweep: every indecomposable lies on the tau-minus orbit
+of a projective, which ends at an injective (Gabriel; Auslander-Reiten-Smalo
+ch. VIII), so ``ar.tau_minus`` walks each orbit from P(v) until it reaches
+the dimension vector of some I(v) (``_knit``).  A Dynkin build with a root
+above the cap sweeps and closes like any other, since its report, an
+abort's text included, follows the sweep.
 
 The build computes only what its caller reads.  A build that requires the
 certificate and is refused stops at it.  One that the sweep keys refuse
@@ -133,7 +130,9 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from tauseq import linalg
-from tauseq.ar import Ext1From, almost_split_middle, extension_middle, is_tau_of, tau_dims
+from tauseq.ar import (
+    Ext1From, almost_split_middle, extension_middle, is_tau_of, tau_dims, tau_minus,
+)
 from tauseq.decompose import _basis_has_iso, indecomposable_parts, is_indecomposable
 from tauseq.errors import BoundTooSmall, Mismatch, NotCertifiablyComplete
 from tauseq.linalg import Mat
@@ -341,28 +340,14 @@ def _connected(vertices: Sequence[int], edges: Sequence[Tuple[int, int]]) -> boo
     return len(part[vertices[0]]) == len(vertices)
 
 
-def _thin_indecomposable(m: Rep) -> Optional[bool]:
-    """Whether a nonzero thin m is indecomposable, or None when m is not
-    thin.  An endomorphism of m is one scalar c_v per vertex of its support,
-    and c_s = c_t across every nonzero arrow s -> t, so End(m) is k to the
-    number of parts the nonzero arrows cut the support into: m is
-    indecomposable exactly when they connect it."""
-    arrows = _nonzero_arrows(m)
-    if arrows is None:
-        return None
-    q = m.algebra.quiver
-    return _connected([v for v, d in enumerate(m.dims) if d],
-                      [(q.arrows[a].source, q.arrows[a].target) for a in arrows])
-
-
 def _thin_tree(algebra, dims: Tuple[int, ...]) -> bool:
     """Whether dims is thin and the full subquiver on its support is a tree:
     connected, with one arrow fewer than vertices, so no loop, no two arrows
     between the same pair of vertices and no cycle.  Then every
     indecomposable with the dimension vector dims has all those arrows
-    nonzero (``_thin_indecomposable``), and rescaling its basis vectors out
-    from one vertex along the tree makes every one of them 1: all are
-    isomorphic."""
+    nonzero, since a zero arrow cuts the tree in two and its module splits
+    along the cut, and rescaling its basis vectors out from one vertex along
+    the tree makes every one of them 1: all are isomorphic."""
     if any(d > 1 for d in dims):
         return False
     support = [v for v, d in enumerate(dims) if d]
@@ -843,13 +828,9 @@ def _may_be_new(middle: Rep) -> bool:
     """Whether a sweep middle is indecomposable and not projective.  A
     middle with the dimension vector of P(v) and the simple top S_v is P(v)
     (``_projective_vertex``), which the sweep holds from the start, so it
-    needs neither an End test nor a Hom solve.  A thin middle is
-    indecomposable exactly when its nonzero arrows connect its support
-    (``_thin_indecomposable``), so it needs no End test either."""
-    if _projective_vertex(middle) is not None:
-        return False
-    thin = _thin_indecomposable(middle)
-    return is_indecomposable(middle) if thin is None else thin
+    needs neither an End test nor a Hom solve; any other middle gets the
+    End test (``decompose.is_indecomposable``)."""
+    return _projective_vertex(middle) is None and is_indecomposable(middle)
 
 
 def _holds(certificate: Dict[str, object]) -> bool:
@@ -884,9 +865,9 @@ class ModuleUniverse(Tables):
     On a Dynkin path algebra whose positive roots all lie under the cap
     (``_positive_roots``), the build reads everything off the roots and
     builds no module (``_read_roots``): ``modules`` is then a property that
-    sweeps for them on its first read, until the sweep holds one module per
-    root (``_sweep_for_roots``).  Any other build, a Dynkin one with a root
-    above the cap included, sweeps and closes as it is built
+    builds them on its first read, walking the tau-minus orbit of each
+    projective (``_knit``).  Any other build, a Dynkin one with a root above
+    the cap included, sweeps and closes as it is built
     (``_sweep_and_close``)."""
 
     def __init__(self, algebra, dim_bound: Optional[Sequence[int]] = None,
@@ -1008,9 +989,9 @@ class ModuleUniverse(Tables):
     @property
     def modules(self) -> List[Rep]:
         """The indecomposables by canonical id; a build that read the roots
-        sweeps for them on the first read (``_sweep_for_roots``)."""
+        builds them on the first read (``_knit``)."""
         if self._modules is None:
-            self._modules = self._sweep_for_roots()
+            self._modules = self._knit()
         return self._modules
 
     @functools.cached_property
@@ -1018,38 +999,41 @@ class ModuleUniverse(Tables):
         """The catalogue over the canonical list, for ``identify``."""
         return Catalogue(self.modules)
 
-    def _sweep_for_roots(self) -> List[Rep]:
+    def _knit(self) -> List[Rep]:
         """The modules of a build that read the roots, in canonical order.
 
-        The sweep runs as it would on this algebra, but stops once it holds
-        one module per positive root, and skips every middle whose
-        dimension vector is not a root or is one it has found (``_enumerate``
-        with roots).  It raises ``NotCertifiablyComplete`` naming the reason
-        when its cocycle guard stops it first, and ``Mismatch`` when the
-        dimension vectors it found are not the roots."""
-        found, complete, reason, _ = self._enumerate(
-            tuple(b + 1 for b in self.dim_bound), frozenset(self.dims))
-        if not complete:
-            raise NotCertifiablyComplete(
-                "the sweep for the modules of the %d positive roots stopped at %d: %s"
-                % (len(self.dims), len(found), reason))
-        mods = sorted(found, key=lambda m: (m.total_dim, m.dims))
+        Every indecomposable over a Dynkin path algebra lies on the
+        tau-minus orbit of a projective, and that orbit ends at an injective
+        (Gabriel; Auslander-Reiten-Smalo ch. VIII).  So each orbit is walked
+        from P(v) with ``ar.tau_minus`` until it reaches the dimension vector
+        of some I(v), which is I(v), there being one indecomposable per
+        root.  A walk that meets more modules than there are roots, or
+        dimension vectors other than the roots, raises ``Mismatch``."""
+        injective = set(_vertex_dims(self.algebra)[1])
+        mods: List[Rep] = []
+        for v in range(self.algebra.n):
+            m = projective(self.algebra, v)
+            for _ in range(len(self.dims)):
+                mods.append(m)
+                if m.dims in injective:
+                    break
+                m = tau_minus(m)
+        mods.sort(key=lambda m: (m.total_dim, m.dims))
         if [m.dims for m in mods] != self.dims:
-            raise Mismatch("the sweep found the dimension vectors %r, not the positive roots"
-                           % ([m.dims for m in mods],))
+            raise Mismatch("the tau-minus orbits of the projectives have the dimension "
+                           "vectors %r, not the positive roots" % ([m.dims for m in mods],))
         return mods
 
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
 
-    def _enumerate(self, cap: Tuple[int, ...], roots: Optional[FrozenSet[tuple]] = None
+    def _enumerate(self, cap: Tuple[int, ...]
                    ) -> Tuple[List[Rep], bool, str, Optional[Closure]]:
-        """Sweep up to the cap into the catalogue of ``self._neighbours``,
-        or given the positive roots of a Dynkin quiver into a catalogue of
-        its own; returns (found, sweep completed, abort reason, the closure
-        of found when the stop test ended the sweep, else None), found being
-        the catalogue's modules in the order the sweep added them.
+        """Sweep up to the cap into the catalogue of ``self._neighbours``;
+        returns (found, sweep completed, abort reason, the closure of found
+        when the stop test ended the sweep, else None), found being the
+        catalogue's modules in the order the sweep added them.
 
         For each simple S and each bounded multiset of found modules with
         direct sum U, it builds the middle of the first {0, +-1} combination
@@ -1068,18 +1052,11 @@ class ModuleUniverse(Tables):
         forms of ``SimpleExt``, pushed forward once per (simple, U_j, U_i).
         A middle that is P(v) by its dimension vector and top gets no End
         test and no Hom solve (``_may_be_new``): P(v) is found from the
-        start.  A thin middle gets no End test either: its arrow graph
-        decides it (``_thin_indecomposable``).
+        start.
 
-        Given the roots, the sweep completes once it holds one module per
-        root, and it builds no middle whose dimension vector is not a root
-        or is a root it has found: there is one indecomposable per positive
-        root (Gabriel), so such a middle is decomposable or isomorphic to a
-        found module.  The cocycle guard still comes first.
-
-        Otherwise the stop test runs once the projectives are added and
-        again after every new module, and the sweep completes as soon as
-        the found set is closed in the AR quiver: it holds every simple from the start, so
+        The stop test runs once the projectives are added and again after
+        every new module, and the sweep completes as soon as the found set
+        is closed in the AR quiver: it holds every simple from the start, so
         by Auslander's theorem it is then every indecomposable, and the rest
         of the sweep could add nothing and meet no cap or guard.  So the
         sweep builds no middle after its last new module.  It aborts as
@@ -1090,16 +1067,13 @@ class ModuleUniverse(Tables):
         list not closed.  Either way found is the list the build keeps.
         """
         algebra = self.algebra
-        catalogue = self._neighbours.catalogue if roots is None else Catalogue()
+        catalogue = self._neighbours.catalogue
         found = catalogue.modules
         closure: Optional[Closure] = None
 
         def done() -> bool:
-            """Whether the sweep can stop: it holds one module per root, or
-            the stop test finds the found set closed."""
+            """Whether the stop test finds the found set closed."""
             nonlocal closure
-            if roots is not None:
-                return len(found) == len(roots)
             closure = self._neighbours.closure(stop=True)
             return closure is not None
 
@@ -1162,9 +1136,6 @@ class ModuleUniverse(Tables):
                         # summand is never new: test it, do not decompose it
                         for tuples in _sum_tuples([kept_to(sv, idx) for idx in combo],
                                                   [x.free for x in own]):
-                            # no middle is new off the roots or on a found one
-                            if roots is not None and (dims not in roots or catalogue.bucket(dims)):
-                                break
                             if _automorphism_splits(
                                     own, tuples, lambda j, i: pushed(sv, combo[j], combo[i])):
                                 continue

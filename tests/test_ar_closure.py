@@ -316,8 +316,8 @@ def test_a_certified_sweep_builds_no_middle_after_its_last_new_module(path, monk
 def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     # (extension middles, End(M) builds, idempotent searches, Hom-basis
     # isomorphism tests) of the refused cold build: middles that an
-    # automorphism of U splits are not built, a middle that is P(v) or thin
-    # gets no End test, over Q a trace form of rank 1 ends the End test, the
+    # automorphism of U splits are not built, a middle that is P(v) gets no
+    # End test, over Q a trace form of rank 1 ends the End test, the
     # characteristic polynomials of End(M)'s basis end it before the
     # idempotent search, and a catalogue module with other arrow ranks or
     # another pencil det(x M_a + y M_b) up to a scalar gets no isomorphism
@@ -338,7 +338,7 @@ def test_the_kronecker_refusal_at_dim_bound_2_does_pinned_work(monkeypatch):
     with pytest.raises(NotCertifiablyComplete):
         ModuleUniverse(load_algebra_file(os.path.join(BENCH_ALGEBRAS, "kronecker.json")),
                        (2, 2))
-    assert counts == {"middle": 46, "end": 30, "idempotent": 0, "iso": 7, "ranks": 23}
+    assert counts == {"middle": 46, "end": 34, "idempotent": 0, "iso": 7, "ranks": 23}
 
 
 def test_the_catalogue_tells_apart_reps_with_one_dimension_vector():
@@ -520,8 +520,8 @@ def _count_calls(monkeypatch, names):
 @pytest.mark.parametrize("route", ["thin_tree", "no_thin_tree", "dynkin"])
 def test_a_cold_build_computes_one_presentation_per_non_projective(route, monkeypatch):
     # the first two routes patch the Dynkin reading off, which reads every
-    # tau X, with no presentation, off the Coxeter matrix, and sweeps for
-    # the modules only when they are read
+    # tau X, with no presentation, off the Coxeter matrix, and builds the
+    # modules only when they are read, one tau-minus per non-injective
     if route != "dynkin":
         monkeypatch.setattr(universe, "_dynkin", lambda algebra: None)
     if route == "no_thin_tree":
@@ -529,14 +529,20 @@ def test_a_cold_build_computes_one_presentation_per_non_projective(route, monkey
     counts = _count_calls(monkeypatch, ["tau", "tau_minus", "transpose", "min_presentation",
                                         "projective_cover", "is_tau_of"])
     u = ModuleUniverse(_bench("a5")())
+    built = dict(counts)
     assert len(u.modules) == 15 and u.certified
     # tau X is identified off the presentation, never built; the
     # presentation is read in path coordinates, with no cover of its own
-    assert counts["tau"] == counts["tau_minus"] == counts["transpose"] == 0
-    assert counts["projective_cover"] == 0
-    assert counts["min_presentation"] == (0 if route == "dynkin" else 10) == \
+    assert built["tau"] == built["tau_minus"] == built["transpose"] == 0
+    assert counts["tau"] == counts["projective_cover"] == 0
+    assert built["min_presentation"] == (0 if route == "dynkin" else 10) == \
         (0 if u._pres is None else sum(p is not None for p in u._pres))
-    assert sum(not p for p in u.is_proj) == 10
+    assert sum(not p for p in u.is_proj) == sum(not i for i in u.is_inj) == 10
+    # reading the modules of the Dynkin build walks the tau-minus orbits:
+    # each Tr D presents its dual once
+    walks = 10 if route == "dynkin" else 0
+    assert counts["tau_minus"] == counts["transpose"] == walks
+    assert counts["min_presentation"] == built["min_presentation"] + walks
     # A5 has one module per dimension vector: one test per non-projective,
     # and none when each tau X, thin on a path, is the one module of its
     # bucket

@@ -3,20 +3,23 @@
 On the path algebra of a Dynkin quiver whose positive roots all lie under
 the cap, ``ModuleUniverse`` builds no module: the labels, dimension vectors,
 tau, the flags, tau-rigidity and the certificate come off the roots, hom and
-Ext off the Euler form, and ``modules`` sweeps on its first read, until it
-holds one module per root.  The oracles:
+Ext off the Euler form, and ``modules`` walks the tau-minus orbit of each
+projective on its first read.  The oracles:
 
 - the same build with the root reading patched out
   (``oracles.sweep_as_built``), which sweeps, closes and solves as any other
   build does, entry for entry, on every hereditary Dynkin file, each also
   over GF(2), GF(3) and GF(5), and on drawn orientations;
-- the modules that first read finds, which are the roots in canonical order
-  and the modules the swept build keeps;
+- the modules that first read finds, which have the roots as dimension
+  vectors in canonical order and are isomorphic, position by position, to
+  the modules the swept build keeps;
 - the reports recorded before the roots were read, for a Dynkin build with
   a root above its cap, which still sweeps, and for E7 at ``--dim-bound 5``
   (``golden/dynkin_fallback.json``, keyed by the command, E7 written from
   ``E7`` below);
-- E8 at ``--dim-bound 7``, which the sweep's cocycle guard cannot certify.
+- E8 at ``--dim-bound 7`` and the four orientations of E6 whose sweep the
+  cocycle guard stops short: their modules are the roots, each identified
+  at its own position.
 """
 
 import json
@@ -27,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from tauseq import cli, universe
 from tauseq.cli import load_algebra_file, main
-from tauseq.errors import NotCertifiablyComplete
+from tauseq.decompose import _basis_has_iso
 from tauseq.fields import FieldSpec
 from tauseq.modules import simple
 from tauseq.quiver import build_algebra
@@ -65,9 +68,18 @@ def _swept(algebra, bound, monkeypatch):
     return u
 
 
+def _read_modules(u):
+    """The modules of a root-read build, checked against its roots and its
+    own identification."""
+    assert [m.dims for m in u.modules] == universe._positive_roots(u.algebra) == u.dims
+    assert [u.identify(m) for m in u.modules] == list(range(len(u.dims)))
+    return u.modules
+
+
 def _agree(algebra, bound, monkeypatch):
     """The root-read build of algebra against the swept one, table for
-    table, then its modules against the swept build's."""
+    table, then its modules against the swept build's, up to
+    isomorphism: the tau-minus orbits build other bases."""
     read = ModuleUniverse(algebra, bound, require_certificate=False)
     assert read._modules is None
     swept = _swept(algebra, bound, monkeypatch)
@@ -77,8 +89,8 @@ def _agree(algebra, bound, monkeypatch):
     assert read.certified == swept.certified
     # the tables came off the roots and the Euler form
     assert read._modules is None
-    assert [m.dims for m in read.modules] == universe._positive_roots(algebra) == read.dims
-    assert read.modules == swept.modules
+    assert len(_read_modules(read)) == len(swept.modules)
+    assert all(_basis_has_iso(m, n) for m, n in zip(read.modules, swept.modules))
     return read
 
 
@@ -105,12 +117,21 @@ def test_every_orientation_reads_the_swept_universe_off_its_roots(data):
             _agree(algebra, bound, monkeypatch)
         return
     # four of the 32 orientations of E6 meet the cocycle guard before the
-    # stop test closes their list; the roots certify them all the same
+    # stop test closes their list; the roots certify them all the same, and
+    # the tau-minus orbits give their modules
     assert name == "E6" and swept.certificate["sweep_aborted_because"] == GUARD
     read = ModuleUniverse(algebra, bound)
     assert read.certified and len(read.labels) == 36
-    with pytest.raises(NotCertifiablyComplete, match=GUARD):
-        read.modules
+    assert len(_read_modules(read)) == 36
+
+
+@pytest.mark.parametrize("flips", ["FTFFF", "FTFTF", "TTFFF", "TTFTF"])
+def test_the_e6_orientations_the_guard_stops_read_their_modules(flips, monkeypatch):
+    algebra = build_algebra(_oriented("E6", [f == "T" for f in flips], range(6)), FieldSpec(0))
+    bound = (4,) * 6
+    assert _swept(algebra, bound, monkeypatch).certificate["sweep_aborted_because"] == GUARD
+    read = ModuleUniverse(algebra, bound)
+    assert read.certified and len(_read_modules(read)) == 36
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -143,7 +164,7 @@ def test_the_fallback_records_are_the_sweeps():
     assert "(1, 1, 1, 2) above the cap" in GOLDEN["tes d4.json enumerate --dim-bound 1"]["stderr"]
 
 
-def test_e8_is_certified_by_its_roots_and_its_modules_meet_the_guard(capsys, tmp_path):
+def test_e8_is_certified_by_its_roots_and_reads_its_modules(capsys, tmp_path):
     path = _path_algebra_file(tmp_path / "e8.json", *E8)
     assert main(["inspect", path, "--dim-bound", "7", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)["algebra"]
@@ -151,9 +172,8 @@ def test_e8_is_certified_by_its_roots_and_its_modules_meet_the_guard(capsys, tmp
     assert "sweep_aborted_because" not in report["certificate"]
     u = ModuleUniverse(load_algebra_file(path), (7,) * 8)
     assert u.certified and len(u.labels) == 120
-    # the sweep for the modules meets the cocycle guard after 100 of them
-    with pytest.raises(NotCertifiablyComplete, match="stopped at 100: " + GUARD):
-        u.modules
+    # the sweep for them would meet the cocycle guard after 100 modules
+    assert len(_read_modules(u)) == 120
 
 
 def _spy(monkeypatch, owner, name, calls):
@@ -166,20 +186,20 @@ def _spy(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, spy)
 
 
-@pytest.mark.parametrize("name,middles,end_tests", [("algebras/scale/d5.json", 12, 3),
-                                                    ("algebras/scale/e6.json", 26, 11)])
-def test_the_first_read_sweeps_only_for_roots_not_found(name, middles, end_tests, monkeypatch):
-    # a middle off the roots, or on a root already found, is never new: it
-    # is not built, so it gets no End test and no catalogue search, and the
-    # catalogue measures no invariant
+@pytest.mark.parametrize("name,walks", [("algebras/scale/d5.json", 15),
+                                        ("algebras/scale/e6.json", 30)])
+def test_the_first_read_builds_no_middle(name, walks, monkeypatch):
+    # one tau-minus per non-injective module, and no extension middle, End
+    # test, catalogue search or invariant
     calls = {}
     for owner, spied in ((universe, "extension_middle"), (universe, "is_indecomposable"),
-                         (universe, "_basis_has_iso"), (universe, "_arrow_ranks")):
+                         (universe, "_basis_has_iso"), (universe, "_arrow_ranks"),
+                         (universe, "tau_minus")):
         _spy(monkeypatch, owner, spied, calls)
     u = ModuleUniverse(_load(name), DYNKIN_FILES[name])
     assert calls == {}
     assert len(u.modules) == len(u.labels)
-    assert calls == {"extension_middle": middles, "is_indecomposable": end_tests}
+    assert calls == {"tau_minus": walks} and walks == sum(not i for i in u.is_inj)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: os.path.relpath(p, ROOT))

@@ -4,9 +4,6 @@ the same.
 - ``universe._automorphism_splits`` skips a middle whose class an
   automorphism of U kills at some summand, so that summand splits off;
 - ``universe._may_be_new`` reads P(v) off its dimension vector and its top;
-- ``universe._thin_indecomposable`` reads a thin module's End(M) off its
-  arrow graph: it is indecomposable when its nonzero arrows connect its
-  support;
 - ``universe._thin_tree`` finds tau X with no Hom solve when its dimension
   vector is thin on a tree, where every indecomposable is isomorphic;
 - ``decompose._local_by_trace_form`` certifies End(M) local over Q by the
@@ -22,8 +19,9 @@ the same.
 
 The oracles: the modules, their matrices and order, the labels, the
 certificate and the translate table of every corpus build with and without
-them; a spy that decomposes every middle the sweep skips; the trace-form
-rank against the radical of the structure-constant algebra; and each shape
+them, those of a build that reads the roots up to isomorphism, since it
+takes them off the tau-minus orbits of the projectives; a spy that
+decomposes every middle the sweep skips; the trace-form rank against the radical of the structure-constant algebra; and each shape
 shortcut against the route it replaces, on the corpus builds and on drawn
 modules.
 """
@@ -39,7 +37,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tauseq import decompose, linalg, universe
 from tauseq.ar import extension_middle, is_tau_of, tau_dims
 from tauseq.cli import InputError, load_algebra_file
-from tauseq.decompose import EndAlgebra, indecomposable_parts, is_isomorphic
+from tauseq.decompose import EndAlgebra, _basis_has_iso, indecomposable_parts, is_isomorphic
 from tauseq.fields import FieldSpec
 from tauseq.linalg import Mat
 from tauseq.modules import Rep, block_sum, min_presentation, projective, radical_spans, simple
@@ -62,7 +60,6 @@ for _bound in (2, 3):
 def _patch_out(monkeypatch):
     monkeypatch.setattr(universe, "_automorphism_splits", lambda *args: False)
     monkeypatch.setattr(universe, "_may_be_new", decompose.is_indecomposable)
-    monkeypatch.setattr(universe, "_thin_indecomposable", lambda m: None)
     monkeypatch.setattr(universe, "_thin_tree", lambda *args: False)
     monkeypatch.setattr(decompose, "_local_by_trace_form", lambda end: False)
     monkeypatch.setattr(decompose, "_by_characteristic_polynomials", lambda end: (False, None))
@@ -71,13 +68,14 @@ def _patch_out(monkeypatch):
 
 
 def _build(path, bound):
-    """What a build without the certificate gate reports, or its error."""
+    """What a build without the certificate gate reports, or its error;
+    its modules; and whether it read the roots."""
     try:
         u = ModuleUniverse(load_algebra_file(path), bound, require_certificate=False)
     except InputError as exc:
-        return repr(exc)
-    return ([(m.dims, m.mats) for m in u.modules], u.labels, list(u.certificate.items()),
-            u.tau_of, u.tau_unresolved, u.is_inj, u.tau_rigid)
+        return repr(exc), [], False
+    return ([m.dims for m in u.modules], u.labels, list(u.certificate.items()),
+            u.tau_of, u.tau_unresolved, u.is_inj, u.tau_rigid), u.modules, u._pres is None
 
 
 def test_the_cases_cover_the_corpus():
@@ -90,9 +88,15 @@ def test_the_cases_cover_the_corpus():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_the_shortcuts_change_no_build(name, monkeypatch):
     path, bound = CASES[name]
-    fast = _build(path, bound)
+    fast, fast_modules, read_roots = _build(path, bound)
     _patch_out(monkeypatch)
-    assert fast == _build(path, bound)
+    slow, slow_modules, _ = _build(path, bound)
+    assert fast == slow
+    # a build that read the roots takes its modules off the tau-minus
+    # orbits, in other bases; every other build keeps the sweep's matrices.
+    # Each build loads its own algebra, so n is carried over to m's
+    for m, n in zip(fast_modules, slow_modules):
+        assert m.mats == n.mats or read_roots and _basis_has_iso(m, Rep(m.algebra, n.dims, n.mats))
 
 
 # name: (middles an automorphism of U splits, middles that are P(v)), the
@@ -157,39 +161,33 @@ def test_the_trace_form_rank_is_the_dimension_modulo_the_radical(name):
         assert end.trace_form_rank() == end.dim - len(end.core().radical_basis())
 
 
-def _thin_reps_asked(name, monkeypatch):
-    """The build of the case and every module it asked the thin verdict
-    about."""
-    path, bound = CASES[name]
-    asked, thin = [], universe._thin_indecomposable
-
-    def spy(m):
-        asked.append(m)
-        return thin(m)
-
-    monkeypatch.setattr(universe, "_thin_indecomposable", spy)
-    u = ModuleUniverse(load_algebra_file(path), bound, require_certificate=False)
-    monkeypatch.undo()
-    return u, asked
-
-
 # the cases that load: loop.json is refused as infinite-dimensional
 BUILDS = sorted(name for name in CASES if os.path.basename(CASES[name][0]) != "loop.json")
 
 
+def _arrows_connect_support(m):
+    """Whether the nonzero arrows of the thin m connect its support."""
+    support = [v for v, d in enumerate(m.dims) if d]
+    arrows = m.algebra.quiver.arrows
+    edges = [(arrows[a].source, arrows[a].target) for a in universe._nonzero_arrows(m)]
+    return universe._connected(support, edges)
+
+
 @pytest.mark.parametrize("name", BUILDS)
-def test_the_thin_verdict_is_the_end_test_on_every_corpus_build(name, monkeypatch):
-    # every thin sweep middle the verdict decided, every thin module kept
-    # and every sum of two kept thin modules with disjoint supports
-    u, asked = _thin_reps_asked(name, monkeypatch)
+def test_the_end_test_reads_every_kept_thin_module_and_disjoint_sum_as_the_arrow_graph(name):
+    # a thin module is indecomposable exactly when its nonzero arrows connect
+    # its support; the End test, which decides every thin middle, agrees on
+    # every thin module kept and on every sum of two kept thin modules with
+    # disjoint supports, and keeps the first and splits the second
+    path, bound = CASES[name]
+    u = ModuleUniverse(load_algebra_file(path), bound, require_certificate=False)
     thin = [m for m in u.modules if universe._nonzero_arrows(m) is not None]
     sums = [block_sum([a, b]) for a, b in itertools.combinations(thin, 2)
             if not any(x and y for x, y in zip(a.dims, b.dims))]
-    for m in asked + thin + sums:
-        verdict = universe._thin_indecomposable(m)
-        assert verdict is None or verdict == decompose.is_indecomposable(m)
-    assert all(universe._thin_indecomposable(m) for m in thin)
-    assert not any(universe._thin_indecomposable(m) for m in sums)
+    for m in thin + sums:
+        assert _arrows_connect_support(m) == decompose.is_indecomposable(m)
+    assert all(_arrows_connect_support(m) for m in thin)
+    assert not any(_arrows_connect_support(m) for m in sums)
 
 
 @pytest.mark.parametrize("name", BUILDS)
@@ -253,7 +251,6 @@ def test_the_thin_shortcuts_agree_with_the_general_routes(shape, characteristic,
             Mat.zeros(f, dims[a.target], dims[a.source]) for i, a in enumerate(arrows)]
     m = Rep(algebra, dims, mats)
     indecomposable = decompose.is_indecomposable(m)
-    assert universe._thin_indecomposable(m) == indecomposable
     assert universe._top_dims(m) == [d - linalg.rank(span)
                                      for d, span in zip(m.dims, radical_spans(m))]
     if universe._thin_tree(algebra, m.dims) and indecomposable:
